@@ -33,6 +33,7 @@ from .corrector import IdentityCorrector, LearnedAffineCorrector, train_correcto
 from .dataset_io import (
     CorpusEntry,
     MANIFEST_NAME,
+    ROLES,
     groundtruth_from_simulation,
     load_sequence,
     read_corpus_manifest,
@@ -237,7 +238,6 @@ def _cmd_deadreckon(args) -> int:
 
 def _cmd_train_corrector(args) -> int:
     cfg = _load(args)
-    seed = _resolve_seed(args)
     dataset = []
     for entry in _seen_entries(args.data):
         imu, _, (b_g, b_a) = load_sequence(_seq_dir(args.data, entry.path))
@@ -245,7 +245,8 @@ def _cmd_train_corrector(args) -> int:
         dataset.append((window, b_g, b_a))
     model, history = train_corrector(
         dataset,
-        cfgmod.corrector_train_config(cfg, seed),
+        epochs=cfg.getint("corrector", "epochs"),
+        lr=cfg.getfloat("corrector", "lr"),
         window_len=cfg.getint("corrector", "window_len"),
     )
     model.save(args.out)
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a synthetic sequence")
     p.add_argument("--data", required=True, help="corpus root directory")
     p.add_argument("--name", required=True, help="sequence name")
-    p.add_argument("--role", default="seen", choices=("seen", "unseen", "holdout"))
+    p.add_argument("--role", default="seen", choices=ROLES)
     _add_common(p, "simulator.* (trajectory shape), noise.* (IMU corruption)")
     p.set_defaults(func=_cmd_simulate)
 

@@ -18,7 +18,6 @@ import configparser
 import io
 from dataclasses import dataclass, field
 
-from .corrector import TrainConfig as CorrectorTrainConfig
 from .ekf import EkfConfig
 from .errors import ConfigError
 from .imu_model import RepresentationKind
@@ -226,14 +225,6 @@ def noise_spec(cfg: RunConfig, seed: int) -> NoiseSpec:
         sigma_ba=cfg.getfloat("noise", "sigma_ba"),
         b_g0=b_g0,
         b_a0=b_a0,
-        seed=seed,
-    )
-
-
-def corrector_train_config(cfg: RunConfig, seed: int) -> CorrectorTrainConfig:
-    return CorrectorTrainConfig(
-        epochs=cfg.getint("corrector", "epochs"),
-        lr=cfg.getfloat("corrector", "lr"),
         seed=seed,
     )
 

@@ -25,7 +25,7 @@ frames of context reproduces offline outputs exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,28 +45,6 @@ class CorrectionOutput:
     accel_correction: np.ndarray
     eta_g: np.ndarray
     eta_a: np.ndarray
-
-    def frame(self, i: int) -> "CorrectionOutput":
-        """The single-frame slice at row i (negative indices allowed)."""
-        i = range(len(self.eta_g))[i]  # normalizes and bounds-checks
-        return CorrectionOutput(
-            gyro_correction=self.gyro_correction[i : i + 1],
-            accel_correction=self.accel_correction[i : i + 1],
-            eta_g=self.eta_g[i : i + 1],
-            eta_a=self.eta_a[i : i + 1],
-        )
-
-
-@dataclass
-class TrainConfig:
-    """Shared knobs for the iterative trainers."""
-
-    epochs: int = 200
-    lr: float = 0.1
-    batch_size: int = 128
-    patience: int = 5
-    lr_decay: float = 0.2
-    seed: int = 0
 
 
 def softplus(x):
@@ -194,7 +172,7 @@ def correct_and_quantify(model, window: ImuWindow):
     return corrected, out
 
 
-def train_corrector(dataset, config: TrainConfig | None = None, window_len: int = 16):
+def train_corrector(dataset, epochs: int = 200, lr: float = 0.1, window_len: int = 16):
     """Fit a LearnedAffineCorrector by full-batch gradient descent.
 
     dataset is a list of (ImuWindow, b_g, b_a) with per-sample true
@@ -205,7 +183,6 @@ def train_corrector(dataset, config: TrainConfig | None = None, window_len: int 
 
     Returns (model, loss_history).
     """
-    config = config or TrainConfig()
     if not dataset:
         raise DataError("empty corrector training set")
 
@@ -237,7 +214,6 @@ def train_corrector(dataset, config: TrainConfig | None = None, window_len: int 
     n = feats.shape[0]
     weight = np.zeros((d, 6))
     bias = np.zeros(6)
-    lr = config.lr
     history = []
 
     def mse(w_mat, b_vec):
@@ -245,7 +221,7 @@ def train_corrector(dataset, config: TrainConfig | None = None, window_len: int 
         return float(np.mean(r * r))
 
     loss = mse(weight, bias)
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         history.append(loss)
         resid = feats @ weight + bias - targets
         grad_w = 2.0 * feats.T @ resid / n

@@ -1,4 +1,4 @@
-"""Sequence I/O in EuRoC-style CSV, splits, and the corpus manifest.
+"""Sequence I/O in EuRoC-style CSV and the corpus manifest.
 
 A sequence directory holds two files:
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, TimestampOrderError
+from .errors import DataError, ParseError, TimestampOrderError
 from .imu_model import ImuSample
 from .preintegration import NavState
 from .simulator import BiasTruth, TrajectorySample
@@ -45,7 +45,7 @@ GROUNDTRUTH_HEADER = (
 TRAJECTORY_HEADER = "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P"
 
 MANIFEST_NAME = "corpus.cfg"
-_ROLES = ("seen", "unseen")
+ROLES = ("seen", "unseen")
 
 
 # ---------------------------------------------------------------------------
@@ -329,39 +329,6 @@ def interpolate_biases(records, times, origin_ns: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Splits
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological split policy.
-
-    Sequences named in holdout stay entirely in test (the unseen
-    protocol); everything else splits train/val/test by fractions with
-    the remainder going to test.
-    """
-
-    train: float = 0.70
-    val: float = 0.15
-    holdout: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.train < 0 or self.val < 0 or self.train + self.val > 1.0:
-            raise ConfigError("split fractions must be nonnegative, sum <= 1")
-
-
-def split_sequence(n: int, spec: SplitSpec, name: str | None = None):
-    """Index ranges (train, val, test) for a sequence of n samples."""
-    if n <= 0:
-        raise DataError("cannot split an empty sequence")
-    if name is not None and name in spec.holdout:
-        return range(0, 0), range(0, 0), range(0, n)
-    i = math.floor(spec.train * n)
-    j = i + math.floor(spec.val * n)
-    return range(0, i), range(i, j), range(j, n)
-
-
-# ---------------------------------------------------------------------------
 # Corpus manifest
 
 
@@ -376,7 +343,7 @@ def write_corpus_manifest(root, entries):
     cfg = configparser.ConfigParser()
     cfg["corpus"] = {"version": "1"}
     for e in entries:
-        if e.role not in _ROLES:
+        if e.role not in ROLES:
             raise DataError(f"unknown role {e.role!r} for sequence {e.name!r}")
         cfg[f"sequence:{e.name}"] = {"role": e.role, "path": e.path}
     with open(os.path.join(root, MANIFEST_NAME), "w", encoding="utf-8") as fh:
@@ -400,7 +367,7 @@ def read_corpus_manifest(root):
             raise ParseError(f"{path}: unexpected section [{section}]")
         name = section.split(":", 1)[1]
         role = cfg.get(section, "role", fallback="seen")
-        if role not in _ROLES:
+        if role not in ROLES:
             raise ParseError(f"{path}: bad role {role!r} in [{section}]")
         entries.append(
             CorpusEntry(name=name, role=role, path=cfg.get(section, "path", fallback=name))

@@ -12,13 +12,11 @@ the update consumes a body-frame velocity measurement
 with Joseph-form covariance, retracting the nominal state through the
 boxplus operator.
 
-Two runners share one code path: streaming_run maintains FIFO buffers
-exactly as an online system would, while batch_run indexes the full
-arrays directly. Both chunk the stream at the velocity-update cadence,
-re-run corrector/provider inference over the trailing window each
-chunk, consume only the newly produced frames, and feed the provider
-the filter's own pre-update attitude history (recorded once per frame
-and never revised). Their outputs agree to the last bit.
+Both runners are entry points to one filter loop, _run, and differ
+only in its window source: streaming_run keeps bounded FIFO buffers as
+an online system would, batch_run slices the whole-sequence arrays.
+Both sources yield the same windows, so the outputs agree to the last
+bit.
 
 Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
@@ -28,13 +26,13 @@ and consumed the moment it is seen.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import CorrectionOutput, correct_and_quantify
+from .corrector import correct_and_quantify
 from .errors import ConfigError, DataError, SingularUpdateError, TimestampOrderError
-from .imu_model import ImuSample, ImuWindow, RepresentationKind, transform_representation
+from .imu_model import ImuWindow, RepresentationKind, transform_representation
 from .motion_model import VelocityMeasurement
 from .preintegration import (
     ERROR_DIM,
@@ -63,9 +61,6 @@ class FilterState:
         self.P = np.asarray(self.P, dtype=float)
         if self.P.shape != (ERROR_DIM, ERROR_DIM):
             raise DataError(f"P must be {ERROR_DIM}x{ERROR_DIM}, got {self.P.shape}")
-
-    def copy(self) -> "FilterState":
-        return FilterState(x=self.x.copy(), P=self.P.copy(), t=self.t)
 
 
 #: conservative default initial error stds: 1e-2 rad attitude, 1e-1 m/s
@@ -105,24 +100,23 @@ class EkfConfig:
 
 def ekf_propagate(
     fs: FilterState,
-    sample: ImuSample,
-    correction: CorrectionOutput,
+    w_hat: np.ndarray,
+    a_hat: np.ndarray,
+    eta_g: np.ndarray,
+    eta_a: np.ndarray,
     dt: float,
     cfg: EkfConfig,
 ) -> FilterState:
-    """One corrected-IMU step: nominal kinematics plus A P A' + B W B'."""
+    """One corrected-IMU step: nominal kinematics plus A P A' + B W B'.
+
+    w_hat / a_hat are the corrected readings of the frame and eta_g /
+    eta_a the corrector's white-noise stds for it, 3-vectors each.
+    """
     if dt <= 0.0:
         raise DataError("dt must be positive")
-    w_hat = sample.w + correction.gyro_correction[-1]
-    a_hat = sample.a + correction.accel_correction[-1]
     x_next = propagate_state(fs.x, w_hat, a_hat, dt)
     a_mat, b_mat = propagation_jacobians(fs.x, w_hat, a_hat, dt)
-    noise = ProcessNoise(
-        eta_g=correction.eta_g[-1],
-        eta_a=correction.eta_a[-1],
-        eta_bg=cfg.eta_bg,
-        eta_ba=cfg.eta_ba,
-    )
+    noise = ProcessNoise(eta_g=eta_g, eta_a=eta_a, eta_bg=cfg.eta_bg, eta_ba=cfg.eta_ba)
     p_next = propagate_covariance(fs.P, a_mat, b_mat, process_noise_covariance(noise))
     return FilterState(x=x_next, P=p_next, t=fs.t + dt)
 
@@ -195,16 +189,47 @@ def _provider_window(window: ImuWindow, rotations, provider) -> ImuWindow:
     return transform_representation(window, kind, rotations)
 
 
-def streaming_run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
-    """Online filter pass over a time-ordered IMU stream.
+class _FifoWindows:
+    """Bounded FIFO buffers of frames and attitudes, as kept online."""
+
+    def __init__(self, samples, buffer_len: int, r0: np.ndarray):
+        self.frames = deque(samples[:1], maxlen=buffer_len)
+        self.rotations = deque([r0], maxlen=buffer_len)
+
+    def window(self, new, stop: int) -> ImuWindow:
+        self.frames.extend(new)
+        return ImuWindow.from_samples(list(self.frames), kind=RepresentationKind.BODY)
+
+    def attitudes(self) -> np.ndarray:
+        return np.stack(self.rotations)
+
+
+class _SliceWindows:
+    """The trailing buffer_len frames, sliced from whole-sequence arrays."""
+
+    def __init__(self, samples, buffer_len: int, r0: np.ndarray):
+        self.sequence = ImuWindow.from_samples(samples, kind=RepresentationKind.BODY)
+        self.rotations = [r0]
+        self.buffer_len = buffer_len
+
+    def window(self, new, stop: int) -> ImuWindow:
+        self.lo = max(0, stop - self.buffer_len)
+        return self.sequence.slice(self.lo, stop)
+
+    def attitudes(self) -> np.ndarray:
+        return np.stack(self.rotations[self.lo :])
+
+
+def _run(source_cls, imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0):
+    """The filter loop over a window source; one FilterState per sample.
 
     Samples arrive in chunks of round(imu_rate / update_rate) frames.
-    Each chunk: push the frames into the FIFO buffer, run the corrector
-    over the whole window, propagate through the new frames (recording
-    each new pre-update attitude), run the velocity provider over the
-    window (re-expressed with the recorded attitudes when the provider
-    asks for a non-body representation), and update with the newest
-    frame's measurement. Returns one FilterState per input sample.
+    Each chunk: source.window(new frames, stop index) gives the window
+    to run the corrector over; propagate through the new frames,
+    appending each pre-update attitude to source.rotations (recorded
+    once, never revised); run the velocity provider over the window
+    (re-expressed with source.attitudes() when the provider asks for a
+    non-body representation); update with the newest frame's measurement.
     """
     cfg.validate()
     samples = list(imu_stream)
@@ -214,80 +239,39 @@ def streaming_run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState,
 
     fs = FilterState(x=x0.copy(), P=p0.copy(), t=samples[0].t)
     states = [fs]
-    buffer: deque = deque(maxlen=cfg.buffer_len)
-    attitudes: deque = deque(maxlen=cfg.buffer_len)
-    buffer.append(samples[0])
-    attitudes.append(x0.r.copy())
-
+    source = source_cls(samples, cfg.buffer_len, x0.r)
     n = len(samples)
     start = 1
     while start < n:
         stop = min(start + k, n)
-        new = samples[start:stop]
-        buffer.extend(new)
-        window = ImuWindow.from_samples(list(buffer), kind=RepresentationKind.BODY)
+        window = source.window(samples[start:stop], stop)
         corrected, corr = correct_and_quantify(corrector, window)
-
-        n_new = len(new)
-        base = len(window) - n_new
-        for j, i in enumerate(range(start, stop)):
+        first_new = len(window) - (stop - start)  # window row of frame `start`
+        for j, i in enumerate(range(start, stop), start=first_new):
             dt = samples[i].t - samples[i - 1].t
-            fs = ekf_propagate(fs, samples[i], corr.frame(base + j), dt, cfg)
-            attitudes.append(fs.x.r.copy())
+            fs = ekf_propagate(
+                fs, corrected.w[j], corrected.a[j], corr.eta_g[j], corr.eta_a[j], dt, cfg
+            )
+            source.rotations.append(fs.x.r)
             states.append(fs)
 
-        pwin = _provider_window(corrected, np.stack(attitudes), provider)
-        meas = provider.predict_window(pwin, n_new)
+        pwin = _provider_window(corrected, source.attitudes(), provider)
+        meas = provider.predict_window(pwin, stop - start)
         if (stop - 1) % k == 0:
             fs = ekf_update(fs, meas[-1])
             states[-1] = fs
         start = stop
     return states
+
+
+def streaming_run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
+    """Online filter pass over a time-ordered IMU stream, keeping FIFO
+    buffers as an online system would. Returns one FilterState per
+    input sample."""
+    return _run(_FifoWindows, imu_stream, provider, corrector, cfg, x0, p0)
 
 
 def batch_run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
-    """Offline pass with identical chunking, windows, and arithmetic.
-
-    Instead of FIFO queues it slices preassembled arrays; outputs match
-    streaming_run to the last bit on the same inputs.
-    """
-    cfg.validate()
-    samples = list(imu_stream)
-    _validate_stream(samples)
-    k = _chunk_size(samples, cfg)
-    p0 = cfg.initial_covariance() if p0 is None else np.asarray(p0, dtype=float)
-
-    n = len(samples)
-    t_arr = np.array([s.t for s in samples])
-    w_arr = np.array([s.w for s in samples])
-    a_arr = np.array([s.a for s in samples])
-    rot_hist = np.empty((n, 3, 3))
-    rot_hist[0] = x0.r
-
-    fs = FilterState(x=x0.copy(), P=p0.copy(), t=samples[0].t)
-    states = [fs]
-    start = 1
-    while start < n:
-        stop = min(start + k, n)
-        lo = max(0, stop - cfg.buffer_len)
-        window = ImuWindow(
-            t=t_arr[lo:stop], w=w_arr[lo:stop], a=a_arr[lo:stop],
-            kind=RepresentationKind.BODY,
-        )
-        corrected, corr = correct_and_quantify(corrector, window)
-
-        n_new = stop - start
-        base = len(window) - n_new
-        for j, i in enumerate(range(start, stop)):
-            dt = t_arr[i] - t_arr[i - 1]
-            fs = ekf_propagate(fs, samples[i], corr.frame(base + j), dt, cfg)
-            rot_hist[i] = fs.x.r
-            states.append(fs)
-
-        pwin = _provider_window(corrected, rot_hist[lo:stop], provider)
-        meas = provider.predict_window(pwin, n_new)
-        if (stop - 1) % k == 0:
-            fs = ekf_update(fs, meas[-1])
-            states[-1] = fs
-        start = stop
-    return states
+    """Offline pass slicing preassembled arrays instead of FIFO queues;
+    outputs match streaming_run to the last bit on the same inputs."""
+    return _run(_SliceWindows, imu_stream, provider, corrector, cfg, x0, p0)

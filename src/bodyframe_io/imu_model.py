@@ -26,7 +26,7 @@ is rotated by GLOBAL kinds and otherwise untouched.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class GravityModel:
     @property
     def vector(self) -> np.ndarray:
         return np.array(self.g_world, dtype=float)
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.g_world))
 
 
 GRAVITY = GravityModel()

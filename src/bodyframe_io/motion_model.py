@@ -24,7 +24,7 @@ noise (for isolating filter behavior), and a constant-zero baseline
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

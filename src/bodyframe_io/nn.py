@@ -243,10 +243,6 @@ class BiGru(Layer):
         self.fwd = Gru(cin, hidden, rng, reverse=False)
         self.bwd = Gru(cin, hidden, rng, reverse=True)
 
-    @property
-    def sublayers(self):
-        return {"fwd": self.fwd, "bwd": self.bwd}
-
     def forward(self, x):
         return np.concatenate([self.fwd.forward(x), self.bwd.forward(x)], axis=2)
 

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DataError
 from .imu_model import GRAVITY, GravityModel, ImuSample, specific_force
+# exp_so3 is unused here, but perfbench/tracing.py patches simulator.exp_so3.
 from .so3 import exp_so3, log_so3
 
 # Central-difference step (s) for the attitude rate; error is O(h^2).

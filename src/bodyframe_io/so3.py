@@ -134,10 +134,16 @@ def right_jacobian(xi):
 
 
 def is_rotation(r, tol=_ROTATION_TOL):
-    """True if r is orthonormal with determinant +1 within tol."""
+    """True if r is orthonormal with determinant +1 within tol.
+
+    Both checks are absolute: every entry of r @ r.T - I and det(r) - 1
+    must lie within tol. Non-finite entries fail.
+    """
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         return False
-    if not np.allclose(r @ r.T, np.eye(3), atol=tol):
+    if not np.abs(r @ r.T - np.eye(3)).max() <= tol:
         return False
-    return abs(np.linalg.det(r) - 1.0) <= tol
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return abs(det - 1.0) <= tol

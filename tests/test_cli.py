@@ -198,6 +198,13 @@ class TestSimulate:
         entries = {e.name: e.role for e in read_corpus_manifest(data)}
         assert entries == {"train01": "seen", "test01": "unseen"}
 
+    def test_unknown_role_rejected_before_writing(self, tmp_path):
+        data = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--data", str(data), "--name", "s", "--role", "holdout"])
+        assert exc.value.code == 2
+        assert not (data / "s").exists()
+
 
 class TestPipeline:
     def test_oracle_ekf_beats_dead_reckoning(self, workdir, ekf_csv, dr_csv,

@@ -4,7 +4,6 @@ import pytest
 from bodyframe_io.corrector import (
     IdentityCorrector,
     LearnedAffineCorrector,
-    TrainConfig,
     correct_and_quantify,
     train_corrector,
 )
@@ -46,7 +45,7 @@ def trained(biased_sequence):
     _, _, noisy, bias = biased_sequence
     window = ImuWindow.from_samples(noisy)
     model, history = train_corrector(
-        [(window, bias.b_g, bias.b_a)], TrainConfig(epochs=150, lr=0.2)
+        [(window, bias.b_g, bias.b_a)], epochs=150, lr=0.2
     )
     return model, history, window
 

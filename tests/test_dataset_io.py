@@ -5,7 +5,6 @@ import pytest
 
 from bodyframe_io.dataset_io import (
     CorpusEntry,
-    SplitSpec,
     groundtruth_from_simulation,
     interpolate_biases,
     interpolate_groundtruth,
@@ -17,13 +16,12 @@ from bodyframe_io.dataset_io import (
     read_corpus_manifest,
     read_trajectory_csv,
     slerp,
-    split_sequence,
     write_corpus_manifest,
     write_imu_csv,
     write_sequence,
     write_trajectory_csv,
 )
-from bodyframe_io.errors import ConfigError, DataError, ParseError, TimestampOrderError
+from bodyframe_io.errors import DataError, ParseError, TimestampOrderError
 from bodyframe_io.imu_model import ImuSample
 from bodyframe_io.preintegration import NavState
 from bodyframe_io.simulator import (
@@ -179,35 +177,6 @@ class TestGroundTruthCsv:
         b_g, b_a = interpolate_biases(records, [s.t for s in traj])
         np.testing.assert_allclose(b_g, bias.b_g, atol=1e-12)
         np.testing.assert_allclose(b_a, bias.b_a, atol=1e-12)
-
-
-class TestSplits:
-    def test_even_thousand(self):
-        train, val, test = split_sequence(1000, SplitSpec())
-        assert (len(train), len(val), len(test)) == (700, 150, 150)
-        assert train.stop == val.start and val.stop == test.start
-
-    def test_remainder_goes_to_test(self):
-        train, val, test = split_sequence(1001, SplitSpec())
-        assert (len(train), len(val), len(test)) == (700, 150, 151)
-
-    def test_holdout_sequence_is_all_test(self):
-        spec = SplitSpec(holdout=("seq_07",))
-        train, val, test = split_sequence(500, spec, name="seq_07")
-        assert len(train) == 0 and len(val) == 0 and len(test) == 500
-        train, _, _ = split_sequence(500, spec, name="seq_01")
-        assert len(train) == 350
-
-    def test_splits_are_disjoint_and_cover(self):
-        for n in (10, 97, 1234):
-            train, val, test = split_sequence(n, SplitSpec())
-            ranges = set(train) | set(val) | set(test)
-            assert len(train) + len(val) + len(test) == n
-            assert ranges == set(range(n))
-
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ConfigError):
-            SplitSpec(train=0.9, val=0.2)
 
 
 class TestCorpus:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bodyframe_io.corrector import CorrectionOutput, IdentityCorrector
+from bodyframe_io.corrector import IdentityCorrector
 from bodyframe_io.ekf import (
     EkfConfig,
     FilterState,
@@ -19,7 +19,7 @@ from bodyframe_io.errors import (
     SingularUpdateError,
     TimestampOrderError,
 )
-from bodyframe_io.imu_model import ImuSample, RepresentationKind
+from bodyframe_io.imu_model import RepresentationKind
 from bodyframe_io.motion_model import (
     ConstantZeroProvider,
     OracleProvider,
@@ -58,15 +58,6 @@ def random_state(rng, p_scale=0.1):
     m = rng.standard_normal((15, 15))
     p = p_scale * (m @ m.T) / 15.0
     return FilterState(x=x, P=p, t=0.0)
-
-
-def single_frame_correction(gyro=(0, 0, 0), accel=(0, 0, 0), eta_g=1e-3, eta_a=1e-2):
-    return CorrectionOutput(
-        gyro_correction=np.array([gyro], dtype=float),
-        accel_correction=np.array([accel], dtype=float),
-        eta_g=np.full((1, 3), eta_g),
-        eta_a=np.full((1, 3), eta_a),
-    )
 
 
 class TestMeasurementJacobian:
@@ -120,10 +111,11 @@ class TestPropagate:
         x0 = NavState.identity()
         p0 = np.zeros((15, 15))
         fs = FilterState(x=x0, P=p0, t=0.0)
-        sample = ImuSample(t=0.01, w=np.zeros(3), a=np.array([0, 0, 9.80665]))
-        corr = single_frame_correction()
         cfg = EkfConfig(eta_bg=1e-6, eta_ba=1e-5)
-        out = ekf_propagate(fs, sample, corr, 0.01, cfg)
+        out = ekf_propagate(
+            fs, np.zeros(3), np.array([0, 0, 9.80665]),
+            np.full(3, 1e-3), np.full(3, 1e-2), 0.01, cfg,
+        )
         np.testing.assert_allclose(out.x.r, np.eye(3), atol=1e-15)
         np.testing.assert_allclose(out.x.v, np.zeros(3), atol=1e-15)
         np.testing.assert_allclose(out.x.p, np.zeros(3), atol=1e-15)
@@ -136,21 +128,16 @@ class TestPropagate:
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(2)
         fs = random_state(rng)
-        sample = ImuSample(t=0.0, w=rng.standard_normal(3), a=rng.standard_normal(3))
-        corr = single_frame_correction(
-            gyro=rng.standard_normal(3) * 0.01, accel=rng.standard_normal(3) * 0.1,
-            eta_g=2e-3, eta_a=3e-2,
-        )
+        w_hat = rng.standard_normal(3)
+        a_hat = rng.standard_normal(3)
+        eta_g, eta_a = np.full(3, 2e-3), np.full(3, 3e-2)
         cfg = EkfConfig(eta_bg=1e-6, eta_ba=1e-5)
         dt = 0.005
-        out = ekf_propagate(fs, sample, corr, dt, cfg)
+        out = ekf_propagate(fs, w_hat, a_hat, eta_g, eta_a, dt, cfg)
 
-        w_hat = sample.w + corr.gyro_correction[0]
-        a_hat = sample.a + corr.accel_correction[0]
         x_ref = propagate_state(fs.x, w_hat, a_hat, dt)
         a_mat, b_mat = propagation_jacobians(fs.x, w_hat, a_hat, dt)
-        noise = ProcessNoise(eta_g=corr.eta_g[0], eta_a=corr.eta_a[0],
-                             eta_bg=1e-6, eta_ba=1e-5)
+        noise = ProcessNoise(eta_g=eta_g, eta_a=eta_a, eta_bg=1e-6, eta_ba=1e-5)
         p_ref = propagate_covariance(fs.P, a_mat, b_mat, process_noise_covariance(noise))
         np.testing.assert_array_equal(out.x.r, x_ref.r)
         np.testing.assert_array_equal(out.x.v, x_ref.v)
@@ -160,20 +147,20 @@ class TestPropagate:
 
     def test_zero_noise_zero_p_stays_zero(self):
         fs = FilterState(x=NavState.identity(), P=np.zeros((15, 15)), t=0.0)
-        sample = ImuSample(t=0.0, w=np.array([0.1, 0, 0]), a=np.array([0, 1, 9.0]))
-        corr = CorrectionOutput(
-            gyro_correction=np.zeros((1, 3)), accel_correction=np.zeros((1, 3)),
-            eta_g=np.zeros((1, 3)), eta_a=np.zeros((1, 3)),
-        )
         cfg = EkfConfig(eta_bg=0.0, eta_ba=0.0)
-        out = ekf_propagate(fs, sample, corr, 0.01, cfg)
+        out = ekf_propagate(
+            fs, np.array([0.1, 0, 0]), np.array([0, 1, 9.0]),
+            np.zeros(3), np.zeros(3), 0.01, cfg,
+        )
         np.testing.assert_array_equal(out.P, np.zeros((15, 15)))
 
     def test_nonpositive_dt_rejected(self):
         fs = FilterState(x=NavState.identity(), P=np.zeros((15, 15)), t=0.0)
-        sample = ImuSample(t=0.0, w=np.zeros(3), a=np.zeros(3))
         with pytest.raises(Exception):
-            ekf_propagate(fs, sample, single_frame_correction(), 0.0, EkfConfig())
+            ekf_propagate(
+                fs, np.zeros(3), np.zeros(3), np.full(3, 1e-3), np.full(3, 1e-2),
+                0.0, EkfConfig(),
+            )
 
 
 class TestUpdate:

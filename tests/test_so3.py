@@ -130,6 +130,9 @@ class TestLog:
             log_so3(np.eye(3) * 1.001)
         with pytest.raises(InvalidRotationError):
             log_so3(np.diag([1.0, 1.0, -1.0]))  # det == -1 reflection
+        with pytest.raises(InvalidRotationError):
+            # max |R R^T - I| is 4e-6, far outside the 1e-9 tolerance
+            log_so3(np.diag([1.0 + 2e-6, 1.0 / (1.0 + 2e-6), 1.0]))
 
 
 class TestRightJacobian:
