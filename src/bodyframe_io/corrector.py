@@ -19,8 +19,11 @@ All uncertainties are strictly positive by construction: learned ones
 pass through softplus(x) + 1e-6, configured ones are validated.
 
 Because the affine window is causal, corrections for a frame depend
-only on frames at or before it; a streaming runner that keeps >= 16
-frames of context reproduces offline outputs exactly.
+only on frames at or before it. Each corrector names the raw frames of
+context it needs, `context` (window_len - 1 for the affine map, none
+for the identity): inferring a run of new frames behind that many
+earlier raw frames reproduces offline outputs for the new frames to
+the last bit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .imu_model import ImuWindow
@@ -59,6 +63,8 @@ def inv_softplus(y):
 
 class IdentityCorrector:
     """Pass-through corrector with constant configured uncertainties."""
+
+    context = 0
 
     def __init__(self, eta_g=1e-3, eta_a=1e-2):
         self.eta_g = np.broadcast_to(np.asarray(eta_g, dtype=float), (3,)).copy()
@@ -105,6 +111,11 @@ class LearnedAffineCorrector:
             raise DataError("affine corrector weight shapes inconsistent")
 
     @property
+    def context(self) -> int:
+        """Raw frames before a frame that its correction reads."""
+        return self.window_len - 1
+
+    @property
     def eta(self) -> np.ndarray:
         return softplus(self.raw_eta) + _ETA_FLOOR
 
@@ -113,10 +124,9 @@ class LearnedAffineCorrector:
         raw = np.hstack([window.w, window.a])  # (n, 6)
         k = self.window_len
         padded = np.vstack([np.tile(raw[0], (k - 1, 1)), raw])
-        n = raw.shape[0]
-        feats = np.empty((n, 6 * k))
-        for i in range(n):
-            feats[i] = padded[i : i + k].reshape(-1)
+        # (n, 6, k) views of frames i..i+k-1 -> rows of k frames, 6 channels each
+        frames = sliding_window_view(padded, k, axis=0).transpose(0, 2, 1)
+        feats = frames.reshape(raw.shape[0], 6 * k)
         return (feats - self.feat_mean) / self.feat_scale
 
     def infer(self, window: ImuWindow) -> CorrectionOutput:

@@ -13,26 +13,34 @@ with Joseph-form covariance, retracting the nominal state through the
 boxplus operator.
 
 Both runners are entry points to one filter loop, _run, and differ
-only in its window source: streaming_run keeps bounded FIFO buffers as
-an online system would, batch_run slices the whole-sequence arrays.
-Both sources yield the same windows, so the outputs agree to the last
-bit.
+only in where it keeps the rows it records: streaming_run keeps bounded
+FIFO arrays as an online system would, batch_run keeps whole-sequence
+arrays and slices them. Both yield the same windows, so the outputs
+agree to the last bit.
 
 Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
-and consumed the moment it is seen.
+and consumed the moment it is seen. Each frame is corrected once (the
+corrector is causal, so its new frames need only corrector.context raw
+frames before them) and its attitude encoded once; the velocity
+provider gets the newest buffer_len frames, or its own window_len if
+that is shorter.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corrector import correct_and_quantify
 from .errors import ConfigError, DataError, SingularUpdateError, TimestampOrderError
-from .imu_model import ImuWindow, RepresentationKind, transform_representation
+from .imu_model import (
+    ImuWindow,
+    RepresentationKind,
+    attitude_channel,
+    transform_representation,
+)
 from .motion_model import VelocityMeasurement
 from .preintegration import (
     ERROR_DIM,
@@ -182,54 +190,58 @@ def _validate_stream(samples):
             )
 
 
-def _provider_window(window: ImuWindow, rotations, provider) -> ImuWindow:
-    kind = getattr(provider, "required_kind", None)
-    if kind is None or kind is RepresentationKind.BODY:
-        return window
-    return transform_representation(window, kind, rotations)
+class _ArrayFifo:
+    """The newest maxlen rows appended, oldest first, as an online
+    system keeps them in a bounded buffer."""
+
+    def __init__(self, maxlen: int, row_shape: tuple):
+        self.maxlen = maxlen
+        self._rows = np.empty((0, *row_shape))
+
+    def extend(self, rows: np.ndarray):
+        # a new array each time, so views handed out by tail never change
+        self._rows = np.concatenate([self._rows, rows])[-self.maxlen :]
+
+    def tail(self, m: int) -> np.ndarray:
+        """A view of the newest min(m, maxlen) rows."""
+        return self._rows[max(0, len(self._rows) - m) :]
 
 
-class _FifoWindows:
-    """Bounded FIFO buffers of frames and attitudes, as kept online."""
+class _SequenceArray:
+    """Every row appended, in one array sized for the whole sequence."""
 
-    def __init__(self, samples, buffer_len: int, r0: np.ndarray):
-        self.frames = deque(samples[:1], maxlen=buffer_len)
-        self.rotations = deque([r0], maxlen=buffer_len)
+    def __init__(self, n: int, row_shape: tuple):
+        self._rows = np.empty((n, *row_shape))
+        self._end = 0
 
-    def window(self, new, stop: int) -> ImuWindow:
-        self.frames.extend(new)
-        return ImuWindow.from_samples(list(self.frames), kind=RepresentationKind.BODY)
+    def extend(self, rows: np.ndarray):
+        self._rows[self._end : self._end + len(rows)] = rows
+        self._end += len(rows)
 
-    def attitudes(self) -> np.ndarray:
-        return np.stack(self.rotations)
-
-
-class _SliceWindows:
-    """The trailing buffer_len frames, sliced from whole-sequence arrays."""
-
-    def __init__(self, samples, buffer_len: int, r0: np.ndarray):
-        self.sequence = ImuWindow.from_samples(samples, kind=RepresentationKind.BODY)
-        self.rotations = [r0]
-        self.buffer_len = buffer_len
-
-    def window(self, new, stop: int) -> ImuWindow:
-        self.lo = max(0, stop - self.buffer_len)
-        return self.sequence.slice(self.lo, stop)
-
-    def attitudes(self) -> np.ndarray:
-        return np.stack(self.rotations[self.lo :])
+    def tail(self, m: int) -> np.ndarray:
+        """A slice of the newest m rows; rows are written once, never moved."""
+        return self._rows[max(0, self._end - m) : self._end]
 
 
-def _run(source_cls, imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0):
-    """The filter loop over a window source; one FilterState per sample.
+def _run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo: bool):
+    """The filter loop; one FilterState per sample.
 
     Samples arrive in chunks of round(imu_rate / update_rate) frames.
-    Each chunk: source.window(new frames, stop index) gives the window
-    to run the corrector over; propagate through the new frames,
-    appending each pre-update attitude to source.rotations (recorded
-    once, never revised); run the velocity provider over the window
-    (re-expressed with source.attitudes() when the provider asks for a
-    non-body representation); update with the newest frame's measurement.
+    Each chunk:
+    - corrects the frames not yet corrected, behind corrector.context
+      raw frames of context, and records each corrected frame once;
+    - propagates through the new frames, recording each pre-update
+      attitude once (attitudes are never revised), and its log_so3
+      encoding when the provider's representation has an attitude
+      channel;
+    - runs the velocity provider over the newest min(buffer_len,
+      provider.window_len) corrected frames, re-expressed in the
+      provider's representation when it is not the body frame;
+    - updates with the newest frame's measurement.
+
+    The recorded rows are kept in _ArrayFifo stores bounded by
+    buffer_len when fifo is set, else in whole-sequence _SequenceArray
+    stores.
     """
     cfg.validate()
     samples = list(imu_stream)
@@ -237,26 +249,59 @@ def _run(source_cls, imu_stream, provider, corrector, cfg: EkfConfig, x0: NavSta
     k = _chunk_size(samples, cfg)
     p0 = cfg.initial_covariance() if p0 is None else np.asarray(p0, dtype=float)
 
+    raw = ImuWindow.from_samples(samples, kind=RepresentationKind.BODY)
+    n = len(raw)
+    kind = getattr(provider, "required_kind", None)
+    encode = kind is not None and kind.has_attitude
+    served = min(cfg.buffer_len, getattr(provider, "window_len", None) or cfg.buffer_len)
+
+    def store(row_shape):
+        return _ArrayFifo(cfg.buffer_len, row_shape) if fifo else _SequenceArray(n, row_shape)
+
+    frames = store((7,))  # rows of t, corrected w, corrected a
+    rotations = store((3, 3))
+    encodings = store((3,))
+
+    def record_attitudes(rs):
+        rotations.extend(np.stack(rs))
+        if encode:
+            encodings.extend(attitude_channel(rs))
+
     fs = FilterState(x=x0.copy(), P=p0.copy(), t=samples[0].t)
     states = [fs]
-    source = source_cls(samples, cfg.buffer_len, x0.r)
-    n = len(samples)
+    record_attitudes([fs.x.r])
+    corrected_to = 0  # frames [0, corrected_to) are corrected and recorded
     start = 1
     while start < n:
         stop = min(start + k, n)
-        window = source.window(samples[start:stop], stop)
-        corrected, corr = correct_and_quantify(corrector, window)
-        first_new = len(window) - (stop - start)  # window row of frame `start`
+        chunk = raw.slice(max(0, corrected_to - corrector.context), stop)
+        corrected, corr = correct_and_quantify(corrector, chunk)
+        new = len(chunk) - (stop - corrected_to)
+        frames.extend(np.column_stack([corrected.t, corrected.w, corrected.a])[new:])
+        corrected_to = stop
+
+        first_new = len(chunk) - (stop - start)  # chunk row of frame `start`
+        attitudes = []
         for j, i in enumerate(range(start, stop), start=first_new):
             dt = samples[i].t - samples[i - 1].t
             fs = ekf_propagate(
                 fs, corrected.w[j], corrected.a[j], corr.eta_g[j], corr.eta_a[j], dt, cfg
             )
-            source.rotations.append(fs.x.r)
+            attitudes.append(fs.x.r)
             states.append(fs)
+        record_attitudes(attitudes)
 
-        pwin = _provider_window(corrected, source.attitudes(), provider)
-        meas = provider.predict_window(pwin, stop - start)
+        rows = frames.tail(served)
+        window = ImuWindow(
+            t=rows[:, 0],
+            w=rows[:, 1:4],
+            a=rows[:, 4:7],
+            attitudes=encodings.tail(served) if encode else None,
+            kind=RepresentationKind.BODY,
+        )
+        if kind is not None and kind is not RepresentationKind.BODY:
+            window = transform_representation(window, kind, rotations.tail(served))
+        meas = provider.predict_window(window, stop - start)
         if (stop - 1) % k == 0:
             fs = ekf_update(fs, meas[-1])
             states[-1] = fs
@@ -265,13 +310,14 @@ def _run(source_cls, imu_stream, provider, corrector, cfg: EkfConfig, x0: NavSta
 
 
 def streaming_run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
-    """Online filter pass over a time-ordered IMU stream, keeping FIFO
-    buffers as an online system would. Returns one FilterState per
-    input sample."""
-    return _run(_FifoWindows, imu_stream, provider, corrector, cfg, x0, p0)
+    """Online filter pass over a time-ordered IMU stream, keeping
+    bounded FIFO buffers as an online system would. Returns one
+    FilterState per input sample."""
+    return _run(imu_stream, provider, corrector, cfg, x0, p0, fifo=True)
 
 
 def batch_run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
-    """Offline pass slicing preassembled arrays instead of FIFO queues;
-    outputs match streaming_run to the last bit on the same inputs."""
-    return _run(_SliceWindows, imu_stream, provider, corrector, cfg, x0, p0)
+    """Offline pass slicing whole-sequence arrays instead of FIFO
+    buffers; outputs match streaming_run to the last bit on the same
+    inputs."""
+    return _run(imu_stream, provider, corrector, cfg, x0, p0, fifo=False)

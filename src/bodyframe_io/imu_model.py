@@ -171,6 +171,12 @@ def specific_force(a_world, r, gravity: GravityModel = GRAVITY) -> np.ndarray:
     return r.T @ (a_world - gravity.vector)
 
 
+def attitude_channel(rotations) -> np.ndarray:
+    """The attitude channel of +Attitude kinds: log_so3 of each (3, 3)
+    world-from-body rotation, as an (n, 3) array."""
+    return np.array([log_so3(r) for r in rotations])
+
+
 def transform_representation(
     window: ImuWindow,
     kind: RepresentationKind,
@@ -183,7 +189,9 @@ def transform_representation(
     per frame. The source window may be in any kind; it is first
     normalized back to raw body-frame channels (every kind is
     invertible given the rotations), then mapped to the target. The
-    attitude channel is attached only for +Attitude kinds.
+    attitude channel is attached only for +Attitude kinds: the window's
+    own attitudes when it carries them (they must encode the same
+    rotations), otherwise log_so3 of each rotation.
     """
     rotations = np.asarray(rotations, dtype=float)
     n = len(window)
@@ -216,6 +224,9 @@ def transform_representation(
 
     attitudes = None
     if kind.has_attitude:
-        attitudes = np.array([log_so3(rotations[i]) for i in range(n)])
+        if window.attitudes is not None:
+            attitudes = window.attitudes.copy()
+        else:
+            attitudes = attitude_channel(rotations)
 
     return ImuWindow(t=window.t.copy(), w=w, a=a, attitudes=attitudes, kind=kind)

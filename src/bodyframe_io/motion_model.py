@@ -16,7 +16,8 @@ that supervises the uncertainty channel; all gradients are hand-derived
 through the layers in nn.py.
 
 The module also hosts the velocity-measurement providers the filter
-consumes: the network itself, a ground-truth oracle with configurable
+consumes: the network itself, run on the window length it was trained
+on (MotionNetConfig.window), a ground-truth oracle with configurable
 noise (for isolating filter behavior), and a constant-zero baseline
 (equivalent to a pure non-holonomic prior).
 """
@@ -36,7 +37,6 @@ from .weights_io import load_weights, save_weights
 MOTION_VARIANT = "motion-net-v1"
 ETA_MIN = 1e-4  # m/s, keeps the measurement covariance invertible
 ETA_MAX = 1e2
-_REFERENCE_LATENTS = (256, 128, 64)
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,13 @@ class MotionNetConfig:
     latent_dim is the width of the recurrent output (the reference
     sizes are 256/128/64; any positive even width works, which keeps
     desk-scale and gradient-check models cheap). Each bidirectional
-    layer uses latent_dim // 2 hidden units per direction.
+    layer uses latent_dim // 2 hidden units per direction. window is
+    the frame count of a training window, and the most frames
+    NetworkProvider runs the model on.
     """
 
     representation: RepresentationKind = RepresentationKind.BODY_PLUS_ATTITUDE
-    window: int = 1000
+    window: int = 200
     latent_dim: int = 64
     gru_layers: int = 2
     imu_encoder_channels: tuple[int, ...] = (32, 64)
@@ -340,13 +342,16 @@ class MotionNet:
             att = window.attitudes[None]
         return imu, att
 
-    def forward(self, window: ImuWindow) -> list[VelocityMeasurement]:
-        """Evaluation-mode inference: one measurement per input frame."""
+    def forward(self, window: ImuWindow, n_tail: int | None = None) -> list[VelocityMeasurement]:
+        """Evaluation-mode inference: one measurement per input frame, or
+        per frame of the last n_tail frames only."""
         imu, att = self._window_arrays(window)
         v, eta = self.forward_arrays(imu, att, train=False)
+        n = len(window)
+        lo = 0 if n_tail is None else max(0, n - n_tail)
         return [
             VelocityMeasurement(t=float(window.t[i]), v_body=v[0, i], eta_v=eta[0, i])
-            for i in range(len(window))
+            for i in range(lo, n)
         ]
 
     def latents(self, window: ImuWindow) -> np.ndarray:
@@ -565,12 +570,20 @@ class OracleProvider:
 
 
 class NetworkProvider:
-    """Runs a trained MotionNet on the window and returns the tail."""
+    """Runs a trained MotionNet on the window it was trained on.
+
+    The model sees the last model.config.window frames of the window it
+    is given (all of them when there are fewer), as in training, and
+    measurements are built for the n_tail newest frames only. window_len
+    tells the filter loop how many frames to hand over.
+    """
 
     def __init__(self, model: MotionNet):
         self.model = model
         self.required_kind = model.config.representation
+        self.window_len = model.config.window
 
     def predict_window(self, window: ImuWindow, n_tail: int) -> list[VelocityMeasurement]:
-        out = self.model.forward(window)
-        return out[max(0, len(out) - n_tail) :]
+        if len(window) > self.window_len:
+            window = window.slice(len(window) - self.window_len, len(window))
+        return self.model.forward(window, n_tail)

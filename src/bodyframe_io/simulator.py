@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DataError
 from .imu_model import GRAVITY, GravityModel, ImuSample, specific_force
@@ -190,6 +189,10 @@ def _curve_functions(spec: TrajectorySpec):
 
     # WAYPOINT_SPLINE: natural cubic through uniform knots; derivatives
     # of the piecewise polynomial are themselves analytic.
+    # Imported on use, so that commands that build no spline do not pay
+    # for importing scipy (its one use here) in time and memory.
+    from scipy.interpolate import CubicSpline
+
     wp = np.asarray(spec.waypoints, dtype=float)
     knots = np.linspace(0.0, spec.duration, wp.shape[0])
     spline = CubicSpline(knots, wp, bc_type="natural")

@@ -3,10 +3,13 @@
 import configparser
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import bodyframe_io
 from bodyframe_io.cli import emit_report, main
 from bodyframe_io.dataset_io import load_sequence, read_corpus_manifest
 from bodyframe_io.imu_model import RepresentationKind
@@ -109,6 +112,17 @@ class TestTopLevel:
             with pytest.raises(SystemExit):
                 main([name, "--help"])
             assert "config keys used" in capsys.readouterr().out
+
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported only where a waypoint spline is built
+        src = str(Path(bodyframe_io.__file__).resolve().parents[1])
+        code = "import sys, bodyframe_io.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestExitCodes:

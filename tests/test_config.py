@@ -18,6 +18,7 @@ from bodyframe_io.config import (
 )
 from bodyframe_io.errors import ConfigError
 from bodyframe_io.imu_model import RepresentationKind
+from bodyframe_io.motion_model import MotionNetConfig
 from bodyframe_io.simulator import TrajectoryKind, YawMode
 
 
@@ -146,6 +147,11 @@ class TestBuilders:
         assert net.representation is RepresentationKind.GLOBAL
         assert net.latent_dim == 16
         assert net.seed == 5
+
+    def test_motion_net_defaults_match_the_dataclass(self):
+        # the served window is the training window: both defaults are 200
+        assert motion_net_config(RunConfig(), seed=0) == MotionNetConfig()
+        assert MotionNetConfig().window == 200
 
     def test_bad_representation_rejected(self):
         cfg = RunConfig()

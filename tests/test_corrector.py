@@ -51,6 +51,9 @@ def trained(biased_sequence):
 
 
 class TestIdentity:
+    def test_needs_no_context(self):
+        assert IdentityCorrector().context == 0
+
     def test_leaves_readings_unchanged(self):
         rng = np.random.default_rng(41)
         window = ImuWindow(
@@ -120,6 +123,38 @@ class TestTraining:
         np.testing.assert_array_equal(
             tail.gyro_correction[-8:], full.gyro_correction[stop - 8 : stop]
         )
+
+    def test_features_are_head_padded_causal_frames(self):
+        rng = np.random.default_rng(42)
+        window = ImuWindow(
+            t=np.arange(20) * 0.01, w=rng.normal(size=(20, 3)), a=rng.normal(size=(20, 3))
+        )
+        model = LearnedAffineCorrector(
+            weight=np.zeros((96, 6)), bias=np.zeros(6), feat_mean=np.zeros(96),
+            feat_scale=np.ones(96), raw_eta=np.zeros(6),
+        )
+        # reference: row i is frames i-15..i flattened, the first frame repeated before 0
+        raw = np.hstack([window.w, window.a])
+        padded = np.vstack([np.tile(raw[0], (15, 1)), raw])
+        reference = np.array([padded[i : i + 16].reshape(-1) for i in range(20)])
+        assert np.array_equal(model.features(window), reference)
+
+    @pytest.mark.parametrize("chunk", [1, 10, 100])
+    def test_context_frames_reproduce_full_buffer(self, trained, chunk):
+        model, _, window = trained
+        assert model.context == model.window_len - 1
+        full = model.infer(window.slice(0, 1000))
+        for stop in (model.context + chunk, 517, 1000):
+            part = model.infer(window.slice(stop - chunk - model.context, stop))
+            for name in ("gyro_correction", "accel_correction", "eta_g", "eta_a"):
+                assert np.array_equal(
+                    getattr(part, name)[-chunk:], getattr(full, name)[stop - chunk : stop]
+                ), (name, stop)
+            # one context frame fewer changes the oldest new frame's correction
+            short = model.infer(window.slice(stop - chunk - model.context + 1, stop))
+            assert not np.array_equal(
+                short.accel_correction[-chunk], full.accel_correction[stop - chunk]
+            )
 
     def test_save_load_inference_identical(self, trained, tmp_path):
         model, _, window = trained

@@ -22,13 +22,11 @@ from bodyframe_io.dataset_io import (
     write_trajectory_csv,
 )
 from bodyframe_io.errors import DataError, ParseError, TimestampOrderError
-from bodyframe_io.imu_model import ImuSample
 from bodyframe_io.preintegration import NavState
 from bodyframe_io.simulator import (
     NoiseSpec,
     TrajectoryKind,
     TrajectorySpec,
-    YawMode,
     corrupt_imu,
     derive_imu,
     generate_trajectory,

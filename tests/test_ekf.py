@@ -22,6 +22,9 @@ from bodyframe_io.errors import (
 from bodyframe_io.imu_model import RepresentationKind
 from bodyframe_io.motion_model import (
     ConstantZeroProvider,
+    MotionNet,
+    MotionNetConfig,
+    NetworkProvider,
     OracleProvider,
     VelocityMeasurement,
 )
@@ -250,6 +253,7 @@ class _SpyProvider:
     def __init__(self, inner, kind=None):
         self.inner = inner
         self.required_kind = kind if kind is not None else inner.required_kind
+        self.window_len = getattr(inner, "window_len", None)
         self.windows = []
         self.tails = []
 
@@ -417,3 +421,72 @@ class TestRunners:
         for s in states:
             np.testing.assert_allclose(s.P, s.P.T, atol=1e-9)
             assert np.linalg.eigvalsh(s.P).min() >= -1e-9
+
+
+def perturbed_tiny_network(seed=5):
+    """A window-8 network whose output layers are not zero, so that its
+    measurements depend on every input frame it sees."""
+    model = MotionNet(MotionNetConfig(
+        window=8, latent_dim=8, imu_encoder_channels=(8, 8),
+        attitude_encoder_channels=(4, 4), dropout_p=0.0, kernel=3, seed=3,
+    ))
+    rng = np.random.default_rng(seed)
+    for p in model.parameters().values():
+        p += 0.1 * rng.standard_normal(p.shape)
+    return model
+
+
+class TestNetworkServing:
+    def test_streaming_matches_batch_exactly(self, noisy_fig8):
+        traj, imu, corrector, _ = noisy_fig8
+        imu = imu[:301]
+        cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
+        provider = NetworkProvider(perturbed_tiny_network())
+        x0 = initial_state_from(traj[0])
+        a = streaming_run(imu, provider, corrector, cfg, x0)
+        b = batch_run(imu, provider, corrector, cfg, x0)
+        assert len(a) == len(b) == len(imu)
+        for sa, sb in zip(a, b):
+            for field in ("r", "v", "p", "b_a", "b_g"):
+                assert np.array_equal(getattr(sa.x, field), getattr(sb.x, field))
+            assert np.array_equal(sa.P, sb.P)
+        # the measurements matter: an untrained network (v = 0) ends elsewhere
+        fresh = MotionNet(provider.model.config)
+        c = streaming_run(imu, NetworkProvider(fresh), corrector, cfg, x0)
+        assert not np.array_equal(a[-1].x.p, c[-1].x.p)
+
+    def test_network_never_runs_on_more_than_its_window(self, noisy_fig8):
+        traj, imu, corrector, _ = noisy_fig8
+        cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
+        model = perturbed_tiny_network()
+        steps = []
+        forward_arrays = model.forward_arrays
+
+        def spy_forward(imu_arr, att=None, **kw):
+            steps.append(imu_arr.shape[1])
+            return forward_arrays(imu_arr, att, **kw)
+
+        model.forward_arrays = spy_forward
+        spy = _SpyProvider(NetworkProvider(model))
+        streaming_run(imu[:101], spy, corrector, cfg, initial_state_from(traj[0]))
+        assert len(steps) == len(spy.windows) == 20
+        assert max(steps) == model.config.window
+        assert all(len(w) <= model.config.window for w in spy.windows)
+
+    def test_tiny_buffer_streaming_matches_batch(self, noisy_fig8):
+        # a buffer shorter than a chunk keeps only the chunk's newest frames
+        traj, imu, corrector, _ = noisy_fig8
+        imu = imu[:61]
+        cfg = EkfConfig(update_rate=20.0, buffer_len=3, eta_bg=1e-6, eta_ba=1e-5)
+        runs = []
+        for runner in (streaming_run, batch_run):
+            spy = _SpyProvider(
+                OracleProvider(traj, noise_std=0.05, seed=2),
+                kind=RepresentationKind.GLOBAL_PLUS_ATTITUDE,
+            )
+            runner(imu, spy, corrector, cfg, initial_state_from(traj[0]))
+            runs.append(spy.windows)
+        for wa, wb in zip(*runs):
+            assert len(wa) == 3
+            for name in ("t", "w", "a", "attitudes"):
+                assert np.array_equal(getattr(wa, name), getattr(wb, name))

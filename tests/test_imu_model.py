@@ -164,6 +164,26 @@ class TestTransformRepresentation:
         plain = transform_representation(out, RepresentationKind.BODY, rots)
         assert plain.attitudes is None
 
+    def test_carried_attitudes_are_reused(self, monkeypatch):
+        import bodyframe_io.imu_model as imu_model
+
+        rng = np.random.default_rng(18)
+        win, rots = random_window(rng)
+        encoded = np.array([log_so3(r) for r in rots])
+        carried = ImuWindow(t=win.t, w=win.w, a=win.a, attitudes=encoded)
+
+        def no_log(r):
+            raise AssertionError("log_so3 called for a carried attitude")
+
+        monkeypatch.setattr(imu_model, "log_so3", no_log)
+        for kind in (
+            RepresentationKind.BODY_PLUS_ATTITUDE,
+            RepresentationKind.GLOBAL_PLUS_ATTITUDE,
+        ):
+            out = transform_representation(carried, kind, rots)
+            assert np.array_equal(out.attitudes, encoded)
+            assert out.attitudes is not carried.attitudes
+
     def test_rotation_count_mismatch_raises(self):
         rng = np.random.default_rng(17)
         win, rots = random_window(rng)

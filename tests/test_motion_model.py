@@ -417,6 +417,26 @@ class TestProviders:
         with pytest.raises(DataError):
             provider.predict_window(bogus, 2)
 
+    def test_network_provider_serves_its_trained_window(self):
+        spec = TrajectorySpec(
+            kind=TrajectoryKind.FIGURE8, duration=2.0, imu_rate=20.0, rate=np.pi / 4
+        )
+        (win, _), = velocity_dataset(spec, RepresentationKind.BODY_PLUS_ATTITUDE, 1, 20, 1)
+        model = MotionNet(TINY)
+        rng = np.random.default_rng(8)
+        for p in model.parameters().values():
+            p += 0.1 * rng.standard_normal(p.shape)
+        tail = NetworkProvider(model).predict_window(win, 3)
+        last8 = model.forward(win.slice(12, 20))
+        assert len(tail) == 3
+        for a, b in zip(tail, last8[-3:]):
+            assert a.t == b.t
+            assert np.array_equal(a.v_body, b.v_body)
+            assert np.array_equal(a.eta_v, b.eta_v)
+        # the whole window gives other outputs: the forward GRUs start earlier
+        whole = model.forward(win)
+        assert not np.array_equal(tail[0].v_body, whole[-3].v_body)
+
     def test_network_provider_tails_model_output(self, tiny_window):
         win, _ = tiny_window
         model = MotionNet(TINY)

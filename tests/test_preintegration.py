@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from bodyframe_io.errors import DataError, TimestampOrderError
-from bodyframe_io.imu_model import GRAVITY, ImuSample
+from bodyframe_io.imu_model import ImuSample
 from bodyframe_io.preintegration import (
     NavState,
     ProcessNoise,
