@@ -12,8 +12,11 @@ sequence subdirectories plus a manifest):
   analyze          latent PCA spectrum of a trained network
 
 All numeric behaviour is driven by an INI run config (see
-``--dump-defaults``); unknown keys are rejected. ``--seed`` falls back
-to the BODYFRAME_IO_SEED environment variable, then 0.
+``--dump-defaults``); unknown keys are rejected. ``--seed`` is taken
+by the commands that draw random numbers (simulate, train-motion,
+run-ekf) and falls back to the BODYFRAME_IO_SEED environment variable,
+then 0; train-corrector accepts it and ignores it, since corrector
+training is deterministic.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.
@@ -44,7 +47,7 @@ from .dataset_io import (
 )
 from .ekf import streaming_run
 from .errors import ConfigError, DataError, NumericalError
-from .imu_model import ImuWindow, RepresentationKind, transform_representation
+from .imu_model import ImuWindow, transform_representation
 from .metrics import AlignedPair, accuracy_auc, ate, improvement_percentage, rte
 from .motion_model import (
     ConstantZeroProvider,
@@ -98,10 +101,10 @@ def _initial_state(truth) -> NavState:
     return NavState(r=truth[0].r, v=truth[0].v, p=truth[0].p, b_a=zero, b_g=zero)
 
 
-def _sample_rate(imu) -> float:
+def _sample_rate(imu: ImuWindow) -> float:
     if len(imu) < 2:
         raise DataError("need at least 2 IMU samples")
-    return (len(imu) - 1) / (imu[-1].t - imu[0].t)
+    return (len(imu) - 1) / (imu.t[-1] - imu.t[0])
 
 
 def _parse_named(item: str) -> tuple[str, str]:
@@ -145,11 +148,7 @@ def _representation_windows(data: str, entries, cfg_net, stride: int):
         if len(imu) < length:
             continue
         rotations = np.stack([s.r for s in truth])
-        full = transform_representation(
-            ImuWindow.from_samples(imu, kind=RepresentationKind.BODY),
-            cfg_net.representation,
-            rotations,
-        )
+        full = transform_representation(imu, cfg_net.representation, rotations)
         for start in range(0, len(imu) - length + 1, stride):
             window = full.slice(start, start + length)
             v_body = np.stack(
@@ -231,7 +230,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_deadreckon(args) -> int:
     imu, truth, _ = load_sequence(_seq_dir(args.data, args.name))
     states = dead_reckon(_initial_state(truth), imu)
-    write_trajectory_csv(args.out, [s.t for s in imu], states, [0.0] * len(states))
+    write_trajectory_csv(args.out, imu.t.tolist(), states, [0.0] * len(states))
     print(f"wrote {args.out}")
     return 0
 
@@ -241,8 +240,7 @@ def _cmd_train_corrector(args) -> int:
     dataset = []
     for entry in _seen_entries(args.data):
         imu, _, (b_g, b_a) = load_sequence(_seq_dir(args.data, entry.path))
-        window = ImuWindow.from_samples(imu, kind=RepresentationKind.BODY)
-        dataset.append((window, b_g, b_a))
+        dataset.append((imu, b_g, b_a))
     model, history = train_corrector(
         dataset,
         epochs=cfg.getint("corrector", "epochs"),
@@ -383,11 +381,14 @@ def _cmd_analyze(args) -> int:
 # Parser / dispatch
 
 
-def _add_common(sub, config_keys: str):
+_SEED_HELP = "RNG seed (default: $BODYFRAME_IO_SEED, then 0)"
+
+
+def _add_common(sub, config_keys: str, seed_help: str | None = None):
+    """--config and the epilog; --seed only where seed_help is given."""
     sub.add_argument("--config", help="INI run config (defaults if omitted)")
-    sub.add_argument(
-        "--seed", type=int, help="RNG seed (default: $BODYFRAME_IO_SEED, then 0)"
-    )
+    if seed_help is not None:
+        sub.add_argument("--seed", type=int, help=seed_help)
     sub.epilog = f"config keys used: {config_keys}"
 
 
@@ -408,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="corpus root directory")
     p.add_argument("--name", required=True, help="sequence name")
     p.add_argument("--role", default="seen", choices=ROLES)
-    _add_common(p, "simulator.* (trajectory shape), noise.* (IMU corruption)")
+    _add_common(
+        p, "simulator.* (trajectory shape), noise.* (IMU corruption)", _SEED_HELP
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("deadreckon", help="open-loop integration baseline")
@@ -421,7 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-corrector", help="fit the affine IMU corrector")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="weights file to write")
-    _add_common(p, "corrector.window_len/epochs/lr")
+    _add_common(
+        p,
+        "corrector.window_len/epochs/lr",
+        "unused: corrector training is deterministic",
+    )
     p.set_defaults(func=_cmd_train_corrector)
 
     p = sub.add_parser("train-motion", help="fit the body-frame velocity network")
@@ -432,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "motion.representation/window/stride/latent_dim/gru_layers/"
         "imu_encoder_channels/attitude_encoder_channels/dropout_p/kernel/"
         "epochs/lr/batch_size/patience/lr_decay/delta/lambda/val_fraction",
+        _SEED_HELP,
     )
     p.set_defaults(func=_cmd_train_motion)
 
@@ -446,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         "ekf.update_rate/buffer_len/eta_bg/eta_ba/oracle_noise/zero_eta,"
         " noise.sigma_g/sigma_a (identity corrector stds)",
+        _SEED_HELP,
     )
     p.set_defaults(func=_cmd_run_ekf)
 

@@ -7,11 +7,13 @@ A sequence directory holds two files:
                      bwx,bwy,bwz,bax,bay,baz
 
 Timestamps are integer nanoseconds on disk and float64 seconds in
-memory, anchored at the first stamp of the file being loaded (or an
-explicit origin). Quaternions are Hamilton convention, wxyz order,
-body-to-world; this module is the only place they exist, with rotation
-matrices everywhere else. Floats are written with repr-level precision
-(%.17g) so a write/read round trip is exact.
+memory, anchored at the first IMU stamp. Stamps are parsed as integers
+and the origin is subtracted before the conversion to seconds
+(interpolation, too, works on offsets from the origin), so epoch-scale
+stamps such as EuRoC's survive a write/load round trip exact. Quaternions are Hamilton
+convention, wxyz order, body-to-world; this module is the only place
+they exist, with rotation matrices everywhere else. Floats are written
+with repr-level precision (%.17g) so a write/read round trip is exact.
 
 Estimated trajectories use a third format shared with the filter:
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError, TimestampOrderError
-from .imu_model import ImuSample
+from .imu_model import ImuWindow
 from .preintegration import NavState
 from .simulator import BiasTruth, TrajectorySample
 
@@ -123,7 +125,8 @@ def _fmt(x: float) -> str:
 
 
 def _read_rows(path, expected_cols: int, header: str):
-    """Yield (lineno, [floats]) for each data row; validates the header."""
+    """(lineno, values) for each data row; validates the header. A
+    timestamp_ns first column is parsed as int, every other as float."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -131,6 +134,7 @@ def _read_rows(path, expected_cols: int, header: str):
     first = lines[0].lstrip("#").replace(" ", "")
     if first != header:
         raise ParseError(f"{path}:1: unexpected header {lines[0]!r}")
+    first_type = int if header.startswith("timestamp_ns,") else float
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -142,9 +146,10 @@ def _read_rows(path, expected_cols: int, header: str):
                 f"got {len(parts)}"
             )
         try:
-            rows.append((lineno, [float(p) for p in parts]))
+            values = [first_type(parts[0])] + [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
+        rows.append((lineno, values))
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return rows
@@ -164,36 +169,36 @@ def _check_monotone_ns(path, rows):
 # IMU files
 
 
-def write_imu_csv(path, samples, origin_ns: int = 0):
+def write_imu_csv(path, imu: ImuWindow, origin_ns: int = 0):
+    """Write a BODY-kind ImuWindow; t seconds become origin_ns + round(t * 1e9)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(IMU_HEADER + "\n")
-        for s in samples:
-            ns = origin_ns + int(round(s.t * 1e9))
-            vals = [str(ns)] + [_fmt(x) for x in (*s.w, *s.a)]
-            fh.write(",".join(vals) + "\n")
+        for t, reading in zip(imu.t.tolist(), np.hstack([imu.w, imu.a]).tolist()):
+            ns = origin_ns + int(round(t * 1e9))
+            fh.write(",".join([str(ns)] + [_fmt(x) for x in reading]) + "\n")
 
 
-def load_imu_csv(path, origin_ns: int | None = None):
-    """Read IMU samples; timestamps become seconds since origin_ns
-    (default: the file's first stamp)."""
+def _load_imu(path):
+    """(BODY-kind ImuWindow timed from the first stamp, that stamp in ns)."""
     rows = _read_rows(path, 7, IMU_HEADER)
     _check_monotone_ns(path, rows)
-    if origin_ns is None:
-        origin_ns = int(rows[0][1][0])
-    return [
-        ImuSample(
-            t=(v[0] - origin_ns) * 1e-9,
-            w=np.array(v[1:4]),
-            a=np.array(v[4:7]),
+    origin_ns = rows[0][1][0]
+    stamps = np.array([v[0] for _, v in rows], dtype=np.int64)
+    readings = np.array([v[1:] for _, v in rows])
+    try:
+        imu = ImuWindow(
+            t=(stamps - origin_ns) * 1e-9, w=readings[:, 0:3], a=readings[:, 3:6]
         )
-        for _, v in rows
-    ]
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return imu, origin_ns
 
 
-def imu_origin_ns(path) -> int:
-    """First timestamp of an IMU file, in nanoseconds."""
-    rows = _read_rows(path, 7, IMU_HEADER)
-    return int(rows[0][1][0])
+def load_imu_csv(path) -> ImuWindow:
+    """Read an IMU file as a BODY-kind ImuWindow; timestamps become
+    seconds since the file's first stamp. Raises DataError on a
+    non-finite reading."""
+    return _load_imu(path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +270,29 @@ def load_groundtruth_csv(path):
     return out
 
 
-def _bracket(t_ns_arr, target_ns, path_hint="groundtruth"):
-    if target_ns < t_ns_arr[0] - 1 or target_ns > t_ns_arr[-1] + 1:
+def _record_offsets(records, origin_ns: int | None) -> np.ndarray:
+    """Record stamps in ns after origin_ns (default the first record),
+    subtracted as integers so epoch-scale stamps stay exact."""
+    if len(records) < 2:
+        raise DataError("need at least 2 ground-truth records to interpolate")
+    if origin_ns is None:
+        origin_ns = records[0].t_ns
+    return np.array([r.t_ns - origin_ns for r in records], dtype=float)
+
+
+def _bracket(offsets, target, path_hint="groundtruth"):
+    """(lo, hi, alpha): the records around target (ns after the origin)
+    and its interpolation weight."""
+    if target < offsets[0] - 1 or target > offsets[-1] + 1:
         raise DataError(
-            f"interpolation target {target_ns} ns outside {path_hint} span "
-            f"[{t_ns_arr[0]}, {t_ns_arr[-1]}]"
+            f"interpolation target {target} ns after origin outside {path_hint}"
+            f" span [{offsets[0]}, {offsets[-1]}]"
         )
-    hi = int(np.searchsorted(t_ns_arr, target_ns, side="left"))
-    hi = min(max(hi, 1), len(t_ns_arr) - 1)
+    hi = int(np.searchsorted(offsets, target, side="left"))
+    hi = min(max(hi, 1), len(offsets) - 1)
     lo = hi - 1
-    return lo, hi
+    span = offsets[hi] - offsets[lo]
+    return lo, hi, float(np.clip((target - offsets[lo]) / span, 0.0, 1.0))
 
 
 def interpolate_groundtruth(records, times, origin_ns: int | None = None):
@@ -282,17 +300,10 @@ def interpolate_groundtruth(records, times, origin_ns: int | None = None):
     default the first record). Positions, velocities linear; orientation
     slerp. Returns TrajectorySamples (a_world/w_body are not recoverable
     from poses and stay None)."""
-    if len(records) < 2:
-        raise DataError("need at least 2 ground-truth records to interpolate")
-    if origin_ns is None:
-        origin_ns = records[0].t_ns
-    t_ns_arr = np.array([r.t_ns for r in records], dtype=float)
+    offsets = _record_offsets(records, origin_ns)
     out = []
     for t in np.asarray(times, dtype=float):
-        target = origin_ns + t * 1e9
-        lo, hi = _bracket(t_ns_arr, target)
-        span = t_ns_arr[hi] - t_ns_arr[lo]
-        alpha = float(np.clip((target - t_ns_arr[lo]) / span, 0.0, 1.0))
+        lo, hi, alpha = _bracket(offsets, t * 1e9)
         a, b = records[lo], records[hi]
         q = slerp(a.q, b.q, alpha)
         out.append(
@@ -310,18 +321,11 @@ def interpolate_groundtruth(records, times, origin_ns: int | None = None):
 
 def interpolate_biases(records, times, origin_ns: int | None = None):
     """True biases resampled at `times`; returns (b_g, b_a) arrays (n, 3)."""
-    if len(records) < 2:
-        raise DataError("need at least 2 ground-truth records to interpolate")
-    if origin_ns is None:
-        origin_ns = records[0].t_ns
-    t_ns_arr = np.array([r.t_ns for r in records], dtype=float)
+    offsets = _record_offsets(records, origin_ns)
     b_g = np.empty((len(np.atleast_1d(times)), 3))
     b_a = np.empty_like(b_g)
     for i, t in enumerate(np.asarray(times, dtype=float)):
-        target = origin_ns + t * 1e9
-        lo, hi = _bracket(t_ns_arr, target)
-        span = t_ns_arr[hi] - t_ns_arr[lo]
-        alpha = float(np.clip((target - t_ns_arr[lo]) / span, 0.0, 1.0))
+        lo, hi, alpha = _bracket(offsets, t * 1e9)
         a, b = records[lo], records[hi]
         b_g[i] = (1 - alpha) * a.b_w + alpha * b.b_w
         b_a[i] = (1 - alpha) * a.b_a + alpha * b.b_a
@@ -377,24 +381,22 @@ def read_corpus_manifest(root):
     return entries
 
 
-def write_sequence(seq_dir, imu_samples, records):
-    """Write imu.csv + groundtruth.csv into seq_dir (created if needed)."""
+def write_sequence(seq_dir, imu: ImuWindow, records):
+    """Write imu.csv (from a BODY-kind ImuWindow) + groundtruth.csv into
+    seq_dir (created if needed)."""
     os.makedirs(seq_dir, exist_ok=True)
-    write_imu_csv(os.path.join(seq_dir, "imu.csv"), imu_samples)
+    write_imu_csv(os.path.join(seq_dir, "imu.csv"), imu)
     write_groundtruth_csv(os.path.join(seq_dir, "groundtruth.csv"), records)
 
 
 def load_sequence(seq_dir):
     """Load one sequence; ground truth is interpolated onto the IMU
-    timestamps. Returns (imu_samples, truth_samples, (b_g, b_a))."""
-    imu_path = os.path.join(seq_dir, "imu.csv")
-    gt_path = os.path.join(seq_dir, "groundtruth.csv")
-    origin = imu_origin_ns(imu_path)
-    imu = load_imu_csv(imu_path, origin_ns=origin)
-    records = load_groundtruth_csv(gt_path)
-    times = [s.t for s in imu]
-    truth = interpolate_groundtruth(records, times, origin_ns=origin)
-    biases = interpolate_biases(records, times, origin_ns=origin)
+    timestamps. Returns (imu, truth_samples, (b_g, b_a)), with imu a
+    BODY-kind ImuWindow timed from the first IMU stamp."""
+    imu, origin = _load_imu(os.path.join(seq_dir, "imu.csv"))
+    records = load_groundtruth_csv(os.path.join(seq_dir, "groundtruth.csv"))
+    truth = interpolate_groundtruth(records, imu.t, origin_ns=origin)
+    biases = interpolate_biases(records, imu.t, origin_ns=origin)
     return imu, truth, biases
 
 

@@ -12,19 +12,20 @@ the update consumes a body-frame velocity measurement
 with Joseph-form covariance, retracting the nominal state through the
 boxplus operator.
 
-Both runners are entry points to one filter loop, _run, and differ
-only in where it keeps the rows it records: streaming_run keeps bounded
-FIFO arrays as an online system would, batch_run keeps whole-sequence
-arrays and slices them. Both yield the same windows, so the outputs
-agree to the last bit.
+Both runners take the IMU stream as one BODY-kind ImuWindow and are
+entry points to one filter loop, _run. They differ only in where it
+keeps the rows it records: streaming_run keeps bounded FIFO arrays as
+an online system would, batch_run keeps whole-sequence arrays and
+slices them. Both yield the same windows, so the outputs agree to the
+last bit.
 
 Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
 and consumed the moment it is seen. Each frame is corrected once (the
 corrector is causal, so its new frames need only corrector.context raw
 frames before them) and its attitude encoded once; the velocity
-provider gets the newest buffer_len frames, or its own window_len if
-that is shorter.
+provider runs only when an update follows, on the newest buffer_len
+frames, or its own window_len if that is shorter.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import correct_and_quantify
-from .errors import ConfigError, DataError, SingularUpdateError, TimestampOrderError
+from .errors import ConfigError, DataError, SingularUpdateError
 from .imu_model import (
     ImuWindow,
     RepresentationKind,
@@ -170,24 +171,14 @@ def ekf_update(fs: FilterState, z: VelocityMeasurement) -> FilterState:
 # runners
 
 
-def _chunk_size(samples, cfg: EkfConfig) -> int:
-    dt = samples[1].t - samples[0].t
+def _chunk_size(imu: ImuWindow, cfg: EkfConfig) -> int:
+    dt = imu.t[1] - imu.t[0]
     imu_rate = 1.0 / dt
     if cfg.update_rate > imu_rate * (1.0 + 1e-9):
         raise ConfigError(
             f"update_rate {cfg.update_rate} Hz exceeds IMU rate {imu_rate:.6g} Hz"
         )
     return max(1, int(round(imu_rate / cfg.update_rate)))
-
-
-def _validate_stream(samples):
-    if len(samples) < 2:
-        raise DataError("need at least two IMU samples")
-    for i in range(1, len(samples)):
-        if samples[i].t <= samples[i - 1].t:
-            raise TimestampOrderError(
-                f"timestamps must increase strictly (sample {i})"
-            )
 
 
 class _ArrayFifo:
@@ -223,8 +214,9 @@ class _SequenceArray:
         return self._rows[max(0, self._end - m) : self._end]
 
 
-def _run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo: bool):
-    """The filter loop; one FilterState per sample.
+def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo: bool):
+    """The filter loop over a BODY-kind ImuWindow; one FilterState per
+    sample.
 
     Samples arrive in chunks of round(imu_rate / update_rate) frames.
     Each chunk:
@@ -234,23 +226,23 @@ def _run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo
       attitude once (attitudes are never revised), and its log_so3
       encoding when the provider's representation has an attitude
       channel;
-    - runs the velocity provider over the newest min(buffer_len,
-      provider.window_len) corrected frames, re-expressed in the
-      provider's representation when it is not the body frame;
-    - updates with the newest frame's measurement.
+    - when the chunk ends on an update frame (every chunk but a partial
+      last one), runs the velocity provider over the newest
+      min(buffer_len, provider.window_len) corrected frames,
+      re-expressed in the provider's representation when it is not the
+      body frame, and updates with the newest frame's measurement.
 
     The recorded rows are kept in _ArrayFifo stores bounded by
     buffer_len when fifo is set, else in whole-sequence _SequenceArray
     stores.
     """
     cfg.validate()
-    samples = list(imu_stream)
-    _validate_stream(samples)
-    k = _chunk_size(samples, cfg)
+    n = len(imu)
+    if n < 2:
+        raise DataError("need at least two IMU samples")
+    k = _chunk_size(imu, cfg)
     p0 = cfg.initial_covariance() if p0 is None else np.asarray(p0, dtype=float)
-
-    raw = ImuWindow.from_samples(samples, kind=RepresentationKind.BODY)
-    n = len(raw)
+    t = imu.t.tolist()
     kind = getattr(provider, "required_kind", None)
     encode = kind is not None and kind.has_attitude
     served = min(cfg.buffer_len, getattr(provider, "window_len", None) or cfg.buffer_len)
@@ -267,14 +259,14 @@ def _run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo
         if encode:
             encodings.extend(attitude_channel(rs))
 
-    fs = FilterState(x=x0.copy(), P=p0.copy(), t=samples[0].t)
+    fs = FilterState(x=x0.copy(), P=p0.copy(), t=t[0])
     states = [fs]
     record_attitudes([fs.x.r])
     corrected_to = 0  # frames [0, corrected_to) are corrected and recorded
     start = 1
     while start < n:
         stop = min(start + k, n)
-        chunk = raw.slice(max(0, corrected_to - corrector.context), stop)
+        chunk = imu.slice(max(0, corrected_to - corrector.context), stop)
         corrected, corr = correct_and_quantify(corrector, chunk)
         new = len(chunk) - (stop - corrected_to)
         frames.extend(np.column_stack([corrected.t, corrected.w, corrected.a])[new:])
@@ -283,7 +275,7 @@ def _run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo
         first_new = len(chunk) - (stop - start)  # chunk row of frame `start`
         attitudes = []
         for j, i in enumerate(range(start, stop), start=first_new):
-            dt = samples[i].t - samples[i - 1].t
+            dt = t[i] - t[i - 1]
             fs = ekf_propagate(
                 fs, corrected.w[j], corrected.a[j], corr.eta_g[j], corr.eta_a[j], dt, cfg
             )
@@ -291,33 +283,33 @@ def _run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo
             states.append(fs)
         record_attitudes(attitudes)
 
-        rows = frames.tail(served)
-        window = ImuWindow(
-            t=rows[:, 0],
-            w=rows[:, 1:4],
-            a=rows[:, 4:7],
-            attitudes=encodings.tail(served) if encode else None,
-            kind=RepresentationKind.BODY,
-        )
-        if kind is not None and kind is not RepresentationKind.BODY:
-            window = transform_representation(window, kind, rotations.tail(served))
-        meas = provider.predict_window(window, stop - start)
         if (stop - 1) % k == 0:
+            rows = frames.tail(served)
+            window = ImuWindow(
+                t=rows[:, 0],
+                w=rows[:, 1:4],
+                a=rows[:, 4:7],
+                attitudes=encodings.tail(served) if encode else None,
+                kind=RepresentationKind.BODY,
+            )
+            if kind is not None and kind is not RepresentationKind.BODY:
+                window = transform_representation(window, kind, rotations.tail(served))
+            meas = provider.predict_window(window, stop - start)
             fs = ekf_update(fs, meas[-1])
             states[-1] = fs
         start = stop
     return states
 
 
-def streaming_run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
-    """Online filter pass over a time-ordered IMU stream, keeping
-    bounded FIFO buffers as an online system would. Returns one
-    FilterState per input sample."""
-    return _run(imu_stream, provider, corrector, cfg, x0, p0, fifo=True)
+def streaming_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
+    """Online filter pass over a BODY-kind ImuWindow, keeping bounded
+    FIFO buffers as an online system would. Returns one FilterState per
+    input sample."""
+    return _run(imu, provider, corrector, cfg, x0, p0, fifo=True)
 
 
-def batch_run(imu_stream, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
-    """Offline pass slicing whole-sequence arrays instead of FIFO
-    buffers; outputs match streaming_run to the last bit on the same
-    inputs."""
-    return _run(imu_stream, provider, corrector, cfg, x0, p0, fifo=False)
+def batch_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
+    """Offline pass over a BODY-kind ImuWindow, slicing whole-sequence
+    arrays instead of FIFO buffers; outputs match streaming_run to the
+    last bit on the same inputs."""
+    return _run(imu, provider, corrector, cfg, x0, p0, fifo=False)

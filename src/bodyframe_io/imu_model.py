@@ -82,21 +82,18 @@ class RepresentationKind(enum.Enum):
 
 
 @dataclass
-class ImuSample:
-    """One IMU frame: time (s), gyro (rad/s), accelerometer (m/s^2)."""
-
-    t: float
-    w: np.ndarray
-    a: np.ndarray
-
-
-@dataclass
 class ImuWindow:
     """A contiguous run of IMU frames stored as arrays.
+
+    This is the one IMU stream type: the simulator, the CSV loader,
+    dead reckoning and the filter runners all pass a BODY-kind window
+    of gyro (rad/s) and accelerometer (m/s^2) readings.
 
     t has shape (n,), w and a shape (n, 3). attitudes is an optional
     (n, 3) array of so(3) rotation vectors, one per frame; kind records
     which input representation the channels are currently in.
+    Construction rejects inconsistent shapes, timestamps that do not
+    increase strictly, and non-finite values.
     """
 
     t: np.ndarray
@@ -133,23 +130,6 @@ class ImuWindow:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    @classmethod
-    def from_samples(cls, samples: list[ImuSample], **kwargs) -> "ImuWindow":
-        if not samples:
-            raise DataError("cannot build a window from zero samples")
-        return cls(
-            t=np.array([s.t for s in samples]),
-            w=np.array([s.w for s in samples]),
-            a=np.array([s.a for s in samples]),
-            **kwargs,
-        )
-
-    def to_samples(self) -> list[ImuSample]:
-        return [
-            ImuSample(t=float(self.t[i]), w=self.w[i].copy(), a=self.a[i].copy())
-            for i in range(len(self))
-        ]
 
     def slice(self, start: int, stop: int) -> "ImuWindow":
         return ImuWindow(

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InvalidRotationError, TimestampOrderError
-from .imu_model import GRAVITY, GravityModel
+from .errors import DataError, InvalidRotationError
+from .imu_model import GRAVITY, GravityModel, ImuWindow
 from .so3 import exp_so3, hat, is_rotation, log_so3, right_jacobian
 
 ERROR_DIM = 15
@@ -188,19 +188,18 @@ def state_boxminus(x1: NavState, x0: NavState) -> np.ndarray:
     )
 
 
-def dead_reckon(x0: NavState, samples, gravity: GravityModel = GRAVITY):
-    """Open-loop integration of an IMU sequence.
+def dead_reckon(x0: NavState, imu: ImuWindow, gravity: GravityModel = GRAVITY):
+    """Open-loop integration of a BODY-kind ImuWindow.
 
-    x0 is the state at samples[0].t; each reading is held over the
-    interval to the next timestamp (zero-order hold), so the output has
-    one state per sample and the final reading is unused.
+    x0 is the state at imu.t[0]; each reading is held over the interval
+    to the next timestamp (zero-order hold), so the output has one
+    state per sample and the final reading is unused.
     """
-    if not samples:
+    if len(imu) == 0:
         raise DataError("no samples to integrate")
+    t = imu.t.tolist()
     states = [x0.copy()]
-    for prev, cur in zip(samples[:-1], samples[1:]):
-        dt = cur.t - prev.t
-        if dt <= 0:
-            raise TimestampOrderError("sample timestamps must be strictly increasing")
-        states.append(propagate_state(states[-1], prev.w, prev.a, dt, gravity))
+    for i in range(1, len(t)):
+        dt = t[i] - t[i - 1]
+        states.append(propagate_state(states[-1], imu.w[i - 1], imu.a[i - 1], dt, gravity))
     return states

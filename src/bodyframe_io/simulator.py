@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .imu_model import GRAVITY, GravityModel, ImuSample, specific_force
+from .imu_model import GRAVITY, GravityModel, ImuWindow, specific_force
 # exp_so3 is unused here, but perfbench/tracing.py patches simulator.exp_so3.
 from .so3 import exp_so3, log_so3
 
@@ -267,35 +267,32 @@ def generate_trajectory(spec: TrajectorySpec, gravity: GravityModel = GRAVITY):
     return out
 
 
-def derive_imu(trajectory, gravity: GravityModel = GRAVITY):
-    """Ideal IMU readings along a trajectory: exact rates, specific force."""
-    return [
-        ImuSample(
-            t=s.t,
-            w=s.w_body.copy(),
-            a=specific_force(s.a_world, s.r, gravity),
-        )
-        for s in trajectory
-    ]
+def derive_imu(trajectory, gravity: GravityModel = GRAVITY) -> ImuWindow:
+    """Ideal IMU readings along a trajectory, as a BODY-kind ImuWindow:
+    exact body rates and the specific force of each sample."""
+    return ImuWindow(
+        t=np.array([s.t for s in trajectory]),
+        w=np.array([s.w_body for s in trajectory]),
+        a=np.array([specific_force(s.a_world, s.r, gravity) for s in trajectory]),
+    )
 
 
-def corrupt_imu(samples, noise: NoiseSpec):
+def corrupt_imu(imu: ImuWindow, noise: NoiseSpec):
     """Apply white noise and bias random walks to ideal IMU readings.
 
-    Assumes uniform sample spacing (rate inferred from the first two
-    timestamps). A single generator seeded from noise.seed draws the
-    four noise streams in a fixed order (gyro white, accel white, gyro
-    walk, accel walk), so output is reproducible bit-for-bit.
+    imu is a BODY-kind ImuWindow with uniform sample spacing (rate
+    inferred from the first two timestamps). A single generator seeded
+    from noise.seed draws the four noise streams in a fixed order (gyro
+    white, accel white, gyro walk, accel walk), so output is
+    reproducible bit-for-bit.
 
-    Returns (corrupted samples, BiasTruth).
+    Returns (corrupted ImuWindow, BiasTruth).
     """
-    if len(samples) < 2:
+    n = len(imu)
+    if n < 2:
         raise DataError("need at least 2 samples to infer the IMU rate")
-    dt = samples[1].t - samples[0].t
-    if dt <= 0:
-        raise DataError("timestamps must be strictly increasing")
+    dt = imu.t[1] - imu.t[0]
     rate = 1.0 / dt
-    n = len(samples)
     rng = np.random.default_rng(noise.seed)
 
     white_g = noise.sigma_g * math.sqrt(rate) * rng.standard_normal((n, 3))
@@ -310,12 +307,7 @@ def corrupt_imu(samples, noise: NoiseSpec):
         [np.zeros(3), np.cumsum(walk_a[:-1], axis=0)]
     )
 
-    corrupted = [
-        ImuSample(
-            t=s.t,
-            w=s.w + b_g[i] + white_g[i],
-            a=s.a + b_a[i] + white_a[i],
-        )
-        for i, s in enumerate(samples)
-    ]
+    corrupted = ImuWindow(
+        t=imu.t.copy(), w=imu.w + b_g + white_g, a=imu.a + b_a + white_a
+    )
     return corrupted, BiasTruth(b_g=b_g, b_a=b_a)

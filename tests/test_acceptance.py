@@ -34,11 +34,7 @@ from bodyframe_io.ekf import (
     streaming_run,
 )
 from bodyframe_io.analysis import pca_cumulative_variance
-from bodyframe_io.imu_model import (
-    ImuWindow,
-    RepresentationKind,
-    transform_representation,
-)
+from bodyframe_io.imu_model import RepresentationKind, transform_representation
 from bodyframe_io.metrics import AlignedPair, improvement_percentage, rte
 from bodyframe_io.motion_model import (
     LossConfig,
@@ -109,8 +105,9 @@ def traj_windows(spec, kind, length, stride):
     v_body = np.array([s.r.T @ s.v for s in traj])
     out = []
     for lo in range(0, len(traj) - length + 1, stride):
-        win = ImuWindow.from_samples(imu[lo : lo + length], kind=RepresentationKind.BODY)
-        win = transform_representation(win, kind, rots[lo : lo + length])
+        win = transform_representation(
+            imu.slice(lo, lo + length), kind, rots[lo : lo + length]
+        )
         out.append((win, v_body[lo : lo + length]))
     return out
 
@@ -544,10 +541,9 @@ def test_criterion_08_representation_ablation():
         imu, rots, v_body = raw[label]
         out = []
         for lo in range(0, len(imu) - length + 1, stride):
-            win = ImuWindow.from_samples(
-                imu[lo : lo + length], kind=RepresentationKind.BODY
+            win = transform_representation(
+                imu.slice(lo, lo + length), kind, rots[lo : lo + length]
             )
-            win = transform_representation(win, kind, rots[lo : lo + length])
             out.append((win, v_body[lo : lo + length]))
         return out
 

@@ -3,6 +3,7 @@
 import configparser
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,37 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "ghost" in capsys.readouterr().err
+
+    def test_nan_reading_exits_3_without_output(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(os.path.join(workdir["data"], "seq01"), data / "seq01")
+        imu_csv = data / "seq01" / "imu.csv"
+        lines = imu_csv.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = "nan"  # one gyro value
+        lines[5] = ",".join(fields)
+        imu_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "dr.csv"
+        rc = main(["deadreckon", "--data", str(data), "--name", "seq01",
+                   "--out", str(out)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_rejected_where_unused(self, workdir, tmp_path, capsys):
+        weights = tmp_path / "net.bfwt"
+        tiny_model().save(str(weights))
+        out = str(tmp_path / "o.csv")
+        for argv in (
+            ["deadreckon", "--data", workdir["data"], "--name", "seq01", "--out", out],
+            ["eval", "--data", workdir["data"]],
+            ["analyze", "--data", workdir["data"], "--weights", str(weights),
+             "--out", out],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", "1"])
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
 
     def test_update_rate_above_imu_rate_exits_2(self, workdir, tmp_path):
         fast = tmp_path / "fast.ini"

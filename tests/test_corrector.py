@@ -43,11 +43,10 @@ def biased_sequence():
 @pytest.fixture(scope="module")
 def trained(biased_sequence):
     _, _, noisy, bias = biased_sequence
-    window = ImuWindow.from_samples(noisy)
     model, history = train_corrector(
-        [(window, bias.b_g, bias.b_a)], epochs=150, lr=0.2
+        [(noisy, bias.b_g, bias.b_a)], epochs=150, lr=0.2
     )
-    return model, history, window
+    return model, history, noisy
 
 
 class TestIdentity:
@@ -105,7 +104,7 @@ class TestTraining:
         raw_err = np.linalg.norm(raw_states[-1].p - traj[-1].p)
 
         corrected, _ = correct_and_quantify(model, window)
-        corr_states = dead_reckon(x0, corrected.to_samples())
+        corr_states = dead_reckon(x0, corrected)
         corr_err = np.linalg.norm(corr_states[-1].p - traj[-1].p)
         assert corr_err < 0.5 * raw_err
 

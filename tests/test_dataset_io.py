@@ -17,6 +17,7 @@ from bodyframe_io.dataset_io import (
     read_trajectory_csv,
     slerp,
     write_corpus_manifest,
+    write_groundtruth_csv,
     write_imu_csv,
     write_sequence,
     write_trajectory_csv,
@@ -90,10 +91,9 @@ class TestImuCsv:
         write_imu_csv(path, imu, origin_ns=1_000_000_000)
         back = load_imu_csv(path)
         assert len(back) == len(imu)
-        for x, y in zip(imu, back):
-            assert abs(x.t - y.t) < 1e-9
-            np.testing.assert_array_equal(x.w, y.w)  # %.17g is exact
-            np.testing.assert_array_equal(x.a, y.a)
+        assert np.all(np.abs(imu.t - back.t) < 1e-9)
+        np.testing.assert_array_equal(imu.w, back.w)  # %.17g is exact
+        np.testing.assert_array_equal(imu.a, back.a)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "imu.csv"
@@ -122,12 +122,31 @@ class TestImuCsv:
             load_imu_csv(path)
 
 
+class TestEpochStamps:
+    # a EuRoC stamp: float64 holds it only to within 128 ns
+    ORIGIN_NS = 1403636579763555555
+
+    def test_write_load_round_trip_is_exact(self, tmp_path):
+        traj = small_trajectory()
+        records = groundtruth_from_simulation(traj, origin_ns=self.ORIGIN_NS)
+        write_imu_csv(tmp_path / "imu.csv", derive_imu(traj), origin_ns=self.ORIGIN_NS)
+        write_groundtruth_csv(tmp_path / "groundtruth.csv", records)
+
+        imu, truth, _ = load_sequence(tmp_path)
+        write_imu_csv(tmp_path / "again.csv", imu, origin_ns=self.ORIGIN_NS)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "imu.csv").read_bytes()
+        back = load_groundtruth_csv(tmp_path / "groundtruth.csv")
+        assert [r.t_ns for r in back] == [r.t_ns for r in records]
+        # IMU and ground-truth stamps coincide, so interpolation is exact
+        for s, est in zip(traj, truth):
+            np.testing.assert_allclose(est.p, s.p, rtol=0, atol=1e-12)
+
+
 class TestGroundTruthCsv:
     def test_roundtrip_preserves_pose(self, tmp_path):
         traj = small_trajectory()
         records = groundtruth_from_simulation(traj)
         path = tmp_path / "groundtruth.csv"
-        from bodyframe_io.dataset_io import write_groundtruth_csv
 
         write_groundtruth_csv(path, records)
         back = load_groundtruth_csv(path)

@@ -19,7 +19,7 @@ from bodyframe_io.errors import (
     SingularUpdateError,
     TimestampOrderError,
 )
-from bodyframe_io.imu_model import RepresentationKind
+from bodyframe_io.imu_model import ImuWindow, RepresentationKind
 from bodyframe_io.motion_model import (
     ConstantZeroProvider,
     MotionNet,
@@ -338,7 +338,7 @@ class TestRunners:
 
     def test_every_new_frame_consumed_once(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
-        imu = imu[:201]  # warm start not needed; 200 propagated frames
+        imu = imu.slice(0, 201)  # warm start not needed; 200 propagated frames
         spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
         streaming_run(imu, spy, corrector, cfg, initial_state_from(traj[0]))
         assert sum(spy.tails) == 200
@@ -346,7 +346,7 @@ class TestRunners:
 
     def test_small_buffer_streaming_still_matches_batch(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
-        imu = imu[:400]
+        imu = imu.slice(0, 400)
         cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
         provider = OracleProvider(traj, noise_std=0.02, seed=5)
         x0 = initial_state_from(traj[0])
@@ -359,18 +359,23 @@ class TestRunners:
 
     def test_update_cadence(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
-        imu = imu[:21]  # frames 0..20 at 100 Hz
         cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)  # k = 5
-        spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
-        streaming_run(imu, spy, corrector, cfg, initial_state_from(traj[0]))
-        # 20 new frames in chunks of 5
-        assert spy.tails == [5, 5, 5, 5]
+        # frames 0..20 at 100 Hz: 20 new frames in chunks of 5; with 23
+        # frames the partial last chunk ends on no update, so the
+        # provider is not called for it
+        for n in (21, 23):
+            spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
+            states = streaming_run(
+                imu.slice(0, n), spy, corrector, cfg, initial_state_from(traj[0])
+            )
+            assert len(states) == n
+            assert spy.tails == [5, 5, 5, 5]
 
     def test_attitude_channel_is_pre_update_and_never_revised(self, noisy_fig8):
         from bodyframe_io.so3 import log_so3
 
         traj, imu, corrector, cfg = noisy_fig8
-        imu = imu[:301]
+        imu = imu.slice(0, 301)
         spy = _SpyProvider(
             OracleProvider(traj, noise_std=0.05, seed=2),
             kind=RepresentationKind.BODY_PLUS_ATTITUDE,
@@ -393,7 +398,7 @@ class TestRunners:
         k = 5  # 100 Hz / 20 Hz
         revised = 0
         for i in range(k, len(imu), k):
-            key = round(float(imu[i].t) * 1e9)
+            key = round(float(imu.t[i]) * 1e9)
             post = log_so3(states[i].x.r)
             if not np.allclose(seen[key], post, atol=1e-15):
                 revised += 1
@@ -401,8 +406,9 @@ class TestRunners:
 
     def test_non_monotone_stream_rejected(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
-        bad = [imu[0], imu[2], imu[1]]
+        order = [0, 2, 1]
         with pytest.raises(TimestampOrderError):
+            bad = ImuWindow(t=imu.t[order], w=imu.w[order], a=imu.a[order])
             streaming_run(bad, ConstantZeroProvider(), corrector, cfg,
                           initial_state_from(traj[0]))
 
@@ -410,13 +416,13 @@ class TestRunners:
         traj, imu, corrector, _ = noisy_fig8
         cfg = EkfConfig(update_rate=500.0)
         with pytest.raises(ConfigError):
-            streaming_run(imu[:10], ConstantZeroProvider(), corrector, cfg,
+            streaming_run(imu.slice(0, 10), ConstantZeroProvider(), corrector, cfg,
                           initial_state_from(traj[0]))
 
     def test_covariance_health_along_run(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
         provider = OracleProvider(traj, noise_std=0.05, seed=11)
-        states = streaming_run(imu[:501], provider, corrector, cfg,
+        states = streaming_run(imu.slice(0, 501), provider, corrector, cfg,
                                initial_state_from(traj[0]))
         for s in states:
             np.testing.assert_allclose(s.P, s.P.T, atol=1e-9)
@@ -439,7 +445,7 @@ def perturbed_tiny_network(seed=5):
 class TestNetworkServing:
     def test_streaming_matches_batch_exactly(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
-        imu = imu[:301]
+        imu = imu.slice(0, 301)
         cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
         provider = NetworkProvider(perturbed_tiny_network())
         x0 = initial_state_from(traj[0])
@@ -468,7 +474,7 @@ class TestNetworkServing:
 
         model.forward_arrays = spy_forward
         spy = _SpyProvider(NetworkProvider(model))
-        streaming_run(imu[:101], spy, corrector, cfg, initial_state_from(traj[0]))
+        streaming_run(imu.slice(0, 101), spy, corrector, cfg, initial_state_from(traj[0]))
         assert len(steps) == len(spy.windows) == 20
         assert max(steps) == model.config.window
         assert all(len(w) <= model.config.window for w in spy.windows)
@@ -476,7 +482,7 @@ class TestNetworkServing:
     def test_tiny_buffer_streaming_matches_batch(self, noisy_fig8):
         # a buffer shorter than a chunk keeps only the chunk's newest frames
         traj, imu, corrector, _ = noisy_fig8
-        imu = imu[:61]
+        imu = imu.slice(0, 61)
         cfg = EkfConfig(update_rate=20.0, buffer_len=3, eta_bg=1e-6, eta_ba=1e-5)
         runs = []
         for runner in (streaming_run, batch_run):

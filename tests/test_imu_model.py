@@ -6,7 +6,6 @@ import pytest
 from bodyframe_io.errors import DataError, TimestampOrderError
 from bodyframe_io.imu_model import (
     GRAVITY,
-    ImuSample,
     ImuWindow,
     RepresentationKind,
     specific_force,
@@ -45,15 +44,6 @@ class TestSpecificForce:
 
 
 class TestWindowValidation:
-    def test_from_samples(self):
-        samples = [
-            ImuSample(t=0.0, w=np.zeros(3), a=np.zeros(3)),
-            ImuSample(t=0.005, w=np.ones(3), a=np.ones(3)),
-        ]
-        win = ImuWindow.from_samples(samples)
-        assert len(win) == 2
-        assert win.kind is RepresentationKind.BODY
-
     def test_rejects_non_increasing_timestamps(self):
         with pytest.raises(TimestampOrderError):
             ImuWindow(t=[0.0, 0.0], w=np.zeros((2, 3)), a=np.zeros((2, 3)))

@@ -59,8 +59,7 @@ def velocity_dataset(spec, kind, n_windows, length, stride):
         hi = lo + length
         if hi > len(traj):
             raise AssertionError("trajectory too short for requested windows")
-        win = ImuWindow.from_samples(imu[lo:hi], kind=RepresentationKind.BODY)
-        win = transform_representation(win, kind, rots[lo:hi])
+        win = transform_representation(imu.slice(lo, hi), kind, rots[lo:hi])
         out.append((win, v_body[lo:hi]))
     return out
 
@@ -398,8 +397,8 @@ class TestProviders:
         traj = generate_trajectory(spec)
         imu = derive_imu(traj)
         provider = OracleProvider(traj, noise_std=0.02, seed=3)
-        w1 = ImuWindow.from_samples(imu[0:60], kind=RepresentationKind.BODY)
-        w2 = ImuWindow.from_samples(imu[40:80], kind=RepresentationKind.BODY)
+        w1 = imu.slice(0, 60)
+        w2 = imu.slice(40, 80)
         m1 = provider.predict_window(w1, 60)
         m2 = provider.predict_window(w2, 40)
         # overlapping frames 40..59 get the same draw from both windows

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bodyframe_io.errors import DataError, TimestampOrderError
-from bodyframe_io.imu_model import ImuSample
+from bodyframe_io.imu_model import ImuWindow
 from bodyframe_io.preintegration import (
     NavState,
     ProcessNoise,
@@ -229,17 +229,15 @@ class TestDeadReckon:
         assert 1.8 < e200 / e400 < 2.2
 
     def test_output_length_matches_input(self):
-        imu = [
-            ImuSample(t=i * 0.01, w=np.zeros(3), a=np.array([0.0, 0.0, G]))
-            for i in range(50)
-        ]
+        imu = ImuWindow(
+            t=np.arange(50) * 0.01, w=np.zeros((50, 3)), a=np.tile([0.0, 0.0, G], (50, 1))
+        )
         states = dead_reckon(NavState.identity(), imu)
         assert len(states) == 50
 
     def test_rejects_unordered_timestamps(self):
-        imu = [
-            ImuSample(t=0.0, w=np.zeros(3), a=np.zeros(3)),
-            ImuSample(t=0.0, w=np.zeros(3), a=np.zeros(3)),
-        ]
         with pytest.raises(TimestampOrderError):
-            dead_reckon(NavState.identity(), imu)
+            dead_reckon(
+                NavState.identity(),
+                ImuWindow(t=[0.0, 0.0], w=np.zeros((2, 3)), a=np.zeros((2, 3))),
+            )

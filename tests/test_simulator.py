@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bodyframe_io.errors import ConfigError
-from bodyframe_io.imu_model import GRAVITY, ImuSample
+from bodyframe_io.imu_model import GRAVITY, ImuWindow, RepresentationKind
 from bodyframe_io.simulator import (
     NoiseSpec,
     TrajectoryKind,
@@ -172,36 +172,38 @@ class TestDeriveImu:
         spec = circle_spec(
             amplitude=0.0, rate=0.0, yaw_mode=YawMode.FIXED, duration=0.5
         )
-        for s in derive_imu(generate_trajectory(spec)):
-            np.testing.assert_allclose(s.a, [0.0, 0.0, 9.80665], atol=1e-12)
-            np.testing.assert_array_equal(s.w, np.zeros(3))
+        imu = derive_imu(generate_trajectory(spec))
+        assert imu.kind is RepresentationKind.BODY
+        for i in range(len(imu)):
+            np.testing.assert_allclose(imu.a[i], [0.0, 0.0, 9.80665], atol=1e-12)
+            np.testing.assert_array_equal(imu.w[i], np.zeros(3))
 
     def test_reading_rotates_back_to_world_acceleration(self):
         traj = generate_trajectory(lissajous_spin_spec(duration=1.0))
         imu = derive_imu(traj)
-        for ts, ms in zip(traj[::25], imu[::25]):
+        for ts, a in zip(traj[::25], imu.a[::25]):
             np.testing.assert_allclose(
-                ts.r @ ms.a + GRAVITY.vector, ts.a_world, atol=1e-10
+                ts.r @ a + GRAVITY.vector, ts.a_world, atol=1e-10
             )
 
 
 def hover_samples(n, rate=200.0):
-    dt = 1.0 / rate
-    return [
-        ImuSample(t=i * dt, w=np.zeros(3), a=np.array([0.0, 0.0, 9.80665]))
-        for i in range(n)
-    ]
+    return ImuWindow(
+        t=np.arange(n) * (1.0 / rate),
+        w=np.zeros((n, 3)),
+        a=np.tile([0.0, 0.0, 9.80665], (n, 1)),
+    )
 
 
 class TestCorruptImu:
     def test_white_noise_scaling(self):
         clean = hover_samples(100_000)
         noisy, _ = corrupt_imu(clean, NoiseSpec(sigma_a=0.01, seed=3))
-        resid = np.array([noisy[i].a - clean[i].a for i in range(len(clean))])
+        resid = noisy.a - clean.a
         target = 0.01 * math.sqrt(200.0)
         assert abs(resid.std() / target - 1.0) < 0.05
         # Gyro channel untouched when sigma_g == 0.
-        assert all(np.array_equal(noisy[i].w, clean[i].w) for i in range(100))
+        assert all(np.array_equal(noisy.w[i], clean.w[i]) for i in range(100))
 
     def test_bias_walk_increments(self):
         clean = hover_samples(100_000)
@@ -218,16 +220,15 @@ class TestCorruptImu:
         clean = hover_samples(10)
         noisy, bias = corrupt_imu(clean, NoiseSpec(b_a0=(0.2, 0.0, 0.0)))
         for i in range(10):
-            np.testing.assert_allclose(noisy[i].a - clean[i].a, bias.b_a[i], atol=0)
+            np.testing.assert_allclose(noisy.a[i] - clean.a[i], bias.b_a[i], atol=0)
 
     def test_deterministic_under_seed(self):
         clean = hover_samples(500)
         spec = NoiseSpec(sigma_g=1e-3, sigma_a=1e-2, sigma_bg=1e-5, sigma_ba=1e-4, seed=9)
         first, bias1 = corrupt_imu(clean, spec)
         second, bias2 = corrupt_imu(clean, spec)
-        for x, y in zip(first, second):
-            np.testing.assert_array_equal(x.w, y.w)
-            np.testing.assert_array_equal(x.a, y.a)
+        np.testing.assert_array_equal(first.w, second.w)
+        np.testing.assert_array_equal(first.a, second.a)
         np.testing.assert_array_equal(bias1.b_g, bias2.b_g)
         different, _ = corrupt_imu(clean, NoiseSpec(**{**spec.__dict__, "seed": 10}))
-        assert not np.array_equal(first[0].a, different[0].a)
+        assert not np.array_equal(first.a[0], different.a[0])
