@@ -12,7 +12,8 @@ sequence subdirectories plus a manifest):
   analyze          latent PCA spectrum of a trained network
 
 All numeric behaviour is driven by an INI run config (see
-``--dump-defaults``); unknown keys are rejected. ``--seed`` is taken
+``--dump-defaults``), which every command but deadreckon takes;
+unknown keys are rejected. ``--seed`` is taken
 by the commands that draw random numbers (simulate, train-motion,
 run-ekf) and falls back to the BODYFRAME_IO_SEED environment variable,
 then 0; train-corrector accepts it and ignores it, since corrector
@@ -37,7 +38,6 @@ from .dataset_io import (
     CorpusEntry,
     MANIFEST_NAME,
     ROLES,
-    groundtruth_from_simulation,
     load_sequence,
     read_corpus_manifest,
     read_trajectory_csv,
@@ -48,7 +48,7 @@ from .dataset_io import (
 from .ekf import streaming_run
 from .errors import ConfigError, DataError, NumericalError
 from .imu_model import ImuWindow, transform_representation
-from .metrics import AlignedPair, accuracy_auc, ate, improvement_percentage, rte
+from .metrics import accuracy_auc, ate, improvement_percentage, rte
 from .motion_model import (
     ConstantZeroProvider,
     MotionNet,
@@ -57,7 +57,7 @@ from .motion_model import (
     train_motion_model,
 )
 from .preintegration import NavState, dead_reckon
-from .simulator import TrajectorySample, corrupt_imu, derive_imu, generate_trajectory
+from .simulator import Trajectory, corrupt_imu, derive_imu, generate_trajectory
 
 REPORT_COLUMNS = ("seq", "ate_m", "rte_m", "auc", "vs_baseline_pct")
 
@@ -96,9 +96,9 @@ def _seen_entries(data: str) -> list[CorpusEntry]:
     return entries
 
 
-def _initial_state(truth) -> NavState:
+def _initial_state(truth: Trajectory) -> NavState:
     zero = np.zeros(3)
-    return NavState(r=truth[0].r, v=truth[0].v, p=truth[0].p, b_a=zero, b_g=zero)
+    return NavState(r=truth.r[0], v=truth.v[0], p=truth.p[0], b_a=zero, b_g=zero)
 
 
 def _sample_rate(imu: ImuWindow) -> float:
@@ -116,20 +116,17 @@ def _parse_named(item: str) -> tuple[str, str]:
     return name, path
 
 
-def _estimate_pair(data: str, name: str, csv_path: str) -> AlignedPair:
-    """Ground truth vs an estimated trajectory CSV, at the IMU stamps."""
+def _estimate_pair(data: str, name: str, csv_path: str):
+    """(truth, estimate) Trajectories: ground truth at the IMU stamps and
+    an estimated trajectory CSV."""
     _, truth, _ = load_sequence(_seq_dir(data, name))
-    times, states, _ = read_trajectory_csv(csv_path)
-    if len(times) != len(truth):
+    estimate, _ = read_trajectory_csv(csv_path)
+    if len(estimate) != len(truth):
         raise DataError(
-            f"{csv_path}: {len(times)} rows but sequence {name} has"
+            f"{csv_path}: {len(estimate)} rows but sequence {name} has"
             f" {len(truth)} frames"
         )
-    est = [
-        TrajectorySample(t=float(t), r=x.r, v=x.v, p=x.p)
-        for t, x in zip(times, states)
-    ]
-    return AlignedPair(truth=truth, estimate=est)
+    return truth, estimate
 
 
 def _representation_windows(data: str, entries, cfg_net, stride: int):
@@ -147,14 +144,11 @@ def _representation_windows(data: str, entries, cfg_net, stride: int):
         imu, truth, _ = load_sequence(_seq_dir(data, entry.path))
         if len(imu) < length:
             continue
-        rotations = np.stack([s.r for s in truth])
-        full = transform_representation(imu, cfg_net.representation, rotations)
+        full = transform_representation(imu, cfg_net.representation, truth.r)
+        v_body = truth.body_velocities()
         for start in range(0, len(imu) - length + 1, stride):
             window = full.slice(start, start + length)
-            v_body = np.stack(
-                [s.r.T @ s.v for s in truth[start : start + length]]
-            )
-            dataset.append((window, v_body))
+            dataset.append((window, v_body[start : start + length]))
     if not dataset:
         raise DataError(
             f"no window of {length} frames fits any seen sequence in {data}"
@@ -216,7 +210,7 @@ def _cmd_simulate(args) -> int:
     ideal = derive_imu(trajectory)
     corrupted, bias = corrupt_imu(ideal, cfgmod.noise_spec(cfg, seed))
     seq_dir = os.path.join(args.data, args.name)
-    write_sequence(seq_dir, corrupted, groundtruth_from_simulation(trajectory, bias))
+    write_sequence(seq_dir, corrupted, trajectory, bias)
 
     entries = []
     if os.path.exists(os.path.join(args.data, MANIFEST_NAME)):
@@ -241,14 +235,9 @@ def _cmd_train_corrector(args) -> int:
     for entry in _seen_entries(args.data):
         imu, _, (b_g, b_a) = load_sequence(_seq_dir(args.data, entry.path))
         dataset.append((imu, b_g, b_a))
-    model, history = train_corrector(
-        dataset,
-        epochs=cfg.getint("corrector", "epochs"),
-        lr=cfg.getfloat("corrector", "lr"),
-        window_len=cfg.getint("corrector", "window_len"),
-    )
+    model, mse = train_corrector(dataset, window_len=cfg.getint("corrector", "window_len"))
     model.save(args.out)
-    print(f"wrote {args.out} (final loss {history[-1]:.6g})")
+    print(f"wrote {args.out} (training MSE {mse:.6g})")
     return 0
 
 
@@ -337,14 +326,14 @@ def _cmd_eval(args) -> int:
         vs = None
         if name in baselines:
             base = _estimate_pair(args.data, name, baselines[name])
-            vs = improvement_percentage(ate(base), ate(pair))
+            vs = improvement_percentage(ate(*base), ate(*pair))
         rows.append(
             {
                 "seq": name,
-                "ate_m": ate(pair),
-                "rte_m": rte(pair, interval=interval),
+                "ate_m": ate(*pair),
+                "rte_m": rte(*pair, interval=interval),
                 "auc": accuracy_auc(
-                    pair, interval=interval, tau_max=tau_max, n_thresholds=n_thresholds
+                    *pair, interval=interval, tau_max=tau_max, n_thresholds=n_thresholds
                 ),
                 "vs_baseline_pct": vs,
             }
@@ -418,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--name", required=True)
     p.add_argument("--out", required=True, help="trajectory CSV to write")
-    _add_common(p, "none")
+    p.epilog = "config keys used: none (deadreckon takes no --config)"
     p.set_defaults(func=_cmd_deadreckon)
 
     p = sub.add_parser("train-corrector", help="fit the affine IMU corrector")
@@ -426,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="weights file to write")
     _add_common(
         p,
-        "corrector.window_len/epochs/lr",
-        "unused: corrector training is deterministic",
+        "corrector.window_len",
+        "unused: the closed-form corrector fit is deterministic",
     )
     p.set_defaults(func=_cmd_train_corrector)
 

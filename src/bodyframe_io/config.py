@@ -48,8 +48,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "corrector": {
         "window_len": "16",
-        "epochs": "200",
-        "lr": "0.1",
     },
     "motion": {
         "representation": "body+attitude",

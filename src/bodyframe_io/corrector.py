@@ -12,8 +12,9 @@ Two variants:
   uncertainties. The no-op baseline.
 * LearnedAffineCorrector: per-channel affine map over a causal window
   of the last 16 raw frames (head-padded by repeating the first frame),
-  trained to regress the negated true bias. Uncertainties are constant
-  per channel, fitted to the training residual spread.
+  fitted in closed form (ridge least squares) to regress the negated
+  true bias. Uncertainties are constant per channel, fitted to the
+  training residual spread.
 
 All uncertainties are strictly positive by construction: learned ones
 pass through softplus(x) + 1e-6, configured ones are validated.
@@ -59,6 +60,16 @@ def softplus(x):
 def inv_softplus(y):
     y = np.maximum(y, 1e-12)
     return y + np.log(-np.expm1(-y))
+
+
+def _raw_features(window: ImuWindow, k: int) -> np.ndarray:
+    """(n, 6 * k): frames i-k+1..i of each frame i flattened, the first
+    frame repeated before the window's start."""
+    raw = np.hstack([window.w, window.a])  # (n, 6)
+    padded = np.vstack([np.tile(raw[0], (k - 1, 1)), raw])
+    # (n, 6, k) views of frames i..i+k-1 -> rows of k frames, 6 channels each
+    frames = sliding_window_view(padded, k, axis=0).transpose(0, 2, 1)
+    return frames.reshape(raw.shape[0], 6 * k)
 
 
 class IdentityCorrector:
@@ -120,14 +131,8 @@ class LearnedAffineCorrector:
         return softplus(self.raw_eta) + _ETA_FLOOR
 
     def features(self, window: ImuWindow) -> np.ndarray:
-        """Causal features: frames i-15..i flattened, head-padded."""
-        raw = np.hstack([window.w, window.a])  # (n, 6)
-        k = self.window_len
-        padded = np.vstack([np.tile(raw[0], (k - 1, 1)), raw])
-        # (n, 6, k) views of frames i..i+k-1 -> rows of k frames, 6 channels each
-        frames = sliding_window_view(padded, k, axis=0).transpose(0, 2, 1)
-        feats = frames.reshape(raw.shape[0], 6 * k)
-        return (feats - self.feat_mean) / self.feat_scale
+        """Causal features: frames i-15..i flattened, head-padded, standardized."""
+        return (_raw_features(window, self.window_len) - self.feat_mean) / self.feat_scale
 
     def infer(self, window: ImuWindow) -> CorrectionOutput:
         pred = self.features(window) @ self.weight + self.bias
@@ -182,36 +187,29 @@ def correct_and_quantify(model, window: ImuWindow):
     return corrected, out
 
 
-def train_corrector(dataset, epochs: int = 200, lr: float = 0.1, window_len: int = 16):
-    """Fit a LearnedAffineCorrector by full-batch gradient descent.
+def train_corrector(dataset, window_len: int = 16):
+    """Fit a LearnedAffineCorrector by linear least squares, in closed form.
 
     dataset is a list of (ImuWindow, b_g, b_a) with per-sample true
     biases, (n, 3) each; the regression target is the negated bias so
-    that reading + correction cancels it. The step size backtracks
-    whenever the mean-squared-error would rise, which makes the
-    recorded per-epoch loss monotonically nonincreasing.
+    that reading + correction cancels it. Features are standardized,
+    then the normal equations are solved with a tiny ridge, 1e-8 * n on
+    each feature's diagonal (n training frames) and none on the bias,
+    which keeps them well posed when features are collinear. Each
+    channel's eta is the spread of its training residual.
 
-    Returns (model, loss_history).
+    Returns (model, training mean-squared error).
     """
     if not dataset:
         raise DataError("empty corrector training set")
 
-    d = 6 * window_len
-    stub = LearnedAffineCorrector(
-        weight=np.zeros((d, 6)),
-        bias=np.zeros(6),
-        feat_mean=np.zeros(d),
-        feat_scale=np.ones(d),
-        raw_eta=np.zeros(6),
-        window_len=window_len,
-    )
     feats, targets = [], []
     for window, b_g, b_a in dataset:
         b_g = np.asarray(b_g, dtype=float)
         b_a = np.asarray(b_a, dtype=float)
         if b_g.shape != (len(window), 3) or b_a.shape != (len(window), 3):
             raise DataError("bias truth shape does not match window length")
-        feats.append(stub.features(window))
+        feats.append(_raw_features(window, window_len))
         targets.append(np.hstack([-b_g, -b_a]))
     feats = np.vstack(feats)
     targets = np.vstack(targets)
@@ -221,30 +219,12 @@ def train_corrector(dataset, epochs: int = 200, lr: float = 0.1, window_len: int
     scale[scale < 1e-12] = 1.0
     feats = (feats - mean) / scale
 
-    n = feats.shape[0]
-    weight = np.zeros((d, 6))
-    bias = np.zeros(6)
-    history = []
-
-    def mse(w_mat, b_vec):
-        r = feats @ w_mat + b_vec - targets
-        return float(np.mean(r * r))
-
-    loss = mse(weight, bias)
-    for _ in range(epochs):
-        history.append(loss)
-        resid = feats @ weight + bias - targets
-        grad_w = 2.0 * feats.T @ resid / n
-        grad_b = 2.0 * resid.mean(axis=0)
-        while True:
-            w_try = weight - lr * grad_w
-            b_try = bias - lr * grad_b
-            trial = mse(w_try, b_try)
-            if trial <= loss + 1e-15 or lr < 1e-12:
-                break
-            lr *= 0.5
-        if trial <= loss + 1e-15:
-            weight, bias, loss = w_try, b_try, trial
+    n, d = feats.shape
+    design = np.hstack([feats, np.ones((n, 1))])
+    gram = design.T @ design
+    gram[np.arange(d), np.arange(d)] += 1e-8 * n
+    solution = np.linalg.solve(gram, design.T @ targets)
+    weight, bias = solution[:d], solution[d]
 
     resid = feats @ weight + bias - targets
     eta = np.maximum(resid.std(axis=0), 2e-6)
@@ -256,4 +236,4 @@ def train_corrector(dataset, epochs: int = 200, lr: float = 0.1, window_len: int
         raw_eta=inv_softplus(eta - _ETA_FLOOR),
         window_len=window_len,
     )
-    return model, history
+    return model, float(np.mean(resid * resid))

@@ -10,16 +10,23 @@ Timestamps are integer nanoseconds on disk and float64 seconds in
 memory, anchored at the first IMU stamp. Stamps are parsed as integers
 and the origin is subtracted before the conversion to seconds
 (interpolation, too, works on offsets from the origin), so epoch-scale
-stamps such as EuRoC's survive a write/load round trip exact. Quaternions are Hamilton
-convention, wxyz order, body-to-world; this module is the only place
-they exist, with rotation matrices everywhere else. Floats are written
-with repr-level precision (%.17g) so a write/read round trip is exact.
+stamps such as EuRoC's survive a write/load round trip exact.
+Quaternions are Hamilton convention, wxyz order, body-to-world; this
+module is the only place they exist, with rotation matrices everywhere
+else. Floats are written with repr-level precision (%.17g) so a
+write/read round trip is exact.
+
+In memory, ground truth is one Trajectory of arrays, resampled onto
+the IMU stamps in one vectorised pass (slerp and matrix_from_quat work
+on rows). On stamps that fall on the ground-truth grid this reproduces
+a per-stamp loop bit for bit.
 
 Estimated trajectories use a third format shared with the filter:
 
     t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P
 
-with t in seconds and 9 significant digits.
+with t in seconds and 9 significant digits; read_trajectory_csv returns
+them as a Trajectory.
 
 A corpus is a directory of sequence subdirectories plus a corpus.cfg
 INI manifest listing each sequence's name, role (seen/unseen), and
@@ -37,8 +44,7 @@ import numpy as np
 
 from .errors import DataError, ParseError, TimestampOrderError
 from .imu_model import ImuWindow
-from .preintegration import NavState
-from .simulator import BiasTruth, TrajectorySample
+from .simulator import BiasTruth, Trajectory
 
 IMU_HEADER = "timestamp_ns,wx,wy,wz,ax,ay,az"
 GROUNDTRUTH_HEADER = (
@@ -81,39 +87,48 @@ def quat_from_matrix(r) -> np.ndarray:
     return q if q[0] >= 0 else -q
 
 
+def _row_dot(x, y) -> np.ndarray:
+    """Dot product of matching rows. Batched matmul gives the same bits
+    as a per-row `x @ y` (an elementwise sum does not)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def matrix_from_quat(q) -> np.ndarray:
-    """Unit quaternion (wxyz) to rotation matrix; normalizes small drift."""
+    """Unit quaternions (wxyz), (4,) or (n, 4), to rotation matrices,
+    (3, 3) or (n, 3, 3); normalizes small drift. Raises DataError when a
+    norm is more than 1e-6 from 1."""
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if abs(n - 1.0) > 1e-6:
-        raise DataError(f"quaternion norm {n:.6g} too far from 1")
-    w, x, y, z = q / n
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    n = np.sqrt(_row_dot(q, q))
+    bad = np.flatnonzero(np.abs(n - 1.0) > 1e-6)
+    if bad.size:
+        raise DataError(f"quaternion norm {np.ravel(n)[bad[0]]:.6g} too far from 1")
+    w, x, y, z = np.moveaxis(q / n[..., None], -1, 0)
+    rows = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return np.ascontiguousarray(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
 
 
-def slerp(q0, q1, alpha: float) -> np.ndarray:
-    """Spherical interpolation along the shorter arc, alpha in [0, 1]."""
+def slerp(q0, q1, alpha) -> np.ndarray:
+    """Spherical interpolation along the shorter arc, row by row: q0 and
+    q1 are (4,) or (n, 4) unit quaternions, alpha a weight in [0, 1]
+    for each row."""
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    dot = float(q0 @ q1)
-    if dot < 0.0:  # sign-align: q and -q are the same rotation
-        q1, dot = -q1, -dot
-    dot = min(dot, 1.0)
-    if dot > 1.0 - 1e-10:
-        out = (1.0 - alpha) * q0 + alpha * q1
-        return out / np.linalg.norm(out)
-    omega = math.acos(dot)
-    so = math.sin(omega)
-    return (
-        math.sin((1.0 - alpha) * omega) / so * q0
-        + math.sin(alpha * omega) / so * q1
-    )
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    dot = _row_dot(q0, q1)[..., None]
+    flip = dot < 0.0  # sign-align: q and -q are the same rotation
+    q1 = np.where(flip, -q1, q1)
+    dot = np.minimum(np.where(flip, -dot, dot), 1.0)
+    near = dot > 1.0 - 1e-10
+    lerp = (1.0 - alpha) * q0 + alpha * q1
+    lerp = lerp / np.sqrt(_row_dot(lerp, lerp))[..., None]
+    omega = np.arccos(np.where(near, 0.5, dot))  # 0.5: any angle with sin > 0
+    so = np.sin(omega)
+    arc = np.sin((1.0 - alpha) * omega) / so * q0 + np.sin(alpha * omega) / so * q1
+    return np.where(near, lerp, arc)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +170,15 @@ def _read_rows(path, expected_cols: int, header: str):
     return rows
 
 
-def _check_monotone_ns(path, rows):
+def _check_unit_quaternions(path, rows, q):
+    """ParseError naming the first row of q (n, 4) whose norm is more
+    than 1e-6 from 1."""
+    bad = np.flatnonzero(np.abs(np.sqrt(_row_dot(q, q)) - 1.0) > 1e-6)
+    if bad.size:
+        raise ParseError(f"{path}:{rows[bad[0]][0]}: quaternion is not unit norm")
+
+
+def _check_monotone(path, rows):
     prev = None
     for lineno, values in rows:
         if prev is not None and values[0] <= prev:
@@ -181,7 +204,7 @@ def write_imu_csv(path, imu: ImuWindow, origin_ns: int = 0):
 def _load_imu(path):
     """(BODY-kind ImuWindow timed from the first stamp, that stamp in ns)."""
     rows = _read_rows(path, 7, IMU_HEADER)
-    _check_monotone_ns(path, rows)
+    _check_monotone(path, rows)
     origin_ns = rows[0][1][0]
     stamps = np.array([v[0] for _, v in rows], dtype=np.int64)
     readings = np.array([v[1:] for _, v in rows])
@@ -205,131 +228,75 @@ def load_imu_csv(path) -> ImuWindow:
 # Ground truth files
 
 
-@dataclass
-class GroundTruthRecord:
-    """One ground-truth row: pose, velocity, and true sensor biases."""
-
-    t_ns: int
-    p: np.ndarray
-    q: np.ndarray  # wxyz, body-to-world
-    v: np.ndarray
-    b_w: np.ndarray
-    b_a: np.ndarray
-
-
-def groundtruth_from_simulation(
-    trajectory, bias: BiasTruth | None = None, origin_ns: int = 0
-):
-    """Convert simulator output (plus optional injected biases) to records."""
-    n = len(trajectory)
+def write_groundtruth_csv(path, truth: Trajectory, bias: BiasTruth | None = None,
+                          origin_ns: int = 0):
+    """Write a Trajectory (plus optional injected biases, zero otherwise)
+    as ground truth; t seconds become origin_ns + round(t * 1e9)."""
+    n = len(truth)
     if bias is not None and bias.b_g.shape[0] != n:
         raise DataError("bias truth length does not match trajectory")
-    records = []
-    for i, s in enumerate(trajectory):
-        records.append(
-            GroundTruthRecord(
-                t_ns=origin_ns + int(round(s.t * 1e9)),
-                p=np.asarray(s.p, dtype=float),
-                q=quat_from_matrix(s.r),
-                v=np.asarray(s.v, dtype=float),
-                b_w=bias.b_g[i].copy() if bias is not None else np.zeros(3),
-                b_a=bias.b_a[i].copy() if bias is not None else np.zeros(3),
-            )
-        )
-    return records
-
-
-def write_groundtruth_csv(path, records):
+    b_g = bias.b_g if bias is not None else np.zeros((n, 3))
+    b_a = bias.b_a if bias is not None else np.zeros((n, 3))
+    rest = np.hstack([truth.v, b_g, b_a]).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(GROUNDTRUTH_HEADER + "\n")
-        for r in records:
-            vals = [str(int(r.t_ns))] + [
-                _fmt(x) for x in (*r.p, *r.q, *r.v, *r.b_w, *r.b_a)
-            ]
+        for t, r, p, tail in zip(truth.t.tolist(), truth.r, truth.p.tolist(), rest):
+            q = quat_from_matrix(r).tolist()
+            vals = [str(origin_ns + int(round(t * 1e9)))] + [_fmt(x) for x in p + q + tail]
             fh.write(",".join(vals) + "\n")
 
 
 def load_groundtruth_csv(path):
+    """Read a ground-truth file as (stamps, values): integer ns stamps
+    (n,) and the 16 value columns (n, 16), in file order
+    (p, q wxyz, v, b_w, b_a). Raises ParseError naming the line of a
+    quaternion more than 1e-6 from unit norm."""
     rows = _read_rows(path, 17, GROUNDTRUTH_HEADER)
-    _check_monotone_ns(path, rows)
-    out = []
-    for lineno, v in rows:
-        q = np.array(v[4:8])
-        if abs(np.linalg.norm(q) - 1.0) > 1e-6:
-            raise ParseError(f"{path}:{lineno}: quaternion is not unit norm")
-        out.append(
-            GroundTruthRecord(
-                t_ns=int(v[0]),
-                p=np.array(v[1:4]),
-                q=q,
-                v=np.array(v[8:11]),
-                b_w=np.array(v[11:14]),
-                b_a=np.array(v[14:17]),
-            )
-        )
-    return out
+    _check_monotone(path, rows)
+    stamps = np.array([v[0] for _, v in rows], dtype=np.int64)
+    values = np.array([v[1:] for _, v in rows])
+    _check_unit_quaternions(path, rows, values[:, 3:7])
+    return stamps, values
 
 
-def _record_offsets(records, origin_ns: int | None) -> np.ndarray:
-    """Record stamps in ns after origin_ns (default the first record),
-    subtracted as integers so epoch-scale stamps stay exact."""
-    if len(records) < 2:
+def interpolate_groundtruth(stamps, values, times, origin_ns: int | None = None):
+    """Ground truth resampled at `times` (seconds since origin_ns,
+    default the first record). stamps and values are as returned by
+    load_groundtruth_csv. Each target is bracketed once (one
+    searchsorted over all of them, on integer-ns offsets from the
+    origin); positions, velocities and biases are linear between the
+    two records, orientation is slerped. Returns (Trajectory, b_g, b_a),
+    with a_world/w_body None (not recoverable from poses).
+
+    Raises DataError with fewer than 2 records or a target more than
+    1 ns outside the records' span.
+    """
+    stamps = np.asarray(stamps, dtype=np.int64)
+    if len(stamps) < 2:
         raise DataError("need at least 2 ground-truth records to interpolate")
     if origin_ns is None:
-        origin_ns = records[0].t_ns
-    return np.array([r.t_ns - origin_ns for r in records], dtype=float)
-
-
-def _bracket(offsets, target, path_hint="groundtruth"):
-    """(lo, hi, alpha): the records around target (ns after the origin)
-    and its interpolation weight."""
-    if target < offsets[0] - 1 or target > offsets[-1] + 1:
+        origin_ns = int(stamps[0])
+    offsets = (stamps - origin_ns).astype(float)
+    times = np.asarray(times, dtype=float)
+    target = times * 1e9
+    outside = np.flatnonzero((target < offsets[0] - 1) | (target > offsets[-1] + 1))
+    if outside.size:
         raise DataError(
-            f"interpolation target {target} ns after origin outside {path_hint}"
-            f" span [{offsets[0]}, {offsets[-1]}]"
+            f"interpolation target {target[outside[0]]} ns after origin outside"
+            f" groundtruth span [{offsets[0]}, {offsets[-1]}]"
         )
-    hi = int(np.searchsorted(offsets, target, side="left"))
-    hi = min(max(hi, 1), len(offsets) - 1)
+    hi = np.clip(np.searchsorted(offsets, target, side="left"), 1, len(offsets) - 1)
     lo = hi - 1
-    span = offsets[hi] - offsets[lo]
-    return lo, hi, float(np.clip((target - offsets[lo]) / span, 0.0, 1.0))
-
-
-def interpolate_groundtruth(records, times, origin_ns: int | None = None):
-    """Ground truth resampled at `times` (seconds since origin_ns,
-    default the first record). Positions, velocities linear; orientation
-    slerp. Returns TrajectorySamples (a_world/w_body are not recoverable
-    from poses and stay None)."""
-    offsets = _record_offsets(records, origin_ns)
-    out = []
-    for t in np.asarray(times, dtype=float):
-        lo, hi, alpha = _bracket(offsets, t * 1e9)
-        a, b = records[lo], records[hi]
-        q = slerp(a.q, b.q, alpha)
-        out.append(
-            TrajectorySample(
-                t=float(t),
-                r=matrix_from_quat(q),
-                v=(1 - alpha) * a.v + alpha * b.v,
-                p=(1 - alpha) * a.p + alpha * b.p,
-                a_world=None,
-                w_body=None,
-            )
-        )
-    return out
-
-
-def interpolate_biases(records, times, origin_ns: int | None = None):
-    """True biases resampled at `times`; returns (b_g, b_a) arrays (n, 3)."""
-    offsets = _record_offsets(records, origin_ns)
-    b_g = np.empty((len(np.atleast_1d(times)), 3))
-    b_a = np.empty_like(b_g)
-    for i, t in enumerate(np.asarray(times, dtype=float)):
-        lo, hi, alpha = _bracket(offsets, t * 1e9)
-        a, b = records[lo], records[hi]
-        b_g[i] = (1 - alpha) * a.b_w + alpha * b.b_w
-        b_a[i] = (1 - alpha) * a.b_a + alpha * b.b_a
-    return b_g, b_a
+    alpha = np.clip((target - offsets[lo]) / (offsets[hi] - offsets[lo]), 0.0, 1.0)
+    a, b, w = values[lo], values[hi], alpha[:, None]
+    mixed = (1 - w) * a + w * b
+    truth = Trajectory(
+        t=times,
+        r=matrix_from_quat(slerp(a[:, 3:7], b[:, 3:7], alpha)),
+        v=mixed[:, 7:10],
+        p=mixed[:, 0:3],
+    )
+    return truth, mixed[:, 10:13], mixed[:, 13:16]
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +348,24 @@ def read_corpus_manifest(root):
     return entries
 
 
-def write_sequence(seq_dir, imu: ImuWindow, records):
-    """Write imu.csv (from a BODY-kind ImuWindow) + groundtruth.csv into
-    seq_dir (created if needed)."""
+def write_sequence(seq_dir, imu: ImuWindow, truth: Trajectory, bias: BiasTruth | None = None):
+    """Write imu.csv (from a BODY-kind ImuWindow) and groundtruth.csv
+    (truth plus optional injected biases) into seq_dir (created if
+    needed)."""
     os.makedirs(seq_dir, exist_ok=True)
     write_imu_csv(os.path.join(seq_dir, "imu.csv"), imu)
-    write_groundtruth_csv(os.path.join(seq_dir, "groundtruth.csv"), records)
+    write_groundtruth_csv(os.path.join(seq_dir, "groundtruth.csv"), truth, bias)
 
 
 def load_sequence(seq_dir):
     """Load one sequence; ground truth is interpolated onto the IMU
-    timestamps. Returns (imu, truth_samples, (b_g, b_a)), with imu a
-    BODY-kind ImuWindow timed from the first IMU stamp."""
+    timestamps. Returns (imu, truth, (b_g, b_a)): imu a BODY-kind
+    ImuWindow timed from the first IMU stamp, truth a Trajectory on the
+    same stamps, and the true biases (n, 3) each."""
     imu, origin = _load_imu(os.path.join(seq_dir, "imu.csv"))
-    records = load_groundtruth_csv(os.path.join(seq_dir, "groundtruth.csv"))
-    truth = interpolate_groundtruth(records, imu.t, origin_ns=origin)
-    biases = interpolate_biases(records, imu.t, origin_ns=origin)
-    return imu, truth, biases
+    stamps, values = load_groundtruth_csv(os.path.join(seq_dir, "groundtruth.csv"))
+    truth, b_g, b_a = interpolate_groundtruth(stamps, values, imu.t, origin_ns=origin)
+    return imu, truth, (b_g, b_a)
 
 
 # ---------------------------------------------------------------------------
@@ -418,26 +386,17 @@ def write_trajectory_csv(path, times, states, traces):
 
 
 def read_trajectory_csv(path):
-    """Read filter output back as (times, NavStates, traces); bias
-    columns are not stored, so they come back zero."""
+    """Read filter output back as (Trajectory, traces); the file stores
+    no biases, accelerations or rates. Raises ParseError naming the line
+    of a quaternion more than 1e-6 from unit norm."""
     rows = _read_rows(path, 12, TRAJECTORY_HEADER)
-    times, states, traces = [], [], []
-    prev = None
-    for lineno, v in rows:
-        if prev is not None and v[0] <= prev:
-            raise TimestampOrderError(
-                f"{path}:{lineno}: timestamps not strictly increasing"
-            )
-        prev = v[0]
-        times.append(v[0])
-        states.append(
-            NavState(
-                r=matrix_from_quat(np.array(v[4:8])),
-                v=np.array(v[8:11]),
-                p=np.array(v[1:4]),
-                b_a=np.zeros(3),
-                b_g=np.zeros(3),
-            )
-        )
-        traces.append(v[11])
-    return np.array(times), states, np.array(traces)
+    _check_monotone(path, rows)
+    values = np.array([v for _, v in rows])
+    _check_unit_quaternions(path, rows, values[:, 4:8])
+    estimate = Trajectory(
+        t=values[:, 0],
+        r=matrix_from_quat(values[:, 4:8]),
+        v=values[:, 8:11],
+        p=values[:, 1:4],
+    )
+    return estimate, values[:, 11]

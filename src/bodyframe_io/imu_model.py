@@ -144,11 +144,12 @@ class ImuWindow:
 def specific_force(a_world, r, gravity: GravityModel = GRAVITY) -> np.ndarray:
     """Body-frame accelerometer reading for world acceleration a_world.
 
-    r is the world-from-body rotation of the sensor.
+    r is the world-from-body rotation of the sensor. Either one reading,
+    a_world (3,) with r (3, 3), or one per row, (n, 3) with (n, 3, 3).
     """
-    a_world = np.asarray(a_world, dtype=float)
+    f = np.asarray(a_world, dtype=float) - gravity.vector
     r = np.asarray(r, dtype=float)
-    return r.T @ (a_world - gravity.vector)
+    return (np.swapaxes(r, -1, -2) @ f[..., None])[..., 0]
 
 
 def attitude_channel(rotations) -> np.ndarray:
@@ -163,16 +164,18 @@ def transform_representation(
     rotations: np.ndarray,
     gravity: GravityModel = GRAVITY,
 ) -> ImuWindow:
-    """Re-express a window in the requested input representation.
+    """Re-express a BODY-kind window in the requested input representation.
 
     rotations is an (n, 3, 3) stack of world-from-body attitudes, one
-    per frame. The source window may be in any kind; it is first
-    normalized back to raw body-frame channels (every kind is
-    invertible given the rotations), then mapped to the target. The
+    per frame. A window of any other kind raises DataError. The
     attitude channel is attached only for +Attitude kinds: the window's
     own attitudes when it carries them (they must encode the same
     rotations), otherwise log_so3 of each rotation.
     """
+    if window.kind is not RepresentationKind.BODY:
+        raise DataError(
+            f"transform_representation takes a BODY window, got {window.kind.value!r}"
+        )
     rotations = np.asarray(rotations, dtype=float)
     n = len(window)
     if rotations.shape != (n, 3, 3):
@@ -182,17 +185,6 @@ def transform_representation(
     minus_g = -gravity.vector  # (0, 0, +9.80665): reading of a hovering sensor
 
     w, a = window.w, window.a
-    # Normalize to raw body channels. einsum 'nji,nj->ni' applies R^T.
-    src = window.kind
-    if src.is_global:
-        w = np.einsum("nji,nj->ni", rotations, w)
-        if src.gravity_removed:
-            a = np.einsum("nji,nj->ni", rotations, a + minus_g)
-        else:
-            a = np.einsum("nji,nj->ni", rotations, a)
-    elif src.gravity_removed:
-        a = a + np.einsum("nji,j->ni", rotations, minus_g)
-
     # Map body channels to the target kind.
     if kind.is_global:
         w = np.einsum("nij,nj->ni", rotations, w)

@@ -1,7 +1,9 @@
 """Trajectory evaluation: ATE, interval RTE, accuracy AUC, improvement.
 
-All metrics consume an AlignedPair of truth/estimate pose sequences on
-identical timestamps. ATE is the raw position RMSE with no alignment
+Every metric takes a (truth, estimate) pair of Trajectory structs on
+identical timestamps (within 1e-9 s); only t, p and r are read. A pair
+of unequal lengths or stamps raises DataError, fewer than 2 poses
+InsufficientDataError. ATE is the raw position RMSE with no alignment
 transform by default (an optional rigid alignment is available). RTE
 compares relative displacements over a fixed time interval with the
 estimate's displacement rotated into the truth frame, so a constant
@@ -10,45 +12,20 @@ position offset cancels while an orientation error does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
 
 
-@dataclass
-class AlignedPair:
-    """Truth and estimate pose lists on common timestamps.
-
-    Items are TrajectorySample-like: each needs .t (seconds), .p
-    (3-vector), and .r (3x3 world-from-body rotation).
-    """
-
-    truth: list
-    estimate: list
-
-    def __post_init__(self):
-        if len(self.truth) != len(self.estimate):
-            raise DataError("truth and estimate must have equal length")
-        if len(self.truth) < 2:
-            raise InsufficientDataError("need at least 2 poses")
-        for a, b in zip(self.truth, self.estimate):
-            if abs(a.t - b.t) > 1e-9:
-                raise DataError(f"timestamps differ at t={a.t!r} vs {b.t!r}")
-
-    def __len__(self):
-        return len(self.truth)
-
-    def positions(self):
-        p = np.array([s.p for s in self.truth])
-        q = np.array([s.p for s in self.estimate])
-        return p, q
-
-    def rotations(self):
-        r = np.array([s.r for s in self.truth])
-        rh = np.array([s.r for s in self.estimate])
-        return r, rh
+def _check_pair(truth, estimate):
+    if len(truth) != len(estimate):
+        raise DataError("truth and estimate must have equal length")
+    if len(truth) < 2:
+        raise InsufficientDataError("need at least 2 poses")
+    off = np.flatnonzero(np.abs(truth.t - estimate.t) > 1e-9)
+    if off.size:
+        i = off[0]
+        raise DataError(f"timestamps differ at t={truth.t[i]!r} vs {estimate.t[i]!r}")
 
 
 def _rigid_align(p_truth, p_est):
@@ -62,55 +39,49 @@ def _rigid_align(p_truth, p_est):
     return (rot @ (p_est - mu_e).T).T + mu_t
 
 
-def ate(pair: AlignedPair, align: bool = False) -> float:
+def ate(truth, estimate, align: bool = False) -> float:
     """Absolute translation error: sqrt(mean ||p_i - p_hat_i||^2).
 
     align=True first fits a rigid transform of the estimate onto the
     truth (off by default: the headline metric is unaligned RMSE).
     """
-    p, q = pair.positions()
+    _check_pair(truth, estimate)
+    p, q = truth.p, estimate.p
     if align:
         q = _rigid_align(p, q)
     return float(np.sqrt(np.mean(np.sum((p - q) ** 2, axis=1))))
 
 
-def _interval_samples(pair: AlignedPair, interval: float) -> int:
-    t = np.array([s.t for s in pair.truth])
-    span = t[-1] - t[0]
-    if span <= interval:
-        raise InsufficientDataError(
-            f"trajectory spans {span:.3f} s, shorter than the {interval} s interval"
-        )
-    dt = span / (len(pair) - 1)
-    return max(1, int(round(interval / dt)))
-
-
-def rte_residuals(pair: AlignedPair, interval: float = 5.0) -> np.ndarray:
+def rte_residuals(truth, estimate, interval: float = 5.0) -> np.ndarray:
     """Per-start-index interval residual norms (dense evaluation).
 
     residual_i = (p_{i+d} - p_i) - R_i R_hat_i^T (p_hat_{i+d} - p_hat_i)
     with d the sample count nearest to the requested interval.
     """
-    d = _interval_samples(pair, interval)
-    p, q = pair.positions()
-    r, rh = pair.rotations()
-    dp = p[d:] - p[:-d]
-    dq = q[d:] - q[:-d]
-    n = len(dp)
-    res = np.empty(n)
-    for i in range(n):
-        res[i] = np.linalg.norm(dp[i] - r[i] @ rh[i].T @ dq[i])
-    return res
+    _check_pair(truth, estimate)
+    t = truth.t
+    span = t[-1] - t[0]
+    if span <= interval:
+        raise InsufficientDataError(
+            f"trajectory spans {span:.3f} s, shorter than the {interval} s interval"
+        )
+    d = max(1, int(round(interval / (span / (len(t) - 1)))))
+    dp = truth.p[d:] - truth.p[:-d]
+    dq = estimate.p[d:] - estimate.p[:-d]
+    rel = truth.r[:-d] @ np.swapaxes(estimate.r[:-d], 1, 2)
+    res = dp - (rel @ dq[:, :, None])[:, :, 0]
+    return np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
 
 
-def rte(pair: AlignedPair, interval: float = 5.0) -> float:
+def rte(truth, estimate, interval: float = 5.0) -> float:
     """Relative translation error: RMSE of the interval residual norms."""
-    res = rte_residuals(pair, interval)
+    res = rte_residuals(truth, estimate, interval)
     return float(np.sqrt(np.mean(res**2)))
 
 
 def accuracy_auc(
-    pair: AlignedPair,
+    truth,
+    estimate,
     interval: float = 5.0,
     tau_max: float = 1.0,
     n_thresholds: int = 100,
@@ -125,7 +96,7 @@ def accuracy_auc(
         raise ConfigError("tau_max must be positive")
     if n_thresholds < 1:
         raise ConfigError("n_thresholds must be >= 1")
-    res = rte_residuals(pair, interval)
+    res = rte_residuals(truth, estimate, interval)
     taus = tau_max * np.arange(1, n_thresholds + 1) / n_thresholds
     acc = np.array([np.mean(res <= tau) for tau in taus])
     return float(acc.mean())

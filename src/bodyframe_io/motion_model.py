@@ -506,21 +506,19 @@ def train_motion_model(
 # providers
 
 
-def oracle_predict(truth, noise_std, seed=0) -> list[VelocityMeasurement]:
+def oracle_predict(truth, noise_std, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth body velocities with additive Gaussian noise.
 
-    eta_v reports max(noise_std, ETA_MIN) on every axis so the
-    covariance stays invertible even for a noiseless oracle.
+    truth is a Trajectory; one (n, 3) standard-normal draw, scaled by
+    noise_std, is added to truth.body_velocities(). Returns (v_body
+    (n, 3), eta_v (3,)), with eta_v max(noise_std, ETA_MIN) on every
+    axis so the covariance stays invertible even for a noiseless oracle.
     """
     if noise_std < 0.0:
         raise ConfigError("noise_std must be nonnegative")
     rng = np.random.default_rng(seed)
-    eta = np.full(3, max(noise_std, ETA_MIN))
-    out = []
-    for s in truth:
-        v_body = s.r.T @ s.v + noise_std * rng.standard_normal(3)
-        out.append(VelocityMeasurement(t=float(s.t), v_body=v_body, eta_v=eta))
-    return out
+    noise = noise_std * rng.standard_normal((len(truth), 3))
+    return truth.body_velocities() + noise, np.full(3, max(noise_std, ETA_MIN))
 
 
 class ConstantZeroProvider:
@@ -546,27 +544,27 @@ class OracleProvider:
 
     The draw for each frame is fixed at construction, so the same frame
     always yields the same measurement no matter which window asks.
+    Measurements are built for the requested tail only.
     """
 
     required_kind = None
 
     def __init__(self, truth, noise_std=0.0, seed=0):
-        meas = oracle_predict(truth, noise_std, seed)
-        self._times = np.array([m.t for m in meas])
-        self._meas = meas
+        self._times = truth.t
+        self._v, self._eta = oracle_predict(truth, noise_std, seed)
 
     def predict_window(self, window: ImuWindow, n_tail: int) -> list[VelocityMeasurement]:
-        n_tail = min(n_tail, len(window))
-        out = []
-        for t in window.t[len(window) - n_tail :]:
-            i = int(np.searchsorted(self._times, t))
-            for j in (i - 1, i, i + 1):
-                if 0 <= j < len(self._times) and abs(self._times[j] - t) < 1e-9:
-                    out.append(self._meas[j])
-                    break
-            else:
-                raise DataError(f"no oracle measurement at t={t}")
-        return out
+        stamps = window.t[len(window) - min(n_tail, len(window)) :]
+        # the first truth row after stamp - 1e-9 s is the only one that can match
+        rows = np.searchsorted(self._times, stamps - 1e-9, side="right")
+        rows = np.minimum(rows, len(self._times) - 1)
+        missing = np.flatnonzero(np.abs(self._times[rows] - stamps) >= 1e-9)
+        if missing.size:
+            raise DataError(f"no oracle measurement at t={stamps[missing[0]]}")
+        return [
+            VelocityMeasurement(t=float(self._times[j]), v_body=self._v[j], eta_v=self._eta)
+            for j in rows
+        ]
 
 
 class NetworkProvider:

@@ -89,19 +89,44 @@ class TrajectorySpec:
 
 
 @dataclass
-class TrajectorySample:
-    """Ground-truth state at one instant; R is world-from-body.
+class Trajectory:
+    """Ground truth or an estimate over a whole flight, as arrays.
 
-    a_world and w_body are exact for simulated trajectories but are not
-    recoverable when resampling recorded poses, so they may be None.
+    t has shape (n,) in seconds; r (n, 3, 3) holds world-from-body
+    rotations; v and p, (n, 3) each, are world-frame velocity and
+    position. a_world and w_body, (n, 3) each, are exact for simulated
+    trajectories; they are not recoverable from recorded poses or
+    estimates, so there they are None. Construction rejects
+    inconsistent shapes.
     """
 
-    t: float
+    t: np.ndarray
     r: np.ndarray
     v: np.ndarray
     p: np.ndarray
     a_world: np.ndarray | None = None
     w_body: np.ndarray | None = None
+
+    def __post_init__(self):
+        # contiguous rows: batched matmul then gives the bits of a per-row product
+        self.t = np.ascontiguousarray(self.t, dtype=float)
+        self.r = np.ascontiguousarray(self.r, dtype=float)
+        self.v = np.ascontiguousarray(self.v, dtype=float)
+        self.p = np.ascontiguousarray(self.p, dtype=float)
+        n = self.t.shape[0]
+        rows = (self.v, self.p, *(x for x in (self.a_world, self.w_body) if x is not None))
+        if self.t.ndim != 1 or self.r.shape != (n, 3, 3) or any(x.shape != (n, 3) for x in rows):
+            raise DataError(
+                f"inconsistent trajectory shapes: t {self.t.shape}, r {self.r.shape}, "
+                f"v {self.v.shape}, p {self.p.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
+
+    def body_velocities(self) -> np.ndarray:
+        """R^T v for every row, (n, 3): the velocity in the body frame."""
+        return (np.swapaxes(self.r, 1, 2) @ self.v[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -240,11 +265,11 @@ def _attitude_function(spec: TrajectorySpec, gravity: GravityModel):
     return r_of_t
 
 
-def generate_trajectory(spec: TrajectorySpec, gravity: GravityModel = GRAVITY):
+def generate_trajectory(spec: TrajectorySpec, gravity: GravityModel = GRAVITY) -> Trajectory:
     """Sample the spec's curve at 1/imu_rate spacing.
 
-    Returns round(duration * imu_rate) + 1 samples with mutually
-    consistent (R, v, p, a_world, w_body).
+    Returns a Trajectory of round(duration * imu_rate) + 1 rows with
+    mutually consistent (r, v, p, a_world, w_body).
     """
     spec.validate()
     p_f, v_f, a_f = _curve_functions(spec)
@@ -253,27 +278,30 @@ def generate_trajectory(spec: TrajectorySpec, gravity: GravityModel = GRAVITY):
     h = _ATTITUDE_DIFF_STEP
 
     n = int(round(spec.duration * spec.imu_rate)) + 1
-    out = []
-    for i in range(n):
-        t = i / spec.imu_rate
-        r = r_f(t)
-        if fixed:
-            w = np.zeros(3)
-        else:
-            w = log_so3(r_f(t - h).T @ r_f(t + h)) / (2.0 * h)
-        out.append(
-            TrajectorySample(t=t, r=r, v=v_f(t), p=p_f(t), a_world=a_f(t), w_body=w)
-        )
-    return out
+    t = [i / spec.imu_rate for i in range(n)]
+    if fixed:
+        w = np.zeros((n, 3))
+    else:
+        w = [log_so3(r_f(ti - h).T @ r_f(ti + h)) / (2.0 * h) for ti in t]
+    return Trajectory(
+        t=t,
+        r=[r_f(ti) for ti in t],
+        v=[v_f(ti) for ti in t],
+        p=[p_f(ti) for ti in t],
+        a_world=np.array([a_f(ti) for ti in t]),
+        w_body=np.asarray(w, dtype=float),
+    )
 
 
-def derive_imu(trajectory, gravity: GravityModel = GRAVITY) -> ImuWindow:
-    """Ideal IMU readings along a trajectory, as a BODY-kind ImuWindow:
-    exact body rates and the specific force of each sample."""
+def derive_imu(trajectory: Trajectory, gravity: GravityModel = GRAVITY) -> ImuWindow:
+    """Ideal IMU readings along a simulated trajectory, as a BODY-kind
+    ImuWindow: exact body rates and the specific force of each row."""
+    if trajectory.a_world is None or trajectory.w_body is None:
+        raise DataError("ideal IMU readings need a_world and w_body")
     return ImuWindow(
-        t=np.array([s.t for s in trajectory]),
-        w=np.array([s.w_body for s in trajectory]),
-        a=np.array([specific_force(s.a_world, s.r, gravity) for s in trajectory]),
+        t=trajectory.t,
+        w=trajectory.w_body,
+        a=specific_force(trajectory.a_world, trajectory.r, gravity),
     )
 
 

@@ -35,7 +35,7 @@ from bodyframe_io.ekf import (
 )
 from bodyframe_io.analysis import pca_cumulative_variance
 from bodyframe_io.imu_model import RepresentationKind, transform_representation
-from bodyframe_io.metrics import AlignedPair, improvement_percentage, rte
+from bodyframe_io.metrics import improvement_percentage, rte
 from bodyframe_io.motion_model import (
     LossConfig,
     MotionNet,
@@ -55,8 +55,8 @@ from bodyframe_io.preintegration import (
 )
 from bodyframe_io.simulator import (
     NoiseSpec,
+    Trajectory,
     TrajectoryKind,
-    TrajectorySample,
     TrajectorySpec,
     YawMode,
     corrupt_imu,
@@ -85,15 +85,15 @@ def check(num, label, ok, detail):
     assert ok, line
 
 
-def initial_state(sample):
+def initial_state(traj):
     return NavState(
-        sample.r.copy(), sample.v.copy(), sample.p.copy(), np.zeros(3), np.zeros(3)
+        traj.r[0].copy(), traj.v[0].copy(), traj.p[0].copy(), np.zeros(3), np.zeros(3)
     )
 
 
 def position_rms(states, trajectory):
     p_est = np.array([getattr(s, "x", s).p for s in states])
-    p_true = np.array([s.p for s in trajectory])
+    p_true = trajectory.p
     return float(np.sqrt(np.mean(np.sum((p_est - p_true) ** 2, axis=1))))
 
 
@@ -101,8 +101,8 @@ def traj_windows(spec, kind, length, stride):
     """(window, body-velocity) pairs from a noiseless simulated run."""
     traj = generate_trajectory(spec)
     imu = derive_imu(traj)
-    rots = np.array([s.r for s in traj])
-    v_body = np.array([s.r.T @ s.v for s in traj])
+    rots = traj.r
+    v_body = traj.body_velocities()
     out = []
     for lo in range(0, len(traj) - length + 1, stride):
         win = transform_representation(
@@ -243,7 +243,7 @@ def circle_error(imu_rate):
         rate=0.5,
     )
     traj = generate_trajectory(spec)
-    states = dead_reckon(initial_state(traj[0]), derive_imu(traj))
+    states = dead_reckon(initial_state(traj), derive_imu(traj))
     return position_rms(states, traj)
 
 
@@ -288,7 +288,7 @@ def fusion_run():
     )
     provider = OracleProvider(traj, noise_std=0.05, seed=4)
     t0 = time.perf_counter()
-    states = streaming_run(imu, provider, corrector, cfg, initial_state(traj[0]))
+    states = streaming_run(imu, provider, corrector, cfg, initial_state(traj))
     elapsed = time.perf_counter() - t0
     return traj, imu, states, elapsed
 
@@ -296,7 +296,7 @@ def fusion_run():
 def test_criterion_04_fusion_gain(fusion_run):
     traj, imu, states, elapsed = fusion_run
     ekf_ate = position_rms(states, traj)
-    dr_ate = position_rms(dead_reckon(initial_state(traj[0]), imu), traj)
+    dr_ate = position_rms(dead_reckon(initial_state(traj), imu), traj)
     ok = ekf_ate < 0.5 and ekf_ate <= 0.10 * dr_ate and elapsed < 30.0
     check(
         4,
@@ -324,7 +324,7 @@ def test_criterion_05_filter_health(fusion_run):
     )
     traj = generate_trajectory(spec)
     ideal = derive_imu(traj)
-    p_true = np.array([s.p for s in traj])
+    p_true = traj.p
     corrector = IdentityCorrector(
         eta_g=1e-3 * np.sqrt(100.0), eta_a=1e-2 * np.sqrt(100.0)
     )
@@ -334,7 +334,7 @@ def test_criterion_05_filter_health(fusion_run):
         eta_bg=1e-5 * np.sqrt(1 / 100.0),
         eta_ba=1e-4 * np.sqrt(1 / 100.0),
     )
-    x0 = initial_state(traj[0])
+    x0 = initial_state(traj)
     inside = total = 0
     for seed in range(20):
         noise = NoiseSpec(
@@ -533,8 +533,8 @@ def test_criterion_08_representation_ablation():
         traj = generate_trajectory(spec(rate))
         raw[label] = (
             derive_imu(traj),
-            np.array([s.r for s in traj]),
-            np.array([s.r.T @ s.v for s in traj]),
+            traj.r,
+            traj.body_velocities(),
         )
 
     def windows(label, kind, length=100, stride=100):
@@ -621,17 +621,12 @@ def line_pair(yaw_err=0.0, offset=(0.0, 0.0, 0.0)):
     n, dt, speed = 101, 0.1, 1.0
     c, s = np.cos(yaw_err), np.sin(yaw_err)
     r_err = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    truth, est = [], []
-    for i in range(n):
-        t = i * dt
-        p = np.array([speed * t, 0.0, 0.0])
-        truth.append(TrajectorySample(t=t, r=np.eye(3), v=np.array([speed, 0, 0]), p=p))
-        est.append(
-            TrajectorySample(
-                t=t, r=r_err.copy(), v=np.array([speed, 0, 0]), p=p + np.asarray(offset)
-            )
-        )
-    return AlignedPair(truth=truth, estimate=est)
+    t = np.arange(n) * dt
+    p = np.outer(speed * t, [1.0, 0.0, 0.0])
+    v = np.tile([speed, 0.0, 0.0], (n, 1))
+    truth = Trajectory(t=t, r=np.tile(np.eye(3), (n, 1, 1)), v=v, p=p)
+    est = Trajectory(t=t, r=np.tile(r_err, (n, 1, 1)), v=v, p=p + np.asarray(offset))
+    return truth, est
 
 
 def test_criterion_10_metric_hand_values():
@@ -639,9 +634,9 @@ def test_criterion_10_metric_hand_values():
     imp_ok = abs(imp - 66.1) <= 0.05
 
     # pure translation offset leaves relative error untouched
-    shift = rte(line_pair(offset=(3.0, -2.0, 1.0)), interval=5.0)
+    shift = rte(*line_pair(offset=(3.0, -2.0, 1.0)), interval=5.0)
     # a 90 degree yaw error turns a 5 m stretch into a 5*sqrt(2) residual
-    yaw = rte(line_pair(yaw_err=np.pi / 2), interval=5.0)
+    yaw = rte(*line_pair(yaw_err=np.pi / 2), interval=5.0)
     rte_ok = shift <= 1e-9 and abs(yaw - 5.0 * np.sqrt(2.0)) <= 1e-9
     ok = imp_ok and rte_ok
     check(
@@ -677,7 +672,7 @@ def test_criterion_11_streaming_contract():
         eta_bg=1e-5 * np.sqrt(1 / 100.0),
         eta_ba=1e-4 * np.sqrt(1 / 100.0),
     )
-    x0 = initial_state(traj[0])
+    x0 = initial_state(traj)
     online = streaming_run(imu, OracleProvider(traj, 0.05, seed=6), corrector, cfg, x0)
     offline = batch_run(imu, OracleProvider(traj, 0.05, seed=6), corrector, cfg, x0)
     worst = 0.0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bodyframe_io
@@ -172,6 +173,24 @@ class TestExitCodes:
             assert exc.value.code == 2
             assert "--seed" in capsys.readouterr().err
 
+    def test_deadreckon_takes_no_config(self, workdir, tmp_path, capsys):
+        out = tmp_path / "dr.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["deadreckon", "--data", workdir["data"], "--name", "seq01",
+                  "--out", str(out), "--config", str(tmp_path / "x.ini")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_corrector_keys_exit_2(self, workdir, tmp_path, capsys):
+        for key in ("epochs = 5", "lr = 0.1"):
+            cfg = tmp_path / "old.ini"
+            cfg.write_text(f"[corrector]\n{key}\n")
+            rc = main(["train-corrector", "--data", workdir["data"],
+                       "--config", str(cfg), "--out", str(tmp_path / "c.bfwt")])
+            assert rc == 2
+            assert "corrector." + key.split()[0] in capsys.readouterr().err
+
     def test_update_rate_above_imu_rate_exits_2(self, workdir, tmp_path):
         fast = tmp_path / "fast.ini"
         fast.write_text("[ekf]\nupdate_rate = 500.0\n")
@@ -271,11 +290,13 @@ class TestPipeline:
 
     def test_truth_as_estimate_scores_perfectly(self, workdir, tmp_path):
         from bodyframe_io.dataset_io import write_trajectory_csv
+        from bodyframe_io.preintegration import NavState
 
         imu, truth, _ = load_sequence(os.path.join(workdir["data"], "seq01"))
         est = str(tmp_path / "truth.csv")
-        write_trajectory_csv(est, [s.t for s in truth], truth,
-                             [0.0] * len(truth))
+        states = [NavState(r, v, p, np.zeros(3), np.zeros(3))
+                  for r, v, p in zip(truth.r, truth.v, truth.p)]
+        write_trajectory_csv(est, truth.t, states, [0.0] * len(truth))
         report = str(tmp_path / "report.csv")
         rc = main(["eval", "--data", workdir["data"],
                    "--estimate", f"seq01={est}",
@@ -340,11 +361,9 @@ class TestTrainers:
     def test_train_corrector_writes_loadable_weights(self, workdir, tmp_path):
         from bodyframe_io.corrector import LearnedAffineCorrector
 
-        cfg = tmp_path / "fast.ini"
-        cfg.write_text("[corrector]\nepochs = 5\n")
         out = str(tmp_path / "corr.bfwt")
         rc = main(["train-corrector", "--data", workdir["data"],
-                   "--config", str(cfg), "--seed", "0", "--out", out])
+                   "--seed", "0", "--out", out])
         assert rc == 0
         assert isinstance(LearnedAffineCorrector.load(out),
                           LearnedAffineCorrector)
@@ -366,7 +385,7 @@ class TestTrainers:
 
     def test_corrector_weights_accepted_by_run_ekf(self, workdir, tmp_path):
         cfg = tmp_path / "fast.ini"
-        cfg.write_text("[corrector]\nepochs = 5\n[ekf]\nupdate_rate = 10.0\n")
+        cfg.write_text("[ekf]\nupdate_rate = 10.0\n")
         corr = str(tmp_path / "corr.bfwt")
         main(["train-corrector", "--data", workdir["data"], "--config",
               str(cfg), "--seed", "0", "--out", corr])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bodyframe_io.dataset_io import (
+    GROUNDTRUTH_HEADER,
     CorpusEntry,
-    groundtruth_from_simulation,
-    interpolate_biases,
     interpolate_groundtruth,
     load_groundtruth_csv,
     load_imu_csv,
@@ -71,6 +70,63 @@ class TestQuaternions:
         mid = matrix_from_quat(slerp(q0, q1, 0.5))
         np.testing.assert_allclose(mid, exp_so3([0.15, 0.0, 0.0]), atol=1e-12)
 
+    def test_rows_equal_single_quaternions(self):
+        rng = np.random.default_rng(32)
+        q = np.array([quat_from_matrix(exp_so3(rng.normal(size=3))) for _ in range(200)])
+        rows = matrix_from_quat(q)
+        assert rows.shape == (200, 3, 3)
+        assert np.array_equal(rows, np.array([matrix_from_quat(x) for x in q]))
+
+    def test_non_unit_row_rejected(self):
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        q[1] = [1.0, 0.5, 0.0, 0.0]
+        with pytest.raises(DataError, match="norm 1.11803"):
+            matrix_from_quat(q)
+
+    def test_slerp_rows_match_scalar_reference(self):
+        rng = np.random.default_rng(33)
+        q0 = np.array([quat_from_matrix(exp_so3(rng.normal(size=3))) for _ in range(100)])
+        step = [exp_so3(rng.normal(size=3) * 10.0 ** rng.uniform(-12, 0)) for _ in q0]
+        q1 = np.array([quat_from_matrix(matrix_from_quat(a) @ b) for a, b in zip(q0, step)])
+        q1[::3] *= -1.0  # sign flips take the short arc
+        alpha = rng.uniform(0.0, 1.0, 100)
+        alpha[::7] = 1.0
+        reference = np.array([ref_slerp(a, b, w) for a, b, w in zip(q0, q1, alpha)])
+        np.testing.assert_allclose(slerp(q0, q1, alpha), reference, rtol=0, atol=1e-15)
+
+
+def ref_slerp(q0, q1, alpha):
+    """Scalar slerp of one quaternion pair: the per-stamp reference."""
+    dot = float(q0 @ q1)
+    if dot < 0.0:
+        q1, dot = -q1, -dot
+    dot = min(dot, 1.0)
+    if dot > 1.0 - 1e-10:
+        out = (1.0 - alpha) * q0 + alpha * q1
+        return out / np.linalg.norm(out)
+    omega = math.acos(dot)
+    so = math.sin(omega)
+    return math.sin((1.0 - alpha) * omega) / so * q0 + math.sin(alpha * omega) / so * q1
+
+
+def ref_interpolate(stamps, values, times):
+    """Per-stamp bracketing, slerp and lerp: the reference for the
+    vectorised interpolate_groundtruth (origin at the first record)."""
+    offsets = (stamps - stamps[0]).astype(float)
+    r, p, v, b = [], [], [], []
+    for t in times:
+        target = t * 1e9
+        hi = min(max(int(np.searchsorted(offsets, target)), 1), len(offsets) - 1)
+        lo = hi - 1
+        alpha = float(np.clip((target - offsets[lo]) / (offsets[hi] - offsets[lo]), 0, 1))
+        a, c = values[lo], values[hi]
+        r.append(matrix_from_quat(ref_slerp(a[3:7], c[3:7], alpha)))
+        mixed = (1 - alpha) * a + alpha * c
+        p.append(mixed[0:3])
+        v.append(mixed[7:10])
+        b.append(mixed[10:16])
+    return np.array(r), np.array(p), np.array(v), np.array(b)
+
 
 def small_trajectory(duration=0.5, rate=100.0):
     spec = TrajectorySpec(
@@ -128,70 +184,110 @@ class TestEpochStamps:
 
     def test_write_load_round_trip_is_exact(self, tmp_path):
         traj = small_trajectory()
-        records = groundtruth_from_simulation(traj, origin_ns=self.ORIGIN_NS)
         write_imu_csv(tmp_path / "imu.csv", derive_imu(traj), origin_ns=self.ORIGIN_NS)
-        write_groundtruth_csv(tmp_path / "groundtruth.csv", records)
+        write_groundtruth_csv(tmp_path / "groundtruth.csv", traj, origin_ns=self.ORIGIN_NS)
 
         imu, truth, _ = load_sequence(tmp_path)
         write_imu_csv(tmp_path / "again.csv", imu, origin_ns=self.ORIGIN_NS)
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "imu.csv").read_bytes()
-        back = load_groundtruth_csv(tmp_path / "groundtruth.csv")
-        assert [r.t_ns for r in back] == [r.t_ns for r in records]
+        stamps, _ = load_groundtruth_csv(tmp_path / "groundtruth.csv")
+        assert stamps.tolist() == [self.ORIGIN_NS + round(t * 1e9) for t in traj.t.tolist()]
         # IMU and ground-truth stamps coincide, so interpolation is exact
-        for s, est in zip(traj, truth):
-            np.testing.assert_allclose(est.p, s.p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(truth.p, traj.p, rtol=0, atol=1e-12)
+
+
+def groundtruth(tmp_path, traj, bias=None):
+    """traj (and biases) written as groundtruth.csv and read back."""
+    path = tmp_path / "groundtruth.csv"
+    write_groundtruth_csv(path, traj, bias)
+    return load_groundtruth_csv(path)
 
 
 class TestGroundTruthCsv:
     def test_roundtrip_preserves_pose(self, tmp_path):
         traj = small_trajectory()
-        records = groundtruth_from_simulation(traj)
-        path = tmp_path / "groundtruth.csv"
+        stamps, values = groundtruth(tmp_path, traj)
+        assert len(stamps) == len(traj)
+        assert stamps.tolist() == [round(t * 1e9) for t in traj.t.tolist()]
+        np.testing.assert_array_equal(values[:, 0:3], traj.p)
+        np.testing.assert_allclose(matrix_from_quat(values[:, 3:7]), traj.r, atol=1e-13)
 
-        write_groundtruth_csv(path, records)
-        back = load_groundtruth_csv(path)
-        assert len(back) == len(records)
-        for orig, rec, sample in zip(records, back, traj):
-            assert orig.t_ns == rec.t_ns
-            np.testing.assert_array_equal(orig.p, rec.p)
-            np.testing.assert_allclose(
-                matrix_from_quat(rec.q), sample.r, atol=1e-13
-            )
-
-    def test_interpolation_hits_midpoints(self):
+    def test_interpolation_hits_midpoints(self, tmp_path):
         traj = small_trajectory(rate=100.0)
-        records = groundtruth_from_simulation(traj)
         # Query halfway between knots 10 and 11.
-        t_mid = (traj[10].t + traj[11].t) / 2.0
-        (sample,) = interpolate_groundtruth(records, [t_mid])
+        t_mid = (traj.t[10] + traj.t[11]) / 2.0
+        sample, _, _ = interpolate_groundtruth(*groundtruth(tmp_path, traj), [t_mid])
         np.testing.assert_allclose(
-            sample.p, (traj[10].p + traj[11].p) / 2.0, atol=1e-9
+            sample.p[0], (traj.p[10] + traj.p[11]) / 2.0, atol=1e-9
         )
         np.testing.assert_allclose(
-            sample.v, (traj[10].v + traj[11].v) / 2.0, atol=1e-9
+            sample.v[0], (traj.v[10] + traj.v[11]) / 2.0, atol=1e-9
         )
         # Orientation error at the midpoint is O(dt^2); dt = 10 ms here.
-        geo = log_so3(sample.r.T @ traj[10].r @ exp_so3(traj[10].w_body * 0.005))
+        geo = log_so3(sample.r[0].T @ traj.r[10] @ exp_so3(traj.w_body[10] * 0.005))
         assert np.linalg.norm(geo) < 1e-4
 
-    def test_interpolation_at_knots_is_exact(self):
+    def test_interpolation_at_knots_is_exact(self, tmp_path):
         traj = small_trajectory()
-        records = groundtruth_from_simulation(traj)
-        out = interpolate_groundtruth(records, [traj[7].t])
-        np.testing.assert_allclose(out[0].p, traj[7].p, atol=1e-9)
-        np.testing.assert_allclose(out[0].r, traj[7].r, atol=1e-9)
+        out, _, _ = interpolate_groundtruth(*groundtruth(tmp_path, traj), [traj.t[7]])
+        np.testing.assert_allclose(out.p[0], traj.p[7], atol=1e-9)
+        np.testing.assert_allclose(out.r[0], traj.r[7], atol=1e-9)
 
-    def test_out_of_span_rejected(self):
-        records = groundtruth_from_simulation(small_trajectory(duration=0.2))
+    def test_out_of_span_rejected(self, tmp_path):
+        gt = groundtruth(tmp_path, small_trajectory(duration=0.2))
         with pytest.raises(DataError, match="span"):
-            interpolate_groundtruth(records, [5.0])
+            interpolate_groundtruth(*gt, [0.1, 5.0])
+        with pytest.raises(DataError, match="span"):
+            interpolate_groundtruth(*gt, [-1e-3])
 
-    def test_bias_interpolation(self):
+    def test_fewer_than_two_records_rejected(self, tmp_path):
+        stamps, values = groundtruth(tmp_path, small_trajectory(duration=0.2))
+        with pytest.raises(DataError, match="at least 2"):
+            interpolate_groundtruth(stamps[:1], values[:1], [0.0])
+
+    def test_non_unit_quaternion_names_its_line(self, tmp_path):
+        path = tmp_path / "groundtruth.csv"
+        unit = "0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0"
+        path.write_text(
+            f"{GROUNDTRUTH_HEADER}\n0,{unit}\n10,0,0,0,1,0.5,0,0,0,0,0,0,0,0,0,0,0\n"
+        )
+        with pytest.raises(ParseError, match=":3: quaternion is not unit norm"):
+            load_groundtruth_csv(path)
+
+    def test_non_increasing_stamps_rejected(self, tmp_path):
+        path = tmp_path / "groundtruth.csv"
+        unit = "0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0"
+        path.write_text(f"{GROUNDTRUTH_HEADER}\n10,{unit}\n10,{unit}\n")
+        with pytest.raises(TimestampOrderError):
+            load_groundtruth_csv(path)
+
+    def test_on_grid_equals_per_stamp_reference(self, tmp_path):
+        traj = small_trajectory()
+        _, bias = corrupt_imu(derive_imu(traj), NoiseSpec(sigma_bg=1e-3, sigma_ba=1e-2, seed=3))
+        stamps, values = groundtruth(tmp_path, traj, bias)
+        truth, b_g, b_a = interpolate_groundtruth(stamps, values, traj.t)
+        r, p, v, b = ref_interpolate(stamps, values, traj.t)
+        for got, want in ((truth.r, r), (truth.p, p), (truth.v, v), (b_g, b[:, 0:3]),
+                          (b_a, b[:, 3:6])):
+            assert np.array_equal(got, want)
+        assert np.array_equal(truth.t, traj.t)
+
+    def test_off_grid_matches_per_stamp_reference(self, tmp_path):
+        traj = small_trajectory()
+        _, bias = corrupt_imu(derive_imu(traj), NoiseSpec(sigma_bg=1e-3, sigma_ba=1e-2, seed=3))
+        stamps, values = groundtruth(tmp_path, traj, bias)
+        times = np.sort(np.random.default_rng(34).uniform(0.0, traj.t[-1], 300))
+        truth, b_g, b_a = interpolate_groundtruth(stamps, values, times)
+        r, p, v, b = ref_interpolate(stamps, values, times)
+        np.testing.assert_allclose(truth.r, r, rtol=0, atol=1e-15)
+        for got, want in ((truth.p, p), (truth.v, v), (b_g, b[:, 0:3]), (b_a, b[:, 3:6])):
+            assert np.array_equal(got, want)
+
+    def test_bias_interpolation(self, tmp_path):
         traj = small_trajectory(duration=0.2)
         imu = derive_imu(traj)
         _, bias = corrupt_imu(imu, NoiseSpec(sigma_bg=1e-3, b_a0=(0.1, 0.0, 0.0), seed=2))
-        records = groundtruth_from_simulation(traj, bias)
-        b_g, b_a = interpolate_biases(records, [s.t for s in traj])
+        _, b_g, b_a = interpolate_groundtruth(*groundtruth(tmp_path, traj, bias), traj.t)
         np.testing.assert_allclose(b_g, bias.b_g, atol=1e-12)
         np.testing.assert_allclose(b_a, bias.b_a, atol=1e-12)
 
@@ -222,13 +318,12 @@ class TestCorpus:
     def test_write_load_sequence(self, tmp_path):
         traj = small_trajectory()
         imu, bias = corrupt_imu(derive_imu(traj), NoiseSpec(sigma_a=0.01, seed=5))
-        records = groundtruth_from_simulation(traj, bias)
         seq_dir = tmp_path / "seq_000"
-        write_sequence(seq_dir, imu, records)
+        write_sequence(seq_dir, imu, traj, bias)
         imu_back, truth_back, (b_g, b_a) = load_sequence(seq_dir)
         assert len(imu_back) == len(imu) == len(truth_back)
-        np.testing.assert_allclose(truth_back[3].p, traj[3].p, atol=1e-9)
-        np.testing.assert_allclose(truth_back[3].r, traj[3].r, atol=1e-9)
+        np.testing.assert_allclose(truth_back.p[3], traj.p[3], atol=1e-9)
+        np.testing.assert_allclose(truth_back.r[3], traj.r[3], atol=1e-9)
         np.testing.assert_allclose(b_a[10], bias.b_a[10], atol=1e-12)
 
 
@@ -249,12 +344,21 @@ class TestTrajectoryCsv:
         traces = rng.uniform(0.1, 1.0, size=5)
         path = tmp_path / "est.csv"
         write_trajectory_csv(path, times, states, traces)
-        t2, s2, tr2 = read_trajectory_csv(path)
-        np.testing.assert_allclose(t2, times, atol=1e-9)
+        est, tr2 = read_trajectory_csv(path)
+        np.testing.assert_allclose(est.t, times, atol=1e-9)
         np.testing.assert_allclose(tr2, traces, rtol=1e-8)
-        for a, b in zip(states, s2):
-            np.testing.assert_allclose(a.p, b.p, rtol=1e-8, atol=1e-9)
-            np.testing.assert_allclose(a.r, b.r, atol=1e-7)
+        for i, a in enumerate(states):
+            np.testing.assert_allclose(a.p, est.p[i], rtol=1e-8, atol=1e-9)
+            np.testing.assert_allclose(a.r, est.r[i], atol=1e-7)
+
+    def test_non_unit_quaternion_names_its_line(self, tmp_path):
+        path = tmp_path / "est.csv"
+        path.write_text(
+            "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P\n"
+            "0,0,0,0,1,0,0,0,0,0,0,0\n0.1,0,0,0,1,0.5,0,0,0,0,0,0\n"
+        )
+        with pytest.raises(ParseError, match=r"est\.csv:3: quaternion is not unit norm"):
+            read_trajectory_csv(path)
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "est.csv"

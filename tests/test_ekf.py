@@ -242,8 +242,8 @@ class TestUpdate:
         np.testing.assert_allclose(back.b_g, x.b_g, atol=1e-10)
 
 
-def initial_state_from(sample):
-    return NavState(sample.r.copy(), sample.v.copy(), sample.p.copy(),
+def initial_state_from(traj):
+    return NavState(traj.r[0].copy(), traj.v[0].copy(), traj.p[0].copy(),
                     np.zeros(3), np.zeros(3))
 
 
@@ -287,7 +287,7 @@ class TestRunners:
     def test_streaming_matches_batch_exactly(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
         provider = OracleProvider(traj, noise_std=0.05, seed=11)
-        x0 = initial_state_from(traj[0])
+        x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
         b = batch_run(imu, provider, corrector, cfg, x0)
         assert len(a) == len(b) == len(imu)
@@ -307,10 +307,10 @@ class TestRunners:
     def test_fusion_beats_dead_reckoning(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
         provider = OracleProvider(traj, noise_std=0.05, seed=11)
-        x0 = initial_state_from(traj[0])
+        x0 = initial_state_from(traj)
         states = streaming_run(imu, provider, corrector, cfg, x0)
         dr = dead_reckon(x0, imu)
-        p_true = np.array([s.p for s in traj])
+        p_true = traj.p
         p_ekf = np.array([s.x.p for s in states])
         p_dr = np.array([s.p for s in dr])
         ate_ekf = float(np.sqrt(np.mean(np.sum((p_ekf - p_true) ** 2, axis=1))))
@@ -331,7 +331,7 @@ class TestRunners:
         cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
         states = streaming_run(
             imu, ConstantZeroProvider(eta=0.05), corrector, cfg,
-            initial_state_from(traj[0]),
+            initial_state_from(traj),
         )
         drift = max(float(np.linalg.norm(s.x.p)) for s in states)
         assert drift < 0.1
@@ -340,7 +340,7 @@ class TestRunners:
         traj, imu, corrector, cfg = noisy_fig8
         imu = imu.slice(0, 201)  # warm start not needed; 200 propagated frames
         spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
-        streaming_run(imu, spy, corrector, cfg, initial_state_from(traj[0]))
+        streaming_run(imu, spy, corrector, cfg, initial_state_from(traj))
         assert sum(spy.tails) == 200
         assert all(len(w) <= cfg.buffer_len for w in spy.windows)
 
@@ -349,7 +349,7 @@ class TestRunners:
         imu = imu.slice(0, 400)
         cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
         provider = OracleProvider(traj, noise_std=0.02, seed=5)
-        x0 = initial_state_from(traj[0])
+        x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
         b = batch_run(imu, provider, corrector, cfg, x0)
         worst = max(
@@ -366,7 +366,7 @@ class TestRunners:
         for n in (21, 23):
             spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
             states = streaming_run(
-                imu.slice(0, n), spy, corrector, cfg, initial_state_from(traj[0])
+                imu.slice(0, n), spy, corrector, cfg, initial_state_from(traj)
             )
             assert len(states) == n
             assert spy.tails == [5, 5, 5, 5]
@@ -380,7 +380,7 @@ class TestRunners:
             OracleProvider(traj, noise_std=0.05, seed=2),
             kind=RepresentationKind.BODY_PLUS_ATTITUDE,
         )
-        x0 = initial_state_from(traj[0])
+        x0 = initial_state_from(traj)
         states = streaming_run(imu, spy, corrector, cfg, x0)
 
         # the same frame's attitude is identical in every window containing it
@@ -410,20 +410,20 @@ class TestRunners:
         with pytest.raises(TimestampOrderError):
             bad = ImuWindow(t=imu.t[order], w=imu.w[order], a=imu.a[order])
             streaming_run(bad, ConstantZeroProvider(), corrector, cfg,
-                          initial_state_from(traj[0]))
+                          initial_state_from(traj))
 
     def test_update_rate_above_imu_rate_rejected(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
         cfg = EkfConfig(update_rate=500.0)
         with pytest.raises(ConfigError):
             streaming_run(imu.slice(0, 10), ConstantZeroProvider(), corrector, cfg,
-                          initial_state_from(traj[0]))
+                          initial_state_from(traj))
 
     def test_covariance_health_along_run(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
         provider = OracleProvider(traj, noise_std=0.05, seed=11)
         states = streaming_run(imu.slice(0, 501), provider, corrector, cfg,
-                               initial_state_from(traj[0]))
+                               initial_state_from(traj))
         for s in states:
             np.testing.assert_allclose(s.P, s.P.T, atol=1e-9)
             assert np.linalg.eigvalsh(s.P).min() >= -1e-9
@@ -448,7 +448,7 @@ class TestNetworkServing:
         imu = imu.slice(0, 301)
         cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
         provider = NetworkProvider(perturbed_tiny_network())
-        x0 = initial_state_from(traj[0])
+        x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
         b = batch_run(imu, provider, corrector, cfg, x0)
         assert len(a) == len(b) == len(imu)
@@ -474,7 +474,7 @@ class TestNetworkServing:
 
         model.forward_arrays = spy_forward
         spy = _SpyProvider(NetworkProvider(model))
-        streaming_run(imu.slice(0, 101), spy, corrector, cfg, initial_state_from(traj[0]))
+        streaming_run(imu.slice(0, 101), spy, corrector, cfg, initial_state_from(traj))
         assert len(steps) == len(spy.windows) == 20
         assert max(steps) == model.config.window
         assert all(len(w) <= model.config.window for w in spy.windows)
@@ -490,7 +490,7 @@ class TestNetworkServing:
                 OracleProvider(traj, noise_std=0.05, seed=2),
                 kind=RepresentationKind.GLOBAL_PLUS_ATTITUDE,
             )
-            runner(imu, spy, corrector, cfg, initial_state_from(traj[0]))
+            runner(imu, spy, corrector, cfg, initial_state_from(traj))
             runs.append(spy.windows)
         for wa, wb in zip(*runs):
             assert len(wa) == 3

@@ -28,6 +28,19 @@ def random_window(rng, n=8, with_rotations=True):
     return (win, rots) if with_rotations else win
 
 
+def to_body(window, rots):
+    """Reference inverse of transform_representation: raw body channels
+    back from any kind, given the rotations."""
+    minus_g = -GRAVITY.vector
+    w, a = window.w, window.a
+    if window.kind.is_global:
+        w = np.einsum("nji,nj->ni", rots, w)
+        a = np.einsum("nji,nj->ni", rots, a + minus_g if window.kind.gravity_removed else a)
+    elif window.kind.gravity_removed:
+        a = a + np.einsum("nji,j->ni", rots, minus_g)
+    return w, a
+
+
 class TestSpecificForce:
     def test_hover_level_reads_plus_g(self):
         f = specific_force(np.zeros(3), np.eye(3))
@@ -118,9 +131,9 @@ class TestTransformRepresentation:
         rng = np.random.default_rng(14)
         win, rots = random_window(rng)
         there = transform_representation(win, RepresentationKind.GLOBAL, rots)
-        back = transform_representation(there, RepresentationKind.BODY, rots)
-        np.testing.assert_allclose(back.w, win.w, atol=1e-12)
-        np.testing.assert_allclose(back.a, win.a, atol=1e-12)
+        w, a = to_body(there, rots)
+        np.testing.assert_allclose(w, win.w, atol=1e-12)
+        np.testing.assert_allclose(a, win.a, atol=1e-12)
 
     @pytest.mark.parametrize(
         "kind",
@@ -137,9 +150,9 @@ class TestTransformRepresentation:
         rng = np.random.default_rng(15)
         win, rots = random_window(rng)
         there = transform_representation(win, kind, rots)
-        back = transform_representation(there, RepresentationKind.BODY, rots)
-        np.testing.assert_allclose(back.w, win.w, atol=1e-11)
-        np.testing.assert_allclose(back.a, win.a, atol=1e-11)
+        w, a = to_body(there, rots)
+        np.testing.assert_allclose(w, win.w, atol=1e-11)
+        np.testing.assert_allclose(a, win.a, atol=1e-11)
 
     def test_attitude_channel_is_so3_log(self):
         rng = np.random.default_rng(16)
@@ -151,8 +164,8 @@ class TestTransformRepresentation:
         for i in range(len(win)):
             np.testing.assert_allclose(out.attitudes[i], log_so3(rots[i]), atol=1e-12)
         # Non-attitude kinds drop the channel.
-        plain = transform_representation(out, RepresentationKind.BODY, rots)
-        assert plain.attitudes is None
+        carried = ImuWindow(t=win.t, w=win.w, a=win.a, attitudes=out.attitudes)
+        assert transform_representation(carried, RepresentationKind.GLOBAL, rots).attitudes is None
 
     def test_carried_attitudes_are_reused(self, monkeypatch):
         import bodyframe_io.imu_model as imu_model
@@ -173,6 +186,16 @@ class TestTransformRepresentation:
             out = transform_representation(carried, kind, rots)
             assert np.array_equal(out.attitudes, encoded)
             assert out.attitudes is not carried.attitudes
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in RepresentationKind if k is not RepresentationKind.BODY]
+    )
+    def test_non_body_source_rejected(self, kind):
+        rng = np.random.default_rng(19)
+        win, rots = random_window(rng)
+        there = transform_representation(win, kind, rots)
+        with pytest.raises(DataError, match="BODY"):
+            transform_representation(there, RepresentationKind.BODY, rots)
 
     def test_rotation_count_mismatch_raises(self):
         rng = np.random.default_rng(17)

@@ -27,6 +27,7 @@ from bodyframe_io.motion_model import (
     train_motion_model,
 )
 from bodyframe_io.simulator import (
+    Trajectory,
     TrajectoryKind,
     TrajectorySpec,
     YawMode,
@@ -51,8 +52,8 @@ def velocity_dataset(spec, kind, n_windows, length, stride):
     """Chop a noiseless simulated run into (window, body-velocity) pairs."""
     traj = generate_trajectory(spec)
     imu = derive_imu(traj)
-    rots = np.array([s.r for s in traj])
-    v_body = np.array([s.r.T @ s.v for s in traj])
+    rots = traj.r
+    v_body = traj.body_velocities()
     out = []
     for k in range(n_windows):
         lo = k * stride
@@ -349,33 +350,37 @@ class TestTraining:
 class TestOraclePredict:
     @staticmethod
     def _stationary(n):
-        from bodyframe_io.simulator import TrajectorySample
-
-        return [
-            TrajectorySample(t=0.01 * i, r=np.eye(3), v=np.zeros(3), p=np.zeros(3))
-            for i in range(n)
-        ]
+        return Trajectory(
+            t=0.01 * np.arange(n), r=np.tile(np.eye(3), (n, 1, 1)),
+            v=np.zeros((n, 3)), p=np.zeros((n, 3)),
+        )
 
     def test_noiseless_is_exact_body_velocity(self):
         spec = TrajectorySpec(kind=TrajectoryKind.CIRCLE, duration=1.0, imu_rate=50.0)
         traj = generate_trajectory(spec)
-        meas = oracle_predict(traj, noise_std=0.0, seed=1)
-        for s, m in zip(traj, meas):
-            np.testing.assert_allclose(m.v_body, s.r.T @ s.v, atol=1e-15)
-            np.testing.assert_array_equal(m.eta_v, np.full(3, ETA_MIN))
+        v_body, eta_v = oracle_predict(traj, noise_std=0.0, seed=1)
+        for r, v, m in zip(traj.r, traj.v, v_body):
+            np.testing.assert_allclose(m, r.T @ v, atol=1e-15)
+        np.testing.assert_array_equal(eta_v, np.full(3, ETA_MIN))
 
     def test_noise_std_matches_request(self):
-        meas = oracle_predict(self._stationary(100_000), noise_std=0.1, seed=2)
-        draws = np.array([m.v_body for m in meas])
+        draws, eta_v = oracle_predict(self._stationary(100_000), noise_std=0.1, seed=2)
         assert abs(draws.std() - 0.1) / 0.1 < 0.05
-        np.testing.assert_array_equal(meas[0].eta_v, np.full(3, 0.1))
+        np.testing.assert_array_equal(eta_v, np.full(3, 0.1))
 
     def test_seed_reproducible(self):
         t = self._stationary(10)
-        a = oracle_predict(t, 0.05, seed=9)
-        b = oracle_predict(t, 0.05, seed=9)
-        for ma, mb in zip(a, b):
-            np.testing.assert_array_equal(ma.v_body, mb.v_body)
+        a, _ = oracle_predict(t, 0.05, seed=9)
+        b, _ = oracle_predict(t, 0.05, seed=9)
+        np.testing.assert_array_equal(a, b)
+
+    def test_noise_equals_per_row_draws(self):
+        spec = TrajectorySpec(kind=TrajectoryKind.CIRCLE, duration=1.0, imu_rate=50.0)
+        traj = generate_trajectory(spec)
+        v_body, _ = oracle_predict(traj, noise_std=0.05, seed=4)
+        rng = np.random.default_rng(4)
+        reference = [r.T @ v + 0.05 * rng.standard_normal(3) for r, v in zip(traj.r, traj.v)]
+        assert np.array_equal(v_body, np.array(reference))
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
@@ -415,6 +420,23 @@ class TestProviders:
         )
         with pytest.raises(DataError):
             provider.predict_window(bogus, 2)
+
+    def test_oracle_provider_equals_per_stamp_lookup(self):
+        spec = TrajectorySpec(kind=TrajectoryKind.CIRCLE, duration=2.0, imu_rate=50.0)
+        traj = generate_trajectory(spec)
+        provider = OracleProvider(traj, noise_std=0.02, seed=5)
+        v_body, eta_v = oracle_predict(traj, 0.02, seed=5)
+        # stamps off the truth grid by less than the 1e-9 s match tolerance
+        jitter = np.random.default_rng(6).uniform(-5e-10, 5e-10, len(traj))
+        imu = derive_imu(traj)
+        window = ImuWindow(t=traj.t + jitter, w=imu.w, a=imu.a).slice(10, 70)
+        got = provider.predict_window(window, 45)
+        assert len(got) == 45
+        for m, t in zip(got, window.t[15:]):
+            (j,) = [j for j in range(len(traj)) if abs(traj.t[j] - t) < 1e-9]
+            assert m.t == traj.t[j]
+            assert np.array_equal(m.v_body, v_body[j])
+            assert np.array_equal(m.eta_v, eta_v)
 
     def test_network_provider_serves_its_trained_window(self):
         spec = TrajectorySpec(

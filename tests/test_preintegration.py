@@ -217,9 +217,9 @@ class TestDeadReckon:
     def final_error(self, imu_rate):
         traj = generate_trajectory(self.canonical_circle(imu_rate))
         imu = derive_imu(traj)
-        x0 = NavState(traj[0].r, traj[0].v, traj[0].p, np.zeros(3), np.zeros(3))
+        x0 = NavState(traj.r[0], traj.v[0], traj.p[0], np.zeros(3), np.zeros(3))
         states = dead_reckon(x0, imu)
-        return np.linalg.norm(states[-1].p - traj[-1].p)
+        return np.linalg.norm(states[-1].p - traj.p[-1])
 
     def test_noiseless_circle_closes_within_budget(self):
         e200 = self.final_error(200.0)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bodyframe_io.errors import ConfigError
+from bodyframe_io.errors import ConfigError, DataError
 from bodyframe_io.imu_model import GRAVITY, ImuWindow, RepresentationKind
 from bodyframe_io.simulator import (
     NoiseSpec,
+    Trajectory,
     TrajectoryKind,
     TrajectorySpec,
     YawMode,
@@ -47,15 +48,14 @@ class TestGenerateTrajectory:
     def test_sample_count_and_spacing(self):
         traj = generate_trajectory(circle_spec(duration=1.0))
         assert len(traj) == 201
-        t = np.array([s.t for s in traj])
-        np.testing.assert_allclose(np.diff(t), 1.0 / 200.0, atol=1e-12)
+        np.testing.assert_allclose(np.diff(traj.t), 1.0 / 200.0, atol=1e-12)
 
     def test_circle_constant_speed_and_centripetal_acceleration(self):
         spec = circle_spec()
         traj = generate_trajectory(spec)
-        speeds = np.array([np.linalg.norm(s.v) for s in traj])
+        speeds = np.linalg.norm(traj.v, axis=1)
         np.testing.assert_allclose(speeds, spec.amplitude * spec.rate, atol=1e-12)
-        accels = np.array([np.linalg.norm(s.a_world) for s in traj])
+        accels = np.linalg.norm(traj.a_world, axis=1)
         # r * omega^2 = 2 * 0.25 = 0.5
         np.testing.assert_allclose(accels, 0.5, atol=1e-12)
 
@@ -68,8 +68,7 @@ class TestGenerateTrajectory:
         def max_err(rate):
             s = TrajectorySpec(**{**spec.__dict__, "imu_rate": rate})
             traj = generate_trajectory(s)
-            p = np.array([x.p for x in traj])
-            v = np.array([x.v for x in traj])
+            p, v = traj.p, traj.v
             dt = 1.0 / rate
             fd = (p[2:] - p[:-2]) / (2 * dt)
             return np.max(np.linalg.norm(fd - v[1:-1], axis=1))
@@ -92,9 +91,9 @@ class TestGenerateTrajectory:
             traj = generate_trajectory(s)
             dt = 1.0 / rate
             worst = 0.0
-            for a, b in zip(traj[:-1], traj[1:]):
-                step = a.r @ exp_so3(a.w_body * dt)
-                worst = max(worst, np.linalg.norm(log_so3(step.T @ b.r)))
+            for i in range(len(traj) - 1):
+                step = traj.r[i] @ exp_so3(traj.w_body[i] * dt)
+                worst = max(worst, np.linalg.norm(log_so3(step.T @ traj.r[i + 1])))
             return worst
 
         d1 = max_defect(200.0)
@@ -103,23 +102,23 @@ class TestGenerateTrajectory:
             assert d1 / max_defect(400.0) > 3.0
 
     def test_attitudes_are_rotations(self):
-        for s in generate_trajectory(lissajous_spin_spec(duration=1.0)):
-            assert is_rotation(s.r, tol=1e-10)
+        for r in generate_trajectory(lissajous_spin_spec(duration=1.0)).r:
+            assert is_rotation(r, tol=1e-10)
 
     def test_fixed_yaw_means_identity_attitude_and_zero_rates(self):
         traj = generate_trajectory(circle_spec(yaw_mode=YawMode.FIXED, duration=1.0))
-        for s in traj:
-            np.testing.assert_array_equal(s.r, np.eye(3))
-            np.testing.assert_array_equal(s.w_body, np.zeros(3))
+        for r, w in zip(traj.r, traj.w_body):
+            np.testing.assert_array_equal(r, np.eye(3))
+            np.testing.assert_array_equal(w, np.zeros(3))
 
     def test_spin_yaw_advances_heading(self):
         spec = circle_spec(
             yaw_mode=YawMode.SPIN, yaw_rate=0.7, duration=2.0, amplitude=0.5
         )
         traj = generate_trajectory(spec)
-        for s in traj[::50]:
-            psi = math.atan2(s.r[1, 0], s.r[0, 0])
-            expected = math.remainder(0.7 * s.t, 2 * math.pi)
+        for t, r in zip(traj.t[::50], traj.r[::50]):
+            psi = math.atan2(r[1, 0], r[0, 0])
+            expected = math.remainder(0.7 * t, 2 * math.pi)
             assert abs(math.remainder(psi - expected, 2 * math.pi)) < 1e-2
 
     def test_figure8_is_periodic(self):
@@ -136,7 +135,7 @@ class TestGenerateTrajectory:
         traj = generate_trajectory(spec)
         k = int(round(period * rate_hz))
         for i in range(0, len(traj) - k, 100):
-            np.testing.assert_allclose(traj[i].p, traj[i + k].p, atol=1e-9)
+            np.testing.assert_allclose(traj.p[i], traj.p[i + k], atol=1e-9)
 
     def test_spline_passes_through_waypoints(self):
         wp = np.array(
@@ -151,7 +150,7 @@ class TestGenerateTrajectory:
         )
         traj = generate_trajectory(spec)
         knot_times = np.linspace(0.0, 6.0, 4)
-        p = {round(s.t, 9): s.p for s in traj}
+        p = {round(t, 9): p for t, p in zip(traj.t.tolist(), traj.p)}
         for k, target in zip(knot_times, wp):
             np.testing.assert_allclose(p[round(k, 9)], target, atol=1e-9)
 
@@ -165,6 +164,23 @@ class TestGenerateTrajectory:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigError):
             generate_trajectory(circle_spec(duration=0.0))
+
+
+class TestTrajectory:
+    def test_body_velocities_equal_per_row_products(self):
+        traj = generate_trajectory(lissajous_spin_spec(duration=1.0))
+        reference = np.array([r.T @ v for r, v in zip(traj.r, traj.v)])
+        assert np.array_equal(traj.body_velocities(), reference)
+
+    def test_inconsistent_shapes_rejected(self):
+        n = 4
+        rows = dict(t=np.arange(n) * 0.1, r=np.tile(np.eye(3), (n, 1, 1)),
+                    v=np.zeros((n, 3)), p=np.zeros((n, 3)))
+        assert len(Trajectory(**rows)) == n
+        for key, bad in (("r", np.eye(3)), ("v", np.zeros((n - 1, 3))),
+                         ("w_body", np.zeros((n, 2)))):
+            with pytest.raises(DataError):
+                Trajectory(**{**rows, key: bad})
 
 
 class TestDeriveImu:
@@ -181,10 +197,8 @@ class TestDeriveImu:
     def test_reading_rotates_back_to_world_acceleration(self):
         traj = generate_trajectory(lissajous_spin_spec(duration=1.0))
         imu = derive_imu(traj)
-        for ts, a in zip(traj[::25], imu.a[::25]):
-            np.testing.assert_allclose(
-                ts.r @ a + GRAVITY.vector, ts.a_world, atol=1e-10
-            )
+        for r, a, a_world in zip(traj.r[::25], imu.a[::25], traj.a_world[::25]):
+            np.testing.assert_allclose(r @ a + GRAVITY.vector, a_world, atol=1e-10)
 
 
 def hover_samples(n, rate=200.0):
