@@ -223,8 +223,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_deadreckon(args) -> int:
     imu, truth, _ = load_sequence(_seq_dir(args.data, args.name))
-    states = dead_reckon(_initial_state(truth), imu)
-    write_trajectory_csv(args.out, imu.t.tolist(), states, [0.0] * len(states))
+    estimate = dead_reckon(_initial_state(truth), imu)
+    write_trajectory_csv(args.out, estimate, np.zeros(len(estimate)))
     print(f"wrote {args.out}")
     return 0
 
@@ -299,16 +299,9 @@ def _cmd_run_ekf(args) -> int:
             raise ConfigError("--provider network requires --weights")
         provider = NetworkProvider(MotionNet.load(args.weights))
 
-    states = streaming_run(
-        imu, provider, corrector, cfgmod.ekf_config(cfg), _initial_state(truth)
-    )
-    write_trajectory_csv(
-        args.out,
-        [fs.t for fs in states],
-        [fs.x for fs in states],
-        [float(np.trace(fs.P)) for fs in states],
-    )
-    print(f"wrote {args.out} ({len(states)} frames, provider {args.provider})")
+    run = streaming_run(imu, provider, corrector, cfgmod.ekf_config(cfg), _initial_state(truth))
+    write_trajectory_csv(args.out, run, np.trace(run.P, axis1=1, axis2=2))
+    print(f"wrote {args.out} ({len(run)} frames, provider {args.provider})")
     return 0
 
 

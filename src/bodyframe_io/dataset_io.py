@@ -36,7 +36,6 @@ relative path.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
 
@@ -61,30 +60,27 @@ ROLES = ("seen", "unseen")
 
 
 def quat_from_matrix(r) -> np.ndarray:
-    """Rotation matrix to unit quaternion, w >= 0 canonical sign."""
+    """Rotation matrices, (3, 3) or (n, 3, 3), to unit quaternions, (4,)
+    or (n, 4), w >= 0 canonical sign. A row with trace <= 0 takes the
+    branch of its dominant diagonal entry."""
     r = np.asarray(r, dtype=float)
-    tr = np.trace(r)
-    if tr > 0:
-        s = 2.0 * math.sqrt(tr + 1.0)
-        q = np.array(
-            [
-                0.25 * s,
-                (r[2, 1] - r[1, 2]) / s,
-                (r[0, 2] - r[2, 0]) / s,
-                (r[1, 0] - r[0, 1]) / s,
-            ]
-        )
-    else:
-        i = int(np.argmax(np.diag(r)))
+    m = r.reshape(-1, 3, 3)
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    tr = diag[:, 0] + diag[:, 1] + diag[:, 2]
+    q = np.empty((len(m), 4))
+    pos = tr > 0
+    n, s = m[pos], 2.0 * np.sqrt(tr[pos] + 1.0)
+    q[pos] = np.column_stack([0.25 * s, (n[:, 2, 1] - n[:, 1, 2]) / s,
+                              (n[:, 0, 2] - n[:, 2, 0]) / s, (n[:, 1, 0] - n[:, 0, 1]) / s])
+    for i in range(3):
+        sel = ~pos & (np.argmax(diag, axis=1) == i)
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = 2.0 * math.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0))
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
-    q /= np.linalg.norm(q)
-    return q if q[0] >= 0 else -q
+        n = m[sel]
+        s = 2.0 * np.sqrt(np.maximum(n[:, i, i] - n[:, j, j] - n[:, k, k] + 1.0, 0.0))
+        q[sel, 0], q[sel, 1 + i] = (n[:, k, j] - n[:, j, k]) / s, 0.25 * s
+        q[sel, 1 + j], q[sel, 1 + k] = (n[:, j, i] + n[:, i, j]) / s, (n[:, k, i] + n[:, i, k]) / s
+    q /= np.sqrt(_row_dot(q, q))[:, None]
+    return np.where(q[:, :1] >= 0, q, -q).reshape(r.shape[:-2] + (4,))
 
 
 def _row_dot(x, y) -> np.ndarray:
@@ -237,12 +233,11 @@ def write_groundtruth_csv(path, truth: Trajectory, bias: BiasTruth | None = None
         raise DataError("bias truth length does not match trajectory")
     b_g = bias.b_g if bias is not None else np.zeros((n, 3))
     b_a = bias.b_a if bias is not None else np.zeros((n, 3))
-    rest = np.hstack([truth.v, b_g, b_a]).tolist()
+    rest = np.hstack([truth.p, quat_from_matrix(truth.r), truth.v, b_g, b_a]).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(GROUNDTRUTH_HEADER + "\n")
-        for t, r, p, tail in zip(truth.t.tolist(), truth.r, truth.p.tolist(), rest):
-            q = quat_from_matrix(r).tolist()
-            vals = [str(origin_ns + int(round(t * 1e9)))] + [_fmt(x) for x in p + q + tail]
+        for t, row in zip(truth.t.tolist(), rest):
+            vals = [str(origin_ns + int(round(t * 1e9)))] + [_fmt(x) for x in row]
             fh.write(",".join(vals) + "\n")
 
 
@@ -372,17 +367,18 @@ def load_sequence(seq_dir):
 # Estimated trajectory files
 
 
-def write_trajectory_csv(path, times, states, traces):
-    """Write filter output: one row per IMU timestamp, 9 significant
-    digits, with tr_P the trace of the error covariance."""
-    if not (len(times) == len(states) == len(traces)):
-        raise DataError("times, states, traces must have equal length")
+def write_trajectory_csv(path, traj: Trajectory, traces):
+    """Write filter output, the Trajectory that read_trajectory_csv
+    returns: one row per timestamp, 9 significant digits, with tr_P the
+    trace of the error covariance from traces (n,)."""
+    traces = np.asarray(traces, dtype=float)
+    if traces.shape != (len(traj),):
+        raise DataError("traces must hold one value per trajectory row")
+    rows = np.column_stack([traj.t, traj.p, quat_from_matrix(traj.r), traj.v, traces])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for t, x, tr in zip(times, states, traces):
-            q = quat_from_matrix(x.r)
-            vals = [format(v, ".9g") for v in (t, *x.p, *q, *x.v, tr)]
-            fh.write(",".join(vals) + "\n")
+        for row in rows.tolist():
+            fh.write(",".join(format(v, ".9g") for v in row) + "\n")
 
 
 def read_trajectory_csv(path):

@@ -4,8 +4,10 @@ State is the NavState nominal plus a 15-dim error covariance over
 (delta_xi, delta_v, delta_p, delta_b_a, delta_b_g) with the left
 orientation convention R_true = Exp(delta_xi) R_hat. Propagation
 composes the corrector (additive reading corrections plus per-frame
-white-noise stds) with the kinematic step and its exact Jacobians;
-the update consumes a body-frame velocity measurement
+white-noise stds) with the kinematic step and its exact Jacobians,
+computed for a whole chunk between two updates at once by
+propagate_chunk; ekf_propagate, the predict step, applies one frame's
+transition to P. The update consumes a body-frame velocity measurement
 
     h(X) = R_hat^T v_hat,   H = [R_hat^T [v]_x | R_hat^T | 0]
 
@@ -17,7 +19,7 @@ entry points to one filter loop, _run. They differ only in where it
 keeps the rows it records: streaming_run keeps bounded FIFO arrays as
 an online system would, batch_run keeps whole-sequence arrays and
 slices them. Both yield the same windows, so the outputs agree to the
-last bit.
+last bit. Both return a FilterRun: a Trajectory plus biases and P.
 
 Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
@@ -43,16 +45,17 @@ from .imu_model import (
     transform_representation,
 )
 from .motion_model import VelocityMeasurement
+# The per-frame propagate_* are unused here, but perfbench/tracing.py patches them.
 from .preintegration import (
     ERROR_DIM,
     NavState,
-    ProcessNoise,
-    process_noise_covariance,
+    propagate_chunk,
     propagate_covariance,
     propagate_state,
     propagation_jacobians,
     state_boxplus,
 )
+from .simulator import Trajectory
 from .so3 import hat
 
 _SINGULAR_COND = 1e12
@@ -75,6 +78,20 @@ class FilterState:
 #: conservative default initial error stds: 1e-2 rad attitude, 1e-1 m/s
 #: velocity, 1e-1 m position, 1e-2 accel bias, 1e-3 gyro bias
 DEFAULT_P0_DIAG = (1e-4,) * 3 + (1e-2,) * 3 + (1e-2,) * 3 + (1e-4,) * 3 + (1e-6,) * 3
+
+
+@dataclass(kw_only=True)
+class FilterRun(Trajectory):
+    """A filter pass, one row per input sample (after its update, if any):
+    the nominal trajectory plus biases b_a, b_g (n, 3) and P (n, 15, 15)."""
+
+    b_a: np.ndarray
+    b_g: np.ndarray
+    P: np.ndarray
+
+    def record(self, i: int, fs: FilterState):
+        self.r[i], self.v[i], self.p[i] = fs.x.r, fs.x.v, fs.x.p
+        self.b_a[i], self.b_g[i], self.P[i] = fs.x.b_a, fs.x.b_g, fs.P
 
 
 @dataclass(frozen=True)
@@ -107,27 +124,11 @@ class EkfConfig:
         return np.diag(np.asarray(self.p0_diag, dtype=float))
 
 
-def ekf_propagate(
-    fs: FilterState,
-    w_hat: np.ndarray,
-    a_hat: np.ndarray,
-    eta_g: np.ndarray,
-    eta_a: np.ndarray,
-    dt: float,
-    cfg: EkfConfig,
-) -> FilterState:
-    """One corrected-IMU step: nominal kinematics plus A P A' + B W B'.
-
-    w_hat / a_hat are the corrected readings of the frame and eta_g /
-    eta_a the corrector's white-noise stds for it, 3-vectors each.
-    """
-    if dt <= 0.0:
-        raise DataError("dt must be positive")
-    x_next = propagate_state(fs.x, w_hat, a_hat, dt)
-    a_mat, b_mat = propagation_jacobians(fs.x, w_hat, a_hat, dt)
-    noise = ProcessNoise(eta_g=eta_g, eta_a=eta_a, eta_bg=cfg.eta_bg, eta_ba=cfg.eta_ba)
-    p_next = propagate_covariance(fs.P, a_mat, b_mat, process_noise_covariance(noise))
-    return FilterState(x=x_next, P=p_next, t=fs.t + dt)
+def ekf_propagate(p_cov: np.ndarray, a_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
+    """The predict step for one frame, P' = A P A^T + Q re-symmetrized,
+    with A and Q the frame's rows of a propagate_chunk output."""
+    out = a_mat @ p_cov @ a_mat.T + q_mat
+    return 0.5 * (out + out.T)
 
 
 def predicted_velocity(fs: FilterState) -> np.ndarray:
@@ -215,17 +216,16 @@ class _SequenceArray:
 
 
 def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo: bool):
-    """The filter loop over a BODY-kind ImuWindow; one FilterState per
-    sample.
+    """The filter loop over a BODY-kind ImuWindow, one FilterRun row per sample.
 
     Samples arrive in chunks of round(imu_rate / update_rate) frames.
     Each chunk:
     - corrects the frames not yet corrected, behind corrector.context
       raw frames of context, and records each corrected frame once;
-    - propagates through the new frames, recording each pre-update
-      attitude once (attitudes are never revised), and its log_so3
-      encoding when the provider's representation has an attitude
-      channel;
+    - propagates through the new frames at once (propagate_chunk, then
+      ekf_propagate per frame), recording each pre-update attitude once
+      (attitudes are never revised), and its log_so3 encoding when the
+      provider's representation has an attitude channel;
     - when the chunk ends on an update frame (every chunk but a partial
       last one), runs the velocity provider over the newest
       min(buffer_len, provider.window_len) corrected frames,
@@ -234,15 +234,19 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
 
     The recorded rows are kept in _ArrayFifo stores bounded by
     buffer_len when fifo is set, else in whole-sequence _SequenceArray
-    stores.
+    stores. Raises InvalidRotationError or DataError on an invalid x0,
+    DataError on a non-finite p0.
     """
     cfg.validate()
+    x0.validate()
     n = len(imu)
     if n < 2:
         raise DataError("need at least two IMU samples")
     k = _chunk_size(imu, cfg)
     p0 = cfg.initial_covariance() if p0 is None else np.asarray(p0, dtype=float)
-    t = imu.t.tolist()
+    if p0.shape != (ERROR_DIM, ERROR_DIM) or not np.all(np.isfinite(p0)):
+        raise DataError(f"p0 must be a finite {ERROR_DIM}x{ERROR_DIM} matrix")
+    dt = np.diff(imu.t)
     kind = getattr(provider, "required_kind", None)
     encode = kind is not None and kind.has_attitude
     served = min(cfg.buffer_len, getattr(provider, "window_len", None) or cfg.buffer_len)
@@ -255,13 +259,17 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
     encodings = store((3,))
 
     def record_attitudes(rs):
-        rotations.extend(np.stack(rs))
+        rotations.extend(rs)
         if encode:
             encodings.extend(attitude_channel(rs))
 
-    fs = FilterState(x=x0.copy(), P=p0.copy(), t=t[0])
-    states = [fs]
-    record_attitudes([fs.x.r])
+    run = FilterRun(
+        t=imu.t, r=np.empty((n, 3, 3)), v=np.empty((n, 3)), p=np.empty((n, 3)),
+        b_a=np.empty((n, 3)), b_g=np.empty((n, 3)), P=np.empty((n, ERROR_DIM, ERROR_DIM)),
+    )
+    fs = FilterState(x=x0, P=p0, t=imu.t[0])
+    run.record(0, fs)
+    record_attitudes(run.r[:1])
     corrected_to = 0  # frames [0, corrected_to) are corrected and recorded
     start = 1
     while start < n:
@@ -272,16 +280,18 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
         frames.extend(np.column_stack([corrected.t, corrected.w, corrected.a])[new:])
         corrected_to = stop
 
-        first_new = len(chunk) - (stop - start)  # chunk row of frame `start`
-        attitudes = []
-        for j, i in enumerate(range(start, stop), start=first_new):
-            dt = t[i] - t[i - 1]
-            fs = ekf_propagate(
-                fs, corrected.w[j], corrected.a[j], corr.eta_g[j], corr.eta_a[j], dt, cfg
-            )
-            attitudes.append(fs.x.r)
-            states.append(fs)
-        record_attitudes(attitudes)
+        j = len(chunk) - (stop - start)  # chunk row of frame `start`
+        r, v, p, a_mat, q_mat = propagate_chunk(
+            fs.x, corrected.w[j:], corrected.a[j:], dt[start - 1 : stop - 1],
+            corr.eta_g[j:], corr.eta_a[j:], cfg.eta_bg, cfg.eta_ba,
+        )
+        run.r[start:stop], run.v[start:stop], run.p[start:stop] = r, v, p
+        run.b_a[start:stop], run.b_g[start:stop] = fs.x.b_a, fs.x.b_g
+        p_cov = fs.P
+        for i in range(stop - start):
+            p_cov = run.P[start + i] = ekf_propagate(p_cov, a_mat[i], q_mat[i])
+        fs = FilterState(NavState(r[-1], v[-1], p[-1], fs.x.b_a, fs.x.b_g), p_cov, imu.t[stop - 1])
+        record_attitudes(r)
 
         if (stop - 1) % k == 0:
             rows = frames.tail(served)
@@ -296,15 +306,14 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
                 window = transform_representation(window, kind, rotations.tail(served))
             meas = provider.predict_window(window, stop - start)
             fs = ekf_update(fs, meas[-1])
-            states[-1] = fs
+            run.record(stop - 1, fs)
         start = stop
-    return states
+    return run
 
 
 def streaming_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
     """Online filter pass over a BODY-kind ImuWindow, keeping bounded
-    FIFO buffers as an online system would. Returns one FilterState per
-    input sample."""
+    FIFO buffers as an online system would. Returns a FilterRun."""
     return _run(imu, provider, corrector, cfg, x0, p0, fifo=True)
 
 

@@ -17,7 +17,7 @@ against central finite differences in the tests.
 Noise enters as n = (eta_g, eta_a, eta_bg, eta_ba): white measurement
 noise subtracts from the readings, walk increments add to the biases
 after the step. With per-sample standard deviations in W (12x12 diag),
-covariance propagates as P' = A P A^T + B W B^T, re-symmetrized.
+covariance propagates as P' = A P A^T + Q, Q = B W B^T, re-symmetrized.
 
 Block layout (rows = next error, cols = current error), with
 phi = (w - b_g) dt, u = R (a - b_a), J_r the SO(3) right Jacobian:
@@ -30,6 +30,15 @@ phi = (w - b_g) dt, u = R (a - b_a), J_r the SO(3) right Jacobian:
 
 with R' = R Exp(phi). The same R' J_r(phi) and R blocks, negated into
 columns (eta_g, eta_a), form B, plus identities feeding the walks.
+
+Chunk form: biases change only at filter updates, so every phi_i of a
+chunk between two updates is known up front (as in on-manifold
+preintegration, Forster et al., TRO 2017). propagate_chunk computes
+Exp, J_r, u, A and Q = B W B^T for all k rows at once, Q in closed form
+from B's two noise blocks; only the rotation chain loops per frame, and
+v and p are running sums. Rows match the per-frame propagate_state,
+propagation_jacobians and propagate_covariance (the tests' reference)
+bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ import numpy as np
 
 from .errors import DataError, InvalidRotationError
 from .imu_model import GRAVITY, GravityModel, ImuWindow
-from .so3 import exp_so3, hat, is_rotation, log_so3, right_jacobian
+from .simulator import Trajectory
+from .so3 import _SMALL_ANGLE, exp_so3, hat, is_rotation, log_so3, right_jacobian
 
 ERROR_DIM = 15
 NOISE_DIM = 12
@@ -58,21 +68,12 @@ class NavState:
     b_g: np.ndarray
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        self.b_a = np.asarray(self.b_a, dtype=float)
-        self.b_g = np.asarray(self.b_g, dtype=float)
+        for name in ("r", "v", "p", "b_a", "b_g"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @classmethod
     def identity(cls) -> "NavState":
         return cls(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-
-    def copy(self) -> "NavState":
-        return NavState(
-            self.r.copy(), self.v.copy(), self.p.copy(),
-            self.b_a.copy(), self.b_g.copy(),
-        )
 
     def validate(self):
         if self.r.shape != (3, 3) or not is_rotation(self.r):
@@ -81,36 +82,6 @@ class NavState:
             vec = getattr(self, name)
             if vec.shape != (3,) or not np.all(np.isfinite(vec)):
                 raise DataError(f"NavState.{name} must be a finite 3-vector")
-
-
-@dataclass
-class ProcessNoise:
-    """Per-sample noise standard deviations, 3-vectors each.
-
-    eta_g/eta_a are the white measurement noise of the corrected
-    readings (continuous density times sqrt(imu_rate)); eta_bg/eta_ba
-    are per-step bias walk increments (density times sqrt(dt)).
-    """
-
-    eta_g: np.ndarray
-    eta_a: np.ndarray
-    eta_bg: np.ndarray
-    eta_ba: np.ndarray
-
-    def __post_init__(self):
-        for name in ("eta_g", "eta_a", "eta_bg", "eta_ba"):
-            vec = np.broadcast_to(
-                np.asarray(getattr(self, name), dtype=float), (3,)
-            ).copy()
-            if np.any(vec < 0):
-                raise DataError(f"ProcessNoise.{name} must be nonnegative")
-            setattr(self, name, vec)
-
-
-def process_noise_covariance(noise: ProcessNoise) -> np.ndarray:
-    """12x12 diagonal W in the order (eta_g, eta_a, eta_bg, eta_ba)."""
-    stds = np.concatenate([noise.eta_g, noise.eta_a, noise.eta_bg, noise.eta_ba])
-    return np.diag(stds**2)
 
 
 def propagate_state(
@@ -188,18 +159,89 @@ def state_boxminus(x1: NavState, x0: NavState) -> np.ndarray:
     )
 
 
-def dead_reckon(x0: NavState, imu: ImuWindow, gravity: GravityModel = GRAVITY):
-    """Open-loop integration of a BODY-kind ImuWindow.
+def _hat_rows(xi) -> np.ndarray:
+    """hat of each row of xi (k, 3), as (k, 3, 3)."""
+    x, y, z = xi.T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
 
-    x0 is the state at imu.t[0]; each reading is held over the interval
-    to the next timestamp (zero-order hold), so the output has one
-    state per sample and the final reading is unused.
-    """
+
+def _exp_rows(phi):
+    """exp_so3 and right_jacobian of each row of phi (k, 3), with the
+    same arithmetic row by row, Taylor branch below 1e-4 rad included."""
+    theta2 = phi[:, None, :] @ phi[:, :, None]  # (k, 1, 1), the bits of phi_i @ phi_i
+    theta = np.sqrt(theta2)
+    t4, small = theta2 * theta2, theta < _SMALL_ANGLE
+    with np.errstate(divide="ignore", invalid="ignore"):  # closed forms unused at 0
+        sin, cos = np.sin(theta), np.cos(theta)
+        a = np.where(small, 1.0 - theta2 / 6.0 + t4 / 120.0, sin / theta)
+        b = np.where(small, 0.5 - theta2 / 24.0 + t4 / 720.0, (1.0 - cos) / theta2)
+        c = np.where(small, 1.0 / 6.0 - theta2 / 120.0 + t4 / 5040.0,
+                     (theta - sin) / (theta2 * theta))
+    k = _hat_rows(phi)
+    kk = k @ k
+    return np.eye(3) + a * k + b * kk, np.eye(3) - b * k + c * kk
+
+
+def _nominal_steps(x: NavState, w, a, dt, gravity: GravityModel):
+    """R, v, p before and after each of k steps, (k + 1) rows, with each u and J_r(phi)."""
+    if not (dt > 0).all():
+        raise DataError("dt must be positive")
+    exp, jr = _exp_rows((w - x.b_g) * dt[:, None])
+    r = np.empty((len(dt) + 1, 3, 3))
+    r[0] = x.r
+    for i in range(len(dt)):
+        r[i + 1] = r[i] @ exp[i]
+    u = (r[:-1] @ (a - x.b_a)[:, :, None])[:, :, 0]
+    acc = u + gravity.vector
+    # Running sums in the per-frame order: v' = v + acc dt, and
+    # p' = (p + v dt) + dt^2/2 acc with its two terms interleaved.
+    v = np.cumsum(np.concatenate([x.v[None], acc * dt[:, None]]), axis=0)
+    terms = np.empty((2 * len(dt) + 1, 3))
+    terms[0], terms[1::2], terms[2::2] = x.p, v[:-1] * dt[:, None], (0.5 * dt * dt)[:, None] * acc
+    return r, v, np.cumsum(terms, axis=0)[::2], u, jr
+
+
+def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, eta_bg, eta_ba, gravity=GRAVITY):
+    """k first-order steps from x with its biases held: readings w, a
+    (k, 3), each held over its dt (k,), with white-noise stds eta_g,
+    eta_a (k, 3) and walk stds eta_bg, eta_ba (scalars or 3-vectors).
+    Returns (r, v, p, a_mat, q_mat): the state after each step, r (k, 3,
+    3), v and p (k, 3), and each step's A and Q, (k, 15, 15). Raises
+    DataError on a dt <= 0 or a negative std."""
+    for name, std in (("eta_g", eta_g), ("eta_a", eta_a), ("eta_bg", eta_bg), ("eta_ba", eta_ba)):
+        if (np.asarray(std) < 0).any():
+            raise DataError(f"{name} must be nonnegative")
+    dt = np.asarray(dt, dtype=float)
+    r, v, p, u, jr = _nominal_steps(x, w, a, dt, gravity)
+    step, half = dt[:, None, None], (-0.5 * dt * dt)[:, None, None]
+    rot_bias = -step * (r[1:] @ jr)  # G, in A's db_g and B's eta_g columns
+    accel = np.concatenate([-step * r[:-1], half * r[:-1]], axis=1)  # N, the same for db_a, eta_a
+    hat_u = _hat_rows(u)
+
+    a_mat = np.tile(np.eye(ERROR_DIM), (len(dt), 1, 1))
+    a_mat[:, 0:3, 12:15] = rot_bias
+    a_mat[:, 3:6, 0:3], a_mat[:, 6:9, 0:3] = -step * hat_u, half * hat_u
+    a_mat[:, 6:9, 3:6] = step * np.eye(3)
+    a_mat[:, 3:9, 9:12] = accel
+
+    q_mat = np.zeros_like(a_mat)
+    q_mat[:, 0:3, 0:3] = (rot_bias * eta_g[:, None, :] ** 2) @ rot_bias.transpose(0, 2, 1)
+    q_mat[:, 3:9, 3:9] = (accel * eta_a[:, None, :] ** 2) @ accel.transpose(0, 2, 1)
+    diag = np.arange(3)
+    q_mat[:, 9 + diag, 9 + diag] = np.asarray(eta_ba, dtype=float) ** 2
+    q_mat[:, 12 + diag, 12 + diag] = np.asarray(eta_bg, dtype=float) ** 2
+    return r[1:], v[1:], p[1:], a_mat, q_mat
+
+
+def dead_reckon(x0: NavState, imu: ImuWindow, gravity: GravityModel = GRAVITY) -> Trajectory:
+    """Open-loop integration of a BODY-kind ImuWindow from x0 at imu.t[0]:
+    the nominal kernel over the whole sequence as one chunk. Each reading
+    is held over the interval to the next stamp, so the output has one
+    row per sample and the final reading is unused. Raises
+    InvalidRotationError or DataError on an invalid x0."""
+    x0.validate()
     if len(imu) == 0:
         raise DataError("no samples to integrate")
-    t = imu.t.tolist()
-    states = [x0.copy()]
-    for i in range(1, len(t)):
-        dt = t[i] - t[i - 1]
-        states.append(propagate_state(states[-1], imu.w[i - 1], imu.a[i - 1], dt, gravity))
-    return states
+    r, v, p, _, _ = _nominal_steps(x0, imu.w[:-1], imu.a[:-1], np.diff(imu.t), gravity)
+    return Trajectory(t=imu.t, r=r, v=v, p=p)

@@ -91,8 +91,8 @@ def initial_state(traj):
     )
 
 
-def position_rms(states, trajectory):
-    p_est = np.array([getattr(s, "x", s).p for s in states])
+def position_rms(estimate, trajectory):
+    p_est = estimate.p
     p_true = trajectory.p
     return float(np.sqrt(np.mean(np.sum((p_est - p_true) ** 2, axis=1))))
 
@@ -311,9 +311,9 @@ def test_criterion_05_filter_health(fusion_run):
     _, _, states, _ = fusion_run
     worst_asym = 0.0
     min_eig = np.inf
-    for fs in states:
-        worst_asym = max(worst_asym, float(np.abs(fs.P - fs.P.T).max()))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(fs.P)[0]))
+    for p_cov in states.P:
+        worst_asym = max(worst_asym, float(np.abs(p_cov - p_cov.T).max()))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(p_cov)[0]))
 
     spec = TrajectorySpec(
         kind=TrajectoryKind.FIGURE8,
@@ -343,8 +343,8 @@ def test_criterion_05_filter_health(fusion_run):
         imu, _ = corrupt_imu(ideal, noise)
         provider = OracleProvider(traj, noise_std=0.05, seed=500 + seed)
         run = streaming_run(imu, provider, corrector, cfg, x0)
-        err = np.array([fs.x.p for fs in run]) - p_true
-        sig = np.array([np.sqrt(np.diag(fs.P)[6:9]) for fs in run])
+        err = run.p - p_true
+        sig = np.sqrt(np.diagonal(run.P, axis1=1, axis2=2)[:, 6:9])
         hits = np.abs(err) <= 3.0 * sig
         inside += int(hits.sum())
         total += hits.size
@@ -675,17 +675,15 @@ def test_criterion_11_streaming_contract():
     x0 = initial_state(traj)
     online = streaming_run(imu, OracleProvider(traj, 0.05, seed=6), corrector, cfg, x0)
     offline = batch_run(imu, OracleProvider(traj, 0.05, seed=6), corrector, cfg, x0)
-    worst = 0.0
-    for a, b in zip(online, offline):
-        worst = max(
-            worst,
-            float(np.abs(a.x.r - b.x.r).max()),
-            float(np.abs(a.x.v - b.x.v).max()),
-            float(np.abs(a.x.p - b.x.p).max()),
-            float(np.abs(a.x.b_a - b.x.b_a).max()),
-            float(np.abs(a.x.b_g - b.x.b_g).max()),
-            float(np.abs(a.P - b.P).max()),
-        )
+    pairs = [
+        (online.r, offline.r),
+        (online.v, offline.v),
+        (online.p, offline.p),
+        (online.b_a, offline.b_a),
+        (online.b_g, offline.b_g),
+        (online.P, offline.P),
+    ]
+    worst = max(float(np.abs(a - b).max()) for a, b in pairs)
     ok = len(online) == len(offline) == len(imu) and worst <= 1e-12
     check(
         11,

@@ -290,13 +290,10 @@ class TestPipeline:
 
     def test_truth_as_estimate_scores_perfectly(self, workdir, tmp_path):
         from bodyframe_io.dataset_io import write_trajectory_csv
-        from bodyframe_io.preintegration import NavState
 
         imu, truth, _ = load_sequence(os.path.join(workdir["data"], "seq01"))
         est = str(tmp_path / "truth.csv")
-        states = [NavState(r, v, p, np.zeros(3), np.zeros(3))
-                  for r, v, p in zip(truth.r, truth.v, truth.p)]
-        write_trajectory_csv(est, truth.t, states, [0.0] * len(truth))
+        write_trajectory_csv(est, truth, np.zeros(len(truth)))
         report = str(tmp_path / "report.csv")
         rc = main(["eval", "--data", workdir["data"],
                    "--estimate", f"seq01={est}",

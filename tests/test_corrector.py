@@ -93,11 +93,11 @@ class TestTraining:
         x0 = NavState(traj.r[0], traj.v[0], traj.p[0], np.zeros(3), np.zeros(3))
 
         raw_states = dead_reckon(x0, noisy)
-        raw_err = np.linalg.norm(raw_states[-1].p - traj.p[-1])
+        raw_err = np.linalg.norm(raw_states.p[-1] - traj.p[-1])
 
         corrected, _ = correct_and_quantify(model, window)
         corr_states = dead_reckon(x0, corrected)
-        corr_err = np.linalg.norm(corr_states[-1].p - traj.p[-1])
+        corr_err = np.linalg.norm(corr_states.p[-1] - traj.p[-1])
         assert corr_err < 0.5 * raw_err
 
     def test_streaming_matches_offline_for_tail_frames(self, trained):

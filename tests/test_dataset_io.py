@@ -22,9 +22,9 @@ from bodyframe_io.dataset_io import (
     write_trajectory_csv,
 )
 from bodyframe_io.errors import DataError, ParseError, TimestampOrderError
-from bodyframe_io.preintegration import NavState
 from bodyframe_io.simulator import (
     NoiseSpec,
+    Trajectory,
     TrajectoryKind,
     TrajectorySpec,
     corrupt_imu,
@@ -77,6 +77,28 @@ class TestQuaternions:
         assert rows.shape == (200, 3, 3)
         assert np.array_equal(rows, np.array([matrix_from_quat(x) for x in q]))
 
+    def test_matrix_rows_equal_per_matrix_reference(self):
+        rng = np.random.default_rng(34)
+        rs = [exp_so3(rng.normal(size=3)) for _ in range(100)]
+        # Turns past 2*pi/3 have trace <= 0: each dominant axis, with both
+        # signs of the axis so that w comes out negative and is flipped.
+        for i in range(3):
+            for sign in (1.0, -1.0):
+                for angle in (2.2, 2.9, math.pi):
+                    axis = 0.1 * rng.normal(size=3)
+                    axis[i] = sign
+                    rs.append(exp_so3(angle * axis / np.linalg.norm(axis)))
+        rs = np.array(rs)
+        reference = np.array([ref_quat_from_matrix(r) for r in rs])
+        branches = {int(np.argmax(np.diag(r))) for r in rs if np.trace(r) <= 0}
+        assert branches == {0, 1, 2}
+        assert any(
+            ref_quat_from_matrix(r, canonical=False)[0] < 0 for r in rs if np.trace(r) <= 0
+        )
+        assert quat_from_matrix(rs).shape == (len(rs), 4)
+        assert np.array_equal(quat_from_matrix(rs), reference)
+        assert np.array_equal(np.array([quat_from_matrix(r) for r in rs]), reference)
+
     def test_non_unit_row_rejected(self):
         q = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
         q[1] = [1.0, 0.5, 0.0, 0.0]
@@ -93,6 +115,26 @@ class TestQuaternions:
         alpha[::7] = 1.0
         reference = np.array([ref_slerp(a, b, w) for a, b, w in zip(q0, q1, alpha)])
         np.testing.assert_allclose(slerp(q0, q1, alpha), reference, rtol=0, atol=1e-15)
+
+
+def ref_quat_from_matrix(r, canonical=True):
+    """Quaternion of one rotation matrix: the per-matrix reference."""
+    tr = np.trace(r)
+    if tr > 0:
+        s = 2.0 * math.sqrt(tr + 1.0)
+        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
+                      (r[1, 0] - r[0, 1]) / s])
+    else:
+        i = int(np.argmax(np.diag(r)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = 2.0 * math.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0))
+        q = np.empty(4)
+        q[0] = (r[k, j] - r[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (r[j, i] + r[i, j]) / s
+        q[1 + k] = (r[k, i] + r[i, k]) / s
+    q /= np.linalg.norm(q)
+    return q if q[0] >= 0 or not canonical else -q
 
 
 def ref_slerp(q0, q1, alpha):
@@ -330,26 +372,26 @@ class TestCorpus:
 class TestTrajectoryCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(31)
-        times = np.arange(5) * 0.05
-        states = [
-            NavState(
-                r=exp_so3(rng.normal(size=3)),
-                v=rng.normal(size=3),
-                p=rng.normal(size=3),
-                b_a=np.zeros(3),
-                b_g=np.zeros(3),
-            )
-            for _ in range(5)
-        ]
+        traj = Trajectory(
+            t=np.arange(5) * 0.05,
+            r=np.array([exp_so3(rng.normal(size=3)) for _ in range(5)]),
+            v=rng.normal(size=(5, 3)),
+            p=rng.normal(size=(5, 3)),
+        )
         traces = rng.uniform(0.1, 1.0, size=5)
         path = tmp_path / "est.csv"
-        write_trajectory_csv(path, times, states, traces)
+        write_trajectory_csv(path, traj, traces)
         est, tr2 = read_trajectory_csv(path)
-        np.testing.assert_allclose(est.t, times, atol=1e-9)
+        np.testing.assert_allclose(est.t, traj.t, atol=1e-9)
         np.testing.assert_allclose(tr2, traces, rtol=1e-8)
-        for i, a in enumerate(states):
-            np.testing.assert_allclose(a.p, est.p[i], rtol=1e-8, atol=1e-9)
-            np.testing.assert_allclose(a.r, est.r[i], atol=1e-7)
+        np.testing.assert_allclose(est.p, traj.p, rtol=1e-8, atol=1e-9)
+        np.testing.assert_allclose(est.v, traj.v, rtol=1e-8, atol=1e-9)
+        np.testing.assert_allclose(est.r, traj.r, atol=1e-7)
+
+    def test_traces_must_match_rows(self, tmp_path):
+        traj = Trajectory(t=[0.0], r=np.eye(3)[None], v=np.zeros((1, 3)), p=np.zeros((1, 3)))
+        with pytest.raises(DataError):
+            write_trajectory_csv(tmp_path / "est.csv", traj, [0.5, 0.5])
 
     def test_non_unit_quaternion_names_its_line(self, tmp_path):
         path = tmp_path / "est.csv"
@@ -362,8 +404,9 @@ class TestTrajectoryCsv:
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "est.csv"
-        states = [NavState.identity()]
-        states[0].p = np.array([1.23456789123456, 0.0, 0.0])
-        write_trajectory_csv(path, [0.0], states, [0.5])
+        traj = Trajectory(
+            t=[0.0], r=np.eye(3)[None], v=np.zeros((1, 3)), p=[[1.23456789123456, 0.0, 0.0]]
+        )
+        write_trajectory_csv(path, traj, [0.5])
         row = path.read_text().splitlines()[1]
         assert row.split(",")[1] == "1.23456789"

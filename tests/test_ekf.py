@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bodyframe_io.corrector import IdentityCorrector
+from bodyframe_io.corrector import IdentityCorrector, correct_and_quantify
 from bodyframe_io.ekf import (
     EkfConfig,
     FilterState,
@@ -16,6 +16,8 @@ from bodyframe_io.ekf import (
 )
 from bodyframe_io.errors import (
     ConfigError,
+    DataError,
+    InvalidRotationError,
     SingularUpdateError,
     TimestampOrderError,
 )
@@ -30,9 +32,8 @@ from bodyframe_io.motion_model import (
 )
 from bodyframe_io.preintegration import (
     NavState,
-    ProcessNoise,
     dead_reckon,
-    process_noise_covariance,
+    propagate_chunk,
     propagate_covariance,
     propagate_state,
     propagation_jacobians,
@@ -109,24 +110,32 @@ class TestMeasurementJacobian:
         assert predicted[1] == pytest.approx(eps, rel=1e-12)
 
 
+def one_step(x, w_hat, a_hat, eta_g, eta_a, dt, cfg):
+    """propagate_chunk over a single frame."""
+    return propagate_chunk(
+        x, np.atleast_2d(w_hat), np.atleast_2d(a_hat), np.array([dt]),
+        np.atleast_2d(eta_g), np.atleast_2d(eta_a), cfg.eta_bg, cfg.eta_ba,
+    )
+
+
 class TestPropagate:
     def test_hover_is_fixed_point(self):
         x0 = NavState.identity()
         p0 = np.zeros((15, 15))
-        fs = FilterState(x=x0, P=p0, t=0.0)
         cfg = EkfConfig(eta_bg=1e-6, eta_ba=1e-5)
-        out = ekf_propagate(
-            fs, np.zeros(3), np.array([0, 0, 9.80665]),
-            np.full(3, 1e-3), np.full(3, 1e-2), 0.01, cfg,
+        a_hover = np.array([0, 0, 9.80665])
+        r, v, p, a_mat, q_mat = one_step(
+            x0, np.zeros(3), a_hover, np.full(3, 1e-3), np.full(3, 1e-2), 0.01, cfg
         )
-        np.testing.assert_allclose(out.x.r, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(out.x.v, np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(out.x.p, np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(r[0], np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(v[0], np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(p[0], np.zeros(3), atol=1e-15)
         # P grew by exactly B W B^T
-        noise = ProcessNoise(eta_g=1e-3, eta_a=1e-2, eta_bg=1e-6, eta_ba=1e-5)
-        _, b = propagation_jacobians(x0, np.zeros(3), np.array([0, 0, 9.80665]), 0.01)
-        expected = b @ process_noise_covariance(noise) @ b.T
-        np.testing.assert_allclose(out.P, 0.5 * (expected + expected.T), atol=1e-18)
+        p1 = ekf_propagate(p0, a_mat[0], q_mat[0])
+        _, b = propagation_jacobians(x0, np.zeros(3), a_hover, 0.01)
+        w_cov = np.diag(np.repeat([1e-3, 1e-2, 1e-6, 1e-5], 3) ** 2)
+        expected = b @ w_cov @ b.T
+        np.testing.assert_allclose(p1, 0.5 * (expected + expected.T), atol=1e-18)
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(2)
@@ -136,33 +145,32 @@ class TestPropagate:
         eta_g, eta_a = np.full(3, 2e-3), np.full(3, 3e-2)
         cfg = EkfConfig(eta_bg=1e-6, eta_ba=1e-5)
         dt = 0.005
-        out = ekf_propagate(fs, w_hat, a_hat, eta_g, eta_a, dt, cfg)
+        r, v, p, a_mat, q_mat = one_step(fs.x, w_hat, a_hat, eta_g, eta_a, dt, cfg)
+        p_next = ekf_propagate(fs.P, a_mat[0], q_mat[0])
 
         x_ref = propagate_state(fs.x, w_hat, a_hat, dt)
-        a_mat, b_mat = propagation_jacobians(fs.x, w_hat, a_hat, dt)
-        noise = ProcessNoise(eta_g=eta_g, eta_a=eta_a, eta_bg=1e-6, eta_ba=1e-5)
-        p_ref = propagate_covariance(fs.P, a_mat, b_mat, process_noise_covariance(noise))
-        np.testing.assert_array_equal(out.x.r, x_ref.r)
-        np.testing.assert_array_equal(out.x.v, x_ref.v)
-        np.testing.assert_array_equal(out.x.p, x_ref.p)
-        np.testing.assert_array_equal(out.P, p_ref)
-        assert out.t == fs.t + dt
+        a_ref, b_ref = propagation_jacobians(fs.x, w_hat, a_hat, dt)
+        w_cov = np.diag(np.concatenate([eta_g, eta_a, np.full(3, 1e-6), np.full(3, 1e-5)]) ** 2)
+        p_ref = propagate_covariance(fs.P, a_ref, b_ref, w_cov)
+        np.testing.assert_array_equal(r[0], x_ref.r)
+        np.testing.assert_array_equal(v[0], x_ref.v)
+        np.testing.assert_array_equal(p[0], x_ref.p)
+        np.testing.assert_array_equal(p_next, p_ref)
 
     def test_zero_noise_zero_p_stays_zero(self):
-        fs = FilterState(x=NavState.identity(), P=np.zeros((15, 15)), t=0.0)
         cfg = EkfConfig(eta_bg=0.0, eta_ba=0.0)
-        out = ekf_propagate(
-            fs, np.array([0.1, 0, 0]), np.array([0, 1, 9.0]),
+        _, _, _, a_mat, q_mat = one_step(
+            NavState.identity(), np.array([0.1, 0, 0]), np.array([0, 1, 9.0]),
             np.zeros(3), np.zeros(3), 0.01, cfg,
         )
-        np.testing.assert_array_equal(out.P, np.zeros((15, 15)))
+        out = ekf_propagate(np.zeros((15, 15)), a_mat[0], q_mat[0])
+        np.testing.assert_array_equal(out, np.zeros((15, 15)))
 
     def test_nonpositive_dt_rejected(self):
-        fs = FilterState(x=NavState.identity(), P=np.zeros((15, 15)), t=0.0)
-        with pytest.raises(Exception):
-            ekf_propagate(
-                fs, np.zeros(3), np.zeros(3), np.full(3, 1e-3), np.full(3, 1e-2),
-                0.0, EkfConfig(),
+        with pytest.raises(DataError):
+            one_step(
+                NavState.identity(), np.zeros(3), np.zeros(3), np.full(3, 1e-3),
+                np.full(3, 1e-2), 0.0, EkfConfig(),
             )
 
 
@@ -242,6 +250,11 @@ class TestUpdate:
         np.testing.assert_allclose(back.b_g, x.b_g, atol=1e-10)
 
 
+def run_arrays(run):
+    """Every per-sample array of a FilterRun."""
+    return run.r, run.v, run.p, run.b_a, run.b_g, run.P
+
+
 def initial_state_from(traj):
     return NavState(traj.r[0].copy(), traj.v[0].copy(), traj.p[0].copy(),
                     np.zeros(3), np.zeros(3))
@@ -291,17 +304,7 @@ class TestRunners:
         a = streaming_run(imu, provider, corrector, cfg, x0)
         b = batch_run(imu, provider, corrector, cfg, x0)
         assert len(a) == len(b) == len(imu)
-        worst = 0.0
-        for sa, sb in zip(a, b):
-            worst = max(
-                worst,
-                float(np.abs(sa.x.r - sb.x.r).max()),
-                float(np.abs(sa.x.v - sb.x.v).max()),
-                float(np.abs(sa.x.p - sb.x.p).max()),
-                float(np.abs(sa.x.b_a - sb.x.b_a).max()),
-                float(np.abs(sa.x.b_g - sb.x.b_g).max()),
-                float(np.abs(sa.P - sb.P).max()),
-            )
+        worst = max(float(np.abs(x - y).max()) for x, y in zip(run_arrays(a), run_arrays(b)))
         assert worst < 1e-12
 
     def test_fusion_beats_dead_reckoning(self, noisy_fig8):
@@ -311,8 +314,8 @@ class TestRunners:
         states = streaming_run(imu, provider, corrector, cfg, x0)
         dr = dead_reckon(x0, imu)
         p_true = traj.p
-        p_ekf = np.array([s.x.p for s in states])
-        p_dr = np.array([s.p for s in dr])
+        p_ekf = states.p
+        p_dr = dr.p
         ate_ekf = float(np.sqrt(np.mean(np.sum((p_ekf - p_true) ** 2, axis=1))))
         ate_dr = float(np.sqrt(np.mean(np.sum((p_dr - p_true) ** 2, axis=1))))
         assert ate_ekf < 0.5
@@ -333,7 +336,7 @@ class TestRunners:
             imu, ConstantZeroProvider(eta=0.05), corrector, cfg,
             initial_state_from(traj),
         )
-        drift = max(float(np.linalg.norm(s.x.p)) for s in states)
+        drift = float(np.linalg.norm(states.p, axis=1).max())
         assert drift < 0.1
 
     def test_every_new_frame_consumed_once(self, noisy_fig8):
@@ -352,9 +355,7 @@ class TestRunners:
         x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
         b = batch_run(imu, provider, corrector, cfg, x0)
-        worst = max(
-            float(np.abs(sa.x.p - sb.x.p).max()) for sa, sb in zip(a, b)
-        )
+        worst = float(np.abs(a.p - b.p).max())
         assert worst < 1e-12
 
     def test_update_cadence(self, noisy_fig8):
@@ -399,7 +400,7 @@ class TestRunners:
         revised = 0
         for i in range(k, len(imu), k):
             key = round(float(imu.t[i]) * 1e9)
-            post = log_so3(states[i].x.r)
+            post = log_so3(states.r[i])
             if not np.allclose(seen[key], post, atol=1e-15):
                 revised += 1
         assert revised > 0  # updates do move attitude; the buffer kept pre-update
@@ -419,14 +420,59 @@ class TestRunners:
             streaming_run(imu.slice(0, 10), ConstantZeroProvider(), corrector, cfg,
                           initial_state_from(traj))
 
+    def test_invalid_initial_state_rejected(self, noisy_fig8):
+        traj, imu, corrector, cfg = noisy_fig8
+        imu = imu.slice(0, 21)
+        bad_r = initial_state_from(traj)
+        bad_r.r = 2.0 * np.eye(3)
+        bad_v = initial_state_from(traj)
+        bad_v.v[0] = np.nan
+        for runner in (streaming_run, batch_run):
+            with pytest.raises(InvalidRotationError):
+                runner(imu, ConstantZeroProvider(), corrector, cfg, bad_r)
+            with pytest.raises(DataError):
+                runner(imu, ConstantZeroProvider(), corrector, cfg, bad_v)
+            with pytest.raises(DataError):
+                runner(imu, ConstantZeroProvider(), corrector, cfg,
+                       initial_state_from(traj), p0=np.full((15, 15), np.nan))
+
+    def test_rows_are_the_per_frame_filter(self, noisy_fig8):
+        # Every row equals a per-frame propagate/update loop exactly.
+        traj, imu, corrector, cfg = noisy_fig8
+        imu = imu.slice(0, 23)  # 4 updates and a partial last chunk
+        provider = OracleProvider(traj, noise_std=0.05, seed=3)
+        run = streaming_run(imu, provider, corrector, cfg, initial_state_from(traj))
+        assert np.array_equal(run.t, imu.t)
+        corrected, corr = correct_and_quantify(corrector, imu)
+        meas = OracleProvider(traj, noise_std=0.05, seed=3)
+        w_cov = [
+            np.diag(np.concatenate([g, a, np.full(3, cfg.eta_bg), np.full(3, cfg.eta_ba)]) ** 2)
+            for g, a in zip(corr.eta_g, corr.eta_a)
+        ]
+        fs = FilterState(x=initial_state_from(traj), P=cfg.initial_covariance(), t=0.0)
+        t = imu.t.tolist()
+        for i in range(1, len(imu)):
+            # the reading of frame i propagates across the interval ending at t_i
+            w, a, dt = corrected.w[i], corrected.a[i], t[i] - t[i - 1]
+            a_mat, b_mat = propagation_jacobians(fs.x, w, a, dt)
+            fs = FilterState(
+                x=propagate_state(fs.x, w, a, dt),
+                P=propagate_covariance(fs.P, a_mat, b_mat, w_cov[i]),
+                t=t[i],
+            )
+            if i % 5 == 0:
+                window = corrected.slice(max(0, i + 1 - cfg.buffer_len), i + 1)
+                fs = ekf_update(fs, meas.predict_window(window, 5)[-1])
+            for x, y in zip(run_arrays(run), (fs.x.r, fs.x.v, fs.x.p, fs.x.b_a, fs.x.b_g, fs.P)):
+                assert np.array_equal(x[i], y), i
+
     def test_covariance_health_along_run(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
         provider = OracleProvider(traj, noise_std=0.05, seed=11)
         states = streaming_run(imu.slice(0, 501), provider, corrector, cfg,
                                initial_state_from(traj))
-        for s in states:
-            np.testing.assert_allclose(s.P, s.P.T, atol=1e-9)
-            assert np.linalg.eigvalsh(s.P).min() >= -1e-9
+        np.testing.assert_allclose(states.P, states.P.transpose(0, 2, 1), atol=1e-9)
+        assert np.linalg.eigvalsh(states.P).min() >= -1e-9
 
 
 def perturbed_tiny_network(seed=5):
@@ -452,14 +498,12 @@ class TestNetworkServing:
         a = streaming_run(imu, provider, corrector, cfg, x0)
         b = batch_run(imu, provider, corrector, cfg, x0)
         assert len(a) == len(b) == len(imu)
-        for sa, sb in zip(a, b):
-            for field in ("r", "v", "p", "b_a", "b_g"):
-                assert np.array_equal(getattr(sa.x, field), getattr(sb.x, field))
-            assert np.array_equal(sa.P, sb.P)
+        for x, y in zip(run_arrays(a), run_arrays(b)):
+            assert np.array_equal(x, y)
         # the measurements matter: an untrained network (v = 0) ends elsewhere
         fresh = MotionNet(provider.model.config)
         c = streaming_run(imu, NetworkProvider(fresh), corrector, cfg, x0)
-        assert not np.array_equal(a[-1].x.p, c[-1].x.p)
+        assert not np.array_equal(a.p[-1], c.p[-1])
 
     def test_network_never_runs_on_more_than_its_window(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8

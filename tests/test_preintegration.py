@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from bodyframe_io.errors import DataError, TimestampOrderError
+from bodyframe_io.errors import DataError, InvalidRotationError, TimestampOrderError
 from bodyframe_io.imu_model import ImuWindow
 from bodyframe_io.preintegration import (
     NavState,
-    ProcessNoise,
     dead_reckon,
-    process_noise_covariance,
+    propagate_chunk,
     propagate_covariance,
     propagate_state,
     propagation_jacobians,
@@ -23,6 +22,12 @@ from bodyframe_io.simulator import (
 from bodyframe_io.so3 import exp_so3
 
 G = 9.80665
+
+
+def noise_covariance(eta_g, eta_a, eta_bg, eta_ba):
+    """12x12 diagonal W of per-sample stds, order (eta_g, eta_a, eta_bg, eta_ba)."""
+    stds = np.concatenate([np.broadcast_to(e, (3,)) for e in (eta_g, eta_a, eta_bg, eta_ba)])
+    return np.diag(stds**2)
 
 
 def retracted_step(x_hat, delta, noise, w, a, dt):
@@ -164,9 +169,7 @@ class TestJacobians:
 class TestCovariance:
     def test_fresh_covariance_is_injected_noise(self):
         x = NavState.identity()
-        w_cov = process_noise_covariance(
-            ProcessNoise(eta_g=0.01, eta_a=0.1, eta_bg=1e-4, eta_ba=1e-3)
-        )
+        w_cov = noise_covariance(0.01, 0.1, 1e-4, 1e-3)
         a_mat, b_mat = propagation_jacobians(
             x, np.zeros(3), np.array([0.0, 0.0, G]), 0.005
         )
@@ -176,9 +179,7 @@ class TestCovariance:
     def test_stays_symmetric_psd_over_many_steps(self):
         rng = np.random.default_rng(23)
         x = NavState.identity()
-        w_cov = process_noise_covariance(
-            ProcessNoise(eta_g=0.014, eta_a=0.14, eta_bg=7e-7, eta_ba=7e-6)
-        )
+        w_cov = noise_covariance(0.014, 0.14, 7e-7, 7e-6)
         p = np.zeros((15, 15))
         for _ in range(500):
             w = rng.normal(size=3)
@@ -199,9 +200,76 @@ class TestCovariance:
         p1 = propagate_covariance(p0, a_mat, b_mat, np.zeros((12, 12)))
         np.testing.assert_allclose(p1, a_mat @ p0 @ a_mat.T, atol=1e-12)
 
-    def test_noise_validation(self):
-        with pytest.raises(DataError):
-            ProcessNoise(eta_g=-0.1, eta_a=0.1, eta_bg=0.0, eta_ba=0.0)
+
+
+def per_frame_reference(x, w, a, dt, eta_g, eta_a, eta_bg, eta_ba, p_cov):
+    """A chunk the per-frame way: rows of r, v, p, A, Q and P."""
+    out = {name: [] for name in ("r", "v", "p", "a_mat", "q_mat", "P")}
+    for i in range(len(dt)):
+        a_mat, b_mat = propagation_jacobians(x, w[i], a[i], dt[i])
+        w_cov = noise_covariance(eta_g[i], eta_a[i], eta_bg, eta_ba)
+        p_cov = propagate_covariance(p_cov, a_mat, b_mat, w_cov)
+        x = propagate_state(x, w[i], a[i], dt[i])
+        for name, value in zip(out, (x.r, x.v, x.p, a_mat, b_mat @ w_cov @ b_mat.T, p_cov)):
+            out[name].append(value)
+    return {name: np.array(rows) for name, rows in out.items()}
+
+
+def chunk_inputs(rng, k, rate_scale=1.0):
+    return dict(
+        x=random_state(rng),
+        w=rng.normal(size=(k, 3)) * rate_scale,
+        a=rng.normal(size=(k, 3)) * 3.0 + np.array([0.0, 0.0, G]),
+        dt=rng.uniform(4e-4, 1e-2, size=k),
+        eta_g=np.abs(rng.normal(size=(k, 3))) * 1e-2,
+        eta_a=np.abs(rng.normal(size=(k, 3))) * 1e-1,
+        eta_bg=1e-6,
+        eta_ba=np.array([1e-5, 2e-5, 3e-5]),
+    )
+
+
+class TestPropagateChunk:
+    def assert_matches_per_frame(self, inputs, p_cov):
+        chunk = dict(zip(("r", "v", "p", "a_mat", "q_mat"), propagate_chunk(**inputs)))
+        ref = per_frame_reference(**inputs, p_cov=p_cov)
+        for name, rows in chunk.items():
+            assert np.array_equal(rows, ref[name]), name
+        for j in range(len(inputs["dt"])):
+            out = chunk["a_mat"][j] @ p_cov @ chunk["a_mat"][j].T + chunk["q_mat"][j]
+            p_cov = 0.5 * (out + out.T)
+            assert np.array_equal(p_cov, ref["P"][j])
+
+    def test_equals_per_frame_loop_exactly(self):
+        rng = np.random.default_rng(25)
+        for k in (1, 2, 10, 37):
+            m = rng.normal(size=(15, 15))
+            self.assert_matches_per_frame(chunk_inputs(rng, k), 1e-2 * m @ m.T)
+
+    def test_zero_rate_and_small_angle_rows(self):
+        rng = np.random.default_rng(26)
+        inputs = chunk_inputs(rng, 12)
+        # phi = 0 exactly, |phi| < 1e-4 (Taylor branch), and large angles mixed
+        inputs["w"][0:4] = inputs["x"].b_g
+        inputs["w"][4:8] = inputs["x"].b_g + rng.normal(size=(4, 3)) * 1e-5
+        phi = np.linalg.norm((inputs["w"] - inputs["x"].b_g) * inputs["dt"][:, None], axis=1)
+        assert np.all(phi[:4] == 0.0) and np.all(phi[4:8] < 1e-4) and np.all(phi[8:] > 1e-4)
+        self.assert_matches_per_frame(inputs, np.eye(15))
+
+    def test_rejects_nonpositive_dt(self):
+        rng = np.random.default_rng(27)
+        for bad in (0.0, -1e-3):
+            inputs = chunk_inputs(rng, 3)
+            inputs["dt"][1] = bad
+            with pytest.raises(DataError, match="dt must be positive"):
+                propagate_chunk(**inputs)
+
+    def test_rejects_negative_noise_std(self):
+        rng = np.random.default_rng(28)
+        for name in ("eta_g", "eta_a", "eta_bg", "eta_ba"):
+            inputs = chunk_inputs(rng, 3)
+            inputs[name] = -np.abs(np.asarray(inputs[name]))
+            with pytest.raises(DataError, match=f"{name} must be nonnegative"):
+                propagate_chunk(**inputs)
 
 
 class TestDeadReckon:
@@ -219,7 +287,7 @@ class TestDeadReckon:
         imu = derive_imu(traj)
         x0 = NavState(traj.r[0], traj.v[0], traj.p[0], np.zeros(3), np.zeros(3))
         states = dead_reckon(x0, imu)
-        return np.linalg.norm(states[-1].p - traj.p[-1])
+        return np.linalg.norm(states.p[-1] - traj.p[-1])
 
     def test_noiseless_circle_closes_within_budget(self):
         e200 = self.final_error(200.0)
@@ -234,6 +302,37 @@ class TestDeadReckon:
         )
         states = dead_reckon(NavState.identity(), imu)
         assert len(states) == 50
+        np.testing.assert_array_equal(states.t, imu.t)
+
+    def test_equals_per_frame_loop_exactly(self):
+        rng = np.random.default_rng(29)
+        n = 400
+        imu = ImuWindow(
+            t=np.cumsum(rng.uniform(4e-3, 6e-3, size=n)),
+            w=rng.normal(size=(n, 3)),
+            a=rng.normal(size=(n, 3)) + np.array([0.0, 0.0, G]),
+        )
+        imu.w[::7] = 0.0  # zero-rate rows (the biases below are zero)
+        x = NavState(exp_so3(rng.normal(size=3)), rng.normal(size=3), rng.normal(size=3),
+                     np.zeros(3), np.zeros(3))
+        out = dead_reckon(x, imu)
+        t = imu.t.tolist()
+        for i in range(1, n):
+            x = propagate_state(x, imu.w[i - 1], imu.a[i - 1], t[i] - t[i - 1])
+            assert np.array_equal(out.r[i], x.r)
+            assert np.array_equal(out.v[i], x.v)
+            assert np.array_equal(out.p[i], x.p)
+
+    def test_rejects_invalid_initial_state(self):
+        imu = ImuWindow(t=np.arange(5) * 0.01, w=np.zeros((5, 3)), a=np.zeros((5, 3)))
+        bad_r = NavState.identity()
+        bad_r.r = 2.0 * np.eye(3)
+        with pytest.raises(InvalidRotationError):
+            dead_reckon(bad_r, imu)
+        bad_v = NavState.identity()
+        bad_v.v = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(DataError):
+            dead_reckon(bad_v, imu)
 
     def test_rejects_unordered_timestamps(self):
         with pytest.raises(TimestampOrderError):
