@@ -23,10 +23,11 @@ _DEGENERATE_ENERGY = 1e-24
 
 
 def collect_latents(model, windows) -> np.ndarray:
-    """Stack per-frame encoder features: (sum of window lengths, d)."""
-    if not windows:
-        raise DataError("need at least one window")
-    return np.vstack([model.latents(w) for w in windows])
+    """Per-frame encoder features of a WindowSet, encoded one window at a
+    time and stacked: (windows x frames, d)."""
+    model.config.require_kind(windows.kind, "window set")
+    singles = (windows[i : i + 1] for i in range(len(windows)))
+    return np.vstack([model.encode(one.imu, one.att)[0] for one in singles])
 
 
 def pca_cumulative_variance(feature_matrix, standardize: bool = False) -> np.ndarray:

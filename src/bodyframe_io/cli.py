@@ -55,6 +55,7 @@ from .motion_model import (
     NetworkProvider,
     OracleProvider,
     train_motion_model,
+    velocity_windows,
 )
 from .preintegration import NavState, dead_reckon
 from .simulator import Trajectory, corrupt_imu, derive_imu, generate_trajectory
@@ -129,31 +130,15 @@ def _estimate_pair(data: str, name: str, csv_path: str):
     return truth, estimate
 
 
-def _representation_windows(data: str, entries, cfg_net, stride: int):
-    """Chop corpus sequences into network-ready (window, v_body) pairs.
-
-    Raw body-frame windows are re-expressed in the network's input
-    representation using the ground-truth attitudes; the target is the
-    ground-truth velocity rotated into the body frame.
-    """
-    if stride < 1:
-        raise ConfigError("config key motion.stride: must be >= 1")
-    length = cfg_net.window
-    dataset = []
+def _network_windows(data: str, entries, net_cfg, stride: int):
+    """The entries' network windows; each whole sequence is re-expressed
+    in the network's representation with its ground-truth attitudes."""
+    sequences = []
     for entry in entries:
         imu, truth, _ = load_sequence(_seq_dir(data, entry.path))
-        if len(imu) < length:
-            continue
-        full = transform_representation(imu, cfg_net.representation, truth.r)
-        v_body = truth.body_velocities()
-        for start in range(0, len(imu) - length + 1, stride):
-            window = full.slice(start, start + length)
-            dataset.append((window, v_body[start : start + length]))
-    if not dataset:
-        raise DataError(
-            f"no window of {length} frames fits any seen sequence in {data}"
-        )
-    return dataset
+        full = transform_representation(imu, net_cfg.representation, truth.r)
+        sequences.append((full, truth.body_velocities()))
+    return velocity_windows(sequences, net_cfg.window, stride)
 
 
 def _fmt(value) -> str:
@@ -245,28 +230,20 @@ def _cmd_train_motion(args) -> int:
     cfg = _load(args)
     seed = _resolve_seed(args)
     net_cfg = cfgmod.motion_net_config(cfg, seed)
-    dataset = _representation_windows(
+    windows = _network_windows(
         args.data, _seen_entries(args.data), net_cfg, cfg.getint("motion", "stride")
     )
-    frac = cfg.getfloat("motion", "val_fraction")
-    if not 0.0 < frac < 1.0:
-        raise ConfigError("config key motion.val_fraction: must be in (0, 1)")
-    order = np.random.default_rng(seed).permutation(len(dataset))
-    n_val = max(1, int(round(frac * len(dataset))))
-    if n_val >= len(dataset):
-        raise DataError("too few windows to hold out a validation split")
-    val_set = [dataset[i] for i in order[:n_val]]
-    train_set = [dataset[i] for i in order[n_val:]]
+    train, val = windows.split(cfg.getfloat("motion", "val_fraction"), seed)
     model, history = train_motion_model(
-        train_set,
-        val_set,
+        train,
+        val,
         net_cfg,
         cfgmod.motion_loss_config(cfg),
         cfgmod.motion_train_config(cfg, seed),
     )
     model.save(args.out)
     print(
-        f"wrote {args.out} ({len(train_set)} train / {n_val} val windows,"
+        f"wrote {args.out} ({len(train)} train / {len(val)} val windows,"
         f" best val loss {min(history['val_loss']):.6g})"
     )
     return 0
@@ -342,10 +319,10 @@ def _cmd_analyze(args) -> int:
         entries = [CorpusEntry(name=n, role="seen", path=n) for n in args.names]
     else:
         entries = _seen_entries(args.data)
-    dataset = _representation_windows(
+    windows = _network_windows(
         args.data, entries, model.config, cfg.getint("motion", "stride")
     )
-    features = collect_latents(model, [w for w, _ in dataset])
+    features = collect_latents(model, windows)
     fractions = pca_cumulative_variance(features, standardize=args.standardize)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("k,cumulative_fraction\n")
@@ -353,8 +330,8 @@ def _cmd_analyze(args) -> int:
             fh.write(f"{k},{frac:.9g}\n")
     knee = int(np.searchsorted(fractions, 0.9) + 1)
     print(
-        f"wrote {args.out} ({features.shape[0]} windows x {features.shape[1]} dims,"
-        f" 90% variance at k={knee})"
+        f"wrote {args.out} ({len(windows)} windows, {features.shape[0]} frames x"
+        f" {features.shape[1]} dims, 90% variance at k={knee})"
     )
     return 0
 

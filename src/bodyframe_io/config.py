@@ -194,20 +194,19 @@ def trajectory_spec(cfg: RunConfig) -> TrajectorySpec:
             f"config key simulator.yaw_mode: unknown mode {yaw_name!r}"
             f" (choose from {sorted(_YAW_NAMES)})"
         )
-    center = cfg.getfloats("simulator", "center")
-    if len(center) != 3:
-        raise ConfigError("config key simulator.center: expected three numbers")
+    triples = {key: cfg.getfloats("simulator", key) for key in ("center", "ratios", "phases")}
+    for key, values in triples.items():
+        if len(values) != 3:
+            raise ConfigError(f"config key simulator.{key}: expected three numbers")
     return TrajectorySpec(
         kind=_KIND_NAMES[kind_name],
         duration=cfg.getfloat("simulator", "duration"),
         imu_rate=cfg.getfloat("simulator", "imu_rate"),
         amplitude=cfg.getfloat("simulator", "amplitude"),
         rate=cfg.getfloat("simulator", "rate"),
-        center=center,
         yaw_mode=_YAW_NAMES[yaw_name],
         yaw_rate=cfg.getfloat("simulator", "yaw_rate"),
-        ratios=cfg.getfloats("simulator", "ratios"),
-        phases=cfg.getfloats("simulator", "phases"),
+        **triples,
     )
 
 
@@ -216,11 +215,12 @@ def noise_spec(cfg: RunConfig, seed: int) -> NoiseSpec:
     b_a0 = cfg.getfloats("noise", "b_a0")
     if len(b_g0) != 3 or len(b_a0) != 3:
         raise ConfigError("config keys noise.b_g0/b_a0: expected three numbers")
+    sigmas = {k: cfg.getfloat("noise", k) for k in ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba")}
+    for key, value in sigmas.items():
+        if not value >= 0.0:
+            raise ConfigError(f"config key noise.{key}: must be nonnegative, got {value}")
     return NoiseSpec(
-        sigma_g=cfg.getfloat("noise", "sigma_g"),
-        sigma_a=cfg.getfloat("noise", "sigma_a"),
-        sigma_bg=cfg.getfloat("noise", "sigma_bg"),
-        sigma_ba=cfg.getfloat("noise", "sigma_ba"),
+        **sigmas,
         b_g0=b_g0,
         b_a0=b_a0,
         seed=seed,

@@ -200,6 +200,8 @@ def train_corrector(dataset, window_len: int = 16):
 
     Returns (model, training mean-squared error).
     """
+    if window_len < 1:
+        raise ConfigError(f"corrector window_len must be >= 1, got {window_len}")
     if not dataset:
         raise DataError("empty corrector training set")
 

@@ -230,7 +230,7 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
       last one), runs the velocity provider over the newest
       min(buffer_len, provider.window_len) corrected frames,
       re-expressed in the provider's representation when it is not the
-      body frame, and updates with the newest frame's measurement.
+      body frame, and updates with the newest frame's (v, eta) row.
 
     The recorded rows are kept in _ArrayFifo stores bounded by
     buffer_len when fifo is set, else in whole-sequence _SequenceArray
@@ -304,8 +304,8 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
             )
             if kind is not None and kind is not RepresentationKind.BODY:
                 window = transform_representation(window, kind, rotations.tail(served))
-            meas = provider.predict_window(window, stop - start)
-            fs = ekf_update(fs, meas[-1])
+            v, eta = provider.predict_window(window, stop - start)
+            fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
             run.record(stop - 1, fs)
         start = stop
     return run

@@ -56,8 +56,11 @@ def rte_residuals(truth, estimate, interval: float = 5.0) -> np.ndarray:
     """Per-start-index interval residual norms (dense evaluation).
 
     residual_i = (p_{i+d} - p_i) - R_i R_hat_i^T (p_hat_{i+d} - p_hat_i)
-    with d the sample count nearest to the requested interval.
+    with d the sample count nearest to the requested interval, which
+    must be positive (ConfigError otherwise).
     """
+    if not interval > 0.0:
+        raise ConfigError(f"rte interval must be positive, got {interval}")
     _check_pair(truth, estimate)
     t = truth.t
     span = t[-1] - t[0]

@@ -15,11 +15,14 @@ velocity loss plus a weighted Gaussian negative-log-likelihood term
 that supervises the uncertainty channel; all gradients are hand-derived
 through the layers in nn.py.
 
-The module also hosts the velocity-measurement providers the filter
-consumes: the network itself, run on the window length it was trained
-on (MotionNetConfig.window), a ground-truth oracle with configurable
-noise (for isolating filter behavior), and a constant-zero baseline
-(equivalent to a pure non-holonomic prior).
+Training and analysis windows are one WindowSet of stacked arrays, cut
+from whole sequences by velocity_windows. The module also hosts the
+velocity providers the filter consumes: the network itself, run on the
+window length it was trained on (MotionNetConfig.window), a
+ground-truth oracle with configurable noise (for isolating filter
+behavior), and a constant-zero baseline (equivalent to a pure
+non-holonomic prior). predict_window(window, n_tail) returns (v, eta),
+(n_tail, 3) each, for the newest frames.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ ETA_MAX = 1e2
 class VelocityMeasurement:
     """One body-frame velocity estimate with a per-axis std."""
 
-    t: float
     v_body: np.ndarray
     eta_v: np.ndarray
 
@@ -98,6 +100,11 @@ class MotionNetConfig:
             if len(chans) == 0 or any(c < 1 for c in chans):
                 raise ConfigError(f"{name} must be a nonempty tuple of positive ints")
 
+    def require_kind(self, kind: RepresentationKind, what: str):
+        """DataError unless kind is the model's input representation."""
+        if kind is not self.representation:
+            raise DataError(f"{what} is in {kind.name}, model expects {self.representation.name}")
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -127,6 +134,73 @@ class TrainConfig:
             raise ConfigError("lr must be positive and lr_decay in (0, 1)")
         if self.patience < 0:
             raise ConfigError("patience must be nonnegative")
+
+
+@dataclass(frozen=True)
+class WindowSet:
+    """Network windows of one representation kind, stacked: imu (N, T, 6)
+    gyro then accelerometer, att (N, T, 3) the attitude channel, present
+    exactly when kind.has_attitude, and v (N, T, 3) body-frame velocity
+    targets. Construction rejects an empty set and disagreeing shapes."""
+
+    kind: RepresentationKind
+    imu: np.ndarray
+    att: np.ndarray | None
+    v: np.ndarray
+
+    def __post_init__(self):
+        n_t = self.imu.shape[:2]
+        att = None if self.att is None else self.att.shape
+        want_att = (*n_t, 3) if self.kind.has_attitude else None
+        if (self.imu.shape, self.v.shape, att) != ((*n_t, 6), (*n_t, 3), want_att) or not n_t[0]:
+            raise DataError(f"{self.kind.name} window set needs imu (N>0, T, 6), v (N, T, 3)"
+                            f" and att {want_att}; got {self.imu.shape}, {self.v.shape}, {att}")
+
+    def __len__(self) -> int:
+        return self.imu.shape[0]
+
+    def __getitem__(self, index) -> "WindowSet":
+        """The windows at a slice or an integer index array, in its order."""
+        att = None if self.att is None else self.att[index]
+        return WindowSet(self.kind, self.imu[index], att, self.v[index])
+
+    def split(self, val_fraction: float, seed: int) -> tuple["WindowSet", "WindowSet"]:
+        """(train, val): a seeded permutation's first round(val_fraction * N) validate."""
+        if not 0.0 < val_fraction < 1.0:
+            raise ConfigError("val_fraction must be in (0, 1)")
+        order = np.random.default_rng(seed).permutation(len(self))
+        n_val = max(1, int(round(val_fraction * len(self))))
+        if n_val >= len(self):
+            raise DataError("too few windows to hold out a validation split")
+        return self[order[n_val:]], self[order[:n_val]]
+
+
+def velocity_windows(sequences, length: int, stride: int) -> WindowSet:
+    """Cut (window, v_body) pairs, each a whole sequence already in the
+    network's representation with its (n, 3) body-frame velocities, into
+    windows of length frames starting every stride frames. A sequence
+    shorter than length adds none."""
+    if length < 1 or stride < 1:
+        raise ConfigError("window length and stride must be >= 1")
+    kinds = {window.kind for window, _ in sequences}
+    if len(kinds) != 1:
+        raise DataError(f"need sequences of one representation, got {len(kinds)}")
+    kind = kinds.pop()
+    imus, atts, vs = [], [], []
+    for window, v_body in sequences:
+        if np.shape(v_body) != (len(window), 3):
+            raise DataError(f"velocity shape {np.shape(v_body)} != ({len(window)}, 3)")
+        frames = np.arange(0, len(window) - length + 1, stride)[:, None] + np.arange(length)
+        imus.append(np.concatenate([window.w, window.a], axis=1)[frames])
+        vs.append(np.asarray(v_body, dtype=float)[frames])
+        if kind.has_attitude:
+            if window.attitudes is None:
+                raise DataError("a sequence lacks the attitude channel")
+            atts.append(window.attitudes[frames])
+    if sum(map(len, vs)) == 0:
+        raise DataError(f"no window of {length} frames fits any sequence")
+    return WindowSet(kind, np.concatenate(imus), np.concatenate(atts) if atts else None,
+                     np.concatenate(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -328,36 +402,16 @@ class MotionNet:
 
     # -- window-level API ----------------------------------------------------
 
-    def _window_arrays(self, window: ImuWindow):
-        if window.kind is not self.config.representation:
-            raise DataError(
-                f"window is in {window.kind.name}, model expects "
-                f"{self.config.representation.name}"
-            )
-        imu = np.concatenate([window.w, window.a], axis=1)[None]
+    def forward(self, window: ImuWindow) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluation-mode inference: (v, eta), (n, 3) each, one row per frame."""
+        self.config.require_kind(window.kind, "window")
         att = None
         if self._att_dim:
             if window.attitudes is None:
                 raise DataError("window lacks the attitude channel the model expects")
             att = window.attitudes[None]
-        return imu, att
-
-    def forward(self, window: ImuWindow, n_tail: int | None = None) -> list[VelocityMeasurement]:
-        """Evaluation-mode inference: one measurement per input frame, or
-        per frame of the last n_tail frames only."""
-        imu, att = self._window_arrays(window)
-        v, eta = self.forward_arrays(imu, att, train=False)
-        n = len(window)
-        lo = 0 if n_tail is None else max(0, n - n_tail)
-        return [
-            VelocityMeasurement(t=float(window.t[i]), v_body=v[0, i], eta_v=eta[0, i])
-            for i in range(lo, n)
-        ]
-
-    def latents(self, window: ImuWindow) -> np.ndarray:
-        """Per-frame encoder features before the recurrent stack: (n, d)."""
-        imu, att = self._window_arrays(window)
-        return self.encode(imu, att)[0]
+        v, eta = self.forward_arrays(np.concatenate([window.w, window.a], axis=1)[None], att)
+        return v[0], eta[0]
 
     # -- persistence ----------------------------------------------------------
 
@@ -412,40 +466,14 @@ class MotionNet:
 # training
 
 
-def _stack_dataset(dataset, cfg: MotionNetConfig, label):
-    if not dataset:
-        raise DataError(f"{label} dataset is empty")
-    imus, atts, truths = [], [], []
-    n = len(dataset[0][0])
-    for window, v_true in dataset:
-        if window.kind is not cfg.representation:
-            raise DataError(
-                f"{label} window in {window.kind.name}, expected {cfg.representation.name}"
-            )
-        if len(window) != n:
-            raise DataError(f"{label} windows must share a common length")
-        v_true = np.asarray(v_true, dtype=float)
-        if v_true.shape != (n, 3):
-            raise DataError(f"{label} truth shape {v_true.shape} != ({n}, 3)")
-        imus.append(np.concatenate([window.w, window.a], axis=1))
-        if cfg.representation.has_attitude:
-            if window.attitudes is None:
-                raise DataError(f"{label} window lacks the attitude channel")
-            atts.append(window.attitudes)
-        truths.append(v_true)
-    imu = np.stack(imus)
-    att = np.stack(atts) if atts else None
-    return imu, att, np.stack(truths)
-
-
 def train_motion_model(
-    train_set,
-    val_set,
+    train: WindowSet,
+    val: WindowSet,
     cfg: MotionNetConfig = MotionNetConfig(),
     loss_cfg: LossConfig = LossConfig(),
     train_cfg: TrainConfig = TrainConfig(),
 ):
-    """Fit a MotionNet on (window, body-velocity) pairs.
+    """Fit a MotionNet on the training windows, validating on val.
 
     Adam with a plateau schedule on the validation loss; returns the
     best-validation checkpoint and a history dict with per-epoch train
@@ -454,21 +482,20 @@ def train_motion_model(
     """
     loss_cfg.validate()
     train_cfg.validate()
-    imu_tr, att_tr, truth_tr = _stack_dataset(train_set, cfg, "training")
-    imu_va, att_va, truth_va = _stack_dataset(val_set, cfg, "validation")
-
+    cfg.require_kind(train.kind, "training set")
+    cfg.require_kind(val.kind, "validation set")
     model = MotionNet(cfg)
-    model.set_normalization(imu_tr, att_tr)
+    model.set_normalization(train.imu, train.att)
     opt = Adam(model.parameters(), lr=train_cfg.lr)
     sched = PlateauScheduler(opt, patience=train_cfg.patience, factor=train_cfg.lr_decay)
     rng = np.random.default_rng(train_cfg.seed)
 
     def val_loss():
-        v, eta = model.forward_arrays(imu_va, att_va, train=False)
-        loss, _, _ = _combined_loss_grads(v, truth_va, eta, loss_cfg)
+        v, eta = model.forward_arrays(val.imu, val.att, train=False)
+        loss, _, _ = _combined_loss_grads(v, val.v, eta, loss_cfg)
         return loss
 
-    n = imu_tr.shape[0]
+    n = len(train)
     history = {"train_loss": [], "val_loss": [], "lr": []}
     best = math.inf
     best_params = {k: p.copy() for k, p in model.parameters().items()}
@@ -476,18 +503,13 @@ def train_motion_model(
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, train_cfg.batch_size):
-            idx = order[start : start + train_cfg.batch_size]
-            v, eta = model.forward_arrays(
-                imu_tr[idx],
-                None if att_tr is None else att_tr[idx],
-                train=True,
-                rng=rng,
-            )
-            loss, dv, deta = _combined_loss_grads(v, truth_tr[idx], eta, loss_cfg)
+            batch = train[order[start : start + train_cfg.batch_size]]
+            v, eta = model.forward_arrays(batch.imu, batch.att, train=True, rng=rng)
+            loss, dv, deta = _combined_loss_grads(v, batch.v, eta, loss_cfg)
             model.zero_grads()
             model.backward_arrays(dv, deta)
             opt.step(model.gradients())
-            epoch_loss += loss * len(idx)
+            epoch_loss += loss * len(batch)
         vl = val_loss()
         history["train_loss"].append(epoch_loss / n)
         history["val_loss"].append(vl)
@@ -531,12 +553,9 @@ class ConstantZeroProvider:
             raise ConfigError("eta must be positive")
         self.eta = float(eta)
 
-    def predict_window(self, window: ImuWindow, n_tail: int) -> list[VelocityMeasurement]:
+    def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
         n_tail = min(n_tail, len(window))
-        return [
-            VelocityMeasurement(t=float(t), v_body=np.zeros(3), eta_v=np.full(3, self.eta))
-            for t in window.t[len(window) - n_tail :]
-        ]
+        return np.zeros((n_tail, 3)), np.full((n_tail, 3), self.eta)
 
 
 class OracleProvider:
@@ -544,7 +563,6 @@ class OracleProvider:
 
     The draw for each frame is fixed at construction, so the same frame
     always yields the same measurement no matter which window asks.
-    Measurements are built for the requested tail only.
     """
 
     required_kind = None
@@ -553,7 +571,7 @@ class OracleProvider:
         self._times = truth.t
         self._v, self._eta = oracle_predict(truth, noise_std, seed)
 
-    def predict_window(self, window: ImuWindow, n_tail: int) -> list[VelocityMeasurement]:
+    def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
         stamps = window.t[len(window) - min(n_tail, len(window)) :]
         # the first truth row after stamp - 1e-9 s is the only one that can match
         rows = np.searchsorted(self._times, stamps - 1e-9, side="right")
@@ -561,10 +579,7 @@ class OracleProvider:
         missing = np.flatnonzero(np.abs(self._times[rows] - stamps) >= 1e-9)
         if missing.size:
             raise DataError(f"no oracle measurement at t={stamps[missing[0]]}")
-        return [
-            VelocityMeasurement(t=float(self._times[j]), v_body=self._v[j], eta_v=self._eta)
-            for j in rows
-        ]
+        return self._v[rows], np.tile(self._eta, (len(rows), 1))
 
 
 class NetworkProvider:
@@ -572,8 +587,8 @@ class NetworkProvider:
 
     The model sees the last model.config.window frames of the window it
     is given (all of them when there are fewer), as in training, and
-    measurements are built for the n_tail newest frames only. window_len
-    tells the filter loop how many frames to hand over.
+    the rows of the n_tail newest frames are returned. window_len tells
+    the filter loop how many frames to hand over.
     """
 
     def __init__(self, model: MotionNet):
@@ -581,7 +596,9 @@ class NetworkProvider:
         self.required_kind = model.config.representation
         self.window_len = model.config.window
 
-    def predict_window(self, window: ImuWindow, n_tail: int) -> list[VelocityMeasurement]:
+    def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
         if len(window) > self.window_len:
             window = window.slice(len(window) - self.window_len, len(window))
-        return self.model.forward(window, n_tail)
+        v, eta = self.model.forward(window)
+        tail = len(window) - min(n_tail, len(window))
+        return v[tail:], eta[tail:]

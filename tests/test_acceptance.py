@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 import pytest
+from test_motion_model import simulated_sequence, window_rmse
 from test_preintegration import fd_jacobians
 
 from bodyframe_io.corrector import IdentityCorrector
@@ -34,7 +35,7 @@ from bodyframe_io.ekf import (
     streaming_run,
 )
 from bodyframe_io.analysis import pca_cumulative_variance
-from bodyframe_io.imu_model import RepresentationKind, transform_representation
+from bodyframe_io.imu_model import RepresentationKind
 from bodyframe_io.metrics import improvement_percentage, rte
 from bodyframe_io.motion_model import (
     LossConfig,
@@ -46,6 +47,7 @@ from bodyframe_io.motion_model import (
     covariance_loss,
     huber_loss,
     train_motion_model,
+    velocity_windows,
 )
 from bodyframe_io.preintegration import (
     NavState,
@@ -97,33 +99,8 @@ def position_rms(estimate, trajectory):
     return float(np.sqrt(np.mean(np.sum((p_est - p_true) ** 2, axis=1))))
 
 
-def traj_windows(spec, kind, length, stride):
-    """(window, body-velocity) pairs from a noiseless simulated run."""
-    traj = generate_trajectory(spec)
-    imu = derive_imu(traj)
-    rots = traj.r
-    v_body = traj.body_velocities()
-    out = []
-    for lo in range(0, len(traj) - length + 1, stride):
-        win = transform_representation(
-            imu.slice(lo, lo + length), kind, rots[lo : lo + length]
-        )
-        out.append((win, v_body[lo : lo + length]))
-    return out
-
-
-def holdout_rmse(model, dataset):
-    errs = []
-    for win, v_true in dataset:
-        v = np.array([m.v_body for m in model.forward(win)])
-        errs.append(np.sum((v - v_true) ** 2, axis=1))
-    return float(np.sqrt(np.mean(np.concatenate(errs))))
-
-
-def zero_rmse(dataset):
-    return float(
-        np.sqrt(np.mean(np.concatenate([np.sum(v**2, axis=1) for _, v in dataset])))
-    )
+def zero_rmse(windows):
+    return float(np.sqrt(np.mean(np.sum(windows.v**2, axis=2))))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +372,7 @@ def test_criterion_06_loss_unit_values():
 def learning_corpus():
     kinds = [TrajectoryKind.FIGURE8, TrajectoryKind.CIRCLE, TrajectoryKind.LISSAJOUS3D]
     rep = RepresentationKind.BODY_PLUS_ATTITUDE
-    sets = []
+    sequences = []
     for i in range(20):
         spec = TrajectorySpec(
             kind=kinds[i % 3],
@@ -404,13 +381,15 @@ def learning_corpus():
             amplitude=0.8 + 0.04 * i,
             rate=0.45 + 0.05 * (i % 7),
         )
-        sets.append(traj_windows(spec, rep, length=200, stride=100))
+        sequences.append(simulated_sequence(spec, rep))
     test_idx = {2, 7, 11, 16}
     val_idx = {5, 13}
-    train = [w for i, s in enumerate(sets) if i not in test_idx | val_idx for w in s]
-    val = [w for i in sorted(val_idx) for w in sets[i]]
-    test = [w for i in sorted(test_idx) for w in sets[i]]
-    return train, val, test
+
+    def windows(indices):
+        return velocity_windows([sequences[i] for i in indices], length=200, stride=100)
+
+    train = windows(i for i in range(20) if i not in test_idx | val_idx)
+    return train, windows(sorted(val_idx)), windows(sorted(test_idx))
 
 
 def gradient_check_worst():
@@ -478,7 +457,7 @@ def test_criterion_07_learning():
     )
     tcfg = TrainConfig(epochs=50, lr=3e-3, batch_size=16, seed=0)
     model, _ = train_motion_model(train, val, cfg, LossConfig(), tcfg)
-    net = holdout_rmse(model, test)
+    net = window_rmse(model, test)
     base = zero_rmse(test)
 
     # bit-reproducibility on a short rerun of the same seed
@@ -528,24 +507,10 @@ def test_criterion_08_representation_ablation():
             yaw_rate=2.0,
         )
 
-    raw = {}
-    for label, rate in (("tr0", 0.5), ("tr1", 0.6), ("val", 0.55), ("test", 0.575)):
-        traj = generate_trajectory(spec(rate))
-        raw[label] = (
-            derive_imu(traj),
-            traj.r,
-            traj.body_velocities(),
+    def windows(kind, *rates):
+        return velocity_windows(
+            [simulated_sequence(spec(rate), kind) for rate in rates], length=100, stride=100
         )
-
-    def windows(label, kind, length=100, stride=100):
-        imu, rots, v_body = raw[label]
-        out = []
-        for lo in range(0, len(imu) - length + 1, stride):
-            win = transform_representation(
-                imu.slice(lo, lo + length), kind, rots[lo : lo + length]
-            )
-            out.append((win, v_body[lo : lo + length]))
-        return out
 
     medians = {}
     for rep in (
@@ -553,9 +518,9 @@ def test_criterion_08_representation_ablation():
         RepresentationKind.GLOBAL,
         RepresentationKind.BODY_MINUS_GRAVITY,
     ):
-        train = windows("tr0", rep) + windows("tr1", rep)
-        val = windows("val", rep)
-        test = windows("test", rep)
+        train = windows(rep, 0.5, 0.6)
+        val = windows(rep, 0.55)
+        test = windows(rep, 0.575)
         rmses = []
         for seed in (0, 1, 2):
             cfg = MotionNetConfig(
@@ -571,7 +536,7 @@ def test_criterion_08_representation_ablation():
             )
             tcfg = TrainConfig(epochs=40, lr=5e-3, batch_size=8, seed=seed)
             model, _ = train_motion_model(train, val, cfg, LossConfig(), tcfg)
-            rmses.append(holdout_rmse(model, test))
+            rmses.append(window_rmse(model, test))
         medians[rep] = float(np.median(rmses))
 
     body = medians[RepresentationKind.BODY]

@@ -10,10 +10,10 @@ from bodyframe_io.errors import (
     InsufficientDataError,
 )
 from bodyframe_io.imu_model import RepresentationKind
-from bodyframe_io.motion_model import MotionNet, MotionNetConfig
+from bodyframe_io.motion_model import MotionNet, MotionNetConfig, WindowSet, velocity_windows
 from bodyframe_io.simulator import TrajectoryKind, TrajectorySpec
 
-from test_motion_model import TINY, velocity_dataset
+from test_motion_model import TINY, simulated_sequence
 
 
 class TestPcaCumulativeVariance:
@@ -100,10 +100,10 @@ def windows():
     spec = TrajectorySpec(
         kind=TrajectoryKind.FIGURE8, duration=3.0, imu_rate=20.0, rate=np.pi / 4
     )
-    data = velocity_dataset(
-        spec, RepresentationKind.BODY_PLUS_ATTITUDE, n_windows=4, length=10, stride=12
-    )
-    return [w for w, _ in data]
+    sequence = simulated_sequence(spec, RepresentationKind.BODY_PLUS_ATTITUDE)
+    out = velocity_windows([sequence], length=10, stride=12)[:4]
+    assert len(out) == 4
+    return out
 
 
 class TestCollectLatents:
@@ -111,9 +111,19 @@ class TestCollectLatents:
         f = collect_latents(MotionNet(TINY), windows)
         assert f.shape == (4 * 10, 8 + 4)
 
+    def test_rows_are_each_windows_encoding(self, windows):
+        model = MotionNet(TINY)
+        rng = np.random.default_rng(2)
+        for p in model.parameters().values():
+            p += 0.1 * rng.standard_normal(p.shape)
+        f = collect_latents(model, windows)
+        for i in range(len(windows)):
+            one = model.encode(windows.imu[i : i + 1], windows.att[i : i + 1])[0]
+            assert np.array_equal(f[10 * i : 10 * (i + 1)], one)
+
     def test_identical_windows_identical_rows(self, windows):
         model = MotionNet(TINY)
-        f = collect_latents(model, [windows[0], windows[0]])
+        f = collect_latents(model, windows[np.array([0, 0])])
         np.testing.assert_array_equal(f[:10], f[10:])
 
     def test_zero_weight_model_gives_constant_rows(self, windows):
@@ -135,7 +145,6 @@ class TestCollectLatents:
         )
         with pytest.raises(DataError):
             collect_latents(MotionNet(cfg), windows)
-
-    def test_empty_list_rejected(self):
+        global_set = WindowSet(RepresentationKind.GLOBAL, windows.imu, None, windows.v)
         with pytest.raises(DataError):
-            collect_latents(MotionNet(TINY), [])
+            collect_latents(MotionNet(TINY), global_set)

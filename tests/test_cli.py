@@ -216,6 +216,45 @@ class TestExitCodes:
         assert rc == 4
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window_len", ["0", "-3"])
+    def test_nonpositive_corrector_window_exits_2(self, workdir, tmp_path, capsys,
+                                                  window_len):
+        cfg = tmp_path / "corr.ini"
+        cfg.write_text(f"[corrector]\nwindow_len = {window_len}\n")
+        out = tmp_path / "c.bfwt"
+        rc = main(["train-corrector", "--data", workdir["data"], "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "window_len" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, line", [
+        ("simulator", "ratios = 1, 2"),
+        ("simulator", "phases = 0, 0.5, 1, 2"),
+        ("noise", "sigma_g = -1e-3"),
+        ("noise", "sigma_ba = -1e-4"),
+    ])
+    def test_bad_simulator_settings_exit_2(self, tmp_path, capsys, section, line):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        data = tmp_path / "d"
+        rc = main(["simulate", "--data", str(data), "--name", "s", "--config", str(cfg)])
+        assert rc == 2
+        assert f"{section}.{line.split()[0]}" in capsys.readouterr().err
+        assert not (data / "s").exists()
+
+    @pytest.mark.parametrize("interval", ["0", "-2.0"])
+    def test_nonpositive_rte_interval_exits_2(self, workdir, ekf_csv, tmp_path, capsys,
+                                              interval):
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\nrte_interval = {interval}\n")
+        report = tmp_path / "r.csv"
+        rc = main(["eval", "--data", workdir["data"], "--estimate", f"seq01={ekf_csv}",
+                   "--config", str(cfg), "--out", str(report)])
+        assert rc == 2
+        assert "interval" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestSimulate:
     def test_byte_identical_across_runs(self, tmp_path):
@@ -352,6 +391,8 @@ class TestPipeline:
         assert len(fractions) == 8  # encoder feature dimension
         assert fractions == sorted(fractions)
         assert fractions[-1] == pytest.approx(1.0, abs=1e-9)
+        # 501 frames hold 19 windows of 50 frames, 25 apart
+        assert "(19 windows, 950 frames x 8 dims," in capsys.readouterr().out
 
 
 class TestTrainers:

@@ -134,6 +134,21 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="simulator.center"):
             trajectory_spec(cfg)
 
+    @pytest.mark.parametrize("key", ["ratios", "phases"])
+    @pytest.mark.parametrize("value", ["1, 2", "1, 2, 3, 4", "0.5"])
+    def test_lissajous_triples_must_be_three_numbers(self, key, value):
+        cfg = RunConfig()
+        cfg.values["simulator"][key] = value
+        with pytest.raises(ConfigError, match=f"simulator.{key}"):
+            trajectory_spec(cfg)
+
+    @pytest.mark.parametrize("key", ["sigma_g", "sigma_a", "sigma_bg", "sigma_ba"])
+    def test_negative_noise_density_rejected(self, key):
+        cfg = RunConfig()
+        cfg.values["noise"][key] = "-1e-3"
+        with pytest.raises(ConfigError, match=f"noise.{key}"):
+            noise_spec(cfg, seed=0)
+
     def test_noise_spec_carries_seed(self):
         spec = noise_spec(RunConfig(), seed=42)
         assert spec.seed == 42

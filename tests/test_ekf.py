@@ -179,7 +179,7 @@ class TestUpdate:
         rng = np.random.default_rng(3)
         fs = random_state(rng)
         z = VelocityMeasurement(
-            t=0.0, v_body=predicted_velocity(fs), eta_v=np.full(3, 0.1)
+            v_body=predicted_velocity(fs), eta_v=np.full(3, 0.1)
         )
         out = ekf_update(fs, z)
         np.testing.assert_array_equal(out.x.r, fs.x.r)
@@ -191,7 +191,7 @@ class TestUpdate:
         rng = np.random.default_rng(4)
         fs = random_state(rng, p_scale=1e-2)
         z = VelocityMeasurement(
-            t=0.0, v_body=predicted_velocity(fs) + np.array([1.0, -2.0, 0.5]),
+            v_body=predicted_velocity(fs) + np.array([1.0, -2.0, 0.5]),
             eta_v=np.full(3, 1e2),
         )
         out = ekf_update(fs, z)
@@ -206,7 +206,7 @@ class TestUpdate:
         p0[5, 5] = p_var
         fs = FilterState(x=NavState.identity(), P=p0, t=0.0)
         z = VelocityMeasurement(
-            t=0.0, v_body=np.array([0, 0, z_val]), eta_v=np.array([1.0, 1.0, sig])
+            v_body=np.array([0, 0, z_val]), eta_v=np.array([1.0, 1.0, sig])
         )
         out = ekf_update(fs, z)
         k = p_var / (p_var + sig**2)
@@ -219,7 +219,7 @@ class TestUpdate:
     def test_singular_innovation_covariance_raises(self):
         fs = FilterState(x=NavState.identity(), P=np.zeros((15, 15)), t=0.0)
         z = VelocityMeasurement(
-            t=0.0, v_body=np.zeros(3), eta_v=np.array([1.0, 1e-7, 1e-7])
+            v_body=np.zeros(3), eta_v=np.array([1.0, 1e-7, 1e-7])
         )
         with pytest.raises(SingularUpdateError):
             ekf_update(fs, z)
@@ -229,7 +229,7 @@ class TestUpdate:
         for _ in range(25):
             fs = random_state(rng)
             z = VelocityMeasurement(
-                t=0.0, v_body=rng.standard_normal(3),
+                v_body=rng.standard_normal(3),
                 eta_v=np.abs(rng.standard_normal(3)) + 0.05,
             )
             out = ekf_update(fs, z)
@@ -462,7 +462,8 @@ class TestRunners:
             )
             if i % 5 == 0:
                 window = corrected.slice(max(0, i + 1 - cfg.buffer_len), i + 1)
-                fs = ekf_update(fs, meas.predict_window(window, 5)[-1])
+                v, eta = meas.predict_window(window, 5)
+                fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
             for x, y in zip(run_arrays(run), (fs.x.r, fs.x.v, fs.x.p, fs.x.b_a, fs.x.b_g, fs.P)):
                 assert np.array_equal(x[i], y), i
 

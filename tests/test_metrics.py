@@ -120,6 +120,12 @@ class TestRte:
         with pytest.raises(InsufficientDataError):
             rte(*line_pair(n=40, dt=0.1), interval=5.0)
 
+    @pytest.mark.parametrize("interval", [0.0, -2.0])
+    def test_nonpositive_interval_rejected(self, interval):
+        for metric in (rte_residuals, rte, accuracy_auc):
+            with pytest.raises(ConfigError, match="interval"):
+                metric(*line_pair(), interval=interval)
+
     def test_residuals_equal_per_sample_loop(self):
         rng = np.random.default_rng(3)
         truth, est = random_pair(rng, n=160)

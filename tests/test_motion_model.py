@@ -19,12 +19,14 @@ from bodyframe_io.motion_model import (
     OracleProvider,
     TrainConfig,
     VelocityMeasurement,
+    WindowSet,
     _combined_loss_grads,
     combined_loss,
     covariance_loss,
     huber_loss,
     oracle_predict,
     train_motion_model,
+    velocity_windows,
 )
 from bodyframe_io.simulator import (
     Trajectory,
@@ -48,29 +50,17 @@ TINY = MotionNetConfig(
 )
 
 
-def velocity_dataset(spec, kind, n_windows, length, stride):
-    """Chop a noiseless simulated run into (window, body-velocity) pairs."""
+def simulated_sequence(spec, kind):
+    """A noiseless simulated run in representation kind, with its
+    body-frame velocities: one velocity_windows input pair."""
     traj = generate_trajectory(spec)
-    imu = derive_imu(traj)
-    rots = traj.r
-    v_body = traj.body_velocities()
-    out = []
-    for k in range(n_windows):
-        lo = k * stride
-        hi = lo + length
-        if hi > len(traj):
-            raise AssertionError("trajectory too short for requested windows")
-        win = transform_representation(imu.slice(lo, hi), kind, rots[lo:hi])
-        out.append((win, v_body[lo:hi]))
-    return out
+    return transform_representation(derive_imu(traj), kind, traj.r), traj.body_velocities()
 
 
-def dataset_rmse(model, dataset):
-    errs = []
-    for win, v_true in dataset:
-        v = np.array([m.v_body for m in model.forward(win)])
-        errs.append(np.sum((v - v_true) ** 2, axis=1))
-    return float(np.sqrt(np.mean(np.concatenate(errs))))
+def window_rmse(model, windows):
+    """Velocity RMSE of the model over a WindowSet, in one batch."""
+    v, _ = model.forward_arrays(windows.imu, windows.att)
+    return float(np.sqrt(np.mean(np.sum((v - windows.v) ** 2, axis=2))))
 
 
 class TestHuberLoss:
@@ -178,35 +168,164 @@ class TestCombinedLoss:
 
 @pytest.fixture(scope="module")
 def tiny_window():
+    """The first 8 frames of a slow figure-8 and their body velocities."""
     spec = TrajectorySpec(
         kind=TrajectoryKind.FIGURE8, duration=0.5, imu_rate=20.0, rate=np.pi / 4
     )
-    data = velocity_dataset(spec, RepresentationKind.BODY_PLUS_ATTITUDE, 1, 8, 1)
-    return data[0]
+    full, v_body = simulated_sequence(spec, RepresentationKind.BODY_PLUS_ATTITUDE)
+    return full.slice(0, 8), v_body[:8]
+
+
+@pytest.fixture(scope="module")
+def tiny_set(tiny_window):
+    return velocity_windows([tiny_window], 8, 1)
+
+
+def per_window_reference(sequences, length, stride):
+    """velocity_windows by slicing each window and stacking the slices."""
+    imu, att, v = [], [], []
+    for window, v_body in sequences:
+        for lo in range(0, len(window) - length + 1, stride):
+            hi = lo + length
+            imu.append(np.concatenate([window.w[lo:hi], window.a[lo:hi]], axis=1))
+            if window.attitudes is not None:
+                att.append(window.attitudes[lo:hi])
+            v.append(v_body[lo:hi])
+    return np.stack(imu), np.stack(att) if att else None, np.stack(v)
+
+
+class TestVelocityWindows:
+    @staticmethod
+    def _sequences(kind):
+        """Three runs of 61, 41 and 7 frames; the last is shorter than a window."""
+        out = []
+        for curve, duration in ((TrajectoryKind.FIGURE8, 3.0), (TrajectoryKind.CIRCLE, 2.0),
+                                (TrajectoryKind.LISSAJOUS3D, 0.3)):
+            spec = TrajectorySpec(kind=curve, duration=duration, imu_rate=20.0, rate=0.6)
+            out.append(simulated_sequence(spec, kind))
+        assert [len(w) for w, _ in out] == [61, 41, 7]
+        return out
+
+    @pytest.mark.parametrize("kind", [RepresentationKind.BODY_PLUS_ATTITUDE,
+                                      RepresentationKind.GLOBAL])
+    @pytest.mark.parametrize("length, stride", [(10, 7), (8, 1), (41, 20)])
+    def test_equals_per_window_slices(self, kind, length, stride):
+        sequences = self._sequences(kind)
+        got = velocity_windows(sequences, length, stride)
+        imu, att, v = per_window_reference(sequences, length, stride)
+        assert got.kind is kind and len(got) == len(imu)
+        assert np.array_equal(got.imu, imu)
+        assert np.array_equal(got.v, v)
+        if kind.has_attitude:
+            assert np.array_equal(got.att, att)
+        else:
+            assert got.att is None and att is None
+
+    def test_rejects_bad_inputs(self):
+        sequences = self._sequences(RepresentationKind.BODY_PLUS_ATTITUDE)
+        (full, v_body), other = sequences[0], self._sequences(RepresentationKind.BODY)[1]
+        with pytest.raises(DataError):  # no window of 62 frames fits
+            velocity_windows(sequences, 62, 1)
+        with pytest.raises(DataError):  # mixed representations
+            velocity_windows([sequences[0], other], 8, 1)
+        with pytest.raises(DataError):
+            velocity_windows([], 8, 1)
+        with pytest.raises(DataError):
+            velocity_windows([(full, v_body[:-1])], 8, 1)
+        naked = ImuWindow(t=full.t, w=full.w, a=full.a, kind=full.kind)
+        with pytest.raises(DataError):
+            velocity_windows([(naked, v_body)], 8, 1)
+        for length, stride in ((0, 1), (8, 0), (8, -2)):
+            with pytest.raises(ConfigError):
+                velocity_windows(sequences, length, stride)
+
+
+class TestWindowSet:
+    KIND = RepresentationKind.BODY_PLUS_ATTITUDE
+
+    @staticmethod
+    def _arrays(n=5, t=4):
+        rng = np.random.default_rng(0)
+        return (rng.standard_normal((n, t, 6)), rng.standard_normal((n, t, 3)),
+                rng.standard_normal((n, t, 3)))
+
+    def test_rejects_disagreeing_shapes(self):
+        imu, att, v = self._arrays()
+        for bad in (
+            (imu[:, :3], att, v),          # time lengths differ
+            (imu[..., :5], att, v),        # five channels
+            (imu, att[:4], v),             # window counts differ
+            (imu, att, v[..., :2]),
+            (imu[0], att[0], v[0]),        # not stacked
+            (imu[:0], att[:0], v[:0]),     # empty
+        ):
+            with pytest.raises(DataError):
+                WindowSet(self.KIND, *bad)
+
+    def test_attitude_channel_must_match_kind(self):
+        imu, att, v = self._arrays()
+        with pytest.raises(DataError):
+            WindowSet(self.KIND, imu, None, v)
+        with pytest.raises(DataError):
+            WindowSet(RepresentationKind.BODY, imu, att, v)
+        assert WindowSet(RepresentationKind.BODY, imu, None, v).att is None
+
+    def test_indexing_keeps_the_given_order(self):
+        ws = WindowSet(self.KIND, *self._arrays())
+        sub = ws[np.array([3, 0, 4])]
+        assert np.array_equal(sub.imu, ws.imu[[3, 0, 4]])
+        assert np.array_equal(sub.att, ws.att[[3, 0, 4]])
+        assert np.array_equal(sub.v, ws.v[[3, 0, 4]])
+        assert len(ws[:2]) == 2
+
+    @pytest.mark.parametrize("n, frac, seed", [(5, 0.2, 0), (38, 0.2, 0), (19, 0.3, 7)])
+    def test_split_is_a_seeded_permutation_split(self, n, frac, seed):
+        ws = WindowSet(self.KIND, *self._arrays(n=n))
+        train, val = ws.split(frac, seed)
+        order = np.random.default_rng(seed).permutation(n)
+        n_val = max(1, int(round(frac * n)))
+        for got, rows in ((val, order[:n_val]), (train, order[n_val:])):
+            assert np.array_equal(got.imu, ws.imu[rows])
+            assert np.array_equal(got.att, ws.att[rows])
+            assert np.array_equal(got.v, ws.v[rows])
+
+    def test_split_rejects_bad_fractions(self):
+        ws = WindowSet(self.KIND, *self._arrays())
+        for frac in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(ConfigError):
+                ws.split(frac, 0)
+        with pytest.raises(DataError):  # one window leaves nothing to train on
+            ws[:1].split(0.5, 0)
 
 
 class TestForwardContract:
     def test_output_shape_and_positivity(self, tiny_window):
         win, _ = tiny_window
-        out = MotionNet(TINY).forward(win)
-        assert len(out) == len(win)
-        assert all(np.all(m.eta_v > 0) for m in out)
-        assert out[0].t == win.t[0] and out[-1].t == win.t[-1]
+        v, eta = MotionNet(TINY).forward(win)
+        assert v.shape == eta.shape == (len(win), 3)
+        assert np.all(eta > 0)
 
     def test_untrained_model_predicts_zero_velocity_unit_eta(self, tiny_window):
         win, _ = tiny_window
-        for m in MotionNet(TINY).forward(win):
-            np.testing.assert_array_equal(m.v_body, np.zeros(3))
-            np.testing.assert_array_equal(m.eta_v, np.ones(3))
+        v, eta = MotionNet(TINY).forward(win)
+        np.testing.assert_array_equal(v, np.zeros((len(win), 3)))
+        np.testing.assert_array_equal(eta, np.ones((len(win), 3)))
 
     def test_eval_mode_deterministic(self, tiny_window):
         win, _ = tiny_window
         model = MotionNet(TINY)
-        a = model.forward(win)
-        b = model.forward(win)
-        for ma, mb in zip(a, b):
-            np.testing.assert_array_equal(ma.v_body, mb.v_body)
-            np.testing.assert_array_equal(ma.eta_v, mb.eta_v)
+        for a, b in zip(model.forward(win), model.forward(win)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_equals_forward_arrays_on_the_stacked_window(self, tiny_window, tiny_set):
+        win, _ = tiny_window
+        model = MotionNet(TINY)
+        rng = np.random.default_rng(8)
+        for p in model.parameters().values():
+            p += 0.1 * rng.standard_normal(p.shape)
+        v, eta = model.forward(win)
+        v_ref, eta_ref = model.forward_arrays(tiny_set.imu, tiny_set.att)
+        assert np.array_equal(v, v_ref[0]) and np.array_equal(eta, eta_ref[0])
 
     def test_wrong_representation_rejected(self, tiny_window):
         win, _ = tiny_window
@@ -222,10 +341,9 @@ class TestForwardContract:
         with pytest.raises(DataError):
             MotionNet(TINY).forward(naked)
 
-    def test_latent_tap_shape(self, tiny_window):
-        win, _ = tiny_window
-        lat = MotionNet(TINY).latents(win)
-        assert lat.shape == (len(win), 8 + 4)
+    def test_latent_tap_shape(self, tiny_set):
+        lat = MotionNet(TINY).encode(tiny_set.imu, tiny_set.att)
+        assert lat.shape == (1, 8, 8 + 4)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -239,7 +357,7 @@ class TestForwardContract:
 
     def test_measurement_validation(self):
         with pytest.raises(DataError):
-            VelocityMeasurement(t=0.0, v_body=np.zeros(3), eta_v=np.array([1, 1, 0.0]))
+            VelocityMeasurement(v_body=np.zeros(3), eta_v=np.array([1, 1, 0.0]))
 
 
 class TestGradients:
@@ -301,9 +419,10 @@ class TestTraining:
             rate=np.pi / 4,
             yaw_mode=YawMode.FOLLOW_VELOCITY,
         )
-        data = velocity_dataset(
-            spec, RepresentationKind.BODY_PLUS_ATTITUDE, n_windows=10, length=40, stride=45
-        )
+        full, v_body = simulated_sequence(spec, RepresentationKind.BODY_PLUS_ATTITUDE)
+        # 450 frames hold ten 40-frame windows 45 frames apart
+        data = velocity_windows([(full.slice(0, 450), v_body[:450])], length=40, stride=45)
+        assert len(data) == 10
         cfg = MotionNetConfig(
             representation=RepresentationKind.BODY_PLUS_ATTITUDE,
             window=40,
@@ -319,32 +438,27 @@ class TestTraining:
             data, data, cfg,
             train_cfg=TrainConfig(epochs=200, lr=0.01, batch_size=2, seed=0),
         )
-        rmse = dataset_rmse(model, data)
+        rmse = window_rmse(model, data)
         assert rmse < 0.05, f"training RMSE {rmse:.4f}"
         assert len(history["train_loss"]) == 200
 
-    def test_fixed_seed_reproducible(self, tiny_window):
-        win, v = tiny_window
-        data = [(win, v)]
+    def test_fixed_seed_reproducible(self, tiny_set):
         kw = dict(
             cfg=TINY, train_cfg=TrainConfig(epochs=3, lr=1e-3, batch_size=1, seed=4)
         )
-        m1, _ = train_motion_model(data, data, **kw)
-        m2, _ = train_motion_model(data, data, **kw)
+        m1, _ = train_motion_model(tiny_set, tiny_set, **kw)
+        m2, _ = train_motion_model(tiny_set, tiny_set, **kw)
         p1, p2 = m1.parameters(), m2.parameters()
         assert set(p1) == set(p2)
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
 
-    def test_empty_dataset_rejected(self, tiny_window):
+    def test_representation_mismatch_rejected(self, tiny_set):
+        body = WindowSet(RepresentationKind.BODY, tiny_set.imu, None, tiny_set.v)
         with pytest.raises(DataError):
-            train_motion_model([], [tiny_window], TINY)
-
-    def test_mixed_window_lengths_rejected(self, tiny_window):
-        win, v = tiny_window
-        short = (win.slice(0, 5), v[:5])
+            train_motion_model(body, tiny_set, TINY)
         with pytest.raises(DataError):
-            train_motion_model([(win, v), short], [(win, v)], TINY)
+            train_motion_model(tiny_set, body, TINY)
 
 
 class TestOraclePredict:
@@ -390,25 +504,22 @@ class TestOraclePredict:
 class TestProviders:
     def test_constant_zero(self, tiny_window):
         win, _ = tiny_window
-        out = ConstantZeroProvider(eta=0.5).predict_window(win, 3)
-        assert len(out) == 3
-        for m in out:
-            np.testing.assert_array_equal(m.v_body, np.zeros(3))
-            np.testing.assert_array_equal(m.eta_v, np.full(3, 0.5))
-        assert out[-1].t == win.t[-1]
+        v, eta = ConstantZeroProvider(eta=0.5).predict_window(win, 3)
+        np.testing.assert_array_equal(v, np.zeros((3, 3)))
+        np.testing.assert_array_equal(eta, np.full((3, 3), 0.5))
+        v, eta = ConstantZeroProvider().predict_window(win, 100)
+        assert v.shape == eta.shape == (len(win), 3)
 
     def test_oracle_provider_window_independent(self):
         spec = TrajectorySpec(kind=TrajectoryKind.CIRCLE, duration=2.0, imu_rate=50.0)
         traj = generate_trajectory(spec)
         imu = derive_imu(traj)
         provider = OracleProvider(traj, noise_std=0.02, seed=3)
-        w1 = imu.slice(0, 60)
-        w2 = imu.slice(40, 80)
-        m1 = provider.predict_window(w1, 60)
-        m2 = provider.predict_window(w2, 40)
+        v1, _ = provider.predict_window(imu.slice(0, 60), 60)
+        v2, _ = provider.predict_window(imu.slice(40, 80), 40)
         # overlapping frames 40..59 get the same draw from both windows
-        for i in range(20):
-            np.testing.assert_array_equal(m1[40 + i].v_body, m2[i].v_body)
+        assert v1.shape == (60, 3) and v2.shape == (40, 3)
+        np.testing.assert_array_equal(v1[40:], v2[:20])
 
     def test_oracle_provider_unknown_time_rejected(self):
         spec = TrajectorySpec(kind=TrajectoryKind.CIRCLE, duration=1.0, imu_rate=50.0)
@@ -430,61 +541,54 @@ class TestProviders:
         jitter = np.random.default_rng(6).uniform(-5e-10, 5e-10, len(traj))
         imu = derive_imu(traj)
         window = ImuWindow(t=traj.t + jitter, w=imu.w, a=imu.a).slice(10, 70)
-        got = provider.predict_window(window, 45)
-        assert len(got) == 45
-        for m, t in zip(got, window.t[15:]):
+        v, eta = provider.predict_window(window, 45)
+        assert v.shape == eta.shape == (45, 3)
+        for row, t in enumerate(window.t[15:]):
             (j,) = [j for j in range(len(traj)) if abs(traj.t[j] - t) < 1e-9]
-            assert m.t == traj.t[j]
-            assert np.array_equal(m.v_body, v_body[j])
-            assert np.array_equal(m.eta_v, eta_v)
+            assert np.array_equal(v[row], v_body[j])
+            assert np.array_equal(eta[row], eta_v)
 
     def test_network_provider_serves_its_trained_window(self):
         spec = TrajectorySpec(
             kind=TrajectoryKind.FIGURE8, duration=2.0, imu_rate=20.0, rate=np.pi / 4
         )
-        (win, _), = velocity_dataset(spec, RepresentationKind.BODY_PLUS_ATTITUDE, 1, 20, 1)
+        full, _ = simulated_sequence(spec, RepresentationKind.BODY_PLUS_ATTITUDE)
+        win = full.slice(0, 20)
         model = MotionNet(TINY)
         rng = np.random.default_rng(8)
         for p in model.parameters().values():
             p += 0.1 * rng.standard_normal(p.shape)
-        tail = NetworkProvider(model).predict_window(win, 3)
-        last8 = model.forward(win.slice(12, 20))
-        assert len(tail) == 3
-        for a, b in zip(tail, last8[-3:]):
-            assert a.t == b.t
-            assert np.array_equal(a.v_body, b.v_body)
-            assert np.array_equal(a.eta_v, b.eta_v)
+        v, eta = NetworkProvider(model).predict_window(win, 3)
+        v8, eta8 = model.forward(win.slice(12, 20))
+        assert v.shape == eta.shape == (3, 3)
+        assert np.array_equal(v, v8[-3:]) and np.array_equal(eta, eta8[-3:])
         # the whole window gives other outputs: the forward GRUs start earlier
-        whole = model.forward(win)
-        assert not np.array_equal(tail[0].v_body, whole[-3].v_body)
+        v_whole, _ = model.forward(win)
+        assert not np.array_equal(v[0], v_whole[-3])
 
     def test_network_provider_tails_model_output(self, tiny_window):
         win, _ = tiny_window
         model = MotionNet(TINY)
         provider = NetworkProvider(model)
         assert provider.required_kind is RepresentationKind.BODY_PLUS_ATTITUDE
-        tail = provider.predict_window(win, 3)
-        full = model.forward(win)
-        assert len(tail) == 3
-        for a, b in zip(tail, full[-3:]):
-            np.testing.assert_array_equal(a.v_body, b.v_body)
+        v, eta = provider.predict_window(win, 3)
+        v_full, eta_full = model.forward(win)
+        np.testing.assert_array_equal(v, v_full[-3:])
+        np.testing.assert_array_equal(eta, eta_full[-3:])
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, tiny_window, tmp_path):
-        win, v = tiny_window
+    def test_save_load_roundtrip(self, tiny_window, tiny_set, tmp_path):
+        win, _ = tiny_window
         model, _ = train_motion_model(
-            [(win, v)], [(win, v)], TINY,
+            tiny_set, tiny_set, TINY,
             train_cfg=TrainConfig(epochs=2, lr=1e-3, batch_size=1, seed=0),
         )
         path = tmp_path / "net.bfw"
         model.save(path)
         again = MotionNet.load(path)
-        a = model.forward(win)
-        b = again.forward(win)
-        for ma, mb in zip(a, b):
-            np.testing.assert_array_equal(ma.v_body, mb.v_body)
-            np.testing.assert_array_equal(ma.eta_v, mb.eta_v)
+        for a, b in zip(model.forward(win), again.forward(win)):
+            np.testing.assert_array_equal(a, b)
 
     def test_wrong_variant_rejected(self, tmp_path):
         from bodyframe_io.corrector import IdentityCorrector  # noqa: F401
