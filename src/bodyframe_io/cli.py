@@ -13,11 +13,10 @@ sequence subdirectories plus a manifest):
 
 All numeric behaviour is driven by an INI run config (see
 ``--dump-defaults``), which every command but deadreckon takes;
-unknown keys are rejected. ``--seed`` is taken
-by the commands that draw random numbers (simulate, train-motion,
-run-ekf) and falls back to the BODYFRAME_IO_SEED environment variable,
-then 0; train-corrector accepts it and ignores it, since corrector
-training is deterministic.
+unknown keys are rejected. ``--seed`` (default 0) is taken by the
+commands that draw random numbers (simulate, train-motion, run-ekf);
+train-corrector accepts it and ignores it, since corrector training is
+deterministic.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.
@@ -65,18 +64,6 @@ REPORT_COLUMNS = ("seq", "ate_m", "rte_m", "auc", "vs_baseline_pct")
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get("BODYFRAME_IO_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"BODYFRAME_IO_SEED: expected an integer, got {raw!r}") from None
 
 
 def _load(args) -> cfgmod.RunConfig:
@@ -190,17 +177,16 @@ def emit_report(rows, csv_path: str | None = None) -> str:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    seed = _resolve_seed(args)
     trajectory = generate_trajectory(cfgmod.trajectory_spec(cfg))
     ideal = derive_imu(trajectory)
-    corrupted, bias = corrupt_imu(ideal, cfgmod.noise_spec(cfg, seed))
-    seq_dir = os.path.join(args.data, args.name)
-    write_sequence(seq_dir, corrupted, trajectory, bias)
-
+    corrupted, bias = corrupt_imu(ideal, cfgmod.noise_spec(cfg, args.seed))
+    # read the manifest first, so that a malformed one leaves nothing written
     entries = []
     if os.path.exists(os.path.join(args.data, MANIFEST_NAME)):
         entries = [e for e in read_corpus_manifest(args.data) if e.name != args.name]
     entries.append(CorpusEntry(name=args.name, role=args.role, path=args.name))
+    seq_dir = os.path.join(args.data, args.name)
+    write_sequence(seq_dir, corrupted, trajectory, bias)
     write_corpus_manifest(args.data, entries)
     print(f"wrote {len(corrupted)} frames to {seq_dir} (role {args.role})")
     return 0
@@ -228,18 +214,17 @@ def _cmd_train_corrector(args) -> int:
 
 def _cmd_train_motion(args) -> int:
     cfg = _load(args)
-    seed = _resolve_seed(args)
-    net_cfg = cfgmod.motion_net_config(cfg, seed)
+    net_cfg = cfgmod.motion_net_config(cfg, args.seed)
     windows = _network_windows(
         args.data, _seen_entries(args.data), net_cfg, cfg.getint("motion", "stride")
     )
-    train, val = windows.split(cfg.getfloat("motion", "val_fraction"), seed)
+    train, val = windows.split(cfg.getfloat("motion", "val_fraction"), args.seed)
     model, history = train_motion_model(
         train,
         val,
         net_cfg,
         cfgmod.motion_loss_config(cfg),
-        cfgmod.motion_train_config(cfg, seed),
+        cfgmod.motion_train_config(cfg, args.seed),
     )
     model.save(args.out)
     print(
@@ -251,7 +236,6 @@ def _cmd_train_motion(args) -> int:
 
 def _cmd_run_ekf(args) -> int:
     cfg = _load(args)
-    seed = _resolve_seed(args)
     imu, truth, _ = load_sequence(_seq_dir(args.data, args.name))
 
     if args.corrector_weights:
@@ -269,7 +253,7 @@ def _cmd_run_ekf(args) -> int:
         provider = ConstantZeroProvider(eta=cfg.getfloat("ekf", "zero_eta"))
     elif args.provider == "oracle":
         provider = OracleProvider(
-            truth, noise_std=cfg.getfloat("ekf", "oracle_noise"), seed=seed
+            truth, noise_std=cfg.getfloat("ekf", "oracle_noise"), seed=args.seed
         )
     else:
         if not args.weights:
@@ -340,14 +324,14 @@ def _cmd_analyze(args) -> int:
 # Parser / dispatch
 
 
-_SEED_HELP = "RNG seed (default: $BODYFRAME_IO_SEED, then 0)"
+_SEED_HELP = "RNG seed (default: 0)"
 
 
 def _add_common(sub, config_keys: str, seed_help: str | None = None):
     """--config and the epilog; --seed only where seed_help is given."""
     sub.add_argument("--config", help="INI run config (defaults if omitted)")
     if seed_help is not None:
-        sub.add_argument("--seed", type=int, help=seed_help)
+        sub.add_argument("--seed", type=int, default=0, help=seed_help)
     sub.epilog = f"config keys used: {config_keys}"
 
 

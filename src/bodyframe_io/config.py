@@ -6,16 +6,18 @@ value; user files may override any subset but introducing an unknown
 section or key is a hard error, which catches typos early instead of
 silently running with a default.
 
-Typed accessors convert on demand and report the offending
-``section.key`` path on failure. The ``*_spec`` / ``*_config`` builders
-below translate sections into the dataclasses the library modules
-consume, so the CLI layer never parses strings itself.
+Typed accessors convert on demand, reject NaN and infinite numbers,
+and report the offending ``section.key`` path on failure. The
+``*_spec`` / ``*_config`` builders below translate sections into the
+dataclasses the library modules consume, so the CLI layer never parses
+strings itself.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .ekf import EkfConfig
@@ -113,11 +115,14 @@ class RunConfig:
     def getfloat(self, section: str, key: str) -> float:
         raw = self.get(section, key)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(
                 f"config key {section}.{key}: expected a number, got {raw!r}"
             ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {section}.{key}: must be finite, got {raw!r}")
+        return value
 
     def getint(self, section: str, key: str) -> int:
         raw = self.get(section, key)
@@ -131,12 +136,15 @@ class RunConfig:
     def getfloats(self, section: str, key: str) -> tuple[float, ...]:
         raw = self.get(section, key)
         try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
         except ValueError:
             raise ConfigError(
                 f"config key {section}.{key}: expected comma-separated numbers,"
                 f" got {raw!r}"
             ) from None
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"config key {section}.{key}: must be finite, got {raw!r}")
+        return values
 
     def getints(self, section: str, key: str) -> tuple[int, ...]:
         raw = self.get(section, key)

@@ -39,6 +39,8 @@ from .imu_model import ImuWindow
 from .weights_io import load_weights, save_weights
 
 AFFINE_VARIANT = "affine-corrector-v1"
+# the arrays of an affine corrector weight file, in payload order
+_AFFINE_ARRAYS = ("weight", "bias", "feat_mean", "feat_scale", "raw_eta")
 _ETA_FLOOR = 1e-6
 
 
@@ -80,7 +82,7 @@ class IdentityCorrector:
     def __init__(self, eta_g=1e-3, eta_a=1e-2):
         self.eta_g = np.broadcast_to(np.asarray(eta_g, dtype=float), (3,)).copy()
         self.eta_a = np.broadcast_to(np.asarray(eta_a, dtype=float), (3,)).copy()
-        if np.any(self.eta_g <= 0) or np.any(self.eta_a <= 0):
+        if not (np.all(self.eta_g > 0) and np.all(self.eta_a > 0)):  # NaN fails too
             raise ConfigError("uncertainties must be strictly positive")
 
     def infer(self, window: ImuWindow) -> CorrectionOutput:
@@ -145,31 +147,17 @@ class LearnedAffineCorrector:
             eta_a=np.tile(eta[3:6], (n, 1)),
         )
 
-    def save(self, path, meta=None):
-        save_weights(
-            path,
-            AFFINE_VARIANT,
-            {
-                "weight": self.weight,
-                "bias": self.bias,
-                "feat_mean": self.feat_mean,
-                "feat_scale": self.feat_scale,
-                "raw_eta": self.raw_eta,
-            },
-            meta={"window_len": self.window_len, **(meta or {})},
-        )
+    def save(self, path):
+        arrays = {name: getattr(self, name) for name in _AFFINE_ARRAYS}
+        save_weights(path, AFFINE_VARIANT, arrays, meta={"window_len": self.window_len})
 
     @classmethod
     def load(cls, path):
         _, meta, arrays = load_weights(path, expected_variant=AFFINE_VARIANT)
-        return cls(
-            weight=arrays["weight"],
-            bias=arrays["bias"],
-            feat_mean=arrays["feat_mean"],
-            feat_scale=arrays["feat_scale"],
-            raw_eta=arrays["raw_eta"],
-            window_len=int(meta.get("window_len", 16)),
-        )
+        if sorted(arrays) != sorted(_AFFINE_ARRAYS):
+            raise DataError(f"{path}: corrector arrays {sorted(arrays)}, "
+                            f"expected {sorted(_AFFINE_ARRAYS)}")
+        return cls(**arrays, window_len=int(meta.get("window_len", 16)))
 
 
 def correct_and_quantify(model, window: ImuWindow):

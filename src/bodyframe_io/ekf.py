@@ -14,10 +14,11 @@ transition to P. The update consumes a body-frame velocity measurement
 with Joseph-form covariance, retracting the nominal state through the
 boxplus operator.
 
-Both runners take the IMU stream as one BODY-kind ImuWindow and are
-entry points to one filter loop, _run. They differ only in where it
-keeps the rows it records: streaming_run keeps bounded FIFO arrays as
-an online system would, batch_run keeps whole-sequence arrays and
+Both runners take the IMU stream as one BODY-kind ImuWindow and an
+initial state, and are entry points to one filter loop, _run, which
+always starts from the initial covariance P0. They differ only in where
+it keeps the rows it records: streaming_run keeps bounded FIFO arrays
+as an online system would, batch_run keeps whole-sequence arrays and
 slices them. Both yield the same windows, so the outputs agree to the
 last bit. Both return a FilterRun: a Trajectory plus biases and P.
 
@@ -63,11 +64,10 @@ _SINGULAR_COND = 1e12
 
 @dataclass
 class FilterState:
-    """Nominal state, error covariance, and the time they refer to."""
+    """Nominal state and error covariance."""
 
     x: NavState
     P: np.ndarray
-    t: float
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=float)
@@ -75,9 +75,10 @@ class FilterState:
             raise DataError(f"P must be {ERROR_DIM}x{ERROR_DIM}, got {self.P.shape}")
 
 
-#: conservative default initial error stds: 1e-2 rad attitude, 1e-1 m/s
-#: velocity, 1e-1 m position, 1e-2 accel bias, 1e-3 gyro bias
-DEFAULT_P0_DIAG = (1e-4,) * 3 + (1e-2,) * 3 + (1e-2,) * 3 + (1e-4,) * 3 + (1e-6,) * 3
+#: the initial error covariance, diagonal with stds 1e-2 rad attitude,
+#: 1e-1 m/s velocity, 1e-1 m position, 1e-2 accel bias, 1e-3 gyro bias. Read-only.
+P0 = np.diag((1e-4,) * 3 + (1e-2,) * 3 + (1e-2,) * 3 + (1e-4,) * 3 + (1e-6,) * 3)
+P0.flags.writeable = False
 
 
 @dataclass(kw_only=True)
@@ -108,20 +109,15 @@ class EkfConfig:
     buffer_len: int = 1000
     eta_bg: float = 1e-6
     eta_ba: float = 1e-5
-    p0_diag: tuple = DEFAULT_P0_DIAG
 
     def validate(self):
-        if self.update_rate <= 0.0:
+        # written as `not x > 0` so that NaN fails too
+        if not self.update_rate > 0.0:
             raise ConfigError("update_rate must be positive")
-        if self.buffer_len < 1:
+        if not self.buffer_len >= 1:
             raise ConfigError("buffer_len must be >= 1")
-        if self.eta_bg < 0.0 or self.eta_ba < 0.0:
+        if not (self.eta_bg >= 0.0 and self.eta_ba >= 0.0):
             raise ConfigError("random-walk stds must be nonnegative")
-        if len(self.p0_diag) != ERROR_DIM or any(v < 0 for v in self.p0_diag):
-            raise ConfigError(f"p0_diag must be {ERROR_DIM} nonnegative variances")
-
-    def initial_covariance(self) -> np.ndarray:
-        return np.diag(np.asarray(self.p0_diag, dtype=float))
 
 
 def ekf_propagate(p_cov: np.ndarray, a_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
@@ -165,7 +161,7 @@ def ekf_update(fs: FilterState, z: VelocityMeasurement) -> FilterState:
     i_kh = np.eye(ERROR_DIM) - gain @ h_mat
     p_new = i_kh @ fs.P @ i_kh.T + gain @ sigma @ gain.T
     p_new = 0.5 * (p_new + p_new.T)
-    return FilterState(x=x_new, P=p_new, t=fs.t)
+    return FilterState(x=x_new, P=p_new)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ class _SequenceArray:
         return self._rows[max(0, self._end - m) : self._end]
 
 
-def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, fifo: bool):
+def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo: bool):
     """The filter loop over a BODY-kind ImuWindow, one FilterRun row per sample.
 
     Samples arrive in chunks of round(imu_rate / update_rate) frames.
@@ -234,8 +230,7 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
 
     The recorded rows are kept in _ArrayFifo stores bounded by
     buffer_len when fifo is set, else in whole-sequence _SequenceArray
-    stores. Raises InvalidRotationError or DataError on an invalid x0,
-    DataError on a non-finite p0.
+    stores. Raises InvalidRotationError or DataError on an invalid x0.
     """
     cfg.validate()
     x0.validate()
@@ -243,9 +238,6 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
     if n < 2:
         raise DataError("need at least two IMU samples")
     k = _chunk_size(imu, cfg)
-    p0 = cfg.initial_covariance() if p0 is None else np.asarray(p0, dtype=float)
-    if p0.shape != (ERROR_DIM, ERROR_DIM) or not np.all(np.isfinite(p0)):
-        raise DataError(f"p0 must be a finite {ERROR_DIM}x{ERROR_DIM} matrix")
     dt = np.diff(imu.t)
     kind = getattr(provider, "required_kind", None)
     encode = kind is not None and kind.has_attitude
@@ -267,7 +259,7 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
         t=imu.t, r=np.empty((n, 3, 3)), v=np.empty((n, 3)), p=np.empty((n, 3)),
         b_a=np.empty((n, 3)), b_g=np.empty((n, 3)), P=np.empty((n, ERROR_DIM, ERROR_DIM)),
     )
-    fs = FilterState(x=x0, P=p0, t=imu.t[0])
+    fs = FilterState(x=x0, P=P0)
     run.record(0, fs)
     record_attitudes(run.r[:1])
     corrected_to = 0  # frames [0, corrected_to) are corrected and recorded
@@ -290,7 +282,7 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
         p_cov = fs.P
         for i in range(stop - start):
             p_cov = run.P[start + i] = ekf_propagate(p_cov, a_mat[i], q_mat[i])
-        fs = FilterState(NavState(r[-1], v[-1], p[-1], fs.x.b_a, fs.x.b_g), p_cov, imu.t[stop - 1])
+        fs = FilterState(NavState(r[-1], v[-1], p[-1], fs.x.b_a, fs.x.b_g), p_cov)
         record_attitudes(r)
 
         if (stop - 1) % k == 0:
@@ -311,14 +303,14 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0, 
     return run
 
 
-def streaming_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
+def streaming_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState):
     """Online filter pass over a BODY-kind ImuWindow, keeping bounded
     FIFO buffers as an online system would. Returns a FilterRun."""
-    return _run(imu, provider, corrector, cfg, x0, p0, fifo=True)
+    return _run(imu, provider, corrector, cfg, x0, fifo=True)
 
 
-def batch_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, p0=None):
+def batch_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState):
     """Offline pass over a BODY-kind ImuWindow, slicing whole-sequence
     arrays instead of FIFO buffers; outputs match streaming_run to the
     last bit on the same inputs."""
-    return _run(imu, provider, corrector, cfg, x0, p0, fifo=False)
+    return _run(imu, provider, corrector, cfg, x0, fifo=False)

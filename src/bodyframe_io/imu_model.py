@@ -2,9 +2,10 @@
 
 A strapdown IMU reports body-frame angular rate and specific force
 (kinematic acceleration minus gravity, expressed in the body frame).
-With R the world-from-body rotation and g_world the gravity vector,
+With R the world-from-body rotation and GRAVITY = (0, 0, -9.80665)
+the world-frame gravity vector (z up; standard gravity everywhere),
 
-    a_reading = R^T (a_world - g_world)
+    a_reading = R^T (a_world - GRAVITY)
 
 so a stationary, level sensor reads +9.80665 on its z axis.
 
@@ -33,21 +34,9 @@ import numpy as np
 from .errors import DataError, TimestampOrderError
 from .so3 import log_so3
 
-STANDARD_GRAVITY = 9.80665  # m/s^2
-
-
-@dataclass(frozen=True)
-class GravityModel:
-    """Constant world-frame gravity; z is up, so gravity points down."""
-
-    g_world: tuple[float, float, float] = (0.0, 0.0, -STANDARD_GRAVITY)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.g_world, dtype=float)
-
-
-GRAVITY = GravityModel()
+#: world-frame gravity (m/s^2); z is up, so it points down. Read-only.
+GRAVITY = np.array([0.0, 0.0, -9.80665])
+GRAVITY.flags.writeable = False
 
 
 class RepresentationKind(enum.Enum):
@@ -141,13 +130,13 @@ class ImuWindow:
         )
 
 
-def specific_force(a_world, r, gravity: GravityModel = GRAVITY) -> np.ndarray:
+def specific_force(a_world, r) -> np.ndarray:
     """Body-frame accelerometer reading for world acceleration a_world.
 
     r is the world-from-body rotation of the sensor. Either one reading,
     a_world (3,) with r (3, 3), or one per row, (n, 3) with (n, 3, 3).
     """
-    f = np.asarray(a_world, dtype=float) - gravity.vector
+    f = np.asarray(a_world, dtype=float) - GRAVITY
     r = np.asarray(r, dtype=float)
     return (np.swapaxes(r, -1, -2) @ f[..., None])[..., 0]
 
@@ -162,7 +151,6 @@ def transform_representation(
     window: ImuWindow,
     kind: RepresentationKind,
     rotations: np.ndarray,
-    gravity: GravityModel = GRAVITY,
 ) -> ImuWindow:
     """Re-express a BODY-kind window in the requested input representation.
 
@@ -182,7 +170,7 @@ def transform_representation(
         raise DataError(
             f"rotations shape {rotations.shape} does not match {n} samples"
         )
-    minus_g = -gravity.vector  # (0, 0, +9.80665): reading of a hovering sensor
+    minus_g = -GRAVITY  # (0, 0, +9.80665): reading of a hovering sensor
 
     w, a = window.w, window.a
     # Map body channels to the target kind.

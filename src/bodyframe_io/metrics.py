@@ -3,11 +3,11 @@
 Every metric takes a (truth, estimate) pair of Trajectory structs on
 identical timestamps (within 1e-9 s); only t, p and r are read. A pair
 of unequal lengths or stamps raises DataError, fewer than 2 poses
-InsufficientDataError. ATE is the raw position RMSE with no alignment
-transform by default (an optional rigid alignment is available). RTE
-compares relative displacements over a fixed time interval with the
-estimate's displacement rotated into the truth frame, so a constant
-position offset cancels while an orientation error does not.
+InsufficientDataError. ATE is the raw position RMSE, with no alignment
+transform. RTE compares relative displacements over a fixed time
+interval with the estimate's displacement rotated into the truth frame,
+so a constant position offset cancels while an orientation error does
+not.
 """
 
 from __future__ import annotations
@@ -28,28 +28,10 @@ def _check_pair(truth, estimate):
         raise DataError(f"timestamps differ at t={truth.t[i]!r} vs {estimate.t[i]!r}")
 
 
-def _rigid_align(p_truth, p_est):
-    """Least-squares rotation+translation taking the estimate onto truth."""
-    mu_t = p_truth.mean(axis=0)
-    mu_e = p_est.mean(axis=0)
-    cov = (p_truth - mu_t).T @ (p_est - mu_e)
-    u, _, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(u @ vt))
-    rot = u @ np.diag([1.0, 1.0, d]) @ vt
-    return (rot @ (p_est - mu_e).T).T + mu_t
-
-
-def ate(truth, estimate, align: bool = False) -> float:
-    """Absolute translation error: sqrt(mean ||p_i - p_hat_i||^2).
-
-    align=True first fits a rigid transform of the estimate onto the
-    truth (off by default: the headline metric is unaligned RMSE).
-    """
+def ate(truth, estimate) -> float:
+    """Absolute translation error: sqrt(mean ||p_i - p_hat_i||^2), unaligned."""
     _check_pair(truth, estimate)
-    p, q = truth.p, estimate.p
-    if align:
-        q = _rigid_align(p, q)
-    return float(np.sqrt(np.mean(np.sum((p - q) ** 2, axis=1))))
+    return float(np.sqrt(np.mean(np.sum((truth.p - estimate.p) ** 2, axis=1))))
 
 
 def rte_residuals(truth, estimate, interval: float = 5.0) -> np.ndarray:
@@ -95,8 +77,8 @@ def accuracy_auc(
     accuracy over n_thresholds uniform points on (0, tau_max], so the
     result lives in [0, 1].
     """
-    if tau_max <= 0.0:
-        raise ConfigError("tau_max must be positive")
+    if not tau_max > 0.0:  # NaN fails too
+        raise ConfigError(f"tau_max must be positive, got {tau_max}")
     if n_thresholds < 1:
         raise ConfigError("n_thresholds must be >= 1")
     res = rte_residuals(truth, estimate, interval)

@@ -28,7 +28,7 @@ non-holonomic prior). predict_window(window, n_tail) returns (v, eta),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -416,18 +416,10 @@ class MotionNet:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path):
-        cfg = self.config
-        meta = {
-            "representation": cfg.representation.name,
-            "window": cfg.window,
-            "latent_dim": cfg.latent_dim,
-            "gru_layers": cfg.gru_layers,
-            "imu_encoder_channels": list(cfg.imu_encoder_channels),
-            "attitude_encoder_channels": list(cfg.attitude_encoder_channels),
-            "dropout_p": cfg.dropout_p,
-            "kernel": cfg.kernel,
-            "seed": cfg.seed,
-        }
+        """Weights plus every MotionNetConfig field as meta (the
+        representation by name)."""
+        meta = {f.name: getattr(self.config, f.name) for f in fields(MotionNetConfig)}
+        meta["representation"] = self.config.representation.name
         arrays = dict(self.parameters())
         arrays.update({f"norm.{k}": v for k, v in self._norm.items()})
         save_weights(path, MOTION_VARIANT, arrays, meta)
@@ -435,18 +427,19 @@ class MotionNet:
     @classmethod
     def load(cls, path) -> "MotionNet":
         _, meta, arrays = load_weights(path, expected_variant=MOTION_VARIANT)
-        cfg = MotionNetConfig(
-            representation=RepresentationKind[meta["representation"]],
-            window=int(meta["window"]),
-            latent_dim=int(meta["latent_dim"]),
-            gru_layers=int(meta["gru_layers"]),
-            imu_encoder_channels=tuple(meta["imu_encoder_channels"]),
-            attitude_encoder_channels=tuple(meta["attitude_encoder_channels"]),
-            dropout_p=float(meta["dropout_p"]),
-            kernel=int(meta["kernel"]),
-            seed=int(meta["seed"]),
-        )
-        model = cls(cfg)
+        names = sorted(f.name for f in fields(MotionNetConfig))
+        if sorted(meta) != names:
+            raise DataError(f"{path}: motion meta keys {sorted(meta)}, expected {names}")
+        try:
+            # the representation by name, the rest as their default's type;
+            # a value the architecture rejects is bad data too (ConfigError
+            # is a ValueError)
+            values = {k: type(getattr(MotionNetConfig, k))(meta[k])
+                      for k in names if k != "representation"}
+            kind = RepresentationKind[meta["representation"]]
+            model = cls(MotionNetConfig(representation=kind, **values))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad motion meta value: {exc!r}") from None
         norm = {k[5:]: v for k, v in arrays.items() if k.startswith("norm.")}
         weights = {k: v for k, v in arrays.items() if not k.startswith("norm.")}
         params = model.parameters()
@@ -536,7 +529,7 @@ def oracle_predict(truth, noise_std, seed=0) -> tuple[np.ndarray, np.ndarray]:
     (n, 3), eta_v (3,)), with eta_v max(noise_std, ETA_MIN) on every
     axis so the covariance stays invertible even for a noiseless oracle.
     """
-    if noise_std < 0.0:
+    if not noise_std >= 0.0:  # NaN fails too
         raise ConfigError("noise_std must be nonnegative")
     rng = np.random.default_rng(seed)
     noise = noise_std * rng.standard_normal((len(truth), 3))
@@ -549,7 +542,7 @@ class ConstantZeroProvider:
     required_kind = None
 
     def __init__(self, eta=1.0):
-        if eta <= 0.0:
+        if not eta > 0.0:  # NaN fails too
             raise ConfigError("eta must be positive")
         self.eta = float(eta)
 

@@ -256,49 +256,51 @@ class BiGru(Layer):
 
 
 class Adam:
-    """Standard Adam on a flat {name: array} parameter dict."""
+    """Standard Adam on a flat {name: array} parameter dict, with the
+    usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for k, p in self.params.items():
             g = grads[k]
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            p -= self.lr * (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + self.eps)
+            p -= self.lr * (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + self.EPS)
 
 
 class PlateauScheduler:
-    """Multiply the optimizer lr by `factor` after `patience` epochs
-    without improvement (strict, with a small tolerance)."""
+    """Multiply the optimizer lr by `factor`, down to MIN_LR, after
+    `patience` epochs without an improvement of more than TOL."""
 
-    def __init__(self, optimizer, patience=5, factor=0.2, min_lr=1e-6, tol=1e-12):
+    MIN_LR, TOL = 1e-6, 1e-12
+
+    def __init__(self, optimizer, patience=5, factor=0.2):
         self.opt = optimizer
         self.patience = patience
         self.factor = factor
-        self.min_lr = min_lr
-        self.tol = tol
         self.best = math.inf
         self.bad_epochs = 0
 
     def step(self, metric):
-        if metric < self.best - self.tol:
+        if metric < self.best - self.TOL:
             self.best = metric
             self.bad_epochs = 0
             return False
         self.bad_epochs += 1
         if self.bad_epochs > self.patience:
-            self.opt.lr = max(self.opt.lr * self.factor, self.min_lr)
+            self.opt.lr = max(self.opt.lr * self.factor, self.MIN_LR)
             self.bad_epochs = 0
             return True
         return False

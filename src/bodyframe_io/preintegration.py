@@ -1,7 +1,8 @@
 """Strapdown propagation and discrete error-state covariance.
 
 State is X = (R, v, p, b_a, b_g) with R world-from-body. One IMU step
-of length dt with bias-corrected readings integrates, first order:
+of length dt with bias-corrected readings integrates, first order,
+with g = GRAVITY:
 
     R'  = R Exp((w - b_g) dt)
     v'  = v + (R (a - b_a) + g) dt
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InvalidRotationError
-from .imu_model import GRAVITY, GravityModel, ImuWindow
+from .imu_model import GRAVITY, ImuWindow
 from .simulator import Trajectory
 from .so3 import _SMALL_ANGLE, exp_so3, hat, is_rotation, log_so3, right_jacobian
 
@@ -84,16 +85,14 @@ class NavState:
                 raise DataError(f"NavState.{name} must be a finite 3-vector")
 
 
-def propagate_state(
-    x: NavState, w, a, dt: float, gravity: GravityModel = GRAVITY
-) -> NavState:
+def propagate_state(x: NavState, w, a, dt: float) -> NavState:
     """One first-order strapdown step with readings (w, a) held over dt."""
     if dt <= 0:
         raise DataError(f"dt must be positive, got {dt}")
     w = np.asarray(w, dtype=float)
     a = np.asarray(a, dtype=float)
     r_next = x.r @ exp_so3((w - x.b_g) * dt)
-    acc_world = x.r @ (a - x.b_a) + gravity.vector
+    acc_world = x.r @ (a - x.b_a) + GRAVITY
     v_next = x.v + acc_world * dt
     p_next = x.p + x.v * dt + 0.5 * dt * dt * acc_world
     return NavState(r_next, v_next, p_next, x.b_a.copy(), x.b_g.copy())
@@ -183,7 +182,7 @@ def _exp_rows(phi):
     return np.eye(3) + a * k + b * kk, np.eye(3) - b * k + c * kk
 
 
-def _nominal_steps(x: NavState, w, a, dt, gravity: GravityModel):
+def _nominal_steps(x: NavState, w, a, dt):
     """R, v, p before and after each of k steps, (k + 1) rows, with each u and J_r(phi)."""
     if not (dt > 0).all():
         raise DataError("dt must be positive")
@@ -193,7 +192,7 @@ def _nominal_steps(x: NavState, w, a, dt, gravity: GravityModel):
     for i in range(len(dt)):
         r[i + 1] = r[i] @ exp[i]
     u = (r[:-1] @ (a - x.b_a)[:, :, None])[:, :, 0]
-    acc = u + gravity.vector
+    acc = u + GRAVITY
     # Running sums in the per-frame order: v' = v + acc dt, and
     # p' = (p + v dt) + dt^2/2 acc with its two terms interleaved.
     v = np.cumsum(np.concatenate([x.v[None], acc * dt[:, None]]), axis=0)
@@ -202,7 +201,7 @@ def _nominal_steps(x: NavState, w, a, dt, gravity: GravityModel):
     return r, v, np.cumsum(terms, axis=0)[::2], u, jr
 
 
-def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, eta_bg, eta_ba, gravity=GRAVITY):
+def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, eta_bg, eta_ba):
     """k first-order steps from x with its biases held: readings w, a
     (k, 3), each held over its dt (k,), with white-noise stds eta_g,
     eta_a (k, 3) and walk stds eta_bg, eta_ba (scalars or 3-vectors).
@@ -213,7 +212,7 @@ def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, eta_bg, eta_ba, gravity
         if (np.asarray(std) < 0).any():
             raise DataError(f"{name} must be nonnegative")
     dt = np.asarray(dt, dtype=float)
-    r, v, p, u, jr = _nominal_steps(x, w, a, dt, gravity)
+    r, v, p, u, jr = _nominal_steps(x, w, a, dt)
     step, half = dt[:, None, None], (-0.5 * dt * dt)[:, None, None]
     rot_bias = -step * (r[1:] @ jr)  # G, in A's db_g and B's eta_g columns
     accel = np.concatenate([-step * r[:-1], half * r[:-1]], axis=1)  # N, the same for db_a, eta_a
@@ -234,7 +233,7 @@ def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, eta_bg, eta_ba, gravity
     return r[1:], v[1:], p[1:], a_mat, q_mat
 
 
-def dead_reckon(x0: NavState, imu: ImuWindow, gravity: GravityModel = GRAVITY) -> Trajectory:
+def dead_reckon(x0: NavState, imu: ImuWindow) -> Trajectory:
     """Open-loop integration of a BODY-kind ImuWindow from x0 at imu.t[0]:
     the nominal kernel over the whole sequence as one chunk. Each reading
     is held over the interval to the next stamp, so the output has one
@@ -243,5 +242,5 @@ def dead_reckon(x0: NavState, imu: ImuWindow, gravity: GravityModel = GRAVITY) -
     x0.validate()
     if len(imu) == 0:
         raise DataError("no samples to integrate")
-    r, v, p, _, _ = _nominal_steps(x0, imu.w[:-1], imu.a[:-1], np.diff(imu.t), gravity)
+    r, v, p, _, _ = _nominal_steps(x0, imu.w[:-1], imu.a[:-1], np.diff(imu.t))
     return Trajectory(t=imu.t, r=r, v=v, p=p)

@@ -1,11 +1,11 @@
 """Analytic trajectory simulator and IMU corruption model.
 
 Trajectories are closed-form curves (circle, figure-eight, 3-D
-Lissajous, C2 waypoint spline), so position, velocity, and world
-acceleration are exact derivatives rather than integrations. Attitude
-follows a thrust-aligned model: the body z axis points along the
-specific-force direction a_world - g_world (the way a multirotor must
-tilt to fly the curve), and the heading is set by a yaw mode:
+Lissajous), so position, velocity, and world acceleration are exact
+derivatives rather than integrations. Attitude follows a thrust-aligned
+model: the body z axis points along the specific-force direction
+a_world - GRAVITY (the way a multirotor must tilt to fly the curve),
+and the heading is set by a yaw mode:
 
     FOLLOW_VELOCITY  heading tracks the horizontal velocity direction
     SPIN             heading advances at a constant rate (yaw_rate)
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .imu_model import GRAVITY, GravityModel, ImuWindow, specific_force
+from .imu_model import GRAVITY, ImuWindow, specific_force
 # exp_so3 is unused here, but perfbench/tracing.py patches simulator.exp_so3.
 from .so3 import exp_so3, log_so3
 
@@ -43,7 +43,6 @@ class TrajectoryKind(enum.Enum):
     CIRCLE = "circle"
     FIGURE8 = "figure8"
     LISSAJOUS3D = "lissajous3d"
-    WAYPOINT_SPLINE = "waypoint_spline"
 
 
 class YawMode(enum.Enum):
@@ -59,9 +58,7 @@ class TrajectorySpec:
     amplitude is the circle radius / figure-eight half-width / Lissajous
     x-amplitude in meters; rate is the base angular rate in rad/s.
     Lissajous uses per-axis frequency multiples `ratios` and `phases`
-    with amplitudes (A, A, A/2). WAYPOINT_SPLINE ignores amplitude/rate
-    and fits a natural cubic spline through `waypoints` at uniform
-    knot times spanning the duration.
+    with amplitudes (A, A, A/2).
     """
 
     kind: TrajectoryKind = TrajectoryKind.CIRCLE
@@ -74,17 +71,14 @@ class TrajectorySpec:
     yaw_rate: float = 0.0
     ratios: tuple[float, float, float] = (1.0, 2.0, 3.0)
     phases: tuple[float, float, float] = (0.0, 0.5, 1.0)
-    waypoints: np.ndarray | None = None
 
     def validate(self):
-        if self.duration <= 0:
+        # written as `not x > 0` so that NaN fails too
+        if not self.duration > 0:
             raise ConfigError("duration must be positive")
-        if self.imu_rate <= 0:
+        if not self.imu_rate > 0:
             raise ConfigError("imu_rate must be positive")
-        if self.kind is TrajectoryKind.WAYPOINT_SPLINE:
-            if self.waypoints is None or np.asarray(self.waypoints).shape[0] < 4:
-                raise ConfigError("waypoint_spline needs at least 4 waypoints")
-        elif self.amplitude < 0 or self.rate < 0:
+        if not (self.amplitude >= 0 and self.rate >= 0):
             raise ConfigError("amplitude and rate must be nonnegative")
 
 
@@ -196,51 +190,33 @@ def _curve_functions(spec: TrajectorySpec):
 
         return p, v, a
 
-    if spec.kind is TrajectoryKind.LISSAJOUS3D:
-        amp = spec.amplitude * np.array([1.0, 1.0, 0.5])
-        om = spec.rate * np.asarray(spec.ratios, dtype=float)
-        ph = np.asarray(spec.phases, dtype=float)
+    # LISSAJOUS3D
+    amp = spec.amplitude * np.array([1.0, 1.0, 0.5])
+    om = spec.rate * np.asarray(spec.ratios, dtype=float)
+    ph = np.asarray(spec.phases, dtype=float)
 
-        def p(t):
-            return c + amp * np.sin(om * t + ph)
+    def p(t):
+        return c + amp * np.sin(om * t + ph)
 
-        def v(t):
-            return amp * om * np.cos(om * t + ph)
+    def v(t):
+        return amp * om * np.cos(om * t + ph)
 
-        def a(t):
-            return -amp * om * om * np.sin(om * t + ph)
+    def a(t):
+        return -amp * om * om * np.sin(om * t + ph)
 
-        return p, v, a
-
-    # WAYPOINT_SPLINE: natural cubic through uniform knots; derivatives
-    # of the piecewise polynomial are themselves analytic.
-    # Imported on use, so that commands that build no spline do not pay
-    # for importing scipy (its one use here) in time and memory.
-    from scipy.interpolate import CubicSpline
-
-    wp = np.asarray(spec.waypoints, dtype=float)
-    knots = np.linspace(0.0, spec.duration, wp.shape[0])
-    spline = CubicSpline(knots, wp, bc_type="natural")
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    return (
-        lambda t: c + spline(t),
-        lambda t: d1(t),
-        lambda t: d2(t),
-    )
+    return p, v, a
 
 
-def _attitude_function(spec: TrajectorySpec, gravity: GravityModel):
+def _attitude_function(spec: TrajectorySpec):
     """Closed-form world-from-body attitude R(t) for the spec."""
     if spec.yaw_mode is YawMode.FIXED:
         eye = np.eye(3)
         return lambda t: eye
 
     _, v, a = _curve_functions(spec)
-    g = gravity.vector
 
     def r_of_t(t):
-        f = a(t) - g  # specific force the body must produce
+        f = a(t) - GRAVITY  # specific force the body must produce
         norm_f = np.linalg.norm(f)
         if norm_f < 1e-9:
             raise DataError("free-fall point: attitude undefined (|a - g| ~ 0)")
@@ -265,7 +241,7 @@ def _attitude_function(spec: TrajectorySpec, gravity: GravityModel):
     return r_of_t
 
 
-def generate_trajectory(spec: TrajectorySpec, gravity: GravityModel = GRAVITY) -> Trajectory:
+def generate_trajectory(spec: TrajectorySpec) -> Trajectory:
     """Sample the spec's curve at 1/imu_rate spacing.
 
     Returns a Trajectory of round(duration * imu_rate) + 1 rows with
@@ -273,7 +249,7 @@ def generate_trajectory(spec: TrajectorySpec, gravity: GravityModel = GRAVITY) -
     """
     spec.validate()
     p_f, v_f, a_f = _curve_functions(spec)
-    r_f = _attitude_function(spec, gravity)
+    r_f = _attitude_function(spec)
     fixed = spec.yaw_mode is YawMode.FIXED
     h = _ATTITUDE_DIFF_STEP
 
@@ -293,7 +269,7 @@ def generate_trajectory(spec: TrajectorySpec, gravity: GravityModel = GRAVITY) -
     )
 
 
-def derive_imu(trajectory: Trajectory, gravity: GravityModel = GRAVITY) -> ImuWindow:
+def derive_imu(trajectory: Trajectory) -> ImuWindow:
     """Ideal IMU readings along a simulated trajectory, as a BODY-kind
     ImuWindow: exact body rates and the specific force of each row."""
     if trajectory.a_world is None or trajectory.w_body is None:
@@ -301,7 +277,7 @@ def derive_imu(trajectory: Trajectory, gravity: GravityModel = GRAVITY) -> ImuWi
     return ImuWindow(
         t=trajectory.t,
         w=trajectory.w_body,
-        a=specific_force(trajectory.a_world, trajectory.r, gravity),
+        a=specific_force(trajectory.a_world, trajectory.r),
     )
 
 

@@ -14,7 +14,8 @@ Layout (little-endian):
 
 All arrays are stored as float64. `variant` tags what the weights are
 for (e.g. "affine-corrector-v1", "motion-net-v1") so loaders can refuse
-files meant for a different model.
+files meant for a different model. A header lacking any of its three
+fields, or with an ill-formed one, raises ParseError.
 """
 
 from __future__ import annotations
@@ -63,23 +64,25 @@ def load_weights(path, expected_variant: str | None = None):
         raise ParseError(f"{path}: unsupported version {version}")
     try:
         header = json.loads(blob[_PREFIX.size : _PREFIX.size + header_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: corrupt header: {exc}") from None
-    variant = header.get("variant", "")
+        variant, meta, entries = header["variant"], header["meta"], header["arrays"]
+        layout = [(entry["name"], tuple(entry["shape"])) for entry in entries]
+        if not isinstance(meta, dict):
+            raise TypeError("meta is not an object")
+        if not all(type(d) is int and d >= 0 for _, shape in layout for d in shape):
+            raise TypeError("array dimensions must be nonnegative integers")
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: corrupt header: {exc!r}") from None
     if expected_variant is not None and variant != expected_variant:
         raise DataError(
             f"{path}: weight variant {variant!r}, expected {expected_variant!r}"
         )
     arrays = {}
     offset = _PREFIX.size + header_len
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape in layout:
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
         if end > len(blob):
             raise ParseError(f"{path}: payload shorter than declared arrays")
-        arrays[entry["name"]] = (
-            np.frombuffer(blob[offset:end], dtype=np.float64).reshape(shape).copy()
-        )
+        arrays[name] = np.frombuffer(blob[offset:end], dtype=np.float64).reshape(shape).copy()
         offset = end
-    return variant, header.get("meta", {}), arrays
+    return variant, meta, arrays

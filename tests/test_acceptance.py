@@ -185,7 +185,6 @@ def test_criterion_02_jacobian_suite():
                 b_g=rng.normal(size=3) * 0.01,
             ),
             P=np.eye(15),
-            t=0.0,
         )
         h = measurement_jacobian(fs)
         fd = np.zeros((3, 15))

@@ -116,15 +116,30 @@ class TestTopLevel:
             assert "config keys used" in capsys.readouterr().out
 
 
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy is imported only where a waypoint spline is built
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # numpy is the one runtime dependency: with scipy made unimportable,
+        # every module imports and simulate and run-ekf still run
         src = str(Path(bodyframe_io.__file__).resolve().parents[1])
-        code = "import sys, bodyframe_io.cli; print('scipy' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, check=True,
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import bodyframe_io\n"
+            "for m in pkgutil.iter_modules(bodyframe_io.__path__):\n"
+            "    importlib.import_module('bodyframe_io.' + m.name)\n"
+            "from bodyframe_io.cli import main\n"
+            "data, ini = sys.argv[1], sys.argv[2]\n"
+            "assert main(['simulate', '--data', data, '--name', 's', '--config', ini]) == 0\n"
+            "assert main(['run-ekf', '--data', data, '--name', 's', '--provider', 'oracle',\n"
+            "             '--config', ini, '--out', data + '/o.csv']) == 0\n"
         )
-        assert out.stdout.strip() == "False"
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulator]\nduration = 1.0\nimu_rate = 50.0\n[ekf]\nupdate_rate = 10.0\n")
+        data = tmp_path / "d"
+        subprocess.run(
+            [sys.executable, "-c", code, str(data), str(ini)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        )
+        assert (data / "o.csv").exists()
 
 
 class TestExitCodes:
@@ -231,6 +246,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, line", [
         ("simulator", "ratios = 1, 2"),
         ("simulator", "phases = 0, 0.5, 1, 2"),
+        ("simulator", "duration = inf"),
+        ("simulator", "center = nan, 0, 0"),
         ("noise", "sigma_g = -1e-3"),
         ("noise", "sigma_ba = -1e-4"),
     ])
@@ -243,17 +260,63 @@ class TestExitCodes:
         assert f"{section}.{line.split()[0]}" in capsys.readouterr().err
         assert not (data / "s").exists()
 
-    @pytest.mark.parametrize("interval", ["0", "-2.0"])
-    def test_nonpositive_rte_interval_exits_2(self, workdir, ekf_csv, tmp_path, capsys,
-                                              interval):
+    @pytest.mark.parametrize("line, message", [
+        ("rte_interval = 0", "interval"),
+        ("rte_interval = -2.0", "interval"),
+        ("tau_max = nan", "eval.tau_max"),
+    ])
+    def test_bad_eval_settings_exit_2(self, workdir, ekf_csv, tmp_path, capsys, line, message):
         cfg = tmp_path / "eval.ini"
-        cfg.write_text(f"[eval]\nrte_interval = {interval}\n")
+        cfg.write_text(f"[eval]\n{line}\n")
         report = tmp_path / "r.csv"
         rc = main(["eval", "--data", workdir["data"], "--estimate", f"seq01={ekf_csv}",
                    "--config", str(cfg), "--out", str(report)])
         assert rc == 2
-        assert "interval" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("provider, line", [
+        ("zero", "update_rate = nan"),
+        ("zero", "zero_eta = nan"),
+        ("oracle", "oracle_noise = nan"),
+    ])
+    def test_nan_filter_settings_exit_2(self, workdir, tmp_path, capsys, provider, line):
+        cfg = tmp_path / "ekf.ini"
+        cfg.write_text(f"[ekf]\n{line}\n")
+        out = tmp_path / "o.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", provider, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"ekf.{line.split()[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_motion_meta_missing_a_field_exits_3(self, workdir, tmp_path, capsys):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        weights = tmp_path / "net.bfwt"
+        tiny_model().save(str(weights))
+        variant, meta, arrays = load_weights(weights)
+        del meta["kernel"]
+        save_weights(weights, variant, arrays, meta)
+        out = tmp_path / "o.csv"
+        for argv in (
+            ["run-ekf", "--data", workdir["data"], "--name", "seq01", "--provider", "network",
+             "--weights", str(weights), "--config", workdir["cfg"], "--out", str(out)],
+            ["analyze", "--data", workdir["data"], "--weights", str(weights),
+             "--config", workdir["cfg"], "--out", str(out)],
+        ):
+            assert main(argv) == 3
+            assert "kernel" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_weights_header_without_arrays_exits_3(self, workdir, tmp_path, capsys):
+        header = b'{"meta": {}, "variant": "motion-net-v1"}'
+        weights = tmp_path / "net.bfwt"
+        weights.write_bytes(b"BFWT\x01\x00\x00\x00" + len(header).to_bytes(4, "little") + header)
+        rc = main(["analyze", "--data", workdir["data"], "--weights", str(weights),
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 3
+        assert "corrupt header" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -271,25 +334,32 @@ class TestSimulate:
             b = (outs[1] / fname).read_bytes()
             assert a == b, fname
 
-    def test_env_seed_matches_explicit_seed(self, tmp_path, monkeypatch):
+    def test_omitted_seed_is_seed_zero(self, tmp_path, monkeypatch):
+        # the environment plays no part in the seed
+        monkeypatch.setenv("BODYFRAME_IO_SEED", "11")
         cfg = tmp_path / "run.ini"
         cfg.write_text(RUN_INI)
-        explicit = tmp_path / "x"
-        main(["simulate", "--data", str(explicit), "--name", "s",
-              "--config", str(cfg), "--seed", "11"])
-        monkeypatch.setenv("BODYFRAME_IO_SEED", "11")
-        from_env = tmp_path / "e"
-        main(["simulate", "--data", str(from_env), "--name", "s",
-              "--config", str(cfg)])
-        assert (explicit / "s/imu.csv").read_bytes() == (
-            from_env / "s/imu.csv"
-        ).read_bytes()
+        outs = []
+        for sub, seed in (("zero", ["--seed", "0"]), ("omitted", [])):
+            data = tmp_path / sub
+            assert main(["simulate", "--data", str(data), "--name", "s",
+                         "--config", str(cfg), *seed]) == 0
+            assert main(["run-ekf", "--data", str(data), "--name", "s", "--provider", "oracle",
+                         "--config", str(cfg), "--out", str(data / "o.csv"), *seed]) == 0
+            outs.append(data)
+        for fname in ("s/imu.csv", "s/groundtruth.csv", "o.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
-    def test_bad_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BODYFRAME_IO_SEED", "eleven")
-        rc = main(["simulate", "--data", str(tmp_path / "d"), "--name", "s"])
-        assert rc == 2
-        assert "BODYFRAME_IO_SEED" in capsys.readouterr().err
+    def test_malformed_manifest_leaves_no_sequence(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        data.mkdir()
+        (data / "corpus.cfg").write_text("[corpus]\nversion = 1\n[bogus]\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(RUN_INI)
+        rc = main(["simulate", "--data", str(data), "--name", "s", "--config", str(cfg)])
+        assert rc == 3
+        assert "bogus" in capsys.readouterr().err
+        assert not (data / "s").exists()
 
     def test_manifest_accumulates_roles(self, tmp_path):
         cfg = tmp_path / "run.ini"

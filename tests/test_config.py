@@ -94,6 +94,20 @@ class TestGetters:
         cfg.values["motion"]["imu_encoder_channels"] = "8,16"
         assert cfg.getints("motion", "imu_encoder_channels") == (8, 16)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_float_reports_key(self, raw):
+        cfg = RunConfig()
+        cfg.values["ekf"]["update_rate"] = raw
+        with pytest.raises(ConfigError, match="ekf.update_rate: must be finite"):
+            cfg.getfloat("ekf", "update_rate")
+
+    @pytest.mark.parametrize("raw", ["nan, 0, 0", "0, inf, 0", "0, 0, -inf"])
+    def test_non_finite_list_reports_key(self, raw):
+        cfg = RunConfig()
+        cfg.values["simulator"]["center"] = raw
+        with pytest.raises(ConfigError, match="simulator.center: must be finite"):
+            cfg.getfloats("simulator", "center")
+
     def test_bad_list_reports_key(self):
         cfg = RunConfig()
         cfg.values["simulator"]["center"] = "0, x, 0"

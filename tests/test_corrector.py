@@ -7,7 +7,7 @@ from bodyframe_io.corrector import (
     correct_and_quantify,
     train_corrector,
 )
-from bodyframe_io.errors import ConfigError
+from bodyframe_io.errors import ConfigError, DataError
 from bodyframe_io.imu_model import ImuWindow
 from bodyframe_io.preintegration import NavState, dead_reckon
 from bodyframe_io.simulator import (
@@ -156,3 +156,14 @@ class TestTraining:
         b = back.infer(window)
         np.testing.assert_array_equal(a.accel_correction, b.accel_correction)
         np.testing.assert_array_equal(a.eta_a, b.eta_a)
+
+    def test_weight_file_missing_an_array_rejected(self, trained, tmp_path):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        path = tmp_path / "corrector.bfw"
+        trained[0].save(path)
+        variant, meta, arrays = load_weights(path)
+        del arrays["bias"]
+        save_weights(path, variant, arrays, meta)
+        with pytest.raises(DataError, match="bias"):
+            LearnedAffineCorrector.load(path)

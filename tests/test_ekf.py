@@ -5,6 +5,7 @@ import pytest
 
 from bodyframe_io.corrector import IdentityCorrector, correct_and_quantify
 from bodyframe_io.ekf import (
+    P0,
     EkfConfig,
     FilterState,
     batch_run,
@@ -61,12 +62,12 @@ def random_state(rng, p_scale=0.1):
     )
     m = rng.standard_normal((15, 15))
     p = p_scale * (m @ m.T) / 15.0
-    return FilterState(x=x, P=p, t=0.0)
+    return FilterState(x=x, P=p)
 
 
 class TestMeasurementJacobian:
     def test_identity_attitude_zero_velocity(self):
-        fs = FilterState(x=NavState.identity(), P=np.eye(15), t=0.0)
+        fs = FilterState(x=NavState.identity(), P=np.eye(15))
         h = measurement_jacobian(fs)
         expected = np.zeros((3, 15))
         expected[:, 3:6] = np.eye(3)
@@ -98,7 +99,7 @@ class TestMeasurementJacobian:
         fs = FilterState(
             x=NavState(np.eye(3), np.array([0.0, 0.0, 1.0]), np.zeros(3),
                        np.zeros(3), np.zeros(3)),
-            P=np.eye(15), t=0.0,
+            P=np.eye(15),
         )
         eps = 1e-7
         delta = np.zeros(15)
@@ -204,7 +205,7 @@ class TestUpdate:
         p_var, sig, z_val = 0.04, 0.1, 0.3
         p0 = np.zeros((15, 15))
         p0[5, 5] = p_var
-        fs = FilterState(x=NavState.identity(), P=p0, t=0.0)
+        fs = FilterState(x=NavState.identity(), P=p0)
         z = VelocityMeasurement(
             v_body=np.array([0, 0, z_val]), eta_v=np.array([1.0, 1.0, sig])
         )
@@ -217,7 +218,7 @@ class TestUpdate:
         np.testing.assert_allclose(out.x.r, np.eye(3), atol=1e-15)
 
     def test_singular_innovation_covariance_raises(self):
-        fs = FilterState(x=NavState.identity(), P=np.zeros((15, 15)), t=0.0)
+        fs = FilterState(x=NavState.identity(), P=np.zeros((15, 15)))
         z = VelocityMeasurement(
             v_body=np.zeros(3), eta_v=np.array([1.0, 1e-7, 1e-7])
         )
@@ -420,6 +421,28 @@ class TestRunners:
             streaming_run(imu.slice(0, 10), ConstantZeroProvider(), corrector, cfg,
                           initial_state_from(traj))
 
+    @pytest.mark.parametrize("field, value", [
+        ("update_rate", 0.0), ("update_rate", np.nan), ("buffer_len", 0),
+        ("eta_bg", -1e-6), ("eta_bg", np.nan), ("eta_ba", np.nan),
+    ])
+    def test_bad_config_rejected(self, noisy_fig8, field, value):
+        traj, imu, corrector, _ = noisy_fig8
+        cfg = EkfConfig(**{field: value})
+        for runner in (streaming_run, batch_run):
+            with pytest.raises(ConfigError):
+                runner(imu.slice(0, 10), ConstantZeroProvider(), corrector, cfg,
+                       initial_state_from(traj))
+
+    def test_every_run_starts_from_p0(self, noisy_fig8):
+        traj, imu, corrector, cfg = noisy_fig8
+        for runner in (streaming_run, batch_run):
+            run = runner(imu.slice(0, 10), ConstantZeroProvider(), corrector, cfg,
+                         initial_state_from(traj))
+            assert np.array_equal(run.P[0], P0)
+        assert np.array_equal(np.diag(P0), [1e-4] * 3 + [1e-2] * 6 + [1e-4] * 3 + [1e-6] * 3)
+        with pytest.raises(ValueError):
+            P0[0, 0] = 1.0
+
     def test_invalid_initial_state_rejected(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
         imu = imu.slice(0, 21)
@@ -432,9 +455,6 @@ class TestRunners:
                 runner(imu, ConstantZeroProvider(), corrector, cfg, bad_r)
             with pytest.raises(DataError):
                 runner(imu, ConstantZeroProvider(), corrector, cfg, bad_v)
-            with pytest.raises(DataError):
-                runner(imu, ConstantZeroProvider(), corrector, cfg,
-                       initial_state_from(traj), p0=np.full((15, 15), np.nan))
 
     def test_rows_are_the_per_frame_filter(self, noisy_fig8):
         # Every row equals a per-frame propagate/update loop exactly.
@@ -449,7 +469,7 @@ class TestRunners:
             np.diag(np.concatenate([g, a, np.full(3, cfg.eta_bg), np.full(3, cfg.eta_ba)]) ** 2)
             for g, a in zip(corr.eta_g, corr.eta_a)
         ]
-        fs = FilterState(x=initial_state_from(traj), P=cfg.initial_covariance(), t=0.0)
+        fs = FilterState(x=initial_state_from(traj), P=P0)
         t = imu.t.tolist()
         for i in range(1, len(imu)):
             # the reading of frame i propagates across the interval ending at t_i
@@ -458,7 +478,6 @@ class TestRunners:
             fs = FilterState(
                 x=propagate_state(fs.x, w, a, dt),
                 P=propagate_covariance(fs.P, a_mat, b_mat, w_cov[i]),
-                t=t[i],
             )
             if i % 5 == 0:
                 window = corrected.slice(max(0, i + 1 - cfg.buffer_len), i + 1)

@@ -31,7 +31,7 @@ def random_window(rng, n=8, with_rotations=True):
 def to_body(window, rots):
     """Reference inverse of transform_representation: raw body channels
     back from any kind, given the rotations."""
-    minus_g = -GRAVITY.vector
+    minus_g = -GRAVITY
     w, a = window.w, window.a
     if window.kind.is_global:
         w = np.einsum("nji,nj->ni", rots, w)
@@ -52,8 +52,13 @@ class TestSpecificForce:
         np.testing.assert_allclose(f, [0.0, -1.0, 9.80665], atol=1e-12)
 
     def test_free_fall_reads_zero(self):
-        f = specific_force(GRAVITY.vector, np.eye(3))
+        f = specific_force(GRAVITY, np.eye(3))
         np.testing.assert_allclose(f, np.zeros(3), atol=1e-15)
+
+    def test_gravity_is_standard_and_read_only(self):
+        assert GRAVITY.tolist() == [0.0, 0.0, -9.80665]
+        with pytest.raises(ValueError):
+            GRAVITY[2] = -9.81
 
 
 class TestWindowValidation:

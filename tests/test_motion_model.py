@@ -496,9 +496,10 @@ class TestOraclePredict:
         reference = [r.T @ v + 0.05 * rng.standard_normal(3) for r, v in zip(traj.r, traj.v)]
         assert np.array_equal(v_body, np.array(reference))
 
-    def test_negative_noise_rejected(self):
+    @pytest.mark.parametrize("noise_std", [-0.1, np.nan])
+    def test_negative_or_nan_noise_rejected(self, noise_std):
         with pytest.raises(ConfigError):
-            oracle_predict(self._stationary(2), -0.1)
+            oracle_predict(self._stationary(2), noise_std)
 
 
 class TestProviders:
@@ -509,6 +510,11 @@ class TestProviders:
         np.testing.assert_array_equal(eta, np.full((3, 3), 0.5))
         v, eta = ConstantZeroProvider().predict_window(win, 100)
         assert v.shape == eta.shape == (len(win), 3)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan])
+    def test_constant_zero_rejects_nonpositive_or_nan_eta(self, eta):
+        with pytest.raises(ConfigError):
+            ConstantZeroProvider(eta=eta)
 
     def test_oracle_provider_window_independent(self):
         spec = TrajectorySpec(kind=TrajectoryKind.CIRCLE, duration=2.0, imu_rate=50.0)
@@ -597,4 +603,42 @@ class TestPersistence:
         path = tmp_path / "other.bfw"
         save_weights(path, "affine-corrector-v1", {"w": np.zeros(3)}, {})
         with pytest.raises(DataError):
+            MotionNet.load(path)
+
+    def test_meta_holds_every_config_field(self, tmp_path):
+        from dataclasses import asdict
+
+        from bodyframe_io.weights_io import load_weights
+
+        path = tmp_path / "net.bfw"
+        MotionNet(TINY).save(path)
+        _, meta, _ = load_weights(path)
+        expected = asdict(TINY)
+        expected["representation"] = TINY.representation.name
+        expected["imu_encoder_channels"] = list(TINY.imu_encoder_channels)
+        expected["attitude_encoder_channels"] = list(TINY.attitude_encoder_channels)
+        assert meta == expected
+        assert MotionNet.load(path).config == TINY
+
+    @pytest.mark.parametrize("edit", [
+        {"kernel": None},  # missing
+        {"stride": 3},  # unknown
+        {"window": "wide"},  # not a number
+        {"imu_encoder_channels": 4},  # not a list
+        {"representation": "SONAR"},  # not a kind
+        {"latent_dim": 63},  # an architecture MotionNetConfig rejects
+    ])
+    def test_bad_meta_rejected(self, tmp_path, edit):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        path = tmp_path / "net.bfw"
+        MotionNet(TINY).save(path)
+        variant, meta, arrays = load_weights(path)
+        for key, value in edit.items():
+            if value is None:
+                del meta[key]
+            else:
+                meta[key] = value
+        save_weights(path, variant, arrays, meta)
+        with pytest.raises(DataError, match="meta"):
             MotionNet.load(path)

@@ -137,33 +137,14 @@ class TestGenerateTrajectory:
         for i in range(0, len(traj) - k, 100):
             np.testing.assert_allclose(traj.p[i], traj.p[i + k], atol=1e-9)
 
-    def test_spline_passes_through_waypoints(self):
-        wp = np.array(
-            [[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [3.0, 1.0, 1.0], [4.0, -1.0, 0.0]]
-        )
-        spec = TrajectorySpec(
-            kind=TrajectoryKind.WAYPOINT_SPLINE,
-            duration=6.0,
-            imu_rate=100.0,
-            waypoints=wp,
-            yaw_mode=YawMode.FIXED,
-        )
-        traj = generate_trajectory(spec)
-        knot_times = np.linspace(0.0, 6.0, 4)
-        p = {round(t, 9): p for t, p in zip(traj.t.tolist(), traj.p)}
-        for k, target in zip(knot_times, wp):
-            np.testing.assert_allclose(p[round(k, 9)], target, atol=1e-9)
-
-    def test_spline_requires_enough_waypoints(self):
-        spec = TrajectorySpec(
-            kind=TrajectoryKind.WAYPOINT_SPLINE, waypoints=np.zeros((2, 3))
-        )
-        with pytest.raises(ConfigError):
-            generate_trajectory(spec)
-
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigError):
             generate_trajectory(circle_spec(duration=0.0))
+
+    @pytest.mark.parametrize("key", ["duration", "imu_rate", "amplitude", "rate"])
+    def test_rejects_nan_settings(self, key):
+        with pytest.raises(ConfigError):
+            generate_trajectory(circle_spec(**{key: math.nan}))
 
 
 class TestTrajectory:
@@ -198,7 +179,7 @@ class TestDeriveImu:
         traj = generate_trajectory(lissajous_spin_spec(duration=1.0))
         imu = derive_imu(traj)
         for r, a, a_world in zip(traj.r[::25], imu.a[::25], traj.a_world[::25]):
-            np.testing.assert_allclose(r @ a + GRAVITY.vector, a_world, atol=1e-10)
+            np.testing.assert_allclose(r @ a + GRAVITY, a_world, atol=1e-10)
 
 
 def hover_samples(n, rate=200.0):

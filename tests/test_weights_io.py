@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -43,3 +46,30 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(ParseError, match="payload"):
         load_weights(path)
+
+
+@pytest.mark.parametrize("field", ["variant", "meta", "arrays"])
+def test_header_missing_a_field(tmp_path, field):
+    path = tmp_path / "model.bfw"
+    save_weights(path, "v", {"x": np.zeros(2)}, meta={"k": 1})
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    del header[field]
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :])
+    with pytest.raises(ParseError, match="corrupt header"):
+        load_weights(path)
+
+
+def test_header_with_ill_formed_entries(tmp_path):
+    path = tmp_path / "model.bfw"
+    for header in ({"variant": "v", "meta": [], "arrays": []},
+                   {"variant": "v", "meta": {}, "arrays": [{"name": "x"}]},
+                   {"variant": "v", "meta": {}, "arrays": [{"name": "x", "shape": [-2, 3]}]},
+                   {"variant": "v", "meta": {}, "arrays": [{"name": "x", "shape": [1.5]}]},
+                   ["not", "an", "object"]):
+        text = json.dumps(header).encode("utf-8")
+        path.write_bytes(b"BFWT" + struct.pack("<HHI", 1, 0, len(text)) + text)
+        with pytest.raises(ParseError, match="corrupt header"):
+            load_weights(path)
