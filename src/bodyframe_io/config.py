@@ -16,6 +16,7 @@ strings itself.
 from __future__ import annotations
 
 import configparser
+import enum
 import io
 import math
 from dataclasses import dataclass, field
@@ -84,19 +85,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "n_thresholds": "100",
     },
 }
-
-_KIND_NAMES = {
-    "circle": TrajectoryKind.CIRCLE,
-    "figure8": TrajectoryKind.FIGURE8,
-    "lissajous3d": TrajectoryKind.LISSAJOUS3D,
-}
-
-_YAW_NAMES = {
-    "follow_velocity": YawMode.FOLLOW_VELOCITY,
-    "spin": YawMode.SPIN,
-    "fixed": YawMode.FIXED,
-}
-
 
 @dataclass
 class RunConfig:
@@ -189,30 +177,30 @@ def dump_defaults() -> str:
     return out.getvalue()
 
 
+def _enum_member(cfg: RunConfig, section: str, key: str, kind: type[enum.Enum]):
+    """The member of the enum `kind` whose value is the key's text."""
+    name = cfg.get(section, key).strip().lower()
+    try:
+        return kind(name)
+    except ValueError:
+        raise ConfigError(
+            f"config key {section}.{key}: unknown value {name!r}"
+            f" (choose from {[member.value for member in kind]})"
+        ) from None
+
+
 def trajectory_spec(cfg: RunConfig) -> TrajectorySpec:
-    kind_name = cfg.get("simulator", "kind").strip().lower()
-    if kind_name not in _KIND_NAMES:
-        raise ConfigError(
-            f"config key simulator.kind: unknown kind {kind_name!r}"
-            f" (choose from {sorted(_KIND_NAMES)})"
-        )
-    yaw_name = cfg.get("simulator", "yaw_mode").strip().lower()
-    if yaw_name not in _YAW_NAMES:
-        raise ConfigError(
-            f"config key simulator.yaw_mode: unknown mode {yaw_name!r}"
-            f" (choose from {sorted(_YAW_NAMES)})"
-        )
     triples = {key: cfg.getfloats("simulator", key) for key in ("center", "ratios", "phases")}
     for key, values in triples.items():
         if len(values) != 3:
             raise ConfigError(f"config key simulator.{key}: expected three numbers")
     return TrajectorySpec(
-        kind=_KIND_NAMES[kind_name],
+        kind=_enum_member(cfg, "simulator", "kind", TrajectoryKind),
         duration=cfg.getfloat("simulator", "duration"),
         imu_rate=cfg.getfloat("simulator", "imu_rate"),
         amplitude=cfg.getfloat("simulator", "amplitude"),
         rate=cfg.getfloat("simulator", "rate"),
-        yaw_mode=_YAW_NAMES[yaw_name],
+        yaw_mode=_enum_member(cfg, "simulator", "yaw_mode", YawMode),
         yaw_rate=cfg.getfloat("simulator", "yaw_rate"),
         **triples,
     )
@@ -236,16 +224,8 @@ def noise_spec(cfg: RunConfig, seed: int) -> NoiseSpec:
 
 
 def motion_net_config(cfg: RunConfig, seed: int) -> MotionNetConfig:
-    rep_name = cfg.get("motion", "representation").strip().lower()
-    try:
-        representation = RepresentationKind(rep_name)
-    except ValueError:
-        raise ConfigError(
-            f"config key motion.representation: unknown kind {rep_name!r}"
-            f" (choose from {[k.value for k in RepresentationKind]})"
-        ) from None
     return MotionNetConfig(
-        representation=representation,
+        representation=_enum_member(cfg, "motion", "representation", RepresentationKind),
         window=cfg.getint("motion", "window"),
         latent_dim=cfg.getint("motion", "latent_dim"),
         gru_layers=cfg.getint("motion", "gru_layers"),

@@ -101,7 +101,9 @@ class LearnedAffineCorrector:
 
     weight has shape (16 * 6, 6) and bias (6,); columns 0:3 are the gyro
     correction, 3:6 the accel correction. Features are standardized
-    with statistics frozen at training time.
+    with statistics frozen at training time. Construction raises
+    DataError unless window_len is a positive int and every array has
+    the shape it implies.
     """
 
     def __init__(
@@ -113,15 +115,22 @@ class LearnedAffineCorrector:
         raw_eta,
         window_len: int = 16,
     ):
-        self.window_len = int(window_len)
+        if type(window_len) is not int or window_len < 1:
+            raise DataError(
+                f"affine corrector window_len must be a positive integer, got {window_len!r}"
+            )
+        self.window_len = window_len
         self.weight = np.asarray(weight, dtype=float)
         self.bias = np.asarray(bias, dtype=float)
         self.feat_mean = np.asarray(feat_mean, dtype=float)
         self.feat_scale = np.asarray(feat_scale, dtype=float)
         self.raw_eta = np.asarray(raw_eta, dtype=float)
-        d = 6 * self.window_len
-        if self.weight.shape != (d, 6) or self.bias.shape != (6,):
-            raise DataError("affine corrector weight shapes inconsistent")
+        d = 6 * window_len
+        for name, shape in zip(_AFFINE_ARRAYS, ((d, 6), (6,), (d,), (d,), (6,))):
+            actual = getattr(self, name).shape
+            if actual != shape:
+                raise DataError(f"affine corrector {name} has shape {actual},"
+                                f" expected {shape} for window_len {window_len}")
 
     @property
     def context(self) -> int:
@@ -157,7 +166,9 @@ class LearnedAffineCorrector:
         if sorted(arrays) != sorted(_AFFINE_ARRAYS):
             raise DataError(f"{path}: corrector arrays {sorted(arrays)}, "
                             f"expected {sorted(_AFFINE_ARRAYS)}")
-        return cls(**arrays, window_len=int(meta.get("window_len", 16)))
+        if "window_len" not in meta:
+            raise DataError(f"{path}: corrector metadata lacks window_len")
+        return cls(**arrays, window_len=meta["window_len"])
 
 
 def correct_and_quantify(model, window: ImuWindow):

@@ -11,11 +11,15 @@ and the heading is set by a yaw mode:
     SPIN             heading advances at a constant rate (yaw_rate)
     FIXED            attitude is the identity for the whole run
 
+Each curve and each attitude is evaluated once over the whole time
+vector t = arange(n) / imu_rate, as (n, 3) and (n, 3, 3) arrays; only
+the SO(3) log and the FOLLOW_VELOCITY heading (math.atan2) run per row.
+
 Body angular rate is w_body = vee(R^T dR/dt). Rather than hand-derive
 the flatness attitude rate (which needs analytic jerk and yaw
-acceleration), it is computed by central-differencing the closed-form
-attitude with step 1e-5 s, giving O(1e-10) error; FIXED returns exact
-zeros.
+acceleration), it is a central difference of the closed-form attitude,
+log(R(t - h)^T R(t + h)) / 2h with h = 1e-5 s, giving O(1e-10) error;
+FIXED returns exact zeros.
 
 The corruption model is the standard discrete one: white noise scaled
 by sqrt(imu_rate) from continuous densities, plus a bias random walk
@@ -149,96 +153,66 @@ class BiasTruth:
     b_a: np.ndarray
 
 
-def _curve_functions(spec: TrajectorySpec):
-    """Return (p, v, a) as callables of t for the spec's curve."""
+def _curve(spec: TrajectorySpec, t: np.ndarray):
+    """(p, v, a_world) of the spec's curve at the times t, (n, 3) each."""
     c = np.array(spec.center, dtype=float)
+    zero = np.zeros_like(t)
     if spec.kind is TrajectoryKind.CIRCLE:
         r, om = spec.amplitude, spec.rate
-
-        def p(t):
-            return c + r * np.array([math.cos(om * t), math.sin(om * t), 0.0])
-
-        def v(t):
-            return r * om * np.array([-math.sin(om * t), math.cos(om * t), 0.0])
-
-        def a(t):
-            return -r * om * om * np.array([math.cos(om * t), math.sin(om * t), 0.0])
-
+        cos, sin = np.cos(om * t), np.sin(om * t)
+        p = c + r * np.column_stack([cos, sin, zero])
+        v = r * om * np.column_stack([-sin, cos, zero])
+        a = -r * om * om * np.column_stack([cos, sin, zero])
         return p, v, a
 
     if spec.kind is TrajectoryKind.FIGURE8:
         A, om = spec.amplitude, spec.rate
-
-        def p(t):
-            return c + np.array(
-                [A * math.sin(om * t), 0.5 * A * math.sin(2 * om * t), 0.0]
-            )
-
-        def v(t):
-            return np.array(
-                [A * om * math.cos(om * t), A * om * math.cos(2 * om * t), 0.0]
-            )
-
-        def a(t):
-            return np.array(
-                [
-                    -A * om * om * math.sin(om * t),
-                    -2 * A * om * om * math.sin(2 * om * t),
-                    0.0,
-                ]
-            )
-
+        sin1, sin2 = np.sin(om * t), np.sin(2 * om * t)
+        p = c + np.column_stack([A * sin1, 0.5 * A * sin2, zero])
+        v = np.column_stack([A * om * np.cos(om * t), A * om * np.cos(2 * om * t), zero])
+        a = np.column_stack([-A * om * om * sin1, -2 * A * om * om * sin2, zero])
         return p, v, a
 
     # LISSAJOUS3D
     amp = spec.amplitude * np.array([1.0, 1.0, 0.5])
     om = spec.rate * np.asarray(spec.ratios, dtype=float)
-    ph = np.asarray(spec.phases, dtype=float)
-
-    def p(t):
-        return c + amp * np.sin(om * t + ph)
-
-    def v(t):
-        return amp * om * np.cos(om * t + ph)
-
-    def a(t):
-        return -amp * om * om * np.sin(om * t + ph)
-
-    return p, v, a
+    phase = om * t[:, None] + np.asarray(spec.phases, dtype=float)
+    sin = np.sin(phase)
+    return c + amp * sin, amp * om * np.cos(phase), -amp * om * om * sin
 
 
-def _attitude_function(spec: TrajectorySpec):
-    """Closed-form world-from-body attitude R(t) for the spec."""
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x, (n,). Row-by-row dot products
+    (batched matmul of 1x3 by 3x1) give the bits of np.linalg.norm on
+    one row, which np.linalg.norm(x, axis=1) does not."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _attitudes(spec: TrajectorySpec, t: np.ndarray) -> np.ndarray:
+    """Closed-form world-from-body attitudes R at the times t, (n, 3, 3)."""
     if spec.yaw_mode is YawMode.FIXED:
-        eye = np.eye(3)
-        return lambda t: eye
+        return np.broadcast_to(np.eye(3), (t.shape[0], 3, 3))
 
-    _, v, a = _curve_functions(spec)
-
-    def r_of_t(t):
-        f = a(t) - GRAVITY  # specific force the body must produce
-        norm_f = np.linalg.norm(f)
-        if norm_f < 1e-9:
-            raise DataError("free-fall point: attitude undefined (|a - g| ~ 0)")
-        b3 = f / norm_f
-        if spec.yaw_mode is YawMode.FOLLOW_VELOCITY:
-            vel = v(t)
-            if np.hypot(vel[0], vel[1]) < 1e-12:
-                psi = 0.0
-            else:
-                psi = math.atan2(vel[1], vel[0])
-        else:  # SPIN
-            psi = spec.yaw_rate * t
-        c1 = np.array([math.cos(psi), math.sin(psi), 0.0])
-        b2 = np.cross(b3, c1)
-        norm_b2 = np.linalg.norm(b2)
-        if norm_b2 < 1e-6:
-            raise DataError("thrust direction parallel to heading; attitude singular")
-        b2 /= norm_b2
-        b1 = np.cross(b2, b3)
-        return np.column_stack([b1, b2, b3])
-
-    return r_of_t
+    _, v, a = _curve(spec, t)
+    f = a - GRAVITY  # specific force the body must produce
+    norm_f = _row_norms(f)
+    if (norm_f < 1e-9).any():
+        raise DataError("free-fall point: attitude undefined (|a - g| ~ 0)")
+    b3 = f / norm_f[:, None]
+    if spec.yaw_mode is YawMode.FOLLOW_VELOCITY:
+        # math.atan2, not np.arctan2: the two can differ in the last bit
+        psi = np.fromiter(map(math.atan2, v[:, 1], v[:, 0]), dtype=float, count=t.shape[0])
+        psi[np.hypot(v[:, 0], v[:, 1]) < 1e-12] = 0.0
+    else:  # SPIN
+        psi = spec.yaw_rate * t
+    c1 = np.column_stack([np.cos(psi), np.sin(psi), np.zeros_like(psi)])
+    b2 = np.cross(b3, c1)
+    norm_b2 = _row_norms(b2)
+    if (norm_b2 < 1e-6).any():
+        raise DataError("thrust direction parallel to heading; attitude singular")
+    b2 /= norm_b2[:, None]
+    b1 = np.cross(b2, b3)
+    return np.stack([b1, b2, b3], axis=2)
 
 
 def generate_trajectory(spec: TrajectorySpec) -> Trajectory:
@@ -248,25 +222,16 @@ def generate_trajectory(spec: TrajectorySpec) -> Trajectory:
     mutually consistent (r, v, p, a_world, w_body).
     """
     spec.validate()
-    p_f, v_f, a_f = _curve_functions(spec)
-    r_f = _attitude_function(spec)
-    fixed = spec.yaw_mode is YawMode.FIXED
-    h = _ATTITUDE_DIFF_STEP
-
     n = int(round(spec.duration * spec.imu_rate)) + 1
-    t = [i / spec.imu_rate for i in range(n)]
-    if fixed:
+    t = np.arange(n) / spec.imu_rate
+    p, v, a_world = _curve(spec, t)
+    if spec.yaw_mode is YawMode.FIXED:
         w = np.zeros((n, 3))
     else:
-        w = [log_so3(r_f(ti - h).T @ r_f(ti + h)) / (2.0 * h) for ti in t]
-    return Trajectory(
-        t=t,
-        r=[r_f(ti) for ti in t],
-        v=[v_f(ti) for ti in t],
-        p=[p_f(ti) for ti in t],
-        a_world=np.array([a_f(ti) for ti in t]),
-        w_body=np.asarray(w, dtype=float),
-    )
+        h = _ATTITUDE_DIFF_STEP
+        steps = np.swapaxes(_attitudes(spec, t - h), 1, 2) @ _attitudes(spec, t + h)
+        w = np.array(list(map(log_so3, steps))) / (2.0 * h)
+    return Trajectory(t=t, r=_attitudes(spec, t), v=v, p=p, a_world=a_world, w_body=w)
 
 
 def derive_imu(trajectory: Trajectory) -> ImuWindow:

@@ -248,6 +248,8 @@ class TestExitCodes:
         ("simulator", "phases = 0, 0.5, 1, 2"),
         ("simulator", "duration = inf"),
         ("simulator", "center = nan, 0, 0"),
+        ("simulator", "kind = helix"),
+        ("simulator", "yaw_mode = wobble"),
         ("noise", "sigma_g = -1e-3"),
         ("noise", "sigma_ba = -1e-4"),
     ])
@@ -258,6 +260,17 @@ class TestExitCodes:
         rc = main(["simulate", "--data", str(data), "--name", "s", "--config", str(cfg)])
         assert rc == 2
         assert f"{section}.{line.split()[0]}" in capsys.readouterr().err
+        assert not (data / "s").exists()
+
+    def test_free_fall_flight_exits_3_without_writing(self, tmp_path, capsys):
+        # a_world = GRAVITY at t = 0: no thrust direction, so no attitude
+        cfg = tmp_path / "fall.ini"
+        cfg.write_text("[simulator]\nkind = lissajous3d\namplitude = 19.6133\nrate = 1.0\n"
+                       "ratios = 1, 1, 1\nphases = 0, 0, 1.5707963267948966\n")
+        data = tmp_path / "d"
+        rc = main(["simulate", "--data", str(data), "--name", "s", "--config", str(cfg)])
+        assert rc == 3
+        assert "free-fall" in capsys.readouterr().err
         assert not (data / "s").exists()
 
     @pytest.mark.parametrize("line, message", [
@@ -503,6 +516,30 @@ class TestTrainers:
                    "--config", str(cfg), "--seed", "0", "--out", out])
         assert rc == 0
         assert os.path.exists(out)
+
+    @pytest.mark.parametrize("meta, arrays", [
+        ({"window_len": "abc"}, {}),
+        ({"window_len": 0}, {}),
+        ({}, {}),
+        ({"window_len": 16}, {"feat_mean": np.zeros(5)}),
+        ({"window_len": 16}, {"raw_eta": np.zeros(2)}),
+    ], ids=["window_len_text", "window_len_zero", "window_len_missing",
+            "feat_mean_short", "raw_eta_short"])
+    def test_malformed_corrector_weights_exit_3(self, workdir, tmp_path, capsys, meta, arrays):
+        from bodyframe_io.corrector import AFFINE_VARIANT
+        from bodyframe_io.weights_io import save_weights
+
+        good = {"weight": np.zeros((96, 6)), "bias": np.zeros(6), "feat_mean": np.zeros(96),
+                "feat_scale": np.ones(96), "raw_eta": np.zeros(6)}
+        corr = tmp_path / "corr.bfwt"
+        save_weights(corr, AFFINE_VARIANT, {**good, **arrays}, meta)
+        out = tmp_path / "traj.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", "zero", "--corrector-weights", str(corr),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "window_len" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

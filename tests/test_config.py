@@ -133,13 +133,13 @@ class TestBuilders:
     def test_unknown_kind_rejected(self):
         cfg = RunConfig()
         cfg.values["simulator"]["kind"] = "helix"
-        with pytest.raises(ConfigError, match="simulator.kind"):
+        with pytest.raises(ConfigError, match=r"simulator\.kind: .*'helix'.*'lissajous3d'"):
             trajectory_spec(cfg)
 
     def test_unknown_yaw_mode_rejected(self):
         cfg = RunConfig()
         cfg.values["simulator"]["yaw_mode"] = "wobble"
-        with pytest.raises(ConfigError, match="simulator.yaw_mode"):
+        with pytest.raises(ConfigError, match=r"simulator\.yaw_mode: .*'wobble'.*'fixed'"):
             trajectory_spec(cfg)
 
     def test_center_must_be_three_numbers(self):
@@ -185,7 +185,7 @@ class TestBuilders:
     def test_bad_representation_rejected(self):
         cfg = RunConfig()
         cfg.values["motion"]["representation"] = "camera"
-        with pytest.raises(ConfigError, match="motion.representation"):
+        with pytest.raises(ConfigError, match=r"motion\.representation: .*'camera'.*'global'"):
             motion_net_config(cfg, seed=0)
 
     def test_loss_and_train_builders(self):

@@ -167,3 +167,24 @@ class TestTraining:
         save_weights(path, variant, arrays, meta)
         with pytest.raises(DataError, match="bias"):
             LearnedAffineCorrector.load(path)
+
+    @pytest.mark.parametrize("meta, arrays", [
+        ({"window_len": "abc"}, {}),
+        ({"window_len": 0}, {}),
+        ({"window_len": 16.0}, {}),
+        ({}, {}),
+        ({"window_len": 16}, {"feat_mean": np.zeros(5)}),
+        ({"window_len": 16}, {"feat_scale": np.ones(95)}),
+        ({"window_len": 16}, {"raw_eta": np.zeros(2)}),
+    ], ids=["window_len_text", "window_len_zero", "window_len_float", "window_len_missing",
+            "feat_mean_short", "feat_scale_short", "raw_eta_short"])
+    def test_malformed_weight_file_rejected(self, trained, tmp_path, meta, arrays):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        path = tmp_path / "corrector.bfw"
+        trained[0].save(path)
+        variant, saved_meta, saved = load_weights(path)
+        assert saved_meta == {"window_len": 16}
+        save_weights(path, variant, {**saved, **arrays}, meta)
+        with pytest.raises(DataError, match="window_len"):
+            LearnedAffineCorrector.load(path)

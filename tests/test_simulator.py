@@ -147,6 +147,69 @@ class TestGenerateTrajectory:
             generate_trajectory(circle_spec(**{key: math.nan}))
 
 
+def reference_attitude(spec, t, v, a_world):
+    """The thrust-aligned attitude of one sample, computed on its own as
+    in Mellinger & Kumar: b3 along a - g, b2 = b3 x heading, b1 = b2 x b3."""
+    f = a_world - GRAVITY
+    b3 = f / np.linalg.norm(f)
+    if spec.yaw_mode is YawMode.SPIN:
+        psi = spec.yaw_rate * t
+    else:
+        psi = 0.0 if np.hypot(v[0], v[1]) < 1e-12 else math.atan2(v[1], v[0])
+    b2 = np.cross(b3, np.array([math.cos(psi), math.sin(psi), 0.0]))
+    b2 /= np.linalg.norm(b2)
+    return np.column_stack([np.cross(b2, b3), b2, b3])
+
+
+@pytest.mark.parametrize("yaw_mode", list(YawMode))
+@pytest.mark.parametrize("kind", list(TrajectoryKind))
+def test_flight_kinematics_and_attitude(kind, yaw_mode):
+    spec = TrajectorySpec(kind=kind, duration=2.0, imu_rate=200.0, amplitude=1.5,
+                          rate=0.8, yaw_mode=yaw_mode, yaw_rate=0.6)
+    traj = generate_trajectory(spec)
+    dt = 1.0 / spec.imu_rate
+    # central-difference error <= dt^2 / 6 * A w^3 per component, and
+    # every component's w is at most 3 * rate (> 1 here)
+    bound = dt**2 / 6 * spec.amplitude * (3 * spec.rate) ** 4
+    np.testing.assert_allclose((traj.p[2:] - traj.p[:-2]) / (2 * dt), traj.v[1:-1], atol=bound)
+    np.testing.assert_allclose((traj.v[2:] - traj.v[:-2]) / (2 * dt), traj.a_world[1:-1],
+                               atol=bound)
+    if yaw_mode is YawMode.FIXED:
+        assert np.array_equal(traj.r, np.broadcast_to(np.eye(3), traj.r.shape))
+        assert np.array_equal(traj.w_body, np.zeros_like(traj.w_body))
+        return
+    thrust = traj.a_world - GRAVITY
+    np.testing.assert_allclose(traj.r[:, :, 2], thrust / np.linalg.norm(thrust, axis=1)[:, None],
+                               atol=1e-12)
+    # b2 is perpendicular to the heading (cos psi, sin psi, 0), so the body
+    # x axis heads at psi = atan2(-R01, R11), the Z-X-Y yaw of the body frame
+    psi = np.arctan2(-traj.r[:, 0, 1], traj.r[:, 1, 1])
+    if yaw_mode is YawMode.FOLLOW_VELOCITY:
+        expected = np.arctan2(traj.v[:, 1], traj.v[:, 0])
+    else:
+        expected = spec.yaw_rate * traj.t
+    np.testing.assert_allclose(np.remainder(psi - expected + np.pi, 2 * np.pi) - np.pi, 0.0,
+                               atol=1e-12)
+    for i in range(0, len(traj), 7):
+        reference = reference_attitude(spec, traj.t[i], traj.v[i], traj.a_world[i])
+        assert np.array_equal(traj.r[i], reference), i
+
+
+def test_heading_is_zero_when_hovering():
+    traj = generate_trajectory(circle_spec(rate=0.0, duration=1.0))
+    np.testing.assert_array_equal(traj.v, np.zeros_like(traj.v))
+    np.testing.assert_array_equal(traj.r, np.broadcast_to(np.eye(3), traj.r.shape))
+    np.testing.assert_array_equal(traj.w_body, np.zeros_like(traj.w_body))
+
+
+def test_free_fall_point_rejected():
+    # a_world = GRAVITY at t = 0 leaves no thrust direction to align with
+    spec = TrajectorySpec(kind=TrajectoryKind.LISSAJOUS3D, duration=1.0, amplitude=19.6133,
+                          rate=1.0, ratios=(1.0, 1.0, 1.0), phases=(0.0, 0.0, math.pi / 2))
+    with pytest.raises(DataError, match="free-fall"):
+        generate_trajectory(spec)
+
+
 class TestTrajectory:
     def test_body_velocities_equal_per_row_products(self):
         traj = generate_trajectory(lissajous_spin_spec(duration=1.0))
