@@ -13,6 +13,11 @@ layer owns `params` and `grads` dicts keyed by local names; containers
 namespace them per layer so an optimizer or a finite-difference checker
 can address every trainable array through a flat dict.
 
+GRU weight and bias gradients are summed once over all batch*time rows
+by BLAS, after the time loop, and GELU cubes as x*x*x: trained weights
+differ from earlier versions' in the last bits, but stay bit-for-bit
+reproducible for a fixed seed.
+
 Initialization is deterministic given a generator: Glorot-uniform for
 input weights, orthogonal (QR with sign fix) for recurrent weights,
 zeros for biases unless a layer opts into zero_init for its weights
@@ -116,7 +121,7 @@ class Gelu(Layer):
 
     def forward(self, x):
         self._x = x
-        self._u = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+        self._u = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
         return 0.5 * x * (1.0 + self._u)
 
     def backward(self, dy):
@@ -155,6 +160,10 @@ class Gru(Layer):
 
     Set reverse=True to scan right-to-left (output stays time-aligned
     with the input).
+
+    Backward's time loop carries only the dh recursion. It stores each
+    step's dgi and the n column of dgh, and the weight and bias gradients
+    are summed from them once over all batch*time rows by BLAS.
     """
 
     def __init__(self, cin, hidden, rng, reverse=False):
@@ -172,66 +181,56 @@ class Gru(Layer):
             x = x[:, ::-1]
         b, t, _ = x.shape
         h = self.hidden
-        w_i, w_h = self.params["w_i"], self.params["w_h"]
-        gi = x @ w_i + self.params["b_i"]  # (b, t, 3h)
-        hs = np.zeros((t, b, h))
-        cache_r = np.empty((t, b, h))
-        cache_z = np.empty((t, b, h))
-        cache_n = np.empty((t, b, h))
-        cache_ghn = np.empty((t, b, h))
-        h_prev = np.zeros((b, h))
+        w_h, b_h = self.params["w_h"], self.params["b_h"]
+        gi = x @ self.params["w_i"] + self.params["b_i"]  # (b, t, 3h)
+        hs = np.zeros((t + 1, b, h))  # hs[0] is the zero initial state
+        rz = np.empty((t, b, 2 * h))
+        ns = np.empty((t, b, h))
+        ghn = np.empty((t, b, h))
         for step in range(t):
-            gh = h_prev @ w_h + self.params["b_h"]
-            r = sigmoid(gi[:, step, :h] + gh[:, :h])
-            z = sigmoid(gi[:, step, h : 2 * h] + gh[:, h : 2 * h])
-            ghn = gh[:, 2 * h :]
-            n = np.tanh(gi[:, step, 2 * h :] + r * ghn)
-            h_prev = (1.0 - z) * n + z * h_prev
-            hs[step] = h_prev
-            cache_r[step], cache_z[step] = r, z
-            cache_n[step], cache_ghn[step] = n, ghn
-        self._cache = (x, cache_r, cache_z, cache_n, cache_ghn, hs)
-        out = hs.transpose(1, 0, 2)
+            gh = hs[step] @ w_h + b_h
+            rz[step] = sigmoid(gi[:, step, : 2 * h] + gh[:, : 2 * h])
+            r, z = rz[step, :, :h], rz[step, :, h:]
+            ghn[step] = gh[:, 2 * h :]
+            ns[step] = np.tanh(gi[:, step, 2 * h :] + r * ghn[step])
+            hs[step + 1] = (1.0 - z) * ns[step] + z * hs[step]
+        self._cache = (x, rz, ns, ghn, hs)
+        out = hs[1:].transpose(1, 0, 2)
         return out[:, ::-1] if self.reverse else out
 
     def backward(self, dy):
         if self.reverse:
             dy = dy[:, ::-1]
-        x, cache_r, cache_z, cache_n, cache_ghn, hs = self._cache
+        x, rz, ns, ghn, hs = self._cache
         b, t, cin = x.shape
         h = self.hidden
-        w_i, w_h = self.params["w_i"], self.params["w_h"]
-        dx = np.zeros_like(x)
-        dgi_all = np.zeros((b, t, 3 * h))
+        w_h = self.params["w_h"]
+        dgi = np.empty((b, t, 3 * h))
+        dghn = np.empty((t, b, h))
         dh = np.zeros((b, h))
-        dw_h = np.zeros_like(w_h)
-        db_h = np.zeros(3 * h)
         for step in range(t - 1, -1, -1):
             dh = dh + dy[:, step]
-            r, z = cache_r[step], cache_z[step]
-            n, ghn = cache_n[step], cache_ghn[step]
-            h_prev = hs[step - 1] if step > 0 else np.zeros((b, h))
-
-            dz = dh * (h_prev - n)
-            dn = dh * (1.0 - z)
-            dh = dh * z
-            dn_pre = dn * (1.0 - n * n)
-            dr = dn_pre * ghn
-            dghn = dn_pre * r
-            dr_pre = dr * r * (1.0 - r)
-            dz_pre = dz * z * (1.0 - z)
-
-            dgi = np.concatenate([dr_pre, dz_pre, dn_pre], axis=1)
-            dgh = np.concatenate([dr_pre, dz_pre, dghn], axis=1)
-            dgi_all[:, step] = dgi
-            dw_h += h_prev.T @ dgh
-            db_h += dgh.sum(axis=0)
-            dh = dh + dgh @ w_h.T
-        dx = dgi_all @ w_i.T
-        self.grads["w_i"] += np.einsum("btc,bth->ch", x, dgi_all)
-        self.grads["b_i"] += dgi_all.sum(axis=(0, 1))
-        self.grads["w_h"] += dw_h
-        self.grads["b_h"] += db_h
+            r, z, n = rz[step, :, :h], rz[step, :, h:], ns[step]
+            omz = 1.0 - z
+            dn_pre = dh * omz * (1.0 - n * n)
+            dgh = np.concatenate(
+                [dn_pre * ghn[step] * r * (1.0 - r), dh * (hs[step] - n) * z * omz, dn_pre * r],
+                axis=1,
+            )
+            dgi[:, step, : 2 * h] = dgh[:, : 2 * h]
+            dgi[:, step, 2 * h :] = dn_pre
+            dghn[step] = dgh[:, 2 * h :]
+            dh = dh * z + dgh @ w_h.T
+        rows = dgi.reshape(-1, 3 * h)  # (b*t, 3h)
+        self.grads["w_i"] += x.reshape(-1, cin).T @ rows
+        self.grads["b_i"] += rows.sum(axis=0)
+        h_rows = hs[:-1].transpose(1, 0, 2).reshape(-1, h)  # step-start states, as rows
+        self.grads["w_h"][:, : 2 * h] += h_rows.T @ rows[:, : 2 * h]
+        self.grads["b_h"][: 2 * h] += rows[:, : 2 * h].sum(axis=0)
+        dghn_rows = dghn.reshape(-1, h)  # (t*b, h): dgh's n column, t-major
+        self.grads["w_h"][:, 2 * h :] += hs[:-1].reshape(-1, h).T @ dghn_rows
+        self.grads["b_h"][2 * h :] += dghn_rows.sum(axis=0)
+        dx = dgi @ self.params["w_i"].T
         return dx[:, ::-1] if self.reverse else dx
 
 

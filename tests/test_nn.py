@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bodyframe_io.nn import (
+    _GELU_C,
     Adam,
     BiGru,
     Conv1d,
@@ -124,6 +125,17 @@ class TestGelu:
         rng = np.random.default_rng(6)
         check_layer(Gelu(), rng.standard_normal((3, 5)))
 
+    def test_cube_by_products_matches_power(self):
+        # Gelu computes x^3 as x * x * x: two roundings instead of pow's
+        # one, so at most about one ulp apart. Only the absolute error of
+        # the output is bounded: in the negative tail 1 + tanh cancels, and
+        # the relative difference there grows to ~3e-13.
+        x = np.linspace(-8.0, 8.0, 10001)
+        cube = x**3
+        np.testing.assert_allclose(x * x * x, cube, rtol=4e-16, atol=0.0)
+        pow_form = 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * cube)))
+        np.testing.assert_allclose(Gelu().forward(x), pow_form, rtol=0.0, atol=1e-15)
+
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
@@ -150,7 +162,99 @@ class TestDropout:
         np.testing.assert_allclose(dx[dx != 0.0], 1.0 / 0.7)
 
 
+def reference_gru(params, hidden, reverse, x, dy):
+    """The per-step GRU loop that accumulated every weight gradient inside
+    the time loop (and w_i by einsum); returns (y, dx, grads)."""
+    w_i, w_h = params["w_i"], params["w_h"]
+    if reverse:
+        x = x[:, ::-1]
+    b, t, _ = x.shape
+    h = hidden
+    gi = x @ w_i + params["b_i"]  # (b, t, 3h)
+    hs = np.zeros((t, b, h))
+    cache_r = np.empty((t, b, h))
+    cache_z = np.empty((t, b, h))
+    cache_n = np.empty((t, b, h))
+    cache_ghn = np.empty((t, b, h))
+    h_prev = np.zeros((b, h))
+    for step in range(t):
+        gh = h_prev @ w_h + params["b_h"]
+        r = sigmoid(gi[:, step, :h] + gh[:, :h])
+        z = sigmoid(gi[:, step, h : 2 * h] + gh[:, h : 2 * h])
+        ghn = gh[:, 2 * h :]
+        n = np.tanh(gi[:, step, 2 * h :] + r * ghn)
+        h_prev = (1.0 - z) * n + z * h_prev
+        hs[step] = h_prev
+        cache_r[step], cache_z[step] = r, z
+        cache_n[step], cache_ghn[step] = n, ghn
+    out = hs.transpose(1, 0, 2)
+    y = out[:, ::-1] if reverse else out
+
+    if reverse:
+        dy = dy[:, ::-1]
+    dgi_all = np.zeros((b, t, 3 * h))
+    dh = np.zeros((b, h))
+    dw_h = np.zeros_like(w_h)
+    db_h = np.zeros(3 * h)
+    for step in range(t - 1, -1, -1):
+        dh = dh + dy[:, step]
+        r, z = cache_r[step], cache_z[step]
+        n, ghn = cache_n[step], cache_ghn[step]
+        h_prev = hs[step - 1] if step > 0 else np.zeros((b, h))
+
+        dz = dh * (h_prev - n)
+        dn = dh * (1.0 - z)
+        dh = dh * z
+        dn_pre = dn * (1.0 - n * n)
+        dr = dn_pre * ghn
+        dghn = dn_pre * r
+        dr_pre = dr * r * (1.0 - r)
+        dz_pre = dz * z * (1.0 - z)
+
+        dgi = np.concatenate([dr_pre, dz_pre, dn_pre], axis=1)
+        dgh = np.concatenate([dr_pre, dz_pre, dghn], axis=1)
+        dgi_all[:, step] = dgi
+        dw_h += h_prev.T @ dgh
+        db_h += dgh.sum(axis=0)
+        dh = dh + dgh @ w_h.T
+    dx = dgi_all @ w_i.T
+    grads = {
+        "w_i": np.einsum("btc,bth->ch", x, dgi_all),
+        "b_i": dgi_all.sum(axis=(0, 1)),
+        "w_h": dw_h,
+        "b_h": db_h,
+    }
+    return y, (dx[:, ::-1] if reverse else dx), grads
+
+
 class TestGru:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_step_reference(self, reverse):
+        # Weight gradients are now summed over all batch*time rows after the
+        # loop, in another order, so they match the reference to rounding:
+        # 1e-12 relative, plus 1e-12 of the array's largest entry for the
+        # entries that cancel to near zero. The forward pass is unchanged.
+        rng = np.random.default_rng(20)
+        gru = Gru(12, 32, rng, reverse=reverse)
+        for p in gru.params.values():
+            p += 0.1 * rng.standard_normal(p.shape)  # nonzero biases
+        x = rng.standard_normal((16, 200, 12))
+        dy = rng.standard_normal((16, 200, 32))
+        y_ref, dx_ref, grads_ref = reference_gru(gru.params, 32, reverse, x, dy)
+        assert np.array_equal(gru.forward(x), y_ref)
+        dx = gru.backward(dy)
+        for name, got, ref in [("dx", dx, dx_ref)] + [
+            (k, gru.grads[k], grads_ref[k]) for k in gru.params
+        ]:
+            np.testing.assert_allclose(
+                got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name
+            )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_batch3_steps9(self, reverse):
+        rng = np.random.default_rng(21)
+        check_layer(Gru(3, 4, rng, reverse=reverse), rng.standard_normal((3, 9, 3)))
+
     def test_gradients_forward_direction(self):
         rng = np.random.default_rng(11)
         gru = Gru(3, 4, rng)
@@ -197,23 +301,30 @@ class TestBiGru:
         assert big.forward(rng.standard_normal((2, 5, 3))).shape == (2, 5, 8)
 
     def test_gradients(self):
-        rng = np.random.default_rng(17)
-        big = BiGru(3, 3, rng)
-        x = rng.standard_normal((2, 4, 3))
-        c = rng.standard_normal((2, 4, 6))
+        check_bigru(np.random.default_rng(17), batch=2, steps=4)
 
-        def loss():
-            return float(np.sum(big.forward(x) * c))
+    def test_gradients_batch3_steps9(self):
+        check_bigru(np.random.default_rng(22), batch=3, steps=9)
 
-        big.zero_grads()
-        loss()
-        dx = big.backward(c)
-        np.testing.assert_allclose(dx, fd_array(loss, x), rtol=1e-6, atol=1e-8)
-        for direction in (big.fwd, big.bwd):
-            for name, p in direction.params.items():
-                np.testing.assert_allclose(
-                    direction.grads[name], fd_array(loss, p), rtol=1e-6, atol=1e-8
-                )
+
+def check_bigru(rng, batch, steps):
+    """check_layer for BiGru, whose parameters live in its two directions."""
+    big = BiGru(3, 3, rng)
+    x = rng.standard_normal((batch, steps, 3))
+    c = rng.standard_normal((batch, steps, 6))
+
+    def loss():
+        return float(np.sum(big.forward(x) * c))
+
+    big.zero_grads()
+    loss()
+    dx = big.backward(c)
+    np.testing.assert_allclose(dx, fd_array(loss, x), rtol=1e-6, atol=1e-8)
+    for direction in (big.fwd, big.bwd):
+        for name, p in direction.params.items():
+            np.testing.assert_allclose(
+                direction.grads[name], fd_array(loss, p), rtol=1e-6, atol=1e-8
+            )
 
 
 class TestOptim:
