@@ -26,9 +26,11 @@ Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
 and consumed the moment it is seen. Each frame is corrected once (the
 corrector is causal, so its new frames need only corrector.context raw
-frames before them) and its attitude encoded once; the velocity
-provider runs only when an update follows, on the newest buffer_len
-frames, or its own window_len if that is shorter.
+frames before them) and its attitude encoded once, in one batched
+log_so3 per chunk; the velocity provider runs only when an update
+follows, on the newest buffer_len frames, or its own window_len if that
+is shorter, and is asked for the newest frame's row only, the one row
+the update fuses.
 """
 
 from __future__ import annotations
@@ -220,13 +222,15 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
       raw frames of context, and records each corrected frame once;
     - propagates through the new frames at once (propagate_chunk, then
       ekf_propagate per frame), recording each pre-update attitude once
-      (attitudes are never revised), and its log_so3 encoding when the
-      provider's representation has an attitude channel;
+      (attitudes are never revised), and its log_so3 encoding, one
+      batched call for the chunk, when the provider's representation
+      has an attitude channel;
     - when the chunk ends on an update frame (every chunk but a partial
       last one), runs the velocity provider over the newest
       min(buffer_len, provider.window_len) corrected frames,
       re-expressed in the provider's representation when it is not the
-      body frame, and updates with the newest frame's (v, eta) row.
+      body frame, asks it for one row, the newest frame's (v, eta),
+      and updates with it.
 
     The recorded rows are kept in _ArrayFifo stores bounded by
     buffer_len when fifo is set, else in whole-sequence _SequenceArray
@@ -296,7 +300,7 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
             )
             if kind is not None and kind is not RepresentationKind.BODY:
                 window = transform_representation(window, kind, rotations.tail(served))
-            v, eta = provider.predict_window(window, stop - start)
+            v, eta = provider.predict_window(window, 1)
             fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
             run.record(stop - 1, fs)
         start = stop

@@ -142,9 +142,10 @@ def specific_force(a_world, r) -> np.ndarray:
 
 
 def attitude_channel(rotations) -> np.ndarray:
-    """The attitude channel of +Attitude kinds: log_so3 of each (3, 3)
-    world-from-body rotation, as an (n, 3) array."""
-    return np.array([log_so3(r) for r in rotations])
+    """The attitude channel of +Attitude kinds: log_so3 of an (n, 3, 3)
+    stack of world-from-body rotations, in one batched call, as an
+    (n, 3) array; an empty stack gives (0, 3)."""
+    return log_so3(rotations)
 
 
 def transform_representation(
@@ -158,7 +159,7 @@ def transform_representation(
     per frame. A window of any other kind raises DataError. The
     attitude channel is attached only for +Attitude kinds: the window's
     own attitudes when it carries them (they must encode the same
-    rotations), otherwise log_so3 of each rotation.
+    rotations), otherwise attitude_channel(rotations).
     """
     if window.kind is not RepresentationKind.BODY:
         raise DataError(

@@ -22,7 +22,10 @@ window length it was trained on (MotionNetConfig.window), a
 ground-truth oracle with configurable noise (for isolating filter
 behavior), and a constant-zero baseline (equivalent to a pure
 non-holonomic prior). predict_window(window, n_tail) returns (v, eta),
-(n_tail, 3) each, for the newest frames.
+(min(n_tail, len(window)), 3) each, for the newest frames; an n_tail
+below 1 raises ConfigError. The filter fuses only the newest frame and
+asks for that one row, and the network computes only what that row
+needs.
 """
 
 from __future__ import annotations
@@ -368,11 +371,19 @@ class MotionNet:
             h = np.concatenate([h, g], axis=2)
         return h
 
-    def forward_arrays(self, imu, att=None, train=False, rng=None):
-        """(batch, time, 6) [+ (batch, time, 3)] -> v, eta of (batch, time, 3)."""
+    def forward_arrays(self, imu, att=None, train=False, rng=None, tail=None):
+        """(batch, time, 6) [+ (batch, time, 3)] -> v, eta of (batch, time, 3).
+
+        With tail=k only the newest min(k, time) rows of v and eta are
+        returned, equal to the bit to the full pass's rows: the last
+        reverse GRU scans only k steps, and the heads still run on every
+        row, as a row-subset matmul may round differently. Such a pass
+        cannot be followed by backward_arrays.
+        """
         h = self.encode(imu, att)
-        for gru in self._grus:
+        for gru in self._grus[:-1]:
             h = gru.forward(h)
+        h = self._grus[-1].forward(h, tail)
         h = self._dropout.forward(h, rng if train else None)
         v = self._v_out.forward(self._v_gelu.forward(self._v_hidden.forward(h)))
         raw = self._e_out.forward(self._e_gelu.forward(self._e_hidden.forward(h)))
@@ -380,6 +391,8 @@ class MotionNet:
         eta = np.exp(np.clip(raw, lo, hi))
         self._eta_inside = (raw > lo) & (raw < hi)
         self._eta = eta
+        if tail is not None:
+            return v[:, -tail:], eta[:, -tail:]
         return v, eta
 
     def backward_arrays(self, dv, deta):
@@ -402,15 +415,18 @@ class MotionNet:
 
     # -- window-level API ----------------------------------------------------
 
-    def forward(self, window: ImuWindow) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluation-mode inference: (v, eta), (n, 3) each, one row per frame."""
+    def forward(self, window: ImuWindow, tail=None) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluation-mode inference: (v, eta), (n, 3) each, one row per
+        frame; with tail=k only the newest min(k, n) rows, as forward_arrays."""
         self.config.require_kind(window.kind, "window")
         att = None
         if self._att_dim:
             if window.attitudes is None:
                 raise DataError("window lacks the attitude channel the model expects")
             att = window.attitudes[None]
-        v, eta = self.forward_arrays(np.concatenate([window.w, window.a], axis=1)[None], att)
+        v, eta = self.forward_arrays(
+            np.concatenate([window.w, window.a], axis=1)[None], att, tail=tail
+        )
         return v[0], eta[0]
 
     # -- persistence ----------------------------------------------------------
@@ -521,6 +537,14 @@ def train_motion_model(
 # providers
 
 
+def _tail_rows(n_tail, window: ImuWindow) -> int:
+    """The number of rows predict_window(window, n_tail) returns,
+    min(n_tail, len(window)); ConfigError when n_tail is below 1."""
+    if not n_tail >= 1:
+        raise ConfigError(f"n_tail must be >= 1, got {n_tail}")
+    return min(n_tail, len(window))
+
+
 def oracle_predict(truth, noise_std, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth body velocities with additive Gaussian noise.
 
@@ -547,7 +571,7 @@ class ConstantZeroProvider:
         self.eta = float(eta)
 
     def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
-        n_tail = min(n_tail, len(window))
+        n_tail = _tail_rows(n_tail, window)
         return np.zeros((n_tail, 3)), np.full((n_tail, 3), self.eta)
 
 
@@ -565,7 +589,7 @@ class OracleProvider:
         self._v, self._eta = oracle_predict(truth, noise_std, seed)
 
     def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
-        stamps = window.t[len(window) - min(n_tail, len(window)) :]
+        stamps = window.t[len(window) - _tail_rows(n_tail, window) :]
         # the first truth row after stamp - 1e-9 s is the only one that can match
         rows = np.searchsorted(self._times, stamps - 1e-9, side="right")
         rows = np.minimum(rows, len(self._times) - 1)
@@ -580,7 +604,8 @@ class NetworkProvider:
 
     The model sees the last model.config.window frames of the window it
     is given (all of them when there are fewer), as in training, and
-    the rows of the n_tail newest frames are returned. window_len tells
+    computes only what the rows of the n_tail newest frames need (see
+    MotionNet.forward_arrays); those rows are returned. window_len tells
     the filter loop how many frames to hand over.
     """
 
@@ -592,6 +617,4 @@ class NetworkProvider:
     def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
         if len(window) > self.window_len:
             window = window.slice(len(window) - self.window_len, len(window))
-        v, eta = self.model.forward(window)
-        tail = len(window) - min(n_tail, len(window))
-        return v[tail:], eta[tail:]
+        return self.model.forward(window, _tail_rows(n_tail, window))

@@ -161,6 +161,12 @@ class Gru(Layer):
     Set reverse=True to scan right-to-left (output stays time-aligned
     with the input).
 
+    forward(x, steps=k) runs only the first k steps of the scan: the
+    first k frames, or the last k when reversed. The input projection
+    and the output keep the whole window's shape; the rows the scan
+    reached equal the full scan's to the bit and the others are zero.
+    backward raises after such a partial scan.
+
     Backward's time loop carries only the dh recursion. It stores each
     step's dgi and the n column of dgh, and the weight and bias gradients
     are summed from them once over all batch*time rows by BLAS.
@@ -176,10 +182,13 @@ class Gru(Layer):
         self.params["b_h"] = np.zeros(3 * hidden)
         self.zero_grads()
 
-    def forward(self, x):
+    def forward(self, x, steps=None):
         if self.reverse:
             x = x[:, ::-1]
         b, t, _ = x.shape
+        steps = t if steps is None else min(steps, t)
+        if steps < 1:
+            raise ValueError("a GRU scan needs at least one step")
         h = self.hidden
         w_h, b_h = self.params["w_h"], self.params["b_h"]
         gi = x @ self.params["w_i"] + self.params["b_i"]  # (b, t, 3h)
@@ -187,7 +196,7 @@ class Gru(Layer):
         rz = np.empty((t, b, 2 * h))
         ns = np.empty((t, b, h))
         ghn = np.empty((t, b, h))
-        for step in range(t):
+        for step in range(steps):
             gh = hs[step] @ w_h + b_h
             rz[step] = sigmoid(gi[:, step, : 2 * h] + gh[:, : 2 * h])
             r, z = rz[step, :, :h], rz[step, :, h:]
@@ -195,10 +204,13 @@ class Gru(Layer):
             ns[step] = np.tanh(gi[:, step, 2 * h :] + r * ghn[step])
             hs[step + 1] = (1.0 - z) * ns[step] + z * hs[step]
         self._cache = (x, rz, ns, ghn, hs)
+        self._partial = steps < t
         out = hs[1:].transpose(1, 0, 2)
         return out[:, ::-1] if self.reverse else out
 
     def backward(self, dy):
+        if self._partial:
+            raise RuntimeError("GRU backward needs a full forward scan, not a partial one")
         if self.reverse:
             dy = dy[:, ::-1]
         x, rz, ns, ghn, hs = self._cache
@@ -235,15 +247,21 @@ class Gru(Layer):
 
 
 class BiGru(Layer):
-    """Forward and reverse GRUs, outputs concatenated to 2*hidden."""
+    """Forward and reverse GRUs, outputs concatenated to 2*hidden.
+
+    forward(x, tail=k) is exact on the newest k frames only: the forward
+    GRU scans the whole window, the reverse one only its first k steps
+    (see Gru). Rows before the tail carry zeros in the reverse half, and
+    backward raises after such a pass.
+    """
 
     def __init__(self, cin, hidden, rng):
         super().__init__()
         self.fwd = Gru(cin, hidden, rng, reverse=False)
         self.bwd = Gru(cin, hidden, rng, reverse=True)
 
-    def forward(self, x):
-        return np.concatenate([self.fwd.forward(x), self.bwd.forward(x)], axis=2)
+    def forward(self, x, tail=None):
+        return np.concatenate([self.fwd.forward(x), self.bwd.forward(x, tail)], axis=2)
 
     def backward(self, dy):
         h = self.fwd.hidden

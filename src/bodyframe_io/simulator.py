@@ -230,7 +230,7 @@ def generate_trajectory(spec: TrajectorySpec) -> Trajectory:
     else:
         h = _ATTITUDE_DIFF_STEP
         steps = np.swapaxes(_attitudes(spec, t - h), 1, 2) @ _attitudes(spec, t + h)
-        w = np.array(list(map(log_so3, steps))) / (2.0 * h)
+        w = log_so3(steps) / (2.0 * h)
     return Trajectory(t=t, r=_attitudes(spec, t), v=v, p=p, a_world=a_world, w_body=w)
 
 

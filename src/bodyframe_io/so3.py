@@ -73,14 +73,21 @@ def exp_so3(xi):
 def log_so3(r):
     """Logarithm map SO(3) -> so(3); returns the rotation vector with angle in [0, pi].
 
-    Validates orthonormality (R @ R.T == I and det == +1) to 1e-9 and
-    raises InvalidRotationError otherwise. The angle == pi case is
-    handled through the diagonal of R + I since the skew part vanishes
-    there.
+    Validates orthonormality (R @ R.T == I and det == +1) to an absolute
+    1e-9 and raises InvalidRotationError otherwise. The angle == pi case
+    is handled through the diagonal of R + I since the skew part
+    vanishes there.
+
+    An (n, 3, 3) stack gives an (n, 3) array in one vectorized pass,
+    each row equal to the bit to log_so3 of that matrix alone; one
+    non-rotation rejects the whole stack. A single matrix keeps this
+    scalar path, which is several times cheaper per call.
     """
     r = np.asarray(r, dtype=float)
+    if r.ndim == 3 and r.shape[1:] == (3, 3):
+        return _log_so3_stack(r)
     if r.shape != (3, 3):
-        raise ValueError(f"expected shape (3, 3), got {r.shape}")
+        raise ValueError(f"expected shape (3, 3) or (n, 3, 3), got {r.shape}")
     if not is_rotation(r, tol=_ROTATION_TOL):
         raise InvalidRotationError(
             "matrix is not a rotation within 1e-9 (orthonormality/determinant)"
@@ -109,6 +116,52 @@ def log_so3(r):
             axis = -axis
         return theta * axis
     return w * (theta / np.sin(theta))
+
+
+def _log_so3_stack(r):
+    """log_so3 of an (n, 3, 3) stack: the same checks and branches, per row."""
+    a, b, c, d, e, f, g, h, i = np.moveaxis(r.reshape(-1, 9), 1, 0)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    orth = np.abs(r @ np.swapaxes(r, 1, 2) - np.eye(3)).max(axis=(1, 2))
+    bad = np.flatnonzero(~((orth <= _ROTATION_TOL) & (np.abs(det - 1.0) <= _ROTATION_TOL)))
+    if bad.size:
+        raise InvalidRotationError(
+            f"matrix {bad[0]} of the stack is not a rotation within 1e-9"
+            " (orthonormality/determinant)"
+        )
+    cos_theta = np.clip((np.trace(r, axis1=1, axis2=2) - 1.0) * 0.5, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    w = 0.5 * np.column_stack([h - f, c - g, d - b])  # vee of the skew part
+    out = np.empty_like(w)
+    small = theta < _SMALL_ANGLE
+    near_pi = theta > np.pi - 1e-6
+    generic = ~(small | near_pi)
+    t = theta[small]
+    out[small] = w[small] * (1.0 + t * t / 6.0 + 7.0 * t**4 / 360.0)[:, None]
+    out[generic] = w[generic] * (theta[generic] / np.sin(theta[generic]))[:, None]
+    if near_pi.any():
+        m = r[near_pi] + np.eye(3)
+        col = np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)
+        axis = m[np.arange(len(m)), :, col]
+        axis = axis / _row_norms(axis)[:, None]
+        w_pi = w[near_pi]
+        theta_pi = np.pi - np.arcsin(np.minimum(_row_norms(w_pi), 1.0))
+        axis[_row_dots(w_pi, axis) < 0.0] *= -1.0
+        out[near_pi] = theta_pi[:, None] * axis
+    return out
+
+
+def _row_dots(u, v):
+    """Row-wise dot products of two (n, 3) arrays: a stacked (1, 3) @ (3, 1)
+    matmul, one BLAS dot per row, so each equals the scalar path's `w @ axis`
+    and np.linalg.norm to the bit (an einsum or a sum of squares may round
+    differently)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _row_norms(v):
+    """Euclidean norm of each row of an (n, 3) array."""
+    return np.sqrt(_row_dots(v, v))
 
 
 def right_jacobian(xi):

@@ -345,7 +345,10 @@ class TestRunners:
         imu = imu.slice(0, 201)  # warm start not needed; 200 propagated frames
         spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
         streaming_run(imu, spy, corrector, cfg, initial_state_from(traj))
-        assert sum(spy.tails) == 200
+        # one call per full chunk of 5, each asking for the one row it fuses;
+        # each update frame is the newest frame of exactly one served window
+        assert spy.tails == [1] * 40
+        np.testing.assert_array_equal([w.t[-1] for w in spy.windows], imu.t[5::5])
         assert all(len(w) <= cfg.buffer_len for w in spy.windows)
 
     def test_small_buffer_streaming_still_matches_batch(self, noisy_fig8):
@@ -364,14 +367,15 @@ class TestRunners:
         cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)  # k = 5
         # frames 0..20 at 100 Hz: 20 new frames in chunks of 5; with 23
         # frames the partial last chunk ends on no update, so the
-        # provider is not called for it
+        # provider is not called for it. Each call asks for one row.
         for n in (21, 23):
             spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
             states = streaming_run(
                 imu.slice(0, n), spy, corrector, cfg, initial_state_from(traj)
             )
             assert len(states) == n
-            assert spy.tails == [5, 5, 5, 5]
+            assert spy.tails == [1, 1, 1, 1]
+            np.testing.assert_array_equal([w.t[-1] for w in spy.windows], imu.t[5:21:5])
 
     def test_attitude_channel_is_pre_update_and_never_revised(self, noisy_fig8):
         from bodyframe_io.so3 import log_so3
@@ -481,7 +485,7 @@ class TestRunners:
             )
             if i % 5 == 0:
                 window = corrected.slice(max(0, i + 1 - cfg.buffer_len), i + 1)
-                v, eta = meas.predict_window(window, 5)
+                v, eta = meas.predict_window(window, 1)
                 fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
             for x, y in zip(run_arrays(run), (fs.x.r, fs.x.v, fs.x.p, fs.x.b_a, fs.x.b_g, fs.P)):
                 assert np.array_equal(x[i], y), i

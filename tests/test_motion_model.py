@@ -583,6 +583,68 @@ class TestProviders:
         np.testing.assert_array_equal(eta, eta_full[-3:])
 
 
+class TestTailServing:
+    """The network computes only the newest rows it is asked for, and
+    they equal the whole window's rows to the bit."""
+
+    SPEC = TrajectorySpec(kind=TrajectoryKind.FIGURE8, duration=1.0, imu_rate=20.0,
+                          rate=np.pi / 4)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        model = MotionNet(TINY)
+        rng = np.random.default_rng(9)
+        for p in model.parameters().values():
+            p += 0.1 * rng.standard_normal(p.shape)  # the output heads too
+        return model
+
+    @pytest.fixture(scope="class")
+    def flight(self):
+        return simulated_sequence(self.SPEC, RepresentationKind.BODY_PLUS_ATTITUDE)[0]
+
+    # windows shorter than, equal to and longer than TINY.window = 8;
+    # n_tail None asks for the whole window
+    @pytest.mark.parametrize("n", [6, 8, 11])
+    @pytest.mark.parametrize("n_tail", [1, 5, None])
+    def test_model_tail_equals_full_forward(self, model, flight, n, n_tail):
+        win = flight.slice(0, n)
+        n_tail = n if n_tail is None else n_tail
+        v, eta = model.forward(win, n_tail)
+        v_full, eta_full = model.forward(win)
+        assert v.shape == eta.shape == (n_tail, 3)
+        assert np.array_equal(v, v_full[-n_tail:]) and np.array_equal(eta, eta_full[-n_tail:])
+        assert np.any(v != 0.0) and np.any(eta != 1.0)
+
+    @pytest.mark.parametrize("n", [6, 8, 11])
+    @pytest.mark.parametrize("n_tail", [1, 5, None])
+    def test_provider_tail_equals_full_forward(self, model, flight, n, n_tail):
+        win = flight.slice(0, n)
+        served = win.slice(max(0, n - TINY.window), n)  # the provider's trained window
+        n_tail = len(served) if n_tail is None else n_tail
+        v, eta = NetworkProvider(model).predict_window(win, n_tail)
+        v_full, eta_full = model.forward(served)
+        assert v.shape == eta.shape == (n_tail, 3)
+        assert np.array_equal(v, v_full[-n_tail:]) and np.array_equal(eta, eta_full[-n_tail:])
+
+    def test_backward_after_tail_forward_raises(self, tiny_set):
+        model = MotionNet(TINY)
+        model.forward_arrays(tiny_set.imu, tiny_set.att, tail=1)
+        zeros = np.zeros(tiny_set.v.shape)
+        with pytest.raises(RuntimeError, match="partial"):
+            model.backward_arrays(zeros, zeros)
+
+    @pytest.mark.parametrize("make", [
+        lambda traj: ConstantZeroProvider(),
+        lambda traj: OracleProvider(traj, noise_std=0.01, seed=0),
+        lambda traj: NetworkProvider(MotionNet(TINY)),
+    ], ids=["zero", "oracle", "network"])
+    @pytest.mark.parametrize("n_tail", [0, -1])
+    def test_non_positive_n_tail_rejected(self, flight, make, n_tail):
+        provider = make(generate_trajectory(self.SPEC))
+        with pytest.raises(ConfigError, match="n_tail"):
+            provider.predict_window(flight.slice(0, 8), n_tail)
+
+
 class TestPersistence:
     def test_save_load_roundtrip(self, tiny_window, tiny_set, tmp_path):
         win, _ = tiny_window

@@ -275,6 +275,37 @@ class TestGru:
             rev.forward(x), fwd.forward(x[:, ::-1])[:, ::-1], atol=1e-14
         )
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("steps", [1, 7, 30])
+    def test_partial_scan_rows_equal_full_scan(self, reverse, steps):
+        rng = np.random.default_rng(23)
+        gru = Gru(5, 6, rng, reverse=reverse)
+        for p in gru.params.values():
+            p += 0.1 * rng.standard_normal(p.shape)  # nonzero biases
+        x = rng.standard_normal((3, 30, 5))
+        full = gru.forward(x)
+        part = gru.forward(x, steps=steps)
+        # the scan reaches the first `steps` frames, or the last when reversed
+        reached = np.arange(30 - steps, 30) if reverse else np.arange(steps)
+        assert part.shape == full.shape
+        assert np.array_equal(part[:, reached], full[:, reached])
+        assert not np.delete(part, reached, axis=1).any()
+
+    def test_backward_after_partial_scan_raises(self):
+        rng = np.random.default_rng(24)
+        gru = Gru(3, 4, rng, reverse=True)
+        x = rng.standard_normal((2, 6, 3))
+        gru.forward(x, steps=2)
+        with pytest.raises(RuntimeError, match="partial"):
+            gru.backward(np.ones((2, 6, 4)))
+        gru.forward(x)  # a full scan makes backward available again
+        assert gru.backward(np.ones((2, 6, 4))).shape == x.shape
+
+    def test_steps_below_one_rejected(self):
+        gru = Gru(3, 4, np.random.default_rng(25))
+        with pytest.raises(ValueError):
+            gru.forward(np.zeros((1, 5, 3)), steps=0)
+
     def test_recurrent_blocks_orthogonal(self):
         gru = Gru(3, 5, np.random.default_rng(14))
         w_h = gru.params["w_h"]
@@ -302,6 +333,23 @@ class TestBiGru:
 
     def test_gradients(self):
         check_bigru(np.random.default_rng(17), batch=2, steps=4)
+
+    @pytest.mark.parametrize("tail", [1, 3, 9])
+    def test_tail_rows_equal_full_pass(self, tail):
+        rng = np.random.default_rng(26)
+        big = BiGru(3, 4, rng)
+        x = rng.standard_normal((2, 9, 3))
+        full = big.forward(x)
+        part = big.forward(x, tail=tail)
+        assert part.shape == full.shape
+        assert np.array_equal(part[:, -tail:], full[:, -tail:])
+
+    def test_backward_after_tail_pass_raises(self):
+        rng = np.random.default_rng(27)
+        big = BiGru(3, 4, rng)
+        y = big.forward(rng.standard_normal((2, 9, 3)), tail=3)
+        with pytest.raises(RuntimeError):
+            big.backward(np.ones_like(y))
 
     def test_gradients_batch3_steps9(self):
         check_bigru(np.random.default_rng(22), batch=3, steps=9)

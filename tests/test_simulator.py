@@ -290,3 +290,27 @@ class TestCorruptImu:
         np.testing.assert_array_equal(bias1.b_g, bias2.b_g)
         different, _ = corrupt_imu(clean, NoiseSpec(**{**spec.__dict__, "seed": 10}))
         assert not np.array_equal(first.a[0], different.a[0])
+
+
+@pytest.mark.parametrize("ini", [
+    "",
+    "[simulator]\nkind = lissajous3d\nduration = 15\namplitude = 2\nrate = 0.6\n"
+    "yaw_mode = spin\nyaw_rate = 1.5\n",
+], ids=["figure8-default", "lissajous-spin-yaw"])
+def test_simulate_body_rates_match_per_row_log(tmp_path, monkeypatch, ini):
+    """simulate takes the body rates from one batched log_so3 of the
+    attitude steps; its files equal a per-row run's byte for byte."""
+    from bodyframe_io import simulator
+    from bodyframe_io.cli import main
+
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(ini)
+    args = ["--name", "s", "--config", str(cfg), "--seed", "1"]
+    assert main(["simulate", "--data", str(tmp_path / "batched"), *args]) == 0
+    monkeypatch.setattr(simulator, "log_so3", lambda rs: np.array([log_so3(r) for r in rs]))
+    assert main(["simulate", "--data", str(tmp_path / "per_row"), *args]) == 0
+    batched = sorted(p for p in (tmp_path / "batched").rglob("*") if p.is_file())
+    assert batched
+    for path in batched:
+        twin = tmp_path / "per_row" / path.relative_to(tmp_path / "batched")
+        assert path.read_bytes() == twin.read_bytes(), path.name

@@ -135,6 +135,49 @@ class TestLog:
             log_so3(np.diag([1.0 + 2e-6, 1.0 / (1.0 + 2e-6), 1.0]))
 
 
+def mixed_rotation_stack(rng):
+    """The identity plus rotations with angles below 1e-4, generic
+    angles and angles above pi - 1e-6, interleaved."""
+    def about(angle):
+        axis = rng.normal(size=3)
+        return exp_so3(axis / np.linalg.norm(axis) * angle)
+
+    rots = [np.eye(3)]
+    for _ in range(40):
+        rots += [
+            about(10.0 ** rng.uniform(-12, -4)),
+            about(rng.uniform(1e-4, math.pi - 1e-6)),
+            about(math.pi - 10.0 ** rng.uniform(-12, -6)),
+        ]
+    return np.array(rots)
+
+
+class TestLogStack:
+    def test_rows_equal_per_matrix_log(self):
+        rots = mixed_rotation_stack(np.random.default_rng(30))
+        per_row = np.array([log_so3(r) for r in rots])
+        np.testing.assert_array_equal(log_so3(rots), per_row)
+
+    def test_shapes(self):
+        assert log_so3(np.eye(3)).shape == (3,)
+        assert log_so3(np.tile(np.eye(3), (5, 1, 1))).shape == (5, 3)
+        assert log_so3(np.empty((0, 3, 3))).shape == (0, 3)
+        with pytest.raises(ValueError):
+            log_so3(np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("bad", [
+        np.eye(3) * 1.001,
+        np.diag([1.0, 1.0, -1.0]),
+        np.diag([1.0 + 2e-6, 1.0 / (1.0 + 2e-6), 1.0]),
+        np.full((3, 3), np.nan),
+    ])
+    def test_one_non_rotation_rejects_the_stack(self, bad):
+        rots = mixed_rotation_stack(np.random.default_rng(31))
+        rots[17] = bad
+        with pytest.raises(InvalidRotationError, match="matrix 17"):
+            log_so3(rots)
+
+
 class TestRightJacobian:
     def test_identity_at_zero(self):
         np.testing.assert_array_equal(right_jacobian(np.zeros(3)), np.eye(3))
