@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="trajectory CSV to write")
     _add_common(
         p,
-        "ekf.update_rate/buffer_len/eta_bg/eta_ba/oracle_noise/zero_eta,"
+        "ekf.update_rate/eta_bg/eta_ba/oracle_noise/zero_eta,"
         " noise.sigma_g/sigma_a (identity corrector stds)",
         _SEED_HELP,
     )

@@ -73,7 +73,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "ekf": {
         "update_rate": "20.0",
-        "buffer_len": "1000",
         "eta_bg": "1e-6",
         "eta_ba": "1e-5",
         "oracle_noise": "0.05",
@@ -258,7 +257,6 @@ def motion_train_config(cfg: RunConfig, seed: int) -> TrainConfig:
 def ekf_config(cfg: RunConfig) -> EkfConfig:
     return EkfConfig(
         update_rate=cfg.getfloat("ekf", "update_rate"),
-        buffer_len=cfg.getint("ekf", "buffer_len"),
         eta_bg=cfg.getfloat("ekf", "eta_bg"),
         eta_ba=cfg.getfloat("ekf", "eta_ba"),
     )

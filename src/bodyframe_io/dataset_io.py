@@ -44,6 +44,7 @@ import numpy as np
 from .errors import DataError, ParseError, TimestampOrderError
 from .imu_model import ImuWindow
 from .simulator import BiasTruth, Trajectory
+from .so3 import row_dots, row_norms
 
 IMU_HEADER = "timestamp_ns,wx,wy,wz,ax,ay,az"
 GROUNDTRUTH_HEADER = (
@@ -79,14 +80,8 @@ def quat_from_matrix(r) -> np.ndarray:
         s = 2.0 * np.sqrt(np.maximum(n[:, i, i] - n[:, j, j] - n[:, k, k] + 1.0, 0.0))
         q[sel, 0], q[sel, 1 + i] = (n[:, k, j] - n[:, j, k]) / s, 0.25 * s
         q[sel, 1 + j], q[sel, 1 + k] = (n[:, j, i] + n[:, i, j]) / s, (n[:, k, i] + n[:, i, k]) / s
-    q /= np.sqrt(_row_dot(q, q))[:, None]
+    q /= row_norms(q)[:, None]
     return np.where(q[:, :1] >= 0, q, -q).reshape(r.shape[:-2] + (4,))
-
-
-def _row_dot(x, y) -> np.ndarray:
-    """Dot product of matching rows. Batched matmul gives the same bits
-    as a per-row `x @ y` (an elementwise sum does not)."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def matrix_from_quat(q) -> np.ndarray:
@@ -94,7 +89,7 @@ def matrix_from_quat(q) -> np.ndarray:
     (3, 3) or (n, 3, 3); normalizes small drift. Raises DataError when a
     norm is more than 1e-6 from 1."""
     q = np.asarray(q, dtype=float)
-    n = np.sqrt(_row_dot(q, q))
+    n = row_norms(q)
     bad = np.flatnonzero(np.abs(n - 1.0) > 1e-6)
     if bad.size:
         raise DataError(f"quaternion norm {np.ravel(n)[bad[0]]:.6g} too far from 1")
@@ -114,13 +109,13 @@ def slerp(q0, q1, alpha) -> np.ndarray:
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     alpha = np.asarray(alpha, dtype=float)[..., None]
-    dot = _row_dot(q0, q1)[..., None]
+    dot = row_dots(q0, q1)[..., None]
     flip = dot < 0.0  # sign-align: q and -q are the same rotation
     q1 = np.where(flip, -q1, q1)
     dot = np.minimum(np.where(flip, -dot, dot), 1.0)
     near = dot > 1.0 - 1e-10
     lerp = (1.0 - alpha) * q0 + alpha * q1
-    lerp = lerp / np.sqrt(_row_dot(lerp, lerp))[..., None]
+    lerp = lerp / row_norms(lerp)[..., None]
     omega = np.arccos(np.where(near, 0.5, dot))  # 0.5: any angle with sin > 0
     so = np.sin(omega)
     arc = np.sin((1.0 - alpha) * omega) / so * q0 + np.sin(alpha * omega) / so * q1
@@ -169,7 +164,7 @@ def _read_rows(path, expected_cols: int, header: str):
 def _check_unit_quaternions(path, rows, q):
     """ParseError naming the first row of q (n, 4) whose norm is more
     than 1e-6 from 1."""
-    bad = np.flatnonzero(np.abs(np.sqrt(_row_dot(q, q)) - 1.0) > 1e-6)
+    bad = np.flatnonzero(np.abs(row_norms(q) - 1.0) > 1e-6)
     if bad.size:
         raise ParseError(f"{path}:{rows[bad[0]][0]}: quaternion is not unit norm")
 

@@ -28,9 +28,9 @@ and consumed the moment it is seen. Each frame is corrected once (the
 corrector is causal, so its new frames need only corrector.context raw
 frames before them) and its attitude encoded once, in one batched
 log_so3 per chunk; the velocity provider runs only when an update
-follows, on the newest buffer_len frames, or its own window_len if that
-is shorter, and is asked for the newest frame's row only, the one row
-the update fuses.
+follows, on the newest provider.window_len frames, the most it reads,
+and is asked for the newest frame's row only, the one row the update
+fuses.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ class EkfConfig:
     """
 
     update_rate: float = 20.0
-    buffer_len: int = 1000
     eta_bg: float = 1e-6
     eta_ba: float = 1e-5
 
@@ -116,8 +115,6 @@ class EkfConfig:
         # written as `not x > 0` so that NaN fails too
         if not self.update_rate > 0.0:
             raise ConfigError("update_rate must be positive")
-        if not self.buffer_len >= 1:
-            raise ConfigError("buffer_len must be >= 1")
         if not (self.eta_bg >= 0.0 and self.eta_ba >= 0.0):
             raise ConfigError("random-walk stds must be nonnegative")
 
@@ -227,14 +224,14 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
       has an attitude channel;
     - when the chunk ends on an update frame (every chunk but a partial
       last one), runs the velocity provider over the newest
-      min(buffer_len, provider.window_len) corrected frames,
-      re-expressed in the provider's representation when it is not the
-      body frame, asks it for one row, the newest frame's (v, eta),
-      and updates with it.
+      provider.window_len corrected frames (fewer at the start),
+      re-expressed in provider.required_kind when it is not the body
+      frame, asks it for one row, the newest frame's (v, eta), and
+      updates with it.
 
-    The recorded rows are kept in _ArrayFifo stores bounded by
-    buffer_len when fifo is set, else in whole-sequence _SequenceArray
-    stores. Raises InvalidRotationError or DataError on an invalid x0.
+    The recorded rows are kept in _ArrayFifo stores bounded by window_len
+    when fifo is set, else in whole-sequence _SequenceArray stores.
+    Raises InvalidRotationError or DataError on an invalid x0.
     """
     cfg.validate()
     x0.validate()
@@ -243,12 +240,12 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
         raise DataError("need at least two IMU samples")
     k = _chunk_size(imu, cfg)
     dt = np.diff(imu.t)
-    kind = getattr(provider, "required_kind", None)
-    encode = kind is not None and kind.has_attitude
-    served = min(cfg.buffer_len, getattr(provider, "window_len", None) or cfg.buffer_len)
+    kind = provider.required_kind
+    encode = kind.has_attitude
+    served = provider.window_len
 
     def store(row_shape):
-        return _ArrayFifo(cfg.buffer_len, row_shape) if fifo else _SequenceArray(n, row_shape)
+        return _ArrayFifo(served, row_shape) if fifo else _SequenceArray(n, row_shape)
 
     frames = store((7,))  # rows of t, corrected w, corrected a
     rotations = store((3, 3))
@@ -298,7 +295,7 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
                 attitudes=encodings.tail(served) if encode else None,
                 kind=RepresentationKind.BODY,
             )
-            if kind is not None and kind is not RepresentationKind.BODY:
+            if kind is not RepresentationKind.BODY:
                 window = transform_representation(window, kind, rotations.tail(served))
             v, eta = provider.predict_window(window, 1)
             fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
+from .so3 import row_norms
 
 
 def _check_pair(truth, estimate):
@@ -55,7 +56,7 @@ def rte_residuals(truth, estimate, interval: float = 5.0) -> np.ndarray:
     dq = estimate.p[d:] - estimate.p[:-d]
     rel = truth.r[:-d] @ np.swapaxes(estimate.r[:-d], 1, 2)
     res = dp - (rel @ dq[:, :, None])[:, :, 0]
-    return np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
+    return row_norms(res)
 
 
 def rte(truth, estimate, interval: float = 5.0) -> float:

@@ -21,11 +21,13 @@ velocity providers the filter consumes: the network itself, run on the
 window length it was trained on (MotionNetConfig.window), a
 ground-truth oracle with configurable noise (for isolating filter
 behavior), and a constant-zero baseline (equivalent to a pure
-non-holonomic prior). predict_window(window, n_tail) returns (v, eta),
-(min(n_tail, len(window)), 3) each, for the newest frames; an n_tail
-below 1 raises ConfigError. The filter fuses only the newest frame and
-asks for that one row, and the network computes only what that row
-needs.
+non-holonomic prior). Each declares required_kind, the representation
+of its windows, and window_len, the newest frames it reads: the trained
+window, or one for the oracle and the baseline. predict_window(window,
+n_tail) returns (v, eta), (min(n_tail, len(window)), 3) each, for the
+newest frames; an n_tail below 1 raises ConfigError. The filter fuses
+only the newest frame and asks for that one row, and the network
+computes only what that row needs.
 """
 
 from __future__ import annotations
@@ -265,6 +267,14 @@ def _combined_loss_grads(v, truth, eta, cfg):
 # network
 
 
+# whether a weight-file meta value is JSON of a MotionNetConfig field's type
+_META_FITS = {
+    int: lambda x: type(x) is int,  # a bool is no int
+    float: lambda x: type(x) in (int, float),
+    tuple: lambda x: type(x) is list and all(type(c) is int for c in x),
+}
+
+
 class MotionNet:
     """Conv encoders + bidirectional GRU stack + two output heads."""
 
@@ -447,11 +457,14 @@ class MotionNet:
         if sorted(meta) != names:
             raise DataError(f"{path}: motion meta keys {sorted(meta)}, expected {names}")
         try:
-            # the representation by name, the rest as their default's type;
-            # a value the architecture rejects is bad data too (ConfigError
-            # is a ValueError)
-            values = {k: type(getattr(MotionNetConfig, k))(meta[k])
-                      for k in names if k != "representation"}
+            # the representation by name, the rest as their default's type
+            # once they fit it; a value the architecture rejects is bad data
+            # too (ConfigError is a ValueError)
+            types = {k: type(getattr(MotionNetConfig, k)) for k in names if k != "representation"}
+            for k, t in types.items():
+                if not _META_FITS[t](meta[k]):
+                    raise TypeError(f"{k} = {meta[k]!r} does not fit its {t.__name__} field")
+            values = {k: t(meta[k]) for k, t in types.items()}
             kind = RepresentationKind[meta["representation"]]
             model = cls(MotionNetConfig(representation=kind, **values))
         except (KeyError, TypeError, ValueError) as exc:
@@ -563,7 +576,8 @@ def oracle_predict(truth, noise_std, seed=0) -> tuple[np.ndarray, np.ndarray]:
 class ConstantZeroProvider:
     """Always reports zero body velocity (a stationarity prior)."""
 
-    required_kind = None
+    required_kind = RepresentationKind.BODY
+    window_len = 1
 
     def __init__(self, eta=1.0):
         if not eta > 0.0:  # NaN fails too
@@ -582,7 +596,8 @@ class OracleProvider:
     always yields the same measurement no matter which window asks.
     """
 
-    required_kind = None
+    required_kind = RepresentationKind.BODY
+    window_len = 1
 
     def __init__(self, truth, noise_std=0.0, seed=0):
         self._times = truth.t
@@ -605,8 +620,7 @@ class NetworkProvider:
     The model sees the last model.config.window frames of the window it
     is given (all of them when there are fewer), as in training, and
     computes only what the rows of the n_tail newest frames need (see
-    MotionNet.forward_arrays); those rows are returned. window_len tells
-    the filter loop how many frames to hand over.
+    MotionNet.forward_arrays); those rows are returned.
     """
 
     def __init__(self, model: MotionNet):

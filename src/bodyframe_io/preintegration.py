@@ -51,7 +51,7 @@ import numpy as np
 from .errors import DataError, InvalidRotationError
 from .imu_model import GRAVITY, ImuWindow
 from .simulator import Trajectory
-from .so3 import _SMALL_ANGLE, exp_so3, hat, is_rotation, log_so3, right_jacobian
+from .so3 import _SMALL_ANGLE, exp_so3, hat, is_rotation, log_so3, right_jacobian, row_dots
 
 ERROR_DIM = 15
 NOISE_DIM = 12
@@ -168,7 +168,7 @@ def _hat_rows(xi) -> np.ndarray:
 def _exp_rows(phi):
     """exp_so3 and right_jacobian of each row of phi (k, 3), with the
     same arithmetic row by row, Taylor branch below 1e-4 rad included."""
-    theta2 = phi[:, None, :] @ phi[:, :, None]  # (k, 1, 1), the bits of phi_i @ phi_i
+    theta2 = row_dots(phi, phi)[:, None, None]  # (k, 1, 1)
     theta = np.sqrt(theta2)
     t4, small = theta2 * theta2, theta < _SMALL_ANGLE
     with np.errstate(divide="ignore", invalid="ignore"):  # closed forms unused at 0

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .imu_model import GRAVITY, ImuWindow, specific_force
 # exp_so3 is unused here, but perfbench/tracing.py patches simulator.exp_so3.
-from .so3 import exp_so3, log_so3
+from .so3 import exp_so3, log_so3, row_norms
 
 # Central-difference step (s) for the attitude rate; error is O(h^2).
 _ATTITUDE_DIFF_STEP = 1e-5
@@ -181,13 +181,6 @@ def _curve(spec: TrajectorySpec, t: np.ndarray):
     return c + amp * sin, amp * om * np.cos(phase), -amp * om * om * sin
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of x, (n,). Row-by-row dot products
-    (batched matmul of 1x3 by 3x1) give the bits of np.linalg.norm on
-    one row, which np.linalg.norm(x, axis=1) does not."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
 def _attitudes(spec: TrajectorySpec, t: np.ndarray) -> np.ndarray:
     """Closed-form world-from-body attitudes R at the times t, (n, 3, 3)."""
     if spec.yaw_mode is YawMode.FIXED:
@@ -195,7 +188,7 @@ def _attitudes(spec: TrajectorySpec, t: np.ndarray) -> np.ndarray:
 
     _, v, a = _curve(spec, t)
     f = a - GRAVITY  # specific force the body must produce
-    norm_f = _row_norms(f)
+    norm_f = row_norms(f)
     if (norm_f < 1e-9).any():
         raise DataError("free-fall point: attitude undefined (|a - g| ~ 0)")
     b3 = f / norm_f[:, None]
@@ -207,7 +200,7 @@ def _attitudes(spec: TrajectorySpec, t: np.ndarray) -> np.ndarray:
         psi = spec.yaw_rate * t
     c1 = np.column_stack([np.cos(psi), np.sin(psi), np.zeros_like(psi)])
     b2 = np.cross(b3, c1)
-    norm_b2 = _row_norms(b2)
+    norm_b2 = row_norms(b2)
     if (norm_b2 < 1e-6).any():
         raise DataError("thrust direction parallel to heading; attitude singular")
     b2 /= norm_b2[:, None]

@@ -143,25 +143,25 @@ def _log_so3_stack(r):
         m = r[near_pi] + np.eye(3)
         col = np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)
         axis = m[np.arange(len(m)), :, col]
-        axis = axis / _row_norms(axis)[:, None]
+        axis = axis / row_norms(axis)[:, None]
         w_pi = w[near_pi]
-        theta_pi = np.pi - np.arcsin(np.minimum(_row_norms(w_pi), 1.0))
-        axis[_row_dots(w_pi, axis) < 0.0] *= -1.0
+        theta_pi = np.pi - np.arcsin(np.minimum(row_norms(w_pi), 1.0))
+        axis[row_dots(w_pi, axis) < 0.0] *= -1.0
         out[near_pi] = theta_pi[:, None] * axis
     return out
 
 
-def _row_dots(u, v):
-    """Row-wise dot products of two (n, 3) arrays: a stacked (1, 3) @ (3, 1)
-    matmul, one BLAS dot per row, so each equals the scalar path's `w @ axis`
-    and np.linalg.norm to the bit (an einsum or a sum of squares may round
-    differently)."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+def row_dots(u, v):
+    """Dot products of matching rows of two (..., k) arrays, shape (...,):
+    a stacked (1, k) @ (k, 1) matmul, one BLAS dot per row, so each
+    equals a per-row `u @ v` and np.linalg.norm to the bit (an einsum or
+    a sum of squares may round differently)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _row_norms(v):
-    """Euclidean norm of each row of an (n, 3) array."""
-    return np.sqrt(_row_dots(v, v))
+def row_norms(v):
+    """Euclidean norm of each row of a (..., k) array, as row_dots."""
+    return np.sqrt(row_dots(v, v))
 
 
 def right_jacobian(xi):

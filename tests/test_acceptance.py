@@ -258,7 +258,6 @@ def fusion_run():
     )
     cfg = EkfConfig(
         update_rate=20.0,
-        buffer_len=1000,
         eta_bg=1e-5 * np.sqrt(1 / 200.0),
         eta_ba=1e-4 * np.sqrt(1 / 200.0),
     )
@@ -306,7 +305,6 @@ def test_criterion_05_filter_health(fusion_run):
     )
     cfg = EkfConfig(
         update_rate=20.0,
-        buffer_len=1000,
         eta_bg=1e-5 * np.sqrt(1 / 100.0),
         eta_ba=1e-4 * np.sqrt(1 / 100.0),
     )
@@ -632,7 +630,6 @@ def test_criterion_11_streaming_contract():
     )
     cfg = EkfConfig(
         update_rate=20.0,
-        buffer_len=1000,
         eta_bg=1e-5 * np.sqrt(1 / 100.0),
         eta_ba=1e-4 * np.sqrt(1 / 100.0),
     )
@@ -653,6 +650,6 @@ def test_criterion_11_streaming_contract():
         11,
         "streaming contract",
         ok,
-        f"{len(online)} frames, buffer 1000, max state/covariance"
+        f"{len(online)} frames, max state/covariance"
         f" difference {worst:.1e} (<=1e-12)",
     )

@@ -322,6 +322,32 @@ class TestExitCodes:
             assert "kernel" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_motion_meta_float_window_exits_3(self, workdir, tmp_path, capsys):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        weights = tmp_path / "net.bfwt"
+        tiny_model().save(str(weights))
+        variant, meta, arrays = load_weights(weights)
+        meta["window"] = meta["window"] + 0.7
+        save_weights(weights, variant, arrays, meta)
+        out = tmp_path / "o.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", "network", "--weights", str(weights),
+                   "--config", workdir["cfg"], "--out", str(out)])
+        assert rc == 3
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_buffer_len_exits_2(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[ekf]\nbuffer_len = 1000\n")
+        out = tmp_path / "o.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", "zero", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "ekf.buffer_len" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weights_header_without_arrays_exits_3(self, workdir, tmp_path, capsys):
         header = b'{"meta": {}, "variant": "motion-net-v1"}'
         weights = tmp_path / "net.bfwt"

@@ -80,9 +80,9 @@ class TestGetters:
 
     def test_bad_int_reports_key(self):
         cfg = RunConfig()
-        cfg.values["ekf"]["buffer_len"] = "3.5"
-        with pytest.raises(ConfigError, match="ekf.buffer_len"):
-            cfg.getint("ekf", "buffer_len")
+        cfg.values["motion"]["window"] = "3.5"
+        with pytest.raises(ConfigError, match="motion.window"):
+            cfg.getint("motion", "window")
 
     def test_float_list_parsing(self):
         cfg = RunConfig()
@@ -199,9 +199,9 @@ class TestBuilders:
     def test_ekf_builder(self):
         cfg = RunConfig()
         cfg.values["ekf"]["update_rate"] = "10"
-        cfg.values["ekf"]["buffer_len"] = "50"
+        cfg.values["ekf"]["eta_ba"] = "2e-5"
         ecfg = ekf_config(cfg)
-        assert ecfg.update_rate == 10.0 and ecfg.buffer_len == 50
+        assert ecfg.update_rate == 10.0 and ecfg.eta_ba == 2e-5
 
 
 class TestDumpDefaults:

@@ -262,12 +262,13 @@ def initial_state_from(traj):
 
 
 class _SpyProvider:
-    """Wraps a provider; records windows and tail sizes."""
+    """Wraps a provider, declaring its own window_len (and required_kind,
+    when given); records windows and tail sizes."""
 
-    def __init__(self, inner, kind=None):
+    def __init__(self, inner, window_len, kind=None):
         self.inner = inner
         self.required_kind = kind if kind is not None else inner.required_kind
-        self.window_len = getattr(inner, "window_len", None)
+        self.window_len = window_len
         self.windows = []
         self.tails = []
 
@@ -291,7 +292,7 @@ def noisy_fig8():
         eta_g=1e-3 * np.sqrt(rate), eta_a=1e-2 * np.sqrt(rate)
     )
     cfg = EkfConfig(
-        update_rate=20.0, buffer_len=1000,
+        update_rate=20.0,
         eta_bg=1e-5 * np.sqrt(1 / rate), eta_ba=1e-4 * np.sqrt(1 / rate),
     )
     return traj, imu, corrector, cfg
@@ -343,19 +344,19 @@ class TestRunners:
     def test_every_new_frame_consumed_once(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
         imu = imu.slice(0, 201)  # warm start not needed; 200 propagated frames
-        spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
+        spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0), 1000)
         streaming_run(imu, spy, corrector, cfg, initial_state_from(traj))
         # one call per full chunk of 5, each asking for the one row it fuses;
         # each update frame is the newest frame of exactly one served window
         assert spy.tails == [1] * 40
         np.testing.assert_array_equal([w.t[-1] for w in spy.windows], imu.t[5::5])
-        assert all(len(w) <= cfg.buffer_len for w in spy.windows)
+        assert [len(w) for w in spy.windows] == list(range(6, 202, 5))
 
     def test_small_buffer_streaming_still_matches_batch(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
         imu = imu.slice(0, 400)
-        cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
-        provider = OracleProvider(traj, noise_std=0.02, seed=5)
+        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
+        provider = _SpyProvider(OracleProvider(traj, noise_std=0.02, seed=5), 50)
         x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
         b = batch_run(imu, provider, corrector, cfg, x0)
@@ -369,7 +370,7 @@ class TestRunners:
         # frames the partial last chunk ends on no update, so the
         # provider is not called for it. Each call asks for one row.
         for n in (21, 23):
-            spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0))
+            spy = _SpyProvider(OracleProvider(traj, noise_std=0.0, seed=0), 1000)
             states = streaming_run(
                 imu.slice(0, n), spy, corrector, cfg, initial_state_from(traj)
             )
@@ -383,7 +384,7 @@ class TestRunners:
         traj, imu, corrector, cfg = noisy_fig8
         imu = imu.slice(0, 301)
         spy = _SpyProvider(
-            OracleProvider(traj, noise_std=0.05, seed=2),
+            OracleProvider(traj, noise_std=0.05, seed=2), 1000,
             kind=RepresentationKind.BODY_PLUS_ATTITUDE,
         )
         x0 = initial_state_from(traj)
@@ -426,7 +427,7 @@ class TestRunners:
                           initial_state_from(traj))
 
     @pytest.mark.parametrize("field, value", [
-        ("update_rate", 0.0), ("update_rate", np.nan), ("buffer_len", 0),
+        ("update_rate", 0.0), ("update_rate", np.nan),
         ("eta_bg", -1e-6), ("eta_bg", np.nan), ("eta_ba", np.nan),
     ])
     def test_bad_config_rejected(self, noisy_fig8, field, value):
@@ -484,7 +485,7 @@ class TestRunners:
                 P=propagate_covariance(fs.P, a_mat, b_mat, w_cov[i]),
             )
             if i % 5 == 0:
-                window = corrected.slice(max(0, i + 1 - cfg.buffer_len), i + 1)
+                window = corrected.slice(max(0, i + 1 - meas.window_len), i + 1)
                 v, eta = meas.predict_window(window, 1)
                 fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
             for x, y in zip(run_arrays(run), (fs.x.r, fs.x.v, fs.x.p, fs.x.b_a, fs.x.b_g, fs.P)):
@@ -516,7 +517,7 @@ class TestNetworkServing:
     def test_streaming_matches_batch_exactly(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
         imu = imu.slice(0, 301)
-        cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
         provider = NetworkProvider(perturbed_tiny_network())
         x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
@@ -531,7 +532,7 @@ class TestNetworkServing:
 
     def test_network_never_runs_on_more_than_its_window(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
-        cfg = EkfConfig(update_rate=20.0, buffer_len=50, eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
         model = perturbed_tiny_network()
         steps = []
         forward_arrays = model.forward_arrays
@@ -541,21 +542,38 @@ class TestNetworkServing:
             return forward_arrays(imu_arr, att, **kw)
 
         model.forward_arrays = spy_forward
-        spy = _SpyProvider(NetworkProvider(model))
+        spy = _SpyProvider(NetworkProvider(model), model.config.window)
         streaming_run(imu.slice(0, 101), spy, corrector, cfg, initial_state_from(traj))
         assert len(steps) == len(spy.windows) == 20
         assert max(steps) == model.config.window
         assert all(len(w) <= model.config.window for w in spy.windows)
 
+    @pytest.mark.parametrize("make, window_len", [
+        (lambda traj: ConstantZeroProvider(), 1),
+        (lambda traj: OracleProvider(traj, noise_std=0.05, seed=2), 1),
+        (lambda traj: NetworkProvider(perturbed_tiny_network()), 8),
+    ], ids=["zero", "oracle", "network"])
+    def test_served_frames_are_the_provider_window(self, noisy_fig8, make, window_len):
+        traj, imu, corrector, cfg = noisy_fig8
+        imu = imu.slice(0, 61)
+        for runner in (streaming_run, batch_run):
+            provider = make(traj)
+            assert provider.window_len == window_len
+            spy = _SpyProvider(provider, provider.window_len)
+            runner(imu, spy, corrector, cfg, initial_state_from(traj))
+            # min(window_len, frames so far) frames at each update frame i
+            assert [len(w) for w in spy.windows] == [min(window_len, i + 1)
+                                                     for i in range(5, 61, 5)]
+
     def test_tiny_buffer_streaming_matches_batch(self, noisy_fig8):
-        # a buffer shorter than a chunk keeps only the chunk's newest frames
+        # a provider window shorter than a chunk keeps only the chunk's newest frames
         traj, imu, corrector, _ = noisy_fig8
         imu = imu.slice(0, 61)
-        cfg = EkfConfig(update_rate=20.0, buffer_len=3, eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
         runs = []
         for runner in (streaming_run, batch_run):
             spy = _SpyProvider(
-                OracleProvider(traj, noise_std=0.05, seed=2),
+                OracleProvider(traj, noise_std=0.05, seed=2), 3,
                 kind=RepresentationKind.GLOBAL_PLUS_ATTITUDE,
             )
             runner(imu, spy, corrector, cfg, initial_state_from(traj))

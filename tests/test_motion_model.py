@@ -686,6 +686,14 @@ class TestPersistence:
         {"kernel": None},  # missing
         {"stride": 3},  # unknown
         {"window": "wide"},  # not a number
+        {"window": 8.7},  # not an integer
+        {"kernel": 3.9},
+        {"seed": True},  # a bool is not an integer
+        {"gru_layers": "2"},
+        {"imu_encoder_channels": [8, 8.0]},  # not a list of integers
+        {"attitude_encoder_channels": [4, True]},
+        {"dropout_p": "0.5"},  # not a number
+        {"dropout_p": False},
         {"imu_encoder_channels": 4},  # not a list
         {"representation": "SONAR"},  # not a kind
         {"latent_dim": 63},  # an architecture MotionNetConfig rejects
