@@ -176,6 +176,10 @@ def emit_report(rows, csv_path: str | None = None) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    # the name is a directory of the corpus and a line of its manifest
+    name = args.name
+    if name in (".", "..") or os.path.basename(name) != name or name.splitlines() != [name]:
+        raise ConfigError(f"sequence name must be one path component on one line, got {name!r}")
     cfg = _load(args)
     trajectory = generate_trajectory(cfgmod.trajectory_spec(cfg))
     ideal = derive_imu(trajectory)

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
-from .imu_model import ImuWindow
+from .imu_model import ImuWindow, RepresentationKind
 from .weights_io import load_weights, save_weights
 
 AFFINE_VARIANT = "affine-corrector-v1"
@@ -172,7 +172,11 @@ class LearnedAffineCorrector:
 
 
 def correct_and_quantify(model, window: ImuWindow):
-    """Apply a corrector: returns (corrected window, CorrectionOutput)."""
+    """Apply a corrector to a BODY-kind window of raw readings: returns
+    (corrected BODY window, CorrectionOutput). A window of any other
+    kind raises DataError, as the corrections are body-frame ones."""
+    if window.kind is not RepresentationKind.BODY:
+        raise DataError(f"correct_and_quantify takes a BODY window, got {window.kind.value!r}")
     out = model.infer(window)
     if np.any(out.eta_g <= 0) or np.any(out.eta_a <= 0):
         raise DataError("corrector produced non-positive uncertainty")
@@ -180,8 +184,6 @@ def correct_and_quantify(model, window: ImuWindow):
         t=window.t.copy(),
         w=window.w + out.gyro_correction,
         a=window.a + out.accel_correction,
-        attitudes=None if window.attitudes is None else window.attitudes.copy(),
-        kind=window.kind,
     )
     return corrected, out
 

@@ -26,11 +26,12 @@ Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
 and consumed the moment it is seen. Each frame is corrected once (the
 corrector is causal, so its new frames need only corrector.context raw
-frames before them) and its attitude encoded once, in one batched
-log_so3 per chunk; the velocity provider runs only when an update
-follows, on the newest provider.window_len frames, the most it reads,
-and is asked for the newest frame's row only, the one row the update
-fuses.
+frames before them) and re-expressed once in the provider's
+representation, with its pre-update attitude, in one
+transform_representation call per chunk; the filter keeps the frames
+as served. The velocity provider runs only when an update follows, on
+the newest provider.window_len frames, the most it reads, and is asked
+for the newest frame's row only, the one row the update fuses.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ import numpy as np
 
 from .corrector import correct_and_quantify
 from .errors import ConfigError, DataError, SingularUpdateError
-from .imu_model import (
-    ImuWindow,
-    RepresentationKind,
-    attitude_channel,
-    transform_representation,
-)
+from .imu_model import ImuWindow, RepresentationKind, transform_representation
 from .motion_model import VelocityMeasurement
 # The per-frame propagate_* are unused here, but perfbench/tracing.py patches them.
 from .preintegration import (
@@ -142,11 +138,8 @@ def measurement_jacobian(fs: FilterState) -> np.ndarray:
 
 def ekf_update(fs: FilterState, z: VelocityMeasurement) -> FilterState:
     """Fuse one body-frame velocity measurement (Joseph-form update)."""
-    eta = np.asarray(z.eta_v, dtype=float)
-    if np.any(eta <= 0.0):
-        raise DataError("measurement stds must be strictly positive")
     h_mat = measurement_jacobian(fs)
-    sigma = np.diag(eta * eta)
+    sigma = np.diag(z.eta_v * z.eta_v)
     s_mat = h_mat @ fs.P @ h_mat.T + sigma
     s_mat = 0.5 * (s_mat + s_mat.T)
     if np.linalg.cond(s_mat) > _SINGULAR_COND:
@@ -216,21 +209,22 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
     Samples arrive in chunks of round(imu_rate / update_rate) frames.
     Each chunk:
     - corrects the frames not yet corrected, behind corrector.context
-      raw frames of context, and records each corrected frame once;
+      raw frames of context;
     - propagates through the new frames at once (propagate_chunk, then
-      ekf_propagate per frame), recording each pre-update attitude once
-      (attitudes are never revised), and its log_so3 encoding, one
-      batched call for the chunk, when the provider's representation
-      has an attitude channel;
+      ekf_propagate per frame);
+    - records each newly corrected frame once, as the provider is
+      served it: re-expressed in provider.required_kind, when that is
+      not the body frame, by one transform_representation call with the
+      frames' pre-update attitudes (the update below has not yet moved
+      the newest one, and served frames are never revised);
     - when the chunk ends on an update frame (every chunk but a partial
       last one), runs the velocity provider over the newest
-      provider.window_len corrected frames (fewer at the start),
-      re-expressed in provider.required_kind when it is not the body
-      frame, asks it for one row, the newest frame's (v, eta), and
-      updates with it.
+      provider.window_len recorded frames (fewer at the start), asks it
+      for one row, the newest frame's (v, eta), and updates with it.
 
-    The recorded rows are kept in _ArrayFifo stores bounded by window_len
-    when fifo is set, else in whole-sequence _SequenceArray stores.
+    The recorded rows (t, w, a, then the attitude channel when the kind
+    has one) are kept in an _ArrayFifo store bounded by window_len when
+    fifo is set, else in a whole-sequence _SequenceArray store.
     Raises InvalidRotationError or DataError on an invalid x0.
     """
     cfg.validate()
@@ -241,20 +235,10 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
     k = _chunk_size(imu, cfg)
     dt = np.diff(imu.t)
     kind = provider.required_kind
-    encode = kind.has_attitude
     served = provider.window_len
-
-    def store(row_shape):
-        return _ArrayFifo(served, row_shape) if fifo else _SequenceArray(n, row_shape)
-
-    frames = store((7,))  # rows of t, corrected w, corrected a
-    rotations = store((3, 3))
-    encodings = store((3,))
-
-    def record_attitudes(rs):
-        rotations.extend(rs)
-        if encode:
-            encodings.extend(attitude_channel(rs))
+    # rows of t, w, a, then the attitude channel when the kind has one
+    row_shape = (10,) if kind.has_attitude else (7,)
+    frames = _ArrayFifo(served, row_shape) if fifo else _SequenceArray(n, row_shape)
 
     run = FilterRun(
         t=imu.t, r=np.empty((n, 3, 3)), v=np.empty((n, 3)), p=np.empty((n, 3)),
@@ -262,17 +246,12 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
     )
     fs = FilterState(x=x0, P=P0)
     run.record(0, fs)
-    record_attitudes(run.r[:1])
     corrected_to = 0  # frames [0, corrected_to) are corrected and recorded
     start = 1
     while start < n:
         stop = min(start + k, n)
         chunk = imu.slice(max(0, corrected_to - corrector.context), stop)
         corrected, corr = correct_and_quantify(corrector, chunk)
-        new = len(chunk) - (stop - corrected_to)
-        frames.extend(np.column_stack([corrected.t, corrected.w, corrected.a])[new:])
-        corrected_to = stop
-
         j = len(chunk) - (stop - start)  # chunk row of frame `start`
         r, v, p, a_mat, q_mat = propagate_chunk(
             fs.x, corrected.w[j:], corrected.a[j:], dt[start - 1 : stop - 1],
@@ -284,7 +263,19 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
         for i in range(stop - start):
             p_cov = run.P[start + i] = ekf_propagate(p_cov, a_mat[i], q_mat[i])
         fs = FilterState(NavState(r[-1], v[-1], p[-1], fs.x.b_a, fs.x.b_g), p_cov)
-        record_attitudes(r)
+
+        new = len(chunk) - (stop - corrected_to)  # chunk row of the first new frame
+        if kind is RepresentationKind.BODY:
+            columns = [corrected.t[new:], corrected.w[new:], corrected.a[new:]]
+        else:
+            fresh = transform_representation(
+                corrected.slice(new, len(chunk)), kind, run.r[corrected_to:stop]
+            )
+            columns = [fresh.t, fresh.w, fresh.a]
+            if kind.has_attitude:
+                columns.append(fresh.attitudes)
+        frames.extend(np.column_stack(columns))
+        corrected_to = stop
 
         if (stop - 1) % k == 0:
             rows = frames.tail(served)
@@ -292,11 +283,9 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
                 t=rows[:, 0],
                 w=rows[:, 1:4],
                 a=rows[:, 4:7],
-                attitudes=encodings.tail(served) if encode else None,
-                kind=RepresentationKind.BODY,
+                attitudes=rows[:, 7:] if kind.has_attitude else None,
+                kind=kind,
             )
-            if kind is not RepresentationKind.BODY:
-                window = transform_representation(window, kind, rotations.tail(served))
             v, eta = provider.predict_window(window, 1)
             fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
             run.record(stop - 1, fs)

@@ -78,11 +78,13 @@ class ImuWindow:
     dead reckoning and the filter runners all pass a BODY-kind window
     of gyro (rad/s) and accelerometer (m/s^2) readings.
 
-    t has shape (n,), w and a shape (n, 3). attitudes is an optional
-    (n, 3) array of so(3) rotation vectors, one per frame; kind records
-    which input representation the channels are currently in.
-    Construction rejects inconsistent shapes, timestamps that do not
-    increase strictly, and non-finite values.
+    t has shape (n,), w and a shape (n, 3); kind records which input
+    representation the channels are in. attitudes, the attitude channel
+    of so(3) rotation vectors, one per frame, is an (n, 3) array exactly
+    when kind.has_attitude and None otherwise. Construction rejects
+    inconsistent shapes, an attitude channel that does not match the
+    kind, timestamps that do not increase strictly, and non-finite
+    values.
     """
 
     t: np.ndarray
@@ -109,6 +111,9 @@ class ImuWindow:
             and np.all(np.isfinite(self.a))
         ):
             raise DataError("window contains non-finite values")
+        if (self.attitudes is None) == self.kind.has_attitude:
+            which = "lacks its" if self.attitudes is None else "has no"
+            raise DataError(f"a {self.kind.name} window {which} attitude channel")
         if self.attitudes is not None:
             self.attitudes = np.asarray(self.attitudes, dtype=float)
             if self.attitudes.shape != (n, 3):
@@ -141,13 +146,6 @@ def specific_force(a_world, r) -> np.ndarray:
     return (np.swapaxes(r, -1, -2) @ f[..., None])[..., 0]
 
 
-def attitude_channel(rotations) -> np.ndarray:
-    """The attitude channel of +Attitude kinds: log_so3 of an (n, 3, 3)
-    stack of world-from-body rotations, in one batched call, as an
-    (n, 3) array; an empty stack gives (0, 3)."""
-    return log_so3(rotations)
-
-
 def transform_representation(
     window: ImuWindow,
     kind: RepresentationKind,
@@ -156,10 +154,11 @@ def transform_representation(
     """Re-express a BODY-kind window in the requested input representation.
 
     rotations is an (n, 3, 3) stack of world-from-body attitudes, one
-    per frame. A window of any other kind raises DataError. The
-    attitude channel is attached only for +Attitude kinds: the window's
-    own attitudes when it carries them (they must encode the same
-    rotations), otherwise attitude_channel(rotations).
+    per frame. A window of any other kind raises DataError. Each output
+    row depends only on its own input row and rotation, so re-expressing
+    a stream chunk by chunk gives the rows of one whole-stream call. The
+    attitude channel, attached only for +Attitude kinds, is
+    log_so3(rotations), one batched call.
     """
     if window.kind is not RepresentationKind.BODY:
         raise DataError(
@@ -183,11 +182,5 @@ def transform_representation(
     elif kind.gravity_removed:
         a = a - np.einsum("nji,j->ni", rotations, minus_g)
 
-    attitudes = None
-    if kind.has_attitude:
-        if window.attitudes is not None:
-            attitudes = window.attitudes.copy()
-        else:
-            attitudes = attitude_channel(rotations)
-
+    attitudes = log_so3(rotations) if kind.has_attitude else None
     return ImuWindow(t=window.t.copy(), w=w, a=a, attitudes=attitudes, kind=kind)

@@ -199,8 +199,6 @@ def velocity_windows(sequences, length: int, stride: int) -> WindowSet:
         imus.append(np.concatenate([window.w, window.a], axis=1)[frames])
         vs.append(np.asarray(v_body, dtype=float)[frames])
         if kind.has_attitude:
-            if window.attitudes is None:
-                raise DataError("a sequence lacks the attitude channel")
             atts.append(window.attitudes[frames])
     if sum(map(len, vs)) == 0:
         raise DataError(f"no window of {length} frames fits any sequence")
@@ -429,11 +427,7 @@ class MotionNet:
         """Evaluation-mode inference: (v, eta), (n, 3) each, one row per
         frame; with tail=k only the newest min(k, n) rows, as forward_arrays."""
         self.config.require_kind(window.kind, "window")
-        att = None
-        if self._att_dim:
-            if window.attitudes is None:
-                raise DataError("window lacks the attitude channel the model expects")
-            att = window.attitudes[None]
+        att = window.attitudes[None] if self._att_dim else None
         v, eta = self.forward_arrays(
             np.concatenate([window.w, window.a], axis=1)[None], att, tail=tail
         )

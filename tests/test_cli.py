@@ -411,6 +411,18 @@ class TestSimulate:
         entries = {e.name: e.role for e in read_corpus_manifest(data)}
         assert entries == {"train01": "seen", "test01": "unseen"}
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../outside", "a/b", "a\nb", "a\r"],
+                             ids=["empty", "dot", "dotdot", "parent", "nested", "newline",
+                                  "return"])
+    def test_name_not_one_component_exits_2_without_writing(self, tmp_path, capsys, name):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(RUN_INI)
+        data = tmp_path / "corpus" / "d"
+        rc = main(["simulate", "--data", str(data), "--name", name, "--config", str(cfg)])
+        assert rc == 2
+        assert "one path component" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
     def test_unknown_role_rejected_before_writing(self, tmp_path):
         data = tmp_path / "d"
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from bodyframe_io.corrector import (
     train_corrector,
 )
 from bodyframe_io.errors import ConfigError, DataError
-from bodyframe_io.imu_model import ImuWindow
+from bodyframe_io.imu_model import ImuWindow, RepresentationKind
 from bodyframe_io.preintegration import NavState, dead_reckon
 from bodyframe_io.simulator import (
     NoiseSpec,
@@ -72,6 +72,17 @@ class TestIdentity:
     def test_rejects_nonpositive_uncertainty(self):
         with pytest.raises(ConfigError):
             IdentityCorrector(eta_g=0.0)
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in RepresentationKind if k is not RepresentationKind.BODY]
+    )
+    def test_rejects_non_body_window(self, kind):
+        # corrections are body-frame ones: a re-expressed window takes none
+        zeros = np.zeros((2, 3))
+        window = ImuWindow(t=[0.0, 0.01], w=zeros, a=zeros, kind=kind,
+                           attitudes=zeros if kind.has_attitude else None)
+        with pytest.raises(DataError, match="BODY"):
+            correct_and_quantify(IdentityCorrector(), window)
 
 
 class TestTraining:

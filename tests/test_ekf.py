@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from bodyframe_io.corrector import IdentityCorrector, correct_and_quantify
+from bodyframe_io.corrector import (
+    IdentityCorrector,
+    LearnedAffineCorrector,
+    correct_and_quantify,
+    inv_softplus,
+)
 from bodyframe_io.ekf import (
     P0,
     EkfConfig,
@@ -22,7 +27,7 @@ from bodyframe_io.errors import (
     SingularUpdateError,
     TimestampOrderError,
 )
-from bodyframe_io.imu_model import ImuWindow, RepresentationKind
+from bodyframe_io.imu_model import ImuWindow, RepresentationKind, transform_representation
 from bodyframe_io.motion_model import (
     ConstantZeroProvider,
     MotionNet,
@@ -564,6 +569,46 @@ class TestNetworkServing:
             # min(window_len, frames so far) frames at each update frame i
             assert [len(w) for w in spy.windows] == [min(window_len, i + 1)
                                                      for i in range(5, 61, 5)]
+
+    @pytest.mark.parametrize("runner", [streaming_run, batch_run])
+    @pytest.mark.parametrize("kind", list(RepresentationKind), ids=lambda k: k.value)
+    def test_served_windows_are_the_whole_stream_transformed(self, noisy_fig8, kind, runner):
+        # each served window is, to the bit, the tail of one transform of the
+        # whole corrected stream with the attitudes the filter had before
+        # each update; the affine corrector reads 15 raw frames of context
+        traj, imu, _, cfg = noisy_fig8
+        imu = imu.slice(0, 101)
+        rng = np.random.default_rng(4)
+        d = 6 * 16
+        corrector = LearnedAffineCorrector(
+            weight=1e-5 * rng.standard_normal((d, 6)), bias=np.zeros(6),
+            feat_mean=np.zeros(d), feat_scale=np.ones(d),
+            raw_eta=inv_softplus(np.array([1e-2] * 3 + [1e-1] * 3)),
+        )
+        spy = _SpyProvider(OracleProvider(traj, noise_std=0.05, seed=2), 30, kind=kind)
+        run = runner(imu, spy, corrector, cfg, initial_state_from(traj))
+
+        corrected, _ = correct_and_quantify(corrector, imu)
+        updates = range(5, len(imu), 5)
+        rotations = run.r.copy()
+        for i in updates:  # the update frame's row as propagated, before its update
+            before = NavState(run.r[i - 1], run.v[i - 1], run.p[i - 1],
+                              run.b_a[i - 1], run.b_g[i - 1])
+            rotations[i] = propagate_state(
+                before, corrected.w[i], corrected.a[i], imu.t[i] - imu.t[i - 1]
+            ).r
+        assert not np.array_equal(rotations, run.r)  # the updates did move attitudes
+        stream = transform_representation(corrected, kind, rotations)
+        assert len(spy.windows) == len(updates)
+        for window, i in zip(spy.windows, updates):
+            want = stream.slice(max(0, i + 1 - 30), i + 1)
+            assert window.kind is kind
+            for name in ("t", "w", "a"):
+                assert np.array_equal(getattr(window, name), getattr(want, name)), (name, i)
+            if kind.has_attitude:
+                assert np.array_equal(window.attitudes, want.attitudes), i
+            else:
+                assert window.attitudes is None
 
     def test_tiny_buffer_streaming_matches_batch(self, noisy_fig8):
         # a provider window shorter than a chunk keeps only the chunk's newest frames

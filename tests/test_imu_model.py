@@ -67,13 +67,24 @@ class TestWindowValidation:
             ImuWindow(t=[0.0, 0.0], w=np.zeros((2, 3)), a=np.zeros((2, 3)))
 
     def test_rejects_attitude_length_mismatch(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="shape"):
             ImuWindow(
                 t=[0.0, 0.005],
                 w=np.zeros((2, 3)),
                 a=np.zeros((2, 3)),
                 attitudes=np.zeros((3, 3)),
+                kind=RepresentationKind.BODY_PLUS_ATTITUDE,
             )
+
+    @pytest.mark.parametrize("kind", list(RepresentationKind))
+    def test_attitude_channel_present_exactly_when_kind_has_one(self, kind):
+        t, zeros = [0.0, 0.005], np.zeros((2, 3))
+        with pytest.raises(DataError, match="attitude channel"):
+            ImuWindow(t=t, w=zeros, a=zeros, kind=kind,
+                      attitudes=None if kind.has_attitude else zeros)
+        window = ImuWindow(t=t, w=zeros, a=zeros, kind=kind,
+                           attitudes=zeros if kind.has_attitude else None)
+        assert (window.slice(0, 1).attitudes is not None) == kind.has_attitude
 
     def test_rejects_nan(self):
         a = np.zeros((2, 3))
@@ -162,35 +173,13 @@ class TestTransformRepresentation:
     def test_attitude_channel_is_so3_log(self):
         rng = np.random.default_rng(16)
         win, rots = random_window(rng)
-        out = transform_representation(
-            win, RepresentationKind.BODY_PLUS_ATTITUDE, rots
-        )
-        assert out.attitudes is not None
-        for i in range(len(win)):
-            np.testing.assert_allclose(out.attitudes[i], log_so3(rots[i]), atol=1e-12)
-        # Non-attitude kinds drop the channel.
-        carried = ImuWindow(t=win.t, w=win.w, a=win.a, attitudes=out.attitudes)
-        assert transform_representation(carried, RepresentationKind.GLOBAL, rots).attitudes is None
-
-    def test_carried_attitudes_are_reused(self, monkeypatch):
-        import bodyframe_io.imu_model as imu_model
-
-        rng = np.random.default_rng(18)
-        win, rots = random_window(rng)
-        encoded = np.array([log_so3(r) for r in rots])
-        carried = ImuWindow(t=win.t, w=win.w, a=win.a, attitudes=encoded)
-
-        def no_log(r):
-            raise AssertionError("log_so3 called for a carried attitude")
-
-        monkeypatch.setattr(imu_model, "log_so3", no_log)
-        for kind in (
-            RepresentationKind.BODY_PLUS_ATTITUDE,
-            RepresentationKind.GLOBAL_PLUS_ATTITUDE,
-        ):
-            out = transform_representation(carried, kind, rots)
-            assert np.array_equal(out.attitudes, encoded)
-            assert out.attitudes is not carried.attitudes
+        for kind in RepresentationKind:
+            out = transform_representation(win, kind, rots)
+            if kind.has_attitude:
+                for i in range(len(win)):
+                    assert np.array_equal(out.attitudes[i], log_so3(rots[i]))
+            else:
+                assert out.attitudes is None
 
     @pytest.mark.parametrize(
         "kind", [k for k in RepresentationKind if k is not RepresentationKind.BODY]

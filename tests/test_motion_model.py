@@ -232,9 +232,8 @@ class TestVelocityWindows:
             velocity_windows([], 8, 1)
         with pytest.raises(DataError):
             velocity_windows([(full, v_body[:-1])], 8, 1)
-        naked = ImuWindow(t=full.t, w=full.w, a=full.a, kind=full.kind)
-        with pytest.raises(DataError):
-            velocity_windows([(naked, v_body)], 8, 1)
+        with pytest.raises(DataError):  # a sequence can lack no attitude channel
+            ImuWindow(t=full.t, w=full.w, a=full.a, kind=full.kind)
         for length, stride in ((0, 1), (8, 0), (8, -2)):
             with pytest.raises(ConfigError):
                 velocity_windows(sequences, length, stride)
@@ -334,12 +333,13 @@ class TestForwardContract:
             MotionNet(TINY).forward(body)
 
     def test_missing_attitude_channel_rejected(self, tiny_window):
+        # no window of the model's kind lacks the channel, nor can another
+        # kind carry one past the kind check
         win, _ = tiny_window
-        naked = ImuWindow(
-            t=win.t, w=win.w, a=win.a, kind=RepresentationKind.BODY_PLUS_ATTITUDE
-        )
-        with pytest.raises(DataError):
-            MotionNet(TINY).forward(naked)
+        with pytest.raises(DataError, match="attitude channel"):
+            ImuWindow(t=win.t, w=win.w, a=win.a, kind=RepresentationKind.BODY_PLUS_ATTITUDE)
+        with pytest.raises(DataError, match="attitude channel"):
+            ImuWindow(t=win.t, w=win.w, a=win.a, attitudes=win.attitudes)
 
     def test_latent_tap_shape(self, tiny_set):
         lat = MotionNet(TINY).encode(tiny_set.imu, tiny_set.att)
