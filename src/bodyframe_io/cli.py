@@ -265,7 +265,7 @@ def _cmd_run_ekf(args) -> int:
         provider = NetworkProvider(MotionNet.load(args.weights))
 
     run = streaming_run(imu, provider, corrector, cfgmod.ekf_config(cfg), _initial_state(truth))
-    write_trajectory_csv(args.out, run, np.trace(run.P, axis1=1, axis2=2))
+    write_trajectory_csv(args.out, run, run.P_diag.sum(axis=1))
     print(f"wrote {args.out} ({len(run)} frames, provider {args.provider})")
     return 0
 

@@ -13,8 +13,10 @@ and the origin is subtracted before the conversion to seconds
 stamps such as EuRoC's survive a write/load round trip exact.
 Quaternions are Hamilton convention, wxyz order, body-to-world; this
 module is the only place they exist, with rotation matrices everywhere
-else. Floats are written with repr-level precision (%.17g) so a
-write/read round trip is exact.
+else. Floats are written with repr-level precision (%.17g), one
+%-format per row, so a write/read round trip is exact. Each reader
+parses a file's data lines into arrays at once and names the file line
+of the first fault it finds.
 
 In memory, ground truth is one Trajectory of arrays, resampled onto
 the IMU stamps in one vectorised pass (slerp and matrix_from_quat work
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import configparser
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,57 +129,92 @@ def slerp(q0, q1, alpha) -> np.ndarray:
 # CSV primitives
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path, header: str, line: str, first, rest):
+    """The header, then one line per row: `line % (first[i], *rest[i])`,
+    formatted straight from the arrays first (n,) and rest (n, k)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % (x, *row) for x, row in zip(first, rest))
 
 
-def _read_rows(path, expected_cols: int, header: str):
-    """(lineno, values) for each data row; validates the header. A
-    timestamp_ns first column is parsed as int, every other as float."""
+def _stamps_ns(t, origin_ns: int) -> np.ndarray:
+    """Seconds t (n,) as int64 ns stamps origin_ns + round(t * 1e9), ties to even."""
+    return origin_ns + np.rint(np.asarray(t) * 1e9).astype(np.int64)
+
+
+def _read_csv(path, header: str):
+    """The data rows of a CSV file, parsed into arrays in one np.loadtxt call.
+
+    Returns (linenos, first, rest): the file line of each data row (n,),
+    its first column (n,), int64 in a timestamp_ns file and float64
+    otherwise, and the other columns (n, k) float64. Checks the header;
+    blank and whitespace-only lines are skipped but still counted, so
+    that errors name the line a text editor shows. Numbers may use any
+    syntax of Python's int() and float(). np.loadtxt accepts a subset of
+    it (not digit separators such as 1_0, nor non-ASCII digits), and
+    the rows of a file it rejects are parsed line by line by
+    _parse_lines, which reads them as int() and float() do or raises
+    ParseError naming the first line with a wrong column count or a
+    value that does not parse. Either way a %.17g-written float64 reads
+    back bit for bit.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError(f"{path}:1: empty file")
-    first = lines[0].lstrip("#").replace(" ", "")
-    if first != header:
+    if lines[0].lstrip("#").replace(" ", "") != header:
         raise ParseError(f"{path}:1: unexpected header {lines[0]!r}")
-    first_type = int if header.startswith("timestamp_ns,") else float
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != expected_cols:
-            raise ParseError(
-                f"{path}:{lineno}: expected {expected_cols} columns, "
-                f"got {len(parts)}"
-            )
-        try:
-            values = [first_type(parts[0])] + [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        rows.append((lineno, values))
-    if not rows:
+    linenos = [i + 1 for i, line in enumerate(lines) if i and line.strip()]
+    if not linenos:
         raise ParseError(f"{path}: no data rows")
-    return rows
+    rows = [lines[i - 1] for i in linenos]
+    first = np.int64 if header.startswith("timestamp_ns,") else np.float64
+    dtype = np.dtype([("first", first), ("rest", np.float64, (header.count(","),))])
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads 1.5 into an int column with only a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        table = _parse_lines(path, linenos, rows, dtype)
+    return linenos, table["first"].copy(), np.ascontiguousarray(table["rest"])
 
 
-def _check_unit_quaternions(path, rows, q):
-    """ParseError naming the first row of q (n, 4) whose norm is more
-    than 1e-6 from 1."""
+def _parse_lines(path, linenos, rows, dtype) -> np.ndarray:
+    """rows parsed one at a time, the first column with int() (in a
+    timestamp_ns file) or float(), the others with float(); raises
+    ParseError naming the first line with a wrong column count or a
+    value that does not parse or does not fit an int64."""
+    table = np.empty(len(rows), dtype)
+    first = int if dtype["first"] == np.int64 else float
+    n_cols = 1 + dtype["rest"].shape[0]
+    for i, (lineno, row) in enumerate(zip(linenos, rows)):
+        parts = row.split(",")
+        if len(parts) != n_cols:
+            raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
+        try:
+            table[i] = first(parts[0]), [float(p) for p in parts[1:]]
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    return table
+
+
+def _check_unit_quaternions(path, linenos, q):
+    """ParseError naming the line of the first row of q (n, 4) whose
+    norm is more than 1e-6 from 1."""
     bad = np.flatnonzero(np.abs(row_norms(q) - 1.0) > 1e-6)
     if bad.size:
-        raise ParseError(f"{path}:{rows[bad[0]][0]}: quaternion is not unit norm")
+        raise ParseError(f"{path}:{linenos[bad[0]]}: quaternion is not unit norm")
 
 
-def _check_monotone(path, rows):
-    prev = None
-    for lineno, values in rows:
-        if prev is not None and values[0] <= prev:
-            raise TimestampOrderError(
-                f"{path}:{lineno}: timestamps not strictly increasing"
-            )
-        prev = values[0]
+def _check_monotone(path, linenos, first):
+    """TimestampOrderError naming the line of the first row of first (n,)
+    that is not above the row before it."""
+    bad = np.flatnonzero(first[1:] <= first[:-1])
+    if bad.size:
+        raise TimestampOrderError(
+            f"{path}:{linenos[bad[0] + 1]}: timestamps not strictly increasing"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +223,15 @@ def _check_monotone(path, rows):
 
 def write_imu_csv(path, imu: ImuWindow, origin_ns: int = 0):
     """Write a BODY-kind ImuWindow; t seconds become origin_ns + round(t * 1e9)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(IMU_HEADER + "\n")
-        for t, reading in zip(imu.t.tolist(), np.hstack([imu.w, imu.a]).tolist()):
-            ns = origin_ns + int(round(t * 1e9))
-            fh.write(",".join([str(ns)] + [_fmt(x) for x in reading]) + "\n")
+    _write_csv(path, IMU_HEADER, "%d" + ",%.17g" * 6 + "\n",
+               _stamps_ns(imu.t, origin_ns), np.hstack([imu.w, imu.a]))
 
 
 def _load_imu(path):
     """(BODY-kind ImuWindow timed from the first stamp, that stamp in ns)."""
-    rows = _read_rows(path, 7, IMU_HEADER)
-    _check_monotone(path, rows)
-    origin_ns = rows[0][1][0]
-    stamps = np.array([v[0] for _, v in rows], dtype=np.int64)
-    readings = np.array([v[1:] for _, v in rows])
+    linenos, stamps, readings = _read_csv(path, IMU_HEADER)
+    _check_monotone(path, linenos, stamps)
+    origin_ns = int(stamps[0])
     try:
         imu = ImuWindow(
             t=(stamps - origin_ns) * 1e-9, w=readings[:, 0:3], a=readings[:, 3:6]
@@ -228,12 +261,9 @@ def write_groundtruth_csv(path, truth: Trajectory, bias: BiasTruth | None = None
         raise DataError("bias truth length does not match trajectory")
     b_g = bias.b_g if bias is not None else np.zeros((n, 3))
     b_a = bias.b_a if bias is not None else np.zeros((n, 3))
-    rest = np.hstack([truth.p, quat_from_matrix(truth.r), truth.v, b_g, b_a]).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(GROUNDTRUTH_HEADER + "\n")
-        for t, row in zip(truth.t.tolist(), rest):
-            vals = [str(origin_ns + int(round(t * 1e9)))] + [_fmt(x) for x in row]
-            fh.write(",".join(vals) + "\n")
+    _write_csv(path, GROUNDTRUTH_HEADER, "%d" + ",%.17g" * 16 + "\n",
+               _stamps_ns(truth.t, origin_ns),
+               np.hstack([truth.p, quat_from_matrix(truth.r), truth.v, b_g, b_a]))
 
 
 def load_groundtruth_csv(path):
@@ -241,11 +271,9 @@ def load_groundtruth_csv(path):
     (n,) and the 16 value columns (n, 16), in file order
     (p, q wxyz, v, b_w, b_a). Raises ParseError naming the line of a
     quaternion more than 1e-6 from unit norm."""
-    rows = _read_rows(path, 17, GROUNDTRUTH_HEADER)
-    _check_monotone(path, rows)
-    stamps = np.array([v[0] for _, v in rows], dtype=np.int64)
-    values = np.array([v[1:] for _, v in rows])
-    _check_unit_quaternions(path, rows, values[:, 3:7])
+    linenos, stamps, values = _read_csv(path, GROUNDTRUTH_HEADER)
+    _check_monotone(path, linenos, stamps)
+    _check_unit_quaternions(path, linenos, values[:, 3:7])
     return stamps, values
 
 
@@ -301,7 +329,7 @@ class CorpusEntry:
 
 
 def write_corpus_manifest(root, entries):
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     cfg["corpus"] = {"version": "1"}
     for e in entries:
         if e.role not in ROLES:
@@ -315,7 +343,7 @@ def read_corpus_manifest(root):
     path = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(path):
         raise DataError(f"no {MANIFEST_NAME} in {root}")
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     try:
         cfg.read(path)
     except configparser.Error as exc:
@@ -369,25 +397,21 @@ def write_trajectory_csv(path, traj: Trajectory, traces):
     traces = np.asarray(traces, dtype=float)
     if traces.shape != (len(traj),):
         raise DataError("traces must hold one value per trajectory row")
-    rows = np.column_stack([traj.t, traj.p, quat_from_matrix(traj.r), traj.v, traces])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for row in rows.tolist():
-            fh.write(",".join(format(v, ".9g") for v in row) + "\n")
+    _write_csv(path, TRAJECTORY_HEADER, ",".join(["%.9g"] * 12) + "\n",
+               traj.t, np.column_stack([traj.p, quat_from_matrix(traj.r), traj.v, traces]))
 
 
 def read_trajectory_csv(path):
     """Read filter output back as (Trajectory, traces); the file stores
     no biases, accelerations or rates. Raises ParseError naming the line
     of a quaternion more than 1e-6 from unit norm."""
-    rows = _read_rows(path, 12, TRAJECTORY_HEADER)
-    _check_monotone(path, rows)
-    values = np.array([v for _, v in rows])
-    _check_unit_quaternions(path, rows, values[:, 4:8])
+    linenos, t, values = _read_csv(path, TRAJECTORY_HEADER)
+    _check_monotone(path, linenos, t)
+    _check_unit_quaternions(path, linenos, values[:, 3:7])
     estimate = Trajectory(
-        t=values[:, 0],
-        r=matrix_from_quat(values[:, 4:8]),
-        v=values[:, 8:11],
-        p=values[:, 1:4],
+        t=t,
+        r=matrix_from_quat(values[:, 3:7]),
+        v=values[:, 7:10],
+        p=values[:, 0:3],
     )
-    return estimate, values[:, 11]
+    return estimate, values[:, 10]

@@ -84,7 +84,9 @@ class ImuWindow:
     when kind.has_attitude and None otherwise. Construction rejects
     inconsistent shapes, an attitude channel that does not match the
     kind, timestamps that do not increase strictly, and non-finite
-    values.
+    values. Windows are validated where they enter: the loader, the
+    simulator, the corrector's output. slice and unchecked build without
+    the checks, from arrays already known to be valid.
     """
 
     t: np.ndarray
@@ -125,13 +127,24 @@ class ImuWindow:
     def __len__(self) -> int:
         return self.t.shape[0]
 
+    @classmethod
+    def unchecked(cls, t, w, a, attitudes=None, kind=RepresentationKind.BODY) -> "ImuWindow":
+        """A window of float arrays that already pass the construction
+        checks, such as rows of a validated window; built without them."""
+        window = cls.__new__(cls)
+        window.t, window.w, window.a = t, w, a
+        window.attitudes, window.kind = attitudes, kind
+        return window
+
     def slice(self, start: int, stop: int) -> "ImuWindow":
-        return ImuWindow(
-            t=self.t[start:stop],
-            w=self.w[start:stop],
-            a=self.a[start:stop],
-            attitudes=None if self.attitudes is None else self.attitudes[start:stop],
-            kind=self.kind,
+        """Frames [start, stop) as views; a slice of a valid window is
+        valid, so it is not checked again."""
+        return ImuWindow.unchecked(
+            self.t[start:stop],
+            self.w[start:stop],
+            self.a[start:stop],
+            None if self.attitudes is None else self.attitudes[start:stop],
+            self.kind,
         )
 
 

@@ -241,8 +241,8 @@ def test_criterion_03_integration_convergence():
 # 4-5. Fusion gain and filter health
 
 
-@pytest.fixture(scope="module")
-def fusion_run():
+def fusion_inputs():
+    """The criterion 04/05 flight: (traj, imu, provider, corrector, cfg)."""
     spec = TrajectorySpec(
         kind=TrajectoryKind.FIGURE8,
         duration=120.0,
@@ -261,7 +261,12 @@ def fusion_run():
         eta_bg=1e-5 * np.sqrt(1 / 200.0),
         eta_ba=1e-4 * np.sqrt(1 / 200.0),
     )
-    provider = OracleProvider(traj, noise_std=0.05, seed=4)
+    return traj, imu, OracleProvider(traj, noise_std=0.05, seed=4), corrector, cfg
+
+
+@pytest.fixture(scope="module")
+def fusion_run():
+    traj, imu, provider, corrector, cfg = fusion_inputs()
     t0 = time.perf_counter()
     states = streaming_run(imu, provider, corrector, cfg, initial_state(traj))
     elapsed = time.perf_counter() - t0
@@ -282,13 +287,20 @@ def test_criterion_04_fusion_gain(fusion_run):
     )
 
 
-def test_criterion_05_filter_health(fusion_run):
-    _, _, states, _ = fusion_run
-    worst_asym = 0.0
-    min_eig = np.inf
-    for p_cov in states.P:
-        worst_asym = max(worst_asym, float(np.abs(p_cov - p_cov.T).max()))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(p_cov)[0]))
+def test_criterion_05_filter_health(fusion_run, covariance_spy):
+    # The run keeps the full P only at updates: every frame's P is taken
+    # from the filter's own propagate and update calls instead.
+    traj, imu, provider, corrector, cfg = fusion_inputs()
+    states = streaming_run(imu, provider, corrector, cfg, initial_state(traj))
+    n, m = len(imu), len(states.update_frames)
+    assert len(covariance_spy.propagated) == n - 1
+    assert len(covariance_spy.updated) == m > 0
+    covs = covariance_spy.per_frame(states.update_frames)
+    assert np.array_equal(states.P_diag[1:], np.diagonal(covs, axis1=1, axis2=2))
+    assert np.array_equal(states.P_update, covariance_spy.updated)
+    assert np.array_equal(states.P_diag, fusion_run[2].P_diag)
+    worst_asym = float(np.abs(covs - covs.transpose(0, 2, 1)).max())
+    min_eig = float(np.linalg.eigvalsh(covs).min())
 
     spec = TrajectorySpec(
         kind=TrajectoryKind.FIGURE8,
@@ -318,7 +330,7 @@ def test_criterion_05_filter_health(fusion_run):
         provider = OracleProvider(traj, noise_std=0.05, seed=500 + seed)
         run = streaming_run(imu, provider, corrector, cfg, x0)
         err = run.p - p_true
-        sig = np.sqrt(np.diagonal(run.P, axis1=1, axis2=2)[:, 6:9])
+        sig = np.sqrt(run.P_diag[:, 6:9])
         hits = np.abs(err) <= 3.0 * sig
         inside += int(hits.sum())
         total += hits.size
@@ -642,10 +654,12 @@ def test_criterion_11_streaming_contract():
         (online.p, offline.p),
         (online.b_a, offline.b_a),
         (online.b_g, offline.b_g),
-        (online.P, offline.P),
+        (online.P_diag, offline.P_diag),
+        (online.P_update, offline.P_update),
     ]
     worst = max(float(np.abs(a - b).max()) for a, b in pairs)
-    ok = len(online) == len(offline) == len(imu) and worst <= 1e-12
+    covariances_equal = all(np.array_equal(a, b) for a, b in pairs[-2:])
+    ok = len(online) == len(offline) == len(imu) and worst <= 1e-12 and covariances_equal
     check(
         11,
         "streaming contract",

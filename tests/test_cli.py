@@ -423,6 +423,19 @@ class TestSimulate:
         assert "one path component" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
+    def test_percent_in_name_is_listed_and_read_back(self, tmp_path, capsys):
+        # the manifest is written and read without % interpolation
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(RUN_INI)
+        data = str(tmp_path / "d")
+        for name in ("a%b", "%(x)s"):
+            assert main(["simulate", "--data", data, "--name", name, "--config", str(cfg)]) == 0
+        assert [e.name for e in read_corpus_manifest(data)] == ["a%b", "%(x)s"]
+        out = str(tmp_path / "ekf.csv")
+        assert main(["run-ekf", "--data", data, "--name", "a%b", "--provider", "oracle",
+                     "--config", str(cfg), "--out", out]) == 0
+        assert "wrote" in capsys.readouterr().out
+
     def test_unknown_role_rejected_before_writing(self, tmp_path):
         data = tmp_path / "d"
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,13 @@
 import math
+import os
+import re
+import tempfile
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodyframe_io.dataset_io import (
     GROUNDTRUTH_HEADER,
@@ -22,6 +28,7 @@ from bodyframe_io.dataset_io import (
     write_trajectory_csv,
 )
 from bodyframe_io.errors import DataError, ParseError, TimestampOrderError
+from bodyframe_io.imu_model import ImuWindow
 from bodyframe_io.simulator import (
     NoiseSpec,
     Trajectory,
@@ -410,3 +417,129 @@ class TestTrajectoryCsv:
         write_trajectory_csv(path, traj, [0.5])
         row = path.read_text().splitlines()[1]
         assert row.split(",")[1] == "1.23456789"
+
+
+IMU_ROW = "0,0,0,0,0,0,9.8"
+GT_VALUES = "0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0"
+TRAJ_VALUES = "0,0,0,1,0,0,0,0,0,0"
+
+
+def csv_file(tmp_path, name, header, rows):
+    path = tmp_path / name
+    path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+def raises_at(error, path, line):
+    """pytest.raises for exactly `error`, its message starting path:line:."""
+    return pytest.raises(error, match="^" + re.escape(f"{path}:{line}: "))
+
+
+class TestMalformedFiles:
+    """Each reader names the file line of the first fault, counting blank
+    and whitespace-only lines, which it skips."""
+
+    @pytest.mark.parametrize("rows, error, line", [
+        (["0,0,0,0,0,0,0", "", "5,0,0,0,0,0"], ParseError, 4),
+        (["0,0,0,0,0,0,0", "5,0,0,0,0,0,0,0"], ParseError, 3),
+        (["0,0,0,0,0,0,0", " \t ", "5,bad,0,0,0,0,0"], ParseError, 4),
+        (["0,0,0,0,0,0,0", "5,0,0,0,0,0,"], ParseError, 3),
+        (["1.5,0,0,0,0,0,0"], ParseError, 2),
+        (["1e3,0,0,0,0,0,0"], ParseError, 2),
+        (["0x10,0,0,0,0,0,0"], ParseError, 2),
+        (["0,0,0,0,0,0,0", "9223372036854775808,0,0,0,0,0,0"], ParseError, 3),
+        (["0,0,0,0,0,0,0 # note"], ParseError, 2),
+        (["# 0,0,0,0,0,0,0"], ParseError, 2),
+        (["0,0,0,0,0,0,0", "", "", "0,0,0,0,0,0,0"], TimestampOrderError, 5),
+        (["5,0,0,0,0,0,0", "9,0,0,0,0,0,0", "7,0,0,0,0,0,0"], TimestampOrderError, 4),
+        # the first faulty line wins, whichever its fault
+        (["0,0,0,0,0,0,0", "5,0,0,0,0,0", "7,x,0,0,0,0,0"], ParseError, 3),
+        (["0,y,0,0,0,0,0", "5,0,0"], ParseError, 2),
+        # every line parses before the stamps are ordered
+        (["5,0,0,0,0,0,0", "3,0,0,0,0,0,0", "4,z,0,0,0,0,0"], ParseError, 4),
+    ])
+    def test_imu_fault_names_its_line(self, tmp_path, rows, error, line):
+        path = csv_file(tmp_path, "imu.csv", "timestamp_ns,wx,wy,wz,ax,ay,az", rows)
+        with raises_at(error, path, line) as info:
+            load_imu_csv(path)
+        assert type(info.value) is error
+
+    def test_value_error_keeps_the_parser_message(self, tmp_path):
+        path = csv_file(tmp_path, "imu.csv", "timestamp_ns,wx,wy,wz,ax,ay,az",
+                        ["0,0,0,0,0,0,0", "5,0,bad,0,0,0,0"])
+        with pytest.raises(ParseError) as info:
+            load_imu_csv(path)
+        assert str(info.value) == f"{path}:3: could not convert string to float: 'bad'"
+
+    @pytest.mark.parametrize("rows, error, line", [
+        ([f"0,{GT_VALUES}", "", f"10,0,0,0,1,0.5,0,0,0,0,0,0,0,0,0,0,0"], ParseError, 4),
+        ([f"0,{GT_VALUES}", "  ", f"0,{GT_VALUES}"], TimestampOrderError, 4),
+        ([f"0,{GT_VALUES}", f"5,{GT_VALUES},0"], ParseError, 3),
+        ([f"0,{GT_VALUES}", f"5.0,{GT_VALUES}"], ParseError, 3),
+    ])
+    def test_groundtruth_fault_names_its_line(self, tmp_path, rows, error, line):
+        path = csv_file(tmp_path, "groundtruth.csv", GROUNDTRUTH_HEADER, rows)
+        with raises_at(error, path, line) as info:
+            load_groundtruth_csv(path)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("rows, error, line", [
+        (["0,0,0,0,1,0,0,0,0,0,0,0", "", "0.1,0,0,0,1,0.5,0,0,0,0,0,0"], ParseError, 4),
+        (["0.5,0,0,0,1,0,0,0,0,0,0,0", "\t", "0.5,0,0,0,1,0,0,0,0,0,0,0"],
+         TimestampOrderError, 4),
+        (["0,0,0,0,1,0,0,0,0,0,0,0", "0.1,0,0,0,1,0,0,0,0,0,0"], ParseError, 3),
+        (["0,0,0,0,1,0,0,0,0,0,0,0", "0.1,0,0,0,1,0,0,0,0,0,0,nope"], ParseError, 3),
+    ])
+    def test_trajectory_fault_names_its_line(self, tmp_path, rows, error, line):
+        path = csv_file(tmp_path, "est.csv", "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P", rows)
+        with raises_at(error, path, line) as info:
+            read_trajectory_csv(path)
+        assert type(info.value) is error
+
+    def test_empty_file_and_no_rows(self, tmp_path):
+        empty = tmp_path / "imu.csv"
+        empty.write_text("")
+        with raises_at(ParseError, empty, 1):
+            load_imu_csv(empty)
+        blank = csv_file(tmp_path, "blank.csv", "timestamp_ns,wx,wy,wz,ax,ay,az", ["", " "])
+        with pytest.raises(ParseError, match="no data rows"):
+            load_imu_csv(blank)
+
+    def test_python_number_syntax_is_accepted(self, tmp_path):
+        # int() and float() syntax: padding, signs, digit separators,
+        # non-ASCII digits, CRLF line ends
+        plain = csv_file(tmp_path, "plain.csv", "timestamp_ns,wx,wy,wz,ax,ay,az",
+                         ["10,0.5,-1,0,2,0,9.8", "20,0,0,0,0,0,0"])
+        fancy = tmp_path / "fancy.csv"
+        fancy.write_bytes(
+            "timestamp_ns,wx,wy,wz,ax,ay,az\r\n"
+            " 1_0 ,\t+0.5,-1, 0 ,٢,0,9.8\r\n\r\n+20,0,0,0,0,0,0_0\r\n".encode()
+        )
+        want, got = load_imu_csv(plain), load_imu_csv(fancy)
+        for x, y in ((want.t, got.t), (want.w, got.w), (want.a, got.a)):
+            assert np.array_equal(x, y)
+
+    def test_single_row(self, tmp_path):
+        path = csv_file(tmp_path, "imu.csv", "timestamp_ns,wx,wy,wz,ax,ay,az", [IMU_ROW])
+        imu = load_imu_csv(path)
+        assert imu.w.shape == (1, 3) and np.array_equal(imu.a[0], [0.0, 0.0, 9.8])
+        stamps, values = load_groundtruth_csv(
+            csv_file(tmp_path, "gt.csv", GROUNDTRUTH_HEADER, [f"7,{GT_VALUES}"]))
+        assert stamps.dtype == np.int64 and stamps.tolist() == [7] and values.shape == (1, 16)
+        est, traces = read_trajectory_csv(
+            csv_file(tmp_path, "est.csv", "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P",
+                     [f"0.5,{TRAJ_VALUES},2"]))
+        assert est.t.tolist() == [0.5] and traces.tolist() == [2.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, (5, 6), elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_float_round_trip_is_bit_exact(readings):
+    # %.17g text of any finite float64 reads back as the same bits
+    imu = ImuWindow(t=np.arange(5) * 0.01, w=readings[:, :3], a=readings[:, 3:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "imu.csv")
+        write_imu_csv(path, imu)
+        back = load_imu_csv(path)
+    assert np.array_equal(back.w.view(np.int64), imu.w.view(np.int64))
+    assert np.array_equal(back.a.view(np.int64), imu.a.view(np.int64))

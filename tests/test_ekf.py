@@ -257,8 +257,8 @@ class TestUpdate:
 
 
 def run_arrays(run):
-    """Every per-sample array of a FilterRun."""
-    return run.r, run.v, run.p, run.b_a, run.b_g, run.P
+    """Every per-sample array of a FilterRun, then the update-frame arrays."""
+    return run.r, run.v, run.p, run.b_a, run.b_g, run.P_diag, run.P_update, run.update_frames
 
 
 def initial_state_from(traj):
@@ -448,7 +448,7 @@ class TestRunners:
         for runner in (streaming_run, batch_run):
             run = runner(imu.slice(0, 10), ConstantZeroProvider(), corrector, cfg,
                          initial_state_from(traj))
-            assert np.array_equal(run.P[0], P0)
+            assert np.array_equal(run.P_diag[0], np.diag(P0))
         assert np.array_equal(np.diag(P0), [1e-4] * 3 + [1e-2] * 6 + [1e-4] * 3 + [1e-6] * 3)
         with pytest.raises(ValueError):
             P0[0, 0] = 1.0
@@ -481,6 +481,7 @@ class TestRunners:
         ]
         fs = FilterState(x=initial_state_from(traj), P=P0)
         t = imu.t.tolist()
+        updated = []
         for i in range(1, len(imu)):
             # the reading of frame i propagates across the interval ending at t_i
             w, a, dt = corrected.w[i], corrected.a[i], t[i] - t[i - 1]
@@ -493,16 +494,38 @@ class TestRunners:
                 window = corrected.slice(max(0, i + 1 - meas.window_len), i + 1)
                 v, eta = meas.predict_window(window, 1)
                 fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
-            for x, y in zip(run_arrays(run), (fs.x.r, fs.x.v, fs.x.p, fs.x.b_a, fs.x.b_g, fs.P)):
+                updated.append(fs.P)
+            frame = (fs.x.r, fs.x.v, fs.x.p, fs.x.b_a, fs.x.b_g, np.diagonal(fs.P))
+            for x, y in zip(run_arrays(run), frame):
                 assert np.array_equal(x[i], y), i
+        assert np.array_equal(run.update_frames, [5, 10, 15, 20])
+        assert np.array_equal(run.P_update, updated)
+        # tr_P, as run-ekf writes it, is the trace of the full P
+        full = np.array([np.diag(d) for d in run.P_diag])
+        assert np.array_equal(run.P_diag.sum(axis=1), np.trace(full, axis1=1, axis2=2))
 
-    def test_covariance_health_along_run(self, noisy_fig8):
+    def test_covariance_health_along_run(self, noisy_fig8, covariance_spy):
         traj, imu, corrector, cfg = noisy_fig8
         provider = OracleProvider(traj, noise_std=0.05, seed=11)
         states = streaming_run(imu.slice(0, 501), provider, corrector, cfg,
                                initial_state_from(traj))
-        np.testing.assert_allclose(states.P, states.P.transpose(0, 2, 1), atol=1e-9)
-        assert np.linalg.eigvalsh(states.P).min() >= -1e-9
+        covs = covariance_spy.per_frame(states.update_frames)
+        assert len(covs) == 500
+        np.testing.assert_allclose(covs, covs.transpose(0, 2, 1), atol=1e-9)
+        assert np.linalg.eigvalsh(covs).min() >= -1e-9
+
+    def test_memory_footprint(self, noisy_fig8):
+        # n frames keep P's diagonal; only the m update frames keep a full P
+        traj, imu, corrector, cfg = noisy_fig8
+        n, k = 503, 5
+        run = streaming_run(imu.slice(0, n), ConstantZeroProvider(), corrector, cfg,
+                            initial_state_from(traj))
+        m = (n - 1) // k
+        assert run.P_diag.shape == (n, 15)
+        assert run.P_update.shape == (m, 15, 15)
+        assert np.array_equal(run.update_frames, np.arange(1, m + 1) * k)
+        shapes = [np.shape(v) for v in vars(run).values()]
+        assert (n, 15, 15) not in shapes and not hasattr(run, "P")
 
 
 def perturbed_tiny_network(seed=5):

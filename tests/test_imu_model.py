@@ -92,6 +92,26 @@ class TestWindowValidation:
         with pytest.raises(DataError):
             ImuWindow(t=[0.0, 0.005], w=np.zeros((2, 3)), a=a)
 
+    @pytest.mark.parametrize("kind", [RepresentationKind.BODY,
+                                      RepresentationKind.GLOBAL_PLUS_ATTITUDE])
+    @pytest.mark.parametrize("start, stop", [(0, 8), (2, 5), (7, 8), (3, 3), (-4, 20)])
+    def test_slice_equals_a_validated_window_of_its_rows(self, kind, start, stop):
+        # slices skip the checks: they must equal a window built with them
+        rng = np.random.default_rng(4)
+        win, rots = random_window(rng)
+        if kind is not RepresentationKind.BODY:
+            win = transform_representation(win, kind, rots)
+        part = win.slice(start, stop)
+        rows = slice(start, stop)
+        fresh = ImuWindow(t=win.t[rows], w=win.w[rows], a=win.a[rows], kind=kind,
+                          attitudes=None if win.attitudes is None else win.attitudes[rows])
+        assert part.kind is fresh.kind
+        for x, y in ((part.t, fresh.t), (part.w, fresh.w), (part.a, fresh.a)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert (part.attitudes is None) == (fresh.attitudes is None)
+        if part.attitudes is not None:
+            assert np.array_equal(part.attitudes, fresh.attitudes)
+
 
 class TestTransformRepresentation:
     def hover_window(self, rots):
