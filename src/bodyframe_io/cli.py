@@ -239,6 +239,8 @@ def _cmd_train_motion(args) -> int:
 
 
 def _cmd_run_ekf(args) -> int:
+    if args.weights and args.provider != "network":
+        raise ConfigError(f"--weights is for --provider network, not {args.provider}")
     cfg = _load(args)
     imu, truth, _ = load_sequence(_seq_dir(args.data, args.name))
 
@@ -275,11 +277,14 @@ def _cmd_eval(args) -> int:
     interval = cfg.getfloat("eval", "rte_interval")
     tau_max = cfg.getfloat("eval", "tau_max")
     n_thresholds = cfg.getint("eval", "n_thresholds")
+    estimates = [_parse_named(item) for item in args.estimate or []]
     baselines = dict(_parse_named(item) for item in args.baseline or [])
+    unmatched = sorted(set(baselines) - {name for name, _ in estimates})
+    if unmatched:
+        raise ConfigError(f"--baseline for {unmatched} without an --estimate of that name")
 
     rows = []
-    for item in args.estimate or []:
-        name, path = _parse_named(item)
+    for name, path in estimates:
         pair = _estimate_pair(args.data, name, path)
         vs = None
         if name in baselines:

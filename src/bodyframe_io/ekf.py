@@ -20,9 +20,9 @@ always starts from the initial covariance P0. They differ only in where
 it keeps the rows it records: streaming_run keeps bounded FIFO arrays
 as an online system would, batch_run keeps whole-sequence arrays and
 slices them. Both yield the same windows, so the outputs agree to the
-last bit. Both return a FilterRun: a Trajectory plus biases, the
-diagonal of P at every frame and the full P at update frames only, so
-that a run's memory grows by 15 numbers per frame rather than 225.
+last bit. Both return a FilterRun: a Trajectory plus biases and the
+diagonal of P at every frame, so that a run's memory grows by 15
+covariance numbers per frame rather than 225.
 
 Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
@@ -85,15 +85,11 @@ P0.flags.writeable = False
 class FilterRun(Trajectory):
     """A filter pass, one row per input sample (after its update, if any):
     the nominal trajectory plus biases b_a, b_g (n, 3) and P_diag (n, 15),
-    the diagonal of the error covariance P. The full P is kept only after
-    each of the m updates: P_update (m, 15, 15), at the frames
-    update_frames (m,)."""
+    the diagonal of the error covariance P. The full P is not kept."""
 
     b_a: np.ndarray
     b_g: np.ndarray
     P_diag: np.ndarray
-    P_update: np.ndarray
-    update_frames: np.ndarray
 
     def record(self, i: int, fs: FilterState):
         self.r[i], self.v[i], self.p[i] = fs.x.r, fs.x.v, fs.x.p
@@ -227,16 +223,14 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
     - when the chunk ends on an update frame (every chunk but a partial
       last one), runs the velocity provider over the newest
       provider.window_len recorded frames (fewer at the start), asks it
-      for one row, the newest frame's (v, eta), and updates with it,
-      recording the full updated P as well.
+      for one row, the newest frame's (v, eta), and updates with it.
 
-    Update frames are the multiples of k, so their number m is known
-    before the loop, and nothing the run returns grows with n * 15 * 15.
-    The recorded rows (t, w, a, then the attitude channel when the kind
-    has one) are kept in an _ArrayFifo store bounded by window_len when
-    fifo is set, else in a whole-sequence _SequenceArray store. The
-    provider's window is built from these rows unchecked: they are rows
-    of the validated corrected window or of transform_representation's.
+    Update frames are the multiples of k. The recorded rows (t, w, a,
+    then the attitude channel when the kind has one) are kept in an
+    _ArrayFifo store bounded by window_len when fifo is set, else in a
+    whole-sequence _SequenceArray store. The provider's window is built
+    from these rows unchecked: they are rows of the validated corrected
+    window or of transform_representation's.
     Raises InvalidRotationError or DataError on an invalid x0.
     """
     cfg.validate()
@@ -252,12 +246,9 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
     row_shape = (10,) if kind.has_attitude else (7,)
     frames = _ArrayFifo(served, row_shape) if fifo else _SequenceArray(n, row_shape)
 
-    update_frames = np.arange(k, n, k)
     run = FilterRun(
         t=imu.t, r=np.empty((n, 3, 3)), v=np.empty((n, 3)), p=np.empty((n, 3)),
         b_a=np.empty((n, 3)), b_g=np.empty((n, 3)), P_diag=np.empty((n, ERROR_DIM)),
-        P_update=np.empty((len(update_frames), ERROR_DIM, ERROR_DIM)),
-        update_frames=update_frames,
     )
     fs = FilterState(x=x0, P=P0)
     run.record(0, fs)
@@ -302,7 +293,6 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
             v, eta = provider.predict_window(window, 1)
             fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
             run.record(stop - 1, fs)
-            run.P_update[(stop - 1) // k - 1] = fs.P
         start = stop
     return run
 

@@ -9,7 +9,7 @@ the world-frame gravity vector (z up; standard gravity everywhere),
 
 so a stationary, level sensor reads +9.80665 on its z axis.
 
-Six input representations feed the learned velocity model; they differ
+Five input representations feed the learned velocity model; they differ
 in the frame of the channels, whether the gravity component is removed,
 and whether an explicit attitude channel (so(3) log of R) is attached:
 
@@ -18,10 +18,13 @@ and whether an explicit attitude channel (so(3) log of R) is attached:
     BODY_PLUS_ATTITUDE    BODY plus attitude channel
     GLOBAL_PLUS_ATTITUDE  GLOBAL plus attitude channel
     BODY_MINUS_GRAVITY    body frame, gravity component subtracted
-    GLOBAL_MINUS_GRAVITY  world frame, gravity component subtracted
 
 Gravity removal only ever touches the accelerometer channel; the gyro
-is rotated by GLOBAL kinds and otherwise untouched.
+is rotated by GLOBAL kinds and otherwise untouched. There is no world
+frame kind with gravity removed: in the world frame gravity is a
+constant offset of the accelerometer channel, which the network's
+per-channel input standardization already subtracts, so it would train
+the same network as GLOBAL.
 """
 
 from __future__ import annotations
@@ -45,14 +48,12 @@ class RepresentationKind(enum.Enum):
     BODY_PLUS_ATTITUDE = "body+attitude"
     GLOBAL_PLUS_ATTITUDE = "global+attitude"
     BODY_MINUS_GRAVITY = "body-gravity"
-    GLOBAL_MINUS_GRAVITY = "global-gravity"
 
     @property
     def is_global(self) -> bool:
         return self in (
             RepresentationKind.GLOBAL,
             RepresentationKind.GLOBAL_PLUS_ATTITUDE,
-            RepresentationKind.GLOBAL_MINUS_GRAVITY,
         )
 
     @property
@@ -60,13 +61,6 @@ class RepresentationKind(enum.Enum):
         return self in (
             RepresentationKind.BODY_PLUS_ATTITUDE,
             RepresentationKind.GLOBAL_PLUS_ATTITUDE,
-        )
-
-    @property
-    def gravity_removed(self) -> bool:
-        return self in (
-            RepresentationKind.BODY_MINUS_GRAVITY,
-            RepresentationKind.GLOBAL_MINUS_GRAVITY,
         )
 
 
@@ -183,17 +177,14 @@ def transform_representation(
         raise DataError(
             f"rotations shape {rotations.shape} does not match {n} samples"
         )
-    minus_g = -GRAVITY  # (0, 0, +9.80665): reading of a hovering sensor
-
     w, a = window.w, window.a
     # Map body channels to the target kind.
     if kind.is_global:
         w = np.einsum("nij,nj->ni", rotations, w)
         a = np.einsum("nij,nj->ni", rotations, a)
-        if kind.gravity_removed:
-            a = a - minus_g
-    elif kind.gravity_removed:
-        a = a - np.einsum("nji,j->ni", rotations, minus_g)
+    elif kind is RepresentationKind.BODY_MINUS_GRAVITY:
+        # subtract R^T (0, 0, +9.80665), the body-frame reading of a hovering sensor
+        a = a - np.einsum("nji,j->ni", rotations, -GRAVITY)
 
     attitudes = log_so3(rotations) if kind.has_attitude else None
     return ImuWindow(t=window.t.copy(), w=w, a=a, attitudes=attitudes, kind=kind)

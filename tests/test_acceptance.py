@@ -288,16 +288,15 @@ def test_criterion_04_fusion_gain(fusion_run):
 
 
 def test_criterion_05_filter_health(fusion_run, covariance_spy):
-    # The run keeps the full P only at updates: every frame's P is taken
-    # from the filter's own propagate and update calls instead.
+    # The run keeps only P's diagonal: every frame's full P is taken from
+    # the filter's own propagate and update calls instead.
     traj, imu, provider, corrector, cfg = fusion_inputs()
     states = streaming_run(imu, provider, corrector, cfg, initial_state(traj))
-    n, m = len(imu), len(states.update_frames)
+    n, k = len(imu), 10  # 200 Hz IMU, 20 Hz updates: one every 10 frames
     assert len(covariance_spy.propagated) == n - 1
-    assert len(covariance_spy.updated) == m > 0
-    covs = covariance_spy.per_frame(states.update_frames)
+    assert len(covariance_spy.updated) == (n - 1) // k > 0
+    covs = covariance_spy.per_frame()
     assert np.array_equal(states.P_diag[1:], np.diagonal(covs, axis1=1, axis2=2))
-    assert np.array_equal(states.P_update, covariance_spy.updated)
     assert np.array_equal(states.P_diag, fusion_run[2].P_diag)
     worst_asym = float(np.abs(covs - covs.transpose(0, 2, 1)).max())
     min_eig = float(np.linalg.eigvalsh(covs).min())
@@ -626,7 +625,7 @@ def test_criterion_10_metric_hand_values():
 # 11. Streaming == batch
 
 
-def test_criterion_11_streaming_contract():
+def test_criterion_11_streaming_contract(covariance_spy):
     spec = TrajectorySpec(
         kind=TrajectoryKind.FIGURE8,
         duration=20.0,
@@ -646,8 +645,12 @@ def test_criterion_11_streaming_contract():
         eta_ba=1e-4 * np.sqrt(1 / 100.0),
     )
     x0 = initial_state(traj)
+    # each runner's every full P is taken from its own propagate and update calls
     online = streaming_run(imu, OracleProvider(traj, 0.05, seed=6), corrector, cfg, x0)
+    online_covs = covariance_spy.per_frame()
+    covariance_spy.reset()
     offline = batch_run(imu, OracleProvider(traj, 0.05, seed=6), corrector, cfg, x0)
+    offline_covs = covariance_spy.per_frame()
     pairs = [
         (online.r, offline.r),
         (online.v, offline.v),
@@ -655,15 +658,16 @@ def test_criterion_11_streaming_contract():
         (online.b_a, offline.b_a),
         (online.b_g, offline.b_g),
         (online.P_diag, offline.P_diag),
-        (online.P_update, offline.P_update),
+        (online_covs, offline_covs),
     ]
     worst = max(float(np.abs(a - b).max()) for a, b in pairs)
     covariances_equal = all(np.array_equal(a, b) for a, b in pairs[-2:])
-    ok = len(online) == len(offline) == len(imu) and worst <= 1e-12 and covariances_equal
+    ok = (len(online) == len(offline) == len(imu) == len(online_covs) + 1
+          and worst <= 1e-12 and covariances_equal)
     check(
         11,
         "streaming contract",
         ok,
-        f"{len(online)} frames, max state/covariance"
+        f"{len(online)} frames, {len(online_covs)} full P each, max state/covariance"
         f" difference {worst:.1e} (<=1e-12)",
     )

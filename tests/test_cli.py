@@ -219,6 +219,59 @@ class TestExitCodes:
                    "--provider", "network", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("provider", ["zero", "oracle"])
+    def test_weights_without_network_provider_exit_2(self, workdir, tmp_path, capsys,
+                                                     provider):
+        # rejected before anything is read: the path need not exist
+        out = tmp_path / "o.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", provider, "--weights", str(tmp_path / "none.bfwt"),
+                   "--config", str(tmp_path / "none.ini"), "--out", str(out)])
+        assert rc == 2
+        assert "--weights" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimated", [True, False])
+    def test_baseline_without_its_estimate_exits_2(self, workdir, ekf_csv, dr_csv,
+                                                   tmp_path, capsys, estimated):
+        report = tmp_path / "report.csv"
+        estimate = ["--estimate", f"seq01={ekf_csv}"] if estimated else []
+        rc = main(["eval", "--data", workdir["data"], *estimate,
+                   "--baseline", f"seq02={dr_csv}",
+                   "--config", workdir["cfg"], "--out", str(report)])
+        assert rc == 2
+        assert "seq02" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_removed_representation_exits_2(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text(RUN_INI + "representation = global-gravity\n")
+        out = tmp_path / "net.bfwt"
+        rc = main(["train-motion", "--data", workdir["data"], "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "motion.representation: unknown value 'global-gravity'" in err
+        kinds = "['body', 'global', 'body+attitude', 'global+attitude', 'body-gravity']"
+        assert f"(choose from {kinds})" in err
+        assert not out.exists()
+
+    def test_removed_representation_in_weights_exits_3(self, workdir, tmp_path, capsys):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        weights = tmp_path / "net.bfwt"
+        tiny_model().save(str(weights))
+        variant, meta, arrays = load_weights(weights)
+        meta["representation"] = "GLOBAL_MINUS_GRAVITY"
+        save_weights(weights, variant, arrays, meta)
+        out = tmp_path / "o.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", "network", "--weights", str(weights),
+                   "--config", workdir["cfg"], "--out", str(out)])
+        assert rc == 3
+        assert "GLOBAL_MINUS_GRAVITY" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_latents_exit_4(self, workdir, tmp_path, capsys):
         model = tiny_model()
         for param in model.parameters().values():

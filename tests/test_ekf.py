@@ -257,8 +257,8 @@ class TestUpdate:
 
 
 def run_arrays(run):
-    """Every per-sample array of a FilterRun, then the update-frame arrays."""
-    return run.r, run.v, run.p, run.b_a, run.b_g, run.P_diag, run.P_update, run.update_frames
+    """Every per-sample array of a FilterRun."""
+    return run.r, run.v, run.p, run.b_a, run.b_g, run.P_diag
 
 
 def initial_state_from(traj):
@@ -304,15 +304,18 @@ def noisy_fig8():
 
 
 class TestRunners:
-    def test_streaming_matches_batch_exactly(self, noisy_fig8):
+    def test_streaming_matches_batch_exactly(self, noisy_fig8, covariance_spy):
         traj, imu, corrector, cfg = noisy_fig8
         provider = OracleProvider(traj, noise_std=0.05, seed=11)
         x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
+        a_covs = covariance_spy.per_frame()
+        covariance_spy.reset()
         b = batch_run(imu, provider, corrector, cfg, x0)
         assert len(a) == len(b) == len(imu)
         worst = max(float(np.abs(x - y).max()) for x, y in zip(run_arrays(a), run_arrays(b)))
         assert worst < 1e-12
+        assert np.array_equal(a_covs, covariance_spy.per_frame())
 
     def test_fusion_beats_dead_reckoning(self, noisy_fig8):
         traj, imu, corrector, cfg = noisy_fig8
@@ -466,8 +469,9 @@ class TestRunners:
             with pytest.raises(DataError):
                 runner(imu, ConstantZeroProvider(), corrector, cfg, bad_v)
 
-    def test_rows_are_the_per_frame_filter(self, noisy_fig8):
-        # Every row equals a per-frame propagate/update loop exactly.
+    def test_rows_are_the_per_frame_filter(self, noisy_fig8, covariance_spy):
+        # Every row, and every frame's full P, equals a per-frame
+        # propagate/update loop exactly.
         traj, imu, corrector, cfg = noisy_fig8
         imu = imu.slice(0, 23)  # 4 updates and a partial last chunk
         provider = OracleProvider(traj, noise_std=0.05, seed=3)
@@ -481,7 +485,7 @@ class TestRunners:
         ]
         fs = FilterState(x=initial_state_from(traj), P=P0)
         t = imu.t.tolist()
-        updated = []
+        covs = []
         for i in range(1, len(imu)):
             # the reading of frame i propagates across the interval ending at t_i
             w, a, dt = corrected.w[i], corrected.a[i], t[i] - t[i - 1]
@@ -494,12 +498,12 @@ class TestRunners:
                 window = corrected.slice(max(0, i + 1 - meas.window_len), i + 1)
                 v, eta = meas.predict_window(window, 1)
                 fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
-                updated.append(fs.P)
+            covs.append(fs.P)
             frame = (fs.x.r, fs.x.v, fs.x.p, fs.x.b_a, fs.x.b_g, np.diagonal(fs.P))
             for x, y in zip(run_arrays(run), frame):
                 assert np.array_equal(x[i], y), i
-        assert np.array_equal(run.update_frames, [5, 10, 15, 20])
-        assert np.array_equal(run.P_update, updated)
+        assert len(covariance_spy.updated) == 4  # at frames 5, 10, 15, 20
+        assert np.array_equal(covariance_spy.per_frame(), covs)
         # tr_P, as run-ekf writes it, is the trace of the full P
         full = np.array([np.diag(d) for d in run.P_diag])
         assert np.array_equal(run.P_diag.sum(axis=1), np.trace(full, axis1=1, axis2=2))
@@ -509,23 +513,19 @@ class TestRunners:
         provider = OracleProvider(traj, noise_std=0.05, seed=11)
         states = streaming_run(imu.slice(0, 501), provider, corrector, cfg,
                                initial_state_from(traj))
-        covs = covariance_spy.per_frame(states.update_frames)
+        covs = covariance_spy.per_frame()
         assert len(covs) == 500
         np.testing.assert_allclose(covs, covs.transpose(0, 2, 1), atol=1e-9)
         assert np.linalg.eigvalsh(covs).min() >= -1e-9
 
     def test_memory_footprint(self, noisy_fig8):
-        # n frames keep P's diagonal; only the m update frames keep a full P
+        # every frame keeps P's diagonal, and no frame keeps a full P
         traj, imu, corrector, cfg = noisy_fig8
-        n, k = 503, 5
+        n = 503
         run = streaming_run(imu.slice(0, n), ConstantZeroProvider(), corrector, cfg,
                             initial_state_from(traj))
-        m = (n - 1) // k
         assert run.P_diag.shape == (n, 15)
-        assert run.P_update.shape == (m, 15, 15)
-        assert np.array_equal(run.update_frames, np.arange(1, m + 1) * k)
-        shapes = [np.shape(v) for v in vars(run).values()]
-        assert (n, 15, 15) not in shapes and not hasattr(run, "P")
+        assert max(np.size(v) for v in vars(run).values()) == n * 15
 
 
 def perturbed_tiny_network(seed=5):
@@ -542,17 +542,20 @@ def perturbed_tiny_network(seed=5):
 
 
 class TestNetworkServing:
-    def test_streaming_matches_batch_exactly(self, noisy_fig8):
+    def test_streaming_matches_batch_exactly(self, noisy_fig8, covariance_spy):
         traj, imu, corrector, _ = noisy_fig8
         imu = imu.slice(0, 301)
         cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
         provider = NetworkProvider(perturbed_tiny_network())
         x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
+        a_covs = covariance_spy.per_frame()
+        covariance_spy.reset()
         b = batch_run(imu, provider, corrector, cfg, x0)
         assert len(a) == len(b) == len(imu)
         for x, y in zip(run_arrays(a), run_arrays(b)):
             assert np.array_equal(x, y)
+        assert np.array_equal(a_covs, covariance_spy.per_frame())
         # the measurements matter: an untrained network (v = 0) ends elsewhere
         fresh = MotionNet(provider.model.config)
         c = streaming_run(imu, NetworkProvider(fresh), corrector, cfg, x0)

@@ -31,13 +31,12 @@ def random_window(rng, n=8, with_rotations=True):
 def to_body(window, rots):
     """Reference inverse of transform_representation: raw body channels
     back from any kind, given the rotations."""
-    minus_g = -GRAVITY
     w, a = window.w, window.a
     if window.kind.is_global:
         w = np.einsum("nji,nj->ni", rots, w)
-        a = np.einsum("nji,nj->ni", rots, a + minus_g if window.kind.gravity_removed else a)
-    elif window.kind.gravity_removed:
-        a = a + np.einsum("nji,j->ni", rots, minus_g)
+        a = np.einsum("nji,nj->ni", rots, a)
+    elif window.kind is RepresentationKind.BODY_MINUS_GRAVITY:
+        a = a + np.einsum("nji,j->ni", rots, -GRAVITY)
     return w, a
 
 
@@ -119,26 +118,12 @@ class TestTransformRepresentation:
         a = np.array([specific_force(np.zeros(3), rots[i]) for i in range(n)])
         return ImuWindow(t=np.arange(n) * 0.01, w=np.zeros((n, 3)), a=a)
 
-    @pytest.mark.parametrize(
-        "kind",
-        [RepresentationKind.BODY_MINUS_GRAVITY, RepresentationKind.GLOBAL_MINUS_GRAVITY],
-    )
-    def test_hover_gravity_removed_is_zero(self, kind):
+    def test_hover_body_minus_gravity_is_zero(self):
         rng = np.random.default_rng(10)
         rots = np.array([exp_so3(rng.normal(size=3) * 0.5) for _ in range(5)])
         win = self.hover_window(rots)
-        out = transform_representation(win, kind, rots)
+        out = transform_representation(win, RepresentationKind.BODY_MINUS_GRAVITY, rots)
         np.testing.assert_allclose(out.a, np.zeros((5, 3)), atol=1e-12)
-
-    def test_global_minus_gravity_is_rotated_body_minus_gravity(self):
-        rng = np.random.default_rng(11)
-        win, rots = random_window(rng)
-        bmg = transform_representation(win, RepresentationKind.BODY_MINUS_GRAVITY, rots)
-        gmg = transform_representation(
-            win, RepresentationKind.GLOBAL_MINUS_GRAVITY, rots
-        )
-        rotated = np.einsum("nij,nj->ni", rots, bmg.a)
-        np.testing.assert_allclose(gmg.a, rotated, atol=1e-12)
 
     def test_gyro_untouched_by_body_kinds(self):
         rng = np.random.default_rng(12)
@@ -158,7 +143,6 @@ class TestTransformRepresentation:
         for kind in (
             RepresentationKind.GLOBAL,
             RepresentationKind.GLOBAL_PLUS_ATTITUDE,
-            RepresentationKind.GLOBAL_MINUS_GRAVITY,
         ):
             out = transform_representation(win, kind, rots)
             np.testing.assert_allclose(out.w, expected, atol=1e-12)
@@ -171,17 +155,7 @@ class TestTransformRepresentation:
         np.testing.assert_allclose(w, win.w, atol=1e-12)
         np.testing.assert_allclose(a, win.a, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            RepresentationKind.BODY,
-            RepresentationKind.GLOBAL,
-            RepresentationKind.BODY_MINUS_GRAVITY,
-            RepresentationKind.GLOBAL_MINUS_GRAVITY,
-            RepresentationKind.BODY_PLUS_ATTITUDE,
-            RepresentationKind.GLOBAL_PLUS_ATTITUDE,
-        ],
-    )
+    @pytest.mark.parametrize("kind", list(RepresentationKind))
     def test_every_kind_inverts_back_to_body(self, kind):
         rng = np.random.default_rng(15)
         win, rots = random_window(rng)

@@ -461,6 +461,37 @@ class TestTraining:
             train_motion_model(tiny_set, body, TINY)
 
 
+class TestRepresentationAblation:
+    def test_kinds_of_one_layout_give_different_network_inputs(self):
+        # Each kind must train a network of its own: after the per-channel
+        # standardization the network applies, the inputs of two kinds with
+        # the same channels must differ. A kind whose channels differ from
+        # another's only by a constant per-channel offset fails here.
+        spec = TrajectorySpec(
+            kind=TrajectoryKind.LISSAJOUS3D, duration=10.0, imu_rate=50.0,
+            rate=0.6, yaw_mode=YawMode.SPIN, yaw_rate=1.5,
+        )
+        inputs = {}
+        for kind in RepresentationKind:
+            windows = velocity_windows([simulated_sequence(spec, kind)], length=50, stride=25)
+            model = MotionNet(MotionNetConfig(
+                representation=kind, window=50, latent_dim=8,
+                imu_encoder_channels=(8, 8), attitude_encoder_channels=(4, 4),
+            ))
+            model.set_normalization(windows.imu, windows.att)
+            norm = model._norm
+            channels = [(windows.imu - norm["imu_shift"]) / norm["imu_scale"]]
+            if kind.has_attitude:
+                channels.append((windows.att - norm["att_shift"]) / norm["att_scale"])
+            inputs[kind] = np.concatenate(channels, axis=2)
+        kinds = list(RepresentationKind)
+        for i, first in enumerate(kinds):
+            for second in kinds[i + 1:]:
+                if first.has_attitude == second.has_attitude:
+                    gap = float(np.abs(inputs[first] - inputs[second]).max())
+                    assert gap > 1e-6, (first, second, gap)
+
+
 class TestOraclePredict:
     @staticmethod
     def _stationary(n):
@@ -696,6 +727,7 @@ class TestPersistence:
         {"dropout_p": False},
         {"imu_encoder_channels": 4},  # not a list
         {"representation": "SONAR"},  # not a kind
+        {"representation": "GLOBAL_MINUS_GRAVITY"},  # a deleted kind
         {"latent_dim": 63},  # an architecture MotionNetConfig rejects
     ])
     def test_bad_meta_rejected(self, tmp_path, edit):
