@@ -14,20 +14,25 @@ stamps such as EuRoC's survive a write/load round trip exact.
 Quaternions are Hamilton convention, wxyz order, body-to-world; this
 module is the only place they exist, with rotation matrices everywhere
 else. Floats are written with repr-level precision (%.17g), one
-%-format per row, so a write/read round trip is exact. Each reader
-parses a file's data lines into arrays at once and names the file line
-of the first fault it finds.
+%-format per row, so a write/read round trip is exact. Every reader
+parses a file in blocks of BLOCK_LINES data lines, each into arrays at
+once, and names the file line of the first fault it finds; a whole-file
+reader returns the concatenation of the blocks. read_imu_blocks and
+GroundTruthReader hand out an IMU file and ground truth block by block,
+so that a filter run holds one block of each at a time.
 
 In memory, ground truth is one Trajectory of arrays, resampled onto
 the IMU stamps in one vectorised pass (slerp and matrix_from_quat work
 on rows). On stamps that fall on the ground-truth grid this reproduces
-a per-stamp loop bit for bit.
+a per-stamp loop bit for bit, and resampling block by block reproduces
+one whole-sequence pass.
 
 Estimated trajectories use a third format shared with the filter:
 
     t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P
 
-with t in seconds and 9 significant digits; read_trajectory_csv returns
+with t in seconds and 9 significant digits; TrajectoryWriter writes
+them in blocks of rows and atomically, and read_trajectory_csv returns
 them as a Trajectory.
 
 A corpus is a directory of sequence subdirectories plus a corpus.cfg
@@ -128,6 +133,10 @@ def slerp(q0, q1, alpha) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV primitives
 
+#: data lines per block of the CSV readers, and rows per block that
+#: TrajectoryWriter formats and writes at once
+BLOCK_LINES = 256
+
 
 def _write_csv(path, header: str, line: str, first, rest):
     """The header, then one line per row: `line % (first[i], *rest[i])`,
@@ -142,34 +151,55 @@ def _stamps_ns(t, origin_ns: int) -> np.ndarray:
     return origin_ns + np.rint(np.asarray(t) * 1e9).astype(np.int64)
 
 
-def _read_csv(path, header: str):
-    """The data rows of a CSV file, parsed into arrays in one np.loadtxt call.
+def _read_blocks(path, header: str, quaternions: bool = False):
+    """The data rows of a CSV file, parsed and checked a block at a time.
 
-    Returns (linenos, first, rest): the file line of each data row (n,),
-    its first column (n,), int64 in a timestamp_ns file and float64
-    otherwise, and the other columns (n, k) float64. Checks the header;
-    blank and whitespace-only lines are skipped but still counted, so
-    that errors name the line a text editor shows. Numbers may use any
-    syntax of Python's int() and float(). np.loadtxt accepts a subset of
-    it (not digit separators such as 1_0, nor non-ASCII digits), and
-    the rows of a file it rejects are parsed line by line by
-    _parse_lines, which reads them as int() and float() do or raises
-    ParseError naming the first line with a wrong column count or a
-    value that does not parse. Either way a %.17g-written float64 reads
-    back bit for bit.
+    Yields (first, rest) for each block of up to BLOCK_LINES data rows:
+    the first column (m,), int64 in a timestamp_ns file and float64
+    otherwise, and the other columns (m, k) float64. Checks the header;
+    blank and whitespace-only lines are skipped but still counted (as
+    str.splitlines counts them), so that errors name the line a text
+    editor shows. Each block is parsed by one np.loadtxt call. Numbers
+    may use any syntax of Python's int() and float(). np.loadtxt
+    accepts a subset of it (not digit separators such as 1_0, nor
+    non-ASCII digits), and the rows of a block it rejects are parsed
+    line by line by _parse_lines, which reads them as int() and float()
+    do or raises ParseError naming the first line with a wrong column
+    count or a value that does not parse. Either way a %.17g-written
+    float64 reads back bit for bit. A parsed block is then checked: its
+    first column must rise strictly, from the last row of the block
+    before (TimestampOrderError), and with quaternions set rest[:, 3:7]
+    must be within 1e-6 of unit norm (ParseError). A fault is reported
+    when the block that holds it is read, so a file whose fault lies in
+    a later block yields the blocks before it first.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}:1: empty file")
-    if lines[0].lstrip("#").replace(" ", "") != header:
-        raise ParseError(f"{path}:1: unexpected header {lines[0]!r}")
-    linenos = [i + 1 for i, line in enumerate(lines) if i and line.strip()]
-    if not linenos:
-        raise ParseError(f"{path}: no data rows")
-    rows = [lines[i - 1] for i in linenos]
     first = np.int64 if header.startswith("timestamp_ns,") else np.float64
     dtype = np.dtype([("first", first), ("rest", np.float64, (header.count(","),))])
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = enumerate((line for raw in fh for line in raw.splitlines()), start=1)
+        _, head = next(lines, (1, None))
+        if head is None:
+            raise ParseError(f"{path}:1: empty file")
+        if head.lstrip("#").replace(" ", "") != header:
+            raise ParseError(f"{path}:1: unexpected header {head!r}")
+        linenos, rows, prev = [], [], None
+        for lineno, line in lines:
+            if line.strip():
+                linenos.append(lineno)
+                rows.append(line)
+            if len(rows) == BLOCK_LINES:
+                block = _parse_block(path, linenos, rows, dtype, prev, quaternions)
+                yield block
+                linenos, rows, prev = [], [], block[0][-1]
+        if rows:
+            yield _parse_block(path, linenos, rows, dtype, prev, quaternions)
+        elif prev is None:
+            raise ParseError(f"{path}: no data rows")
+
+
+def _parse_block(path, linenos, rows, dtype, prev, quaternions):
+    """One block of _read_blocks, (first, rest), parsed and checked;
+    prev is the last first-column value of the block before, if any."""
     try:
         with warnings.catch_warnings():
             # numpy < 2 reads 1.5 into an int column with only a DeprecationWarning
@@ -177,7 +207,18 @@ def _read_csv(path, header: str):
             table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         table = _parse_lines(path, linenos, rows, dtype)
-    return linenos, table["first"].copy(), np.ascontiguousarray(table["rest"])
+    first, rest = table["first"].copy(), np.ascontiguousarray(table["rest"])
+    _check_monotone(path, linenos, first, prev)
+    if quaternions:
+        _check_unit_quaternions(path, linenos, rest[:, 3:7])
+    return first, rest
+
+
+def _read_csv(path, header: str, quaternions: bool = False):
+    """The whole file as one (first, rest) pair: the concatenated blocks
+    of _read_blocks."""
+    firsts, rests = zip(*_read_blocks(path, header, quaternions))
+    return np.concatenate(firsts), np.concatenate(rests)
 
 
 def _parse_lines(path, linenos, rows, dtype) -> np.ndarray:
@@ -207,9 +248,12 @@ def _check_unit_quaternions(path, linenos, q):
         raise ParseError(f"{path}:{linenos[bad[0]]}: quaternion is not unit norm")
 
 
-def _check_monotone(path, linenos, first):
+def _check_monotone(path, linenos, first, prev=None):
     """TimestampOrderError naming the line of the first row of first (n,)
-    that is not above the row before it."""
+    that is not above the row before it; the row before the first is
+    prev, when given."""
+    if prev is not None:
+        first, linenos = np.concatenate([[prev], first]), [None, *linenos]
     bad = np.flatnonzero(first[1:] <= first[:-1])
     if bad.size:
         raise TimestampOrderError(
@@ -227,18 +271,19 @@ def write_imu_csv(path, imu: ImuWindow, origin_ns: int = 0):
                _stamps_ns(imu.t, origin_ns), np.hstack([imu.w, imu.a]))
 
 
-def _load_imu(path):
-    """(BODY-kind ImuWindow timed from the first stamp, that stamp in ns)."""
-    linenos, stamps, readings = _read_csv(path, IMU_HEADER)
-    _check_monotone(path, linenos, stamps)
-    origin_ns = int(stamps[0])
+def _imu_window(path, stamps, readings, origin_ns: int) -> ImuWindow:
+    """A BODY-kind ImuWindow of parsed rows, timed from origin_ns."""
     try:
-        imu = ImuWindow(
-            t=(stamps - origin_ns) * 1e-9, w=readings[:, 0:3], a=readings[:, 3:6]
-        )
+        return ImuWindow(t=(stamps - origin_ns) * 1e-9, w=readings[:, 0:3], a=readings[:, 3:6])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return imu, origin_ns
+
+
+def _load_imu(path):
+    """(BODY-kind ImuWindow timed from the first stamp, that stamp in ns)."""
+    stamps, readings = _read_csv(path, IMU_HEADER)
+    origin_ns = int(stamps[0])
+    return _imu_window(path, stamps, readings, origin_ns), origin_ns
 
 
 def load_imu_csv(path) -> ImuWindow:
@@ -246,6 +291,25 @@ def load_imu_csv(path) -> ImuWindow:
     seconds since the file's first stamp. Raises DataError on a
     non-finite reading."""
     return _load_imu(path)[0]
+
+
+def read_imu_blocks(path):
+    """An IMU file block by block: (origin_ns, blocks), the file's first
+    stamp and an iterator over its BODY-kind ImuWindow blocks of up to
+    BLOCK_LINES frames, timed from that stamp. The first block is read
+    at once; each later one when the iterator reaches it. The blocks
+    concatenate to load_imu_csv's window, and each raises what
+    load_imu_csv would raise for a fault it holds."""
+    blocks = _read_blocks(path, IMU_HEADER)
+    stamps, readings = next(blocks)
+    origin_ns = int(stamps[0])
+
+    def windows():
+        yield _imu_window(path, stamps, readings, origin_ns)
+        for more in blocks:
+            yield _imu_window(path, *more, origin_ns)
+
+    return origin_ns, windows()
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +335,7 @@ def load_groundtruth_csv(path):
     (n,) and the 16 value columns (n, 16), in file order
     (p, q wxyz, v, b_w, b_a). Raises ParseError naming the line of a
     quaternion more than 1e-6 from unit norm."""
-    linenos, stamps, values = _read_csv(path, GROUNDTRUTH_HEADER)
-    _check_monotone(path, linenos, stamps)
-    _check_unit_quaternions(path, linenos, values[:, 3:7])
-    return stamps, values
+    return _read_csv(path, GROUNDTRUTH_HEADER, quaternions=True)
 
 
 def interpolate_groundtruth(stamps, values, times, origin_ns: int | None = None):
@@ -287,7 +348,7 @@ def interpolate_groundtruth(stamps, values, times, origin_ns: int | None = None)
     with a_world/w_body None (not recoverable from poses).
 
     Raises DataError with fewer than 2 records or a target more than
-    1 ns outside the records' span.
+    1 ns before the first record or after the last.
     """
     stamps = np.asarray(stamps, dtype=np.int64)
     if len(stamps) < 2:
@@ -297,12 +358,13 @@ def interpolate_groundtruth(stamps, values, times, origin_ns: int | None = None)
     offsets = (stamps - origin_ns).astype(float)
     times = np.asarray(times, dtype=float)
     target = times * 1e9
-    outside = np.flatnonzero((target < offsets[0] - 1) | (target > offsets[-1] + 1))
-    if outside.size:
-        raise DataError(
-            f"interpolation target {target[outside[0]]} ns after origin outside"
-            f" groundtruth span [{offsets[0]}, {offsets[-1]}]"
-        )
+    for outside, where in ((target < offsets[0] - 1, f"before its first record at {offsets[0]}"),
+                           (target > offsets[-1] + 1, f"after its last record at {offsets[-1]}")):
+        if outside.any():
+            raise DataError(
+                f"interpolation target {target[np.argmax(outside)]} ns after origin outside"
+                f" the groundtruth span: {where} ns"
+            )
     hi = np.clip(np.searchsorted(offsets, target, side="left"), 1, len(offsets) - 1)
     lo = hi - 1
     alpha = np.clip((target - offsets[lo]) / (offsets[hi] - offsets[lo]), 0.0, 1.0)
@@ -315,6 +377,44 @@ def interpolate_groundtruth(stamps, values, times, origin_ns: int | None = None)
         p=mixed[:, 0:3],
     )
     return truth, mixed[:, 10:13], mixed[:, 13:16]
+
+
+class GroundTruthReader:
+    """A ground-truth file resampled at rising times, read block by block.
+
+    at(times) returns interpolate_groundtruth(*load_groundtruth_csv(path),
+    times, origin_ns) to the last bit, with two differences: the file
+    is read only as far as the first record at or after the last of
+    times, so a fault beyond it is not seen, and the reader keeps only
+    the records from the one before the last time asked for, so times
+    must not go back from one call to the next. Faults in the records
+    read raise as load_groundtruth_csv does.
+    """
+
+    def __init__(self, path, origin_ns: int):
+        self._blocks = _read_blocks(path, GROUNDTRUTH_HEADER, quaternions=True)
+        self._origin = origin_ns
+        self._stamps, self._values = np.empty(0, np.int64), np.empty((0, 16))
+        self._ended = False
+
+    def at(self, times):
+        times = np.asarray(times, dtype=float)
+        # read on until the record that brackets the last time from above is held
+        while not self._ended and (
+            len(self._stamps) < 2 or float(self._stamps[-1] - self._origin) < times[-1] * 1e9
+        ):
+            block = next(self._blocks, None)
+            if block is None:
+                self._ended = True
+            else:
+                self._stamps = np.concatenate([self._stamps, block[0]])
+                self._values = np.concatenate([self._values, block[1]])
+        out = interpolate_groundtruth(self._stamps, self._values, times, self._origin)
+        # keep the lower bracket of the last time on: later times bracket at or after it
+        offsets = (self._stamps - self._origin).astype(float)
+        keep = int(np.clip(np.searchsorted(offsets, times[-1] * 1e9), 1, len(offsets) - 1)) - 1
+        self._stamps, self._values = self._stamps[keep:], self._values[keep:]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +489,83 @@ def load_sequence(seq_dir):
 # ---------------------------------------------------------------------------
 # Estimated trajectory files
 
+_TRAJECTORY_LINE = ",".join(["%.9g"] * 12) + "\n"
+
+
+class TrajectoryWriter:
+    """Filter output written as it comes, in blocks of rows, atomically.
+
+    Used as a context manager: write(traj, traces) adds rows, a
+    Trajectory and tr_P, the trace of the error covariance, from traces
+    (len(traj),). Rows are formatted and written BLOCK_LINES or more at a
+    time, one row per timestamp with 9 significant digits. They go to a
+    temporary file beside path, which replaces path when the with block
+    ends without an exception and is removed when it ends with one, so
+    a run that fails leaves no output behind and path as it was. rows
+    counts the rows given to write.
+    """
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+        head, tail = os.path.split(self.path)
+        self._tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        self._pending, self._pending_rows = [], 0
+        self.rows = 0
+
+    def __enter__(self):
+        self._fh = open(self._tmp, "w", encoding="utf-8")
+        self._fh.write(TRAJECTORY_HEADER + "\n")
+        return self
+
+    def write(self, traj: Trajectory, traces):
+        traces = np.asarray(traces, dtype=float)
+        if traces.shape != (len(traj),):
+            raise DataError("traces must hold one value per trajectory row")
+        self._pending.append((traj, traces))
+        self._pending_rows += len(traj)
+        self.rows += len(traj)
+        if self._pending_rows >= BLOCK_LINES:
+            self._flush()
+
+    def _flush(self):
+        if not self._pending:
+            return
+        t, r, v, p = (np.concatenate([getattr(x, name) for x, _ in self._pending])
+                      for name in ("t", "r", "v", "p"))
+        traces = np.concatenate([tr for _, tr in self._pending])
+        self._pending, self._pending_rows = [], 0
+        rest = np.column_stack([p, quat_from_matrix(r), v, traces])
+        self._fh.writelines(_TRAJECTORY_LINE % (x, *row) for x, row in zip(t, rest))
+
+    def __exit__(self, exc_type, exc, tb):
+        done = False
+        try:
+            with self._fh:
+                if exc_type is None:
+                    self._flush()
+            if exc_type is None:
+                os.replace(self._tmp, self.path)
+                done = True
+        finally:
+            if not done:
+                os.unlink(self._tmp)
+        return False
+
 
 def write_trajectory_csv(path, traj: Trajectory, traces):
     """Write filter output, the Trajectory that read_trajectory_csv
-    returns: one row per timestamp, 9 significant digits, with tr_P the
-    trace of the error covariance from traces (n,)."""
-    traces = np.asarray(traces, dtype=float)
-    if traces.shape != (len(traj),):
-        raise DataError("traces must hold one value per trajectory row")
-    _write_csv(path, TRAJECTORY_HEADER, ",".join(["%.9g"] * 12) + "\n",
-               traj.t, np.column_stack([traj.p, quat_from_matrix(traj.r), traj.v, traces]))
+    returns, through a TrajectoryWriter: one row per timestamp, 9
+    significant digits, with tr_P the trace of the error covariance
+    from traces (n,)."""
+    with TrajectoryWriter(path) as out:
+        out.write(traj, traces)
 
 
 def read_trajectory_csv(path):
     """Read filter output back as (Trajectory, traces); the file stores
     no biases, accelerations or rates. Raises ParseError naming the line
     of a quaternion more than 1e-6 from unit norm."""
-    linenos, t, values = _read_csv(path, TRAJECTORY_HEADER)
-    _check_monotone(path, linenos, t)
-    _check_unit_quaternions(path, linenos, values[:, 3:7])
+    t, values = _read_csv(path, TRAJECTORY_HEADER, quaternions=True)
     estimate = Trajectory(
         t=t,
         r=matrix_from_quat(values[:, 3:7]),

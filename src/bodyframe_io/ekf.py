@@ -14,15 +14,21 @@ transition to P. The update consumes a body-frame velocity measurement
 with Joseph-form covariance, retracting the nominal state through the
 boxplus operator.
 
-Both runners take the IMU stream as one BODY-kind ImuWindow and an
-initial state, and are entry points to one filter loop, _run, which
-always starts from the initial covariance P0. They differ only in where
-it keeps the rows it records: streaming_run keeps bounded FIFO arrays
-as an online system would, batch_run keeps whole-sequence arrays and
+Both runners take the IMU stream as one BODY-kind ImuWindow, or
+streaming_run as consecutive blocks of one, and an initial state, and
+are entry points to one filter loop, _run, which always starts from the
+initial covariance P0. _run pulls IMU blocks only as it needs their
+frames and hands out each chunk's finished rows (t, r, v, p, biases and
+the diagonal of P) as a FilterRun piece once the chunk's update is
+done. Between chunks it keeps only the corrector's context of raw
+frames, the provider's window of served frames and the current state,
+so a streaming run with a sink holds memory bounded by the provider's
+window, whatever the stream's length. The runners differ only in where
+the served frames are kept: streaming_run keeps bounded FIFO arrays as
+an online system would, batch_run keeps whole-sequence arrays and
 slices them. Both yield the same windows, so the outputs agree to the
-last bit. Both return a FilterRun: a Trajectory plus biases and the
-diagonal of P at every frame, so that a run's memory grows by 15
-covariance numbers per frame rather than 225.
+last bit. Without a sink, both return the FilterRun of all the pieces:
+a Trajectory plus biases and the diagonal of P at every frame.
 
 Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
@@ -83,17 +89,14 @@ P0.flags.writeable = False
 
 @dataclass(kw_only=True)
 class FilterRun(Trajectory):
-    """A filter pass, one row per input sample (after its update, if any):
-    the nominal trajectory plus biases b_a, b_g (n, 3) and P_diag (n, 15),
-    the diagonal of the error covariance P. The full P is not kept."""
+    """A filter pass, or a piece of one, one row per input sample (after
+    its update, if any): the nominal trajectory plus biases b_a, b_g
+    (n, 3) and P_diag (n, 15), the diagonal of the error covariance P.
+    The full P is not kept."""
 
     b_a: np.ndarray
     b_g: np.ndarray
     P_diag: np.ndarray
-
-    def record(self, i: int, fs: FilterState):
-        self.r[i], self.v[i], self.p[i] = fs.x.r, fs.x.v, fs.x.p
-        self.b_a[i], self.b_g[i], self.P_diag[i] = fs.x.b_a, fs.x.b_g, np.diagonal(fs.P)
 
 
 @dataclass(frozen=True)
@@ -163,14 +166,47 @@ def ekf_update(fs: FilterState, z: VelocityMeasurement) -> FilterState:
 # runners
 
 
-def _chunk_size(imu: ImuWindow, cfg: EkfConfig) -> int:
-    dt = imu.t[1] - imu.t[0]
+def _chunk_size(dt: float, cfg: EkfConfig) -> int:
     imu_rate = 1.0 / dt
     if cfg.update_rate > imu_rate * (1.0 + 1e-9):
         raise ConfigError(
             f"update_rate {cfg.update_rate} Hz exceeds IMU rate {imu_rate:.6g} Hz"
         )
     return max(1, int(round(imu_rate / cfg.update_rate)))
+
+
+class _RawFrames:
+    """The raw frames of a stream of BODY-kind ImuWindow blocks, pulled a
+    block at a time as they are needed, indexed by their place in the
+    stream, and kept only from a given frame on."""
+
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+        self._first = 0  # stream index of the first frame kept
+        self.t, self.w, self.a = np.empty(0), np.empty((0, 3)), np.empty((0, 3))
+
+    def fill(self, stop: int) -> int:
+        """Pulls blocks until frame stop - 1 is held or the stream ends;
+        returns min(stop, the number of frames in the stream)."""
+        while self._first + len(self.t) < stop:
+            block = next(self._blocks, None)
+            if block is None:
+                break
+            self.t = np.concatenate([self.t, block.t])
+            self.w = np.concatenate([self.w, block.w])
+            self.a = np.concatenate([self.a, block.a])
+        return min(stop, self._first + len(self.t))
+
+    def window(self, start: int, stop: int) -> ImuWindow:
+        """Frames [start, stop) of the stream; they are rows of validated blocks."""
+        lo, hi = start - self._first, stop - self._first
+        return ImuWindow.unchecked(self.t[lo:hi], self.w[lo:hi], self.a[lo:hi])
+
+    def keep_from(self, start: int):
+        """Drops the frames before frame start."""
+        drop = max(0, start - self._first)
+        self.t, self.w, self.a = self.t[drop:], self.w[drop:], self.a[drop:]
+        self._first += drop
 
 
 class _ArrayFifo:
@@ -206,11 +242,21 @@ class _SequenceArray:
         return self._rows[max(0, self._end - m) : self._end]
 
 
-def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo: bool):
-    """The filter loop over a BODY-kind ImuWindow, one FilterRun row per sample.
+def _rows(t, x: NavState, r, v, p, P_diag) -> FilterRun:
+    """A FilterRun piece: len(t) frames, with x's biases on every row."""
+    m = len(t)
+    return FilterRun(t=t, r=r, v=v, p=p, b_a=np.tile(x.b_a, (m, 1)),
+                     b_g=np.tile(x.b_g, (m, 1)), P_diag=P_diag)
 
-    Samples arrive in chunks of round(imu_rate / update_rate) frames.
-    Each chunk:
+
+def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, n=None):
+    """The filter loop over consecutive BODY-kind ImuWindow blocks of one
+    stream: yields FilterRun pieces that concatenate to one row per
+    sample, first frame 0's, then each chunk's once it is done.
+
+    Samples arrive in chunks of round(imu_rate / update_rate) frames,
+    with the rate read from the first two stamps; a chunk pulls the
+    next block only when it needs its frames. Each chunk:
     - corrects the frames not yet corrected, behind corrector.context
       raw frames of context;
     - propagates through the new frames at once (propagate_chunk, then
@@ -223,11 +269,14 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
     - when the chunk ends on an update frame (every chunk but a partial
       last one), runs the velocity provider over the newest
       provider.window_len recorded frames (fewer at the start), asks it
-      for one row, the newest frame's (v, eta), and updates with it.
+      for one row, the newest frame's (v, eta), and updates with it;
+    - hands out its rows, the last one after the update.
 
-    Update frames are the multiples of k. The recorded rows (t, w, a,
-    then the attitude channel when the kind has one) are kept in an
-    _ArrayFifo store bounded by window_len when fifo is set, else in a
+    Update frames are the multiples of k. Raw frames are kept from the
+    first one the next chunk reads: its context, or the frame before
+    it for the step's dt. The recorded rows (t, w, a, then the attitude
+    channel when the kind has one) are kept in an _ArrayFifo store
+    bounded by window_len, or, given the stream's length n, in a
     whole-sequence _SequenceArray store. The provider's window is built
     from these rows unchecked: they are rows of the validated corrected
     window or of transform_representation's.
@@ -235,54 +284,49 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
     """
     cfg.validate()
     x0.validate()
-    n = len(imu)
-    if n < 2:
+    imu = _RawFrames(blocks)
+    if imu.fill(2) < 2:
         raise DataError("need at least two IMU samples")
-    k = _chunk_size(imu, cfg)
-    dt = np.diff(imu.t)
+    k = _chunk_size(imu.t[1] - imu.t[0], cfg)
     kind = provider.required_kind
     served = provider.window_len
     # rows of t, w, a, then the attitude channel when the kind has one
     row_shape = (10,) if kind.has_attitude else (7,)
-    frames = _ArrayFifo(served, row_shape) if fifo else _SequenceArray(n, row_shape)
+    frames = _ArrayFifo(served, row_shape) if n is None else _SequenceArray(n, row_shape)
 
-    run = FilterRun(
-        t=imu.t, r=np.empty((n, 3, 3)), v=np.empty((n, 3)), p=np.empty((n, 3)),
-        b_a=np.empty((n, 3)), b_g=np.empty((n, 3)), P_diag=np.empty((n, ERROR_DIM)),
-    )
     fs = FilterState(x=x0, P=P0)
-    run.record(0, fs)
+    yield _rows(imu.t[:1], fs.x, *(np.array([x]) for x in (x0.r, x0.v, x0.p, np.diagonal(P0))))
     corrected_to = 0  # frames [0, corrected_to) are corrected and recorded
     start = 1
-    while start < n:
-        stop = min(start + k, n)
-        chunk = imu.slice(max(0, corrected_to - corrector.context), stop)
+    while (stop := imu.fill(start + k)) > start:
+        chunk = imu.window(max(0, corrected_to - corrector.context), stop)
         corrected, corr = correct_and_quantify(corrector, chunk)
         j = len(chunk) - (stop - start)  # chunk row of frame `start`
+        dt = np.diff(imu.window(start - 1, stop).t)
         r, v, p, a_mat, q_mat = propagate_chunk(
-            fs.x, corrected.w[j:], corrected.a[j:], dt[start - 1 : stop - 1],
+            fs.x, corrected.w[j:], corrected.a[j:], dt,
             corr.eta_g[j:], corr.eta_a[j:], cfg.eta_bg, cfg.eta_ba,
         )
-        run.r[start:stop], run.v[start:stop], run.p[start:stop] = r, v, p
-        run.b_a[start:stop], run.b_g[start:stop] = fs.x.b_a, fs.x.b_g
+        piece = _rows(corrected.t[j:], fs.x, r, v, p, np.empty((stop - start, ERROR_DIM)))
         p_cov = fs.P
         for i in range(stop - start):
             p_cov = ekf_propagate(p_cov, a_mat[i], q_mat[i])
-            run.P_diag[start + i] = np.diagonal(p_cov)
+            piece.P_diag[i] = np.diagonal(p_cov)
         fs = FilterState(NavState(r[-1], v[-1], p[-1], fs.x.b_a, fs.x.b_g), p_cov)
 
         new = len(chunk) - (stop - corrected_to)  # chunk row of the first new frame
         if kind is RepresentationKind.BODY:
             columns = [corrected.t[new:], corrected.w[new:], corrected.a[new:]]
         else:
-            fresh = transform_representation(
-                corrected.slice(new, len(chunk)), kind, run.r[corrected_to:stop]
-            )
+            # the first chunk also serves frame 0, at the initial attitude
+            rotations = r if corrected_to else np.concatenate([x0.r[None], r])
+            fresh = transform_representation(corrected.slice(new, len(chunk)), kind, rotations)
             columns = [fresh.t, fresh.w, fresh.a]
             if kind.has_attitude:
                 columns.append(fresh.attitudes)
         frames.extend(np.column_stack(columns))
         corrected_to = stop
+        imu.keep_from(stop - max(1, corrector.context))
 
         if (stop - 1) % k == 0:
             rows = frames.tail(served)
@@ -292,19 +336,37 @@ def _run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState, fifo
             )
             v, eta = provider.predict_window(window, 1)
             fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
-            run.record(stop - 1, fs)
+            piece.r[-1], piece.v[-1], piece.p[-1] = fs.x.r, fs.x.v, fs.x.p
+            piece.b_a[-1], piece.b_g[-1], piece.P_diag[-1] = fs.x.b_a, fs.x.b_g, np.diagonal(fs.P)
+        yield piece
         start = stop
-    return run
 
 
-def streaming_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState):
-    """Online filter pass over a BODY-kind ImuWindow, keeping bounded
-    FIFO buffers as an online system would. Returns a FilterRun."""
-    return _run(imu, provider, corrector, cfg, x0, fifo=True)
+def _collect(pieces) -> FilterRun:
+    """The FilterRun of all the pieces _run yields, concatenated."""
+    pieces = list(pieces)
+    return FilterRun(**{
+        name: np.concatenate([getattr(piece, name) for piece in pieces])
+        for name in ("t", "r", "v", "p", "b_a", "b_g", "P_diag")
+    })
+
+
+def streaming_run(imu, provider, corrector, cfg: EkfConfig, x0: NavState, sink=None):
+    """Online filter pass over imu, a BODY-kind ImuWindow or an iterable
+    of consecutive BODY-kind ImuWindow blocks of one stream, keeping
+    bounded FIFO buffers as an online system would. Returns a FilterRun;
+    or, given a sink, calls sink(piece) with each chunk's rows as a
+    FilterRun piece as soon as they are final, keeps none of them and
+    returns None."""
+    pieces = _run([imu] if isinstance(imu, ImuWindow) else imu, provider, corrector, cfg, x0)
+    if sink is None:
+        return _collect(pieces)
+    for piece in pieces:
+        sink(piece)
 
 
 def batch_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState):
     """Offline pass over a BODY-kind ImuWindow, slicing whole-sequence
     arrays instead of FIFO buffers; outputs match streaming_run to the
     last bit on the same inputs."""
-    return _run(imu, provider, corrector, cfg, x0, fifo=False)
+    return _collect(_run([imu], provider, corrector, cfg, x0, n=len(imu)))

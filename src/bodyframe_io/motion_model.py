@@ -555,10 +555,12 @@ def _tail_rows(n_tail, window: ImuWindow) -> int:
 def oracle_predict(truth, noise_std, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth body velocities with additive Gaussian noise.
 
-    truth is a Trajectory; one (n, 3) standard-normal draw, scaled by
-    noise_std, is added to truth.body_velocities(). Returns (v_body
-    (n, 3), eta_v (3,)), with eta_v max(noise_std, ETA_MIN) on every
-    axis so the covariance stays invertible even for a noiseless oracle.
+    truth is a Trajectory; one (n, 3) standard-normal draw from
+    np.random.default_rng(seed), scaled by noise_std, is added to
+    truth.body_velocities(). seed may be a Generator, which then makes
+    the draw and moves on past it. Returns (v_body (n, 3), eta_v (3,)),
+    with eta_v max(noise_std, ETA_MIN) on every axis so the covariance
+    stays invertible even for a noiseless oracle.
     """
     if not noise_std >= 0.0:  # NaN fails too
         raise ConfigError("noise_std must be nonnegative")
@@ -584,18 +586,29 @@ class ConstantZeroProvider:
 
 
 class OracleProvider:
-    """Serves precomputed noisy ground-truth velocities by timestamp.
-
-    The draw for each frame is fixed at construction, so the same frame
-    always yields the same measurement no matter which window asks.
+    """Serves noisy ground-truth velocities by timestamp: those of the
+    last Trajectory fed to it, the whole truth given at construction or
+    a stream's truth fed a block at a time. Each frame's noise is drawn
+    once, when it is fed, from one generator seeded at construction;
+    consecutive draws reproduce one large draw bit for bit, so a stream
+    fed block by block is served what its whole truth would be, and a
+    frame always yields the same measurement whichever window asks.
     """
 
     required_kind = RepresentationKind.BODY
     window_len = 1
 
-    def __init__(self, truth, noise_std=0.0, seed=0):
+    def __init__(self, truth=None, noise_std=0.0, seed=0):
+        self.noise_std = noise_std
+        self._rng = np.random.default_rng(seed)
+        if truth is not None:
+            self.feed(truth)
+
+    def feed(self, truth):
+        """Serve the frames of truth, a Trajectory, from now on, in place
+        of those fed before."""
         self._times = truth.t
-        self._v, self._eta = oracle_predict(truth, noise_std, seed)
+        self._v, self._eta = oracle_predict(truth, self.noise_std, self._rng)
 
     def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
         stamps = window.t[len(window) - _tail_rows(n_tail, window) :]

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import math
 import os
 import shutil
 import subprocess
@@ -12,10 +13,26 @@ import numpy as np
 import pytest
 
 import bodyframe_io
+from bodyframe_io import config as cfgmod
+from bodyframe_io import dataset_io
 from bodyframe_io.cli import emit_report, main
-from bodyframe_io.dataset_io import load_sequence, read_corpus_manifest
+from bodyframe_io.corrector import IdentityCorrector, LearnedAffineCorrector
+from bodyframe_io.dataset_io import (
+    TRAJECTORY_HEADER,
+    load_sequence,
+    quat_from_matrix,
+    read_corpus_manifest,
+)
+from bodyframe_io.ekf import streaming_run
 from bodyframe_io.imu_model import RepresentationKind
-from bodyframe_io.motion_model import MotionNet, MotionNetConfig
+from bodyframe_io.motion_model import (
+    ConstantZeroProvider,
+    MotionNet,
+    MotionNetConfig,
+    NetworkProvider,
+    OracleProvider,
+)
+from bodyframe_io.preintegration import NavState
 
 RUN_INI = """\
 [simulator]
@@ -646,7 +663,194 @@ class TestTrainers:
         assert not out.exists()
 
 
+STREAM_INI = """\
+[simulator]
+kind = lissajous3d
+duration = 4.0
+imu_rate = 200.0
+amplitude = 2.0
+rate = 0.6
+yaw_mode = spin
+yaw_rate = 1.5
+"""
+
+
+def in_memory_run_ekf(seq_dir, provider, corrector, ini, seed, weights, out):
+    """run-ekf as it ran before it streamed, the reference for its output:
+    the whole sequence loaded, one streaming_run over it, and the whole
+    trajectory formatted and written at once."""
+    cfg = cfgmod.load_config(ini)
+    imu, truth, _ = load_sequence(seq_dir)
+    if corrector is not None:
+        corrector = LearnedAffineCorrector.load(corrector)
+    else:
+        root_rate = float(np.sqrt((len(imu) - 1) / (imu.t[-1] - imu.t[0])))
+        corrector = IdentityCorrector(eta_g=cfg.getfloat("noise", "sigma_g") * root_rate,
+                                      eta_a=cfg.getfloat("noise", "sigma_a") * root_rate)
+    if provider == "zero":
+        provider = ConstantZeroProvider(eta=cfg.getfloat("ekf", "zero_eta"))
+    elif provider == "oracle":
+        provider = OracleProvider(truth, noise_std=cfg.getfloat("ekf", "oracle_noise"), seed=seed)
+    else:
+        provider = NetworkProvider(MotionNet.load(weights))
+    zero = np.zeros(3)
+    x0 = NavState(r=truth.r[0], v=truth.v[0], p=truth.p[0], b_a=zero, b_g=zero)
+    run = streaming_run(imu, provider, corrector, cfgmod.ekf_config(cfg), x0)
+    rest = np.column_stack([run.p, quat_from_matrix(run.r), run.v, run.P_diag.sum(axis=1)])
+    line = ",".join(["%.9g"] * 12) + "\n"
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(TRAJECTORY_HEADER + "\n")
+        fh.writelines(line % (x, *row) for x, row in zip(run.t, rest))
+
+
+@pytest.fixture(scope="module")
+def stream_corpus(tmp_path_factory):
+    """A 4 s, 200 Hz spinning Lissajous flight (801 frames, four reader
+    blocks), a second flight to train the corrector on, the corrector
+    and a window-50 network with non-zero outputs."""
+    root = tmp_path_factory.mktemp("stream")
+    ini = root / "run.ini"
+    ini.write_text(STREAM_INI)
+    data = root / "data"
+    for name, seed in (("flight", 1), ("seen", 2)):
+        assert main(["simulate", "--data", str(data), "--name", name, "--config", str(ini),
+                     "--role", "seen" if name == "seen" else "unseen", "--seed", str(seed)]) == 0
+    corrector = root / "corrector.bfwt"
+    assert main(["train-corrector", "--data", str(data), "--out", str(corrector)]) == 0
+    model = tiny_model()
+    rng = np.random.default_rng(5)
+    for p in model.parameters().values():
+        p += 0.05 * rng.standard_normal(p.shape)
+    model.save(root / "motion.bfwt")
+    return {"root": root, "ini": str(ini), "data": str(data), "corrector": str(corrector),
+            "weights": str(root / "motion.bfwt")}
+
+
+def run_ekf_argv(corpus, provider, out, corrector=True):
+    argv = ["run-ekf", "--data", corpus["data"], "--name", "flight", "--provider", provider,
+            "--config", corpus["ini"], "--seed", "4", "--out", str(out)]
+    if provider == "network":
+        argv += ["--weights", corpus["weights"]]
+    if corrector:
+        argv += ["--corrector-weights", corpus["corrector"]]
+    return argv
+
+
+class TestStreamingRunEkf:
+    @pytest.mark.parametrize("block", [256, 37])
+    @pytest.mark.parametrize("corrector", [True, False], ids=["learned", "identity"])
+    @pytest.mark.parametrize("provider", ["zero", "oracle", "network"])
+    def test_output_is_the_in_memory_run(self, stream_corpus, tmp_path, monkeypatch,
+                                         provider, corrector, block):
+        monkeypatch.setattr(dataset_io, "BLOCK_LINES", block)
+        out = tmp_path / "stream.csv"
+        assert main(run_ekf_argv(stream_corpus, provider, out, corrector)) == 0
+        want = tmp_path / "memory.csv"
+        in_memory_run_ekf(
+            os.path.join(stream_corpus["data"], "flight"), provider,
+            stream_corpus["corrector"] if corrector else None, stream_corpus["ini"], 4,
+            stream_corpus["weights"], want,
+        )
+        assert len(want.read_text().splitlines()) == 802
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("fault", ["bad line", "non-finite reading", "short truth"])
+    def test_late_fault_leaves_no_output(self, stream_corpus, tmp_path, capsys, fault):
+        data = tmp_path / "data"
+        shutil.copytree(os.path.join(stream_corpus["data"], "flight"), data / "flight")
+        name, row, field = {
+            "bad line": ("imu.csv", 721, "1.0.0"),  # 90% into the flight, in block 3 of 4
+            "non-finite reading": ("imu.csv", 790, "nan"),
+            "short truth": ("groundtruth.csv", 640, None),
+        }[fault]
+        path = data / "flight" / name
+        lines = path.read_text().splitlines()
+        if field is None:
+            del lines[row + 1:]
+        else:
+            fields = lines[row + 1].split(",")
+            fields[2] = field
+            lines[row + 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main(run_ekf_argv(dict(stream_corpus, data=str(data)), "oracle",
+                               out_dir / "ekf.csv"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert {"bad line": f"imu.csv:{row + 2}: ", "non-finite reading": "non-finite",
+                "short truth": "after its last record"}[fault] in err
+        assert os.listdir(out_dir) == []
+
+    def test_zero_and_network_read_only_the_initial_truth(self, stream_corpus, tmp_path):
+        # a fault past the first block of groundtruth.csv fails the oracle,
+        # which reads the file along with the IMU, and no run that needs
+        # only the initial state
+        data = tmp_path / "data"
+        shutil.copytree(os.path.join(stream_corpus["data"], "flight"), data / "flight")
+        path = data / "flight" / "groundtruth.csv"
+        lines = path.read_text().splitlines()
+        lines[501] = "0,not,a,record"
+        path.write_text("\n".join(lines) + "\n")
+        corpus = dict(stream_corpus, data=str(data))
+        for provider in ("zero", "network"):
+            intact, faulty = tmp_path / f"{provider}-intact.csv", tmp_path / f"{provider}.csv"
+            assert main(run_ekf_argv(stream_corpus, provider, intact)) == 0
+            assert main(run_ekf_argv(corpus, provider, faulty)) == 0
+            assert faulty.read_bytes() == intact.read_bytes()
+        assert main(run_ekf_argv(corpus, "oracle", tmp_path / "oracle.csv")) == 3
+        assert not (tmp_path / "oracle.csv").exists()
+
+    def test_memory_does_not_grow_with_the_flight(self, tmp_path):
+        # Peak RSS of whole run-ekf processes on a 5 s and a 60 s flight.
+        # A small launcher starts them: Linux carries the high-water RSS
+        # of the memory a child is spawned from over its exec, so a child
+        # of this test process would report this process's peak too.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = str(Path(bodyframe_io.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        peaks = []
+        for seconds in (5, 60):
+            ini = tmp_path / f"{seconds}.ini"
+            ini.write_text(STREAM_INI.replace("duration = 4.0", f"duration = {seconds}"))
+            data = str(tmp_path / f"data{seconds}")
+            assert main(["simulate", "--data", data, "--name", "s", "--config", str(ini)]) == 0
+            done = subprocess.run(
+                [sys.executable, "-c", launcher, sys.executable, "-m", "bodyframe_io.cli",
+                 "run-ekf", "--data", data, "--name", "s", "--provider", "oracle",
+                 "--config", str(ini), "--out", str(tmp_path / f"{seconds}.csv")],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            code, max_rss_kb = map(int, done.stdout.split())
+            assert code == 0
+            peaks.append(max_rss_kb / 1024.0)
+        assert len((tmp_path / "60.csv").read_text().splitlines()) == 12002
+        assert abs(peaks[1] - peaks[0]) < 2.0, peaks
+
+
 class TestReport:
+    def test_short_flight_reports_ate_without_rte(self, tmp_path):
+        # a 1.25 s flight is no longer than the default 5 s RTE interval
+        ini = tmp_path / "short.ini"
+        ini.write_text("[simulator]\nduration = 1.25\nimu_rate = 200.0\n")
+        data = str(tmp_path / "data")
+        assert main(["simulate", "--data", data, "--name", "s", "--config", str(ini)]) == 0
+        dr, ekf, report = (str(tmp_path / f) for f in ("dr.csv", "ekf.csv", "report.csv"))
+        assert main(["deadreckon", "--data", data, "--name", "s", "--out", dr]) == 0
+        assert main(["run-ekf", "--data", data, "--name", "s", "--provider", "zero",
+                     "--out", ekf]) == 0
+        assert main(["eval", "--data", data, "--estimate", f"s={ekf}",
+                     "--baseline", f"s={dr}", "--out", report]) == 0
+        for row in read_report(report):
+            assert float(row["ate_m"]) > 0.0
+            assert math.isfinite(float(row["vs_baseline_pct"]))
+            assert row["rte_m"] == row["auc"] == ""
+
     def test_aggregate_is_unweighted_mean(self, tmp_path):
         rows = [
             {"seq": "a", "ate_m": 0.2, "rte_m": 0.1, "auc": 0.9,

@@ -6,12 +6,16 @@ import tempfile
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bodyframe_io import dataset_io
 from bodyframe_io.dataset_io import (
     GROUNDTRUTH_HEADER,
+    IMU_HEADER,
     CorpusEntry,
+    GroundTruthReader,
+    TrajectoryWriter,
     interpolate_groundtruth,
     load_groundtruth_csv,
     load_imu_csv,
@@ -19,6 +23,7 @@ from bodyframe_io.dataset_io import (
     matrix_from_quat,
     quat_from_matrix,
     read_corpus_manifest,
+    read_imu_blocks,
     read_trajectory_csv,
     slerp,
     write_corpus_manifest,
@@ -455,7 +460,7 @@ class TestMalformedFiles:
         # the first faulty line wins, whichever its fault
         (["0,0,0,0,0,0,0", "5,0,0,0,0,0", "7,x,0,0,0,0,0"], ParseError, 3),
         (["0,y,0,0,0,0,0", "5,0,0"], ParseError, 2),
-        # every line parses before the stamps are ordered
+        # every line of a block parses before its stamps are ordered
         (["5,0,0,0,0,0,0", "3,0,0,0,0,0,0", "4,z,0,0,0,0,0"], ParseError, 4),
     ])
     def test_imu_fault_names_its_line(self, tmp_path, rows, error, line):
@@ -543,3 +548,204 @@ def test_float_round_trip_is_bit_exact(readings):
         back = load_imu_csv(path)
     assert np.array_equal(back.w.view(np.int64), imu.w.view(np.int64))
     assert np.array_equal(back.a.view(np.int64), imu.a.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# reading and writing in blocks
+
+FAULTS = ("columns", "value", "order", "quaternion")
+
+
+@st.composite
+def csv_case(draw):
+    """(kind, text, rows, fault): a small IMU or ground-truth file with
+    blank lines, its data rows as Python numbers, and (line, error,
+    message) of the one fault written into it, or None."""
+    kind = draw(st.sampled_from(["imu", "groundtruth"]))
+    header, n_values = (IMU_HEADER, 6) if kind == "imu" else (GROUNDTRUTH_HEADER, 16)
+    n = draw(st.integers(1, 10))
+    steps = draw(st.lists(st.integers(1, 10**9), min_size=n, max_size=n))
+    stamps = (draw(st.integers(-10**12, 10**12)) + np.cumsum(steps)).tolist()
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    values = [draw(st.lists(finite, min_size=n_values, max_size=n_values)) for _ in range(n)]
+    if kind == "groundtruth":
+        for row in values:
+            q = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=4, max_size=4)))
+            row[3:7] = (q / np.linalg.norm(q)).tolist()
+    blanks = draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=n + 1))
+    before = draw(st.lists(st.integers(0, n), min_size=len(blanks), max_size=len(blanks)))
+
+    fault = draw(st.sampled_from((None,) + FAULTS[: 4 if kind == "groundtruth" else 3]))
+    lines = [[str(s)] + ["%.17g" % x for x in row] for s, row in zip(stamps, values)]
+    bad = None
+    if fault == "order" and n > 1:
+        bad = draw(st.integers(1, n - 1))
+        lines[bad][0] = lines[bad - 1][0]
+        error, message = TimestampOrderError, "timestamps not strictly increasing"
+    elif fault in ("columns", "value", "quaternion"):
+        bad = draw(st.integers(0, n - 1))
+        if fault == "columns":
+            lines[bad].append("0")
+            error, message = ParseError, f"expected {n_values + 1} columns, got {n_values + 2}"
+        elif fault == "value":
+            col = draw(st.integers(0, n_values))
+            lines[bad][col] = "1.5x"
+            try:
+                (int if col == 0 else float)("1.5x")
+            except ValueError as exc:
+                error, message = ParseError, str(exc)
+        else:
+            lines[bad][4:8] = ["1", "0.5", "0", "0"]
+            error, message = ParseError, "quaternion is not unit norm"
+
+    text, lineno, fault_line = [header], 1, None
+    for i, line in enumerate(lines):
+        for blank, at in zip(blanks, before):
+            if at == i:
+                text.append(blank)
+        text.append(",".join(line))
+        if i == bad:
+            fault_line = len(text)
+    text += [blank for blank, at in zip(blanks, before) if at == n]
+    return kind, "\n".join(text) + "\n", (stamps, values), (
+        None if bad is None else (fault_line, error, message)
+    )
+
+
+def read_whole(kind, path):
+    """(stamps, values) of a file as the whole-file readers return them."""
+    if kind == "imu":
+        origin, _ = read_imu_blocks(path)
+        imu = load_imu_csv(path)
+        return origin + np.rint(imu.t * 1e9).astype(np.int64), np.hstack([imu.w, imu.a])
+    return load_groundtruth_csv(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_case(), st.data())
+def test_blocks_concatenate_to_the_file_and_name_the_faulty_line(case, data):
+    kind, text, (stamps, values), fault = case
+    block = data.draw(st.integers(1, len(stamps) + 1), label="BLOCK_LINES")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_io, "BLOCK_LINES", block)
+        path = os.path.join(tmp, f"{kind}.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if fault is not None:
+            line, error, message = fault
+            with pytest.raises(error) as info:
+                read_whole(kind, path)
+            assert type(info.value) is error
+            assert str(info.value) == f"{path}:{line}: {message}"
+            return
+        got_stamps, got_values = read_whole(kind, path)
+        if kind == "imu":
+            blocks = list(read_imu_blocks(path)[1])
+            assert [len(b) for b in blocks][:-1] == [block] * (len(blocks) - 1)
+            assert np.array_equal(np.concatenate([b.t for b in blocks]),
+                                  (np.array(stamps) - stamps[0]) * 1e-9)
+    assert got_stamps.tolist() == stamps
+    assert np.array_equal(got_values.view(np.int64), np.array(values).view(np.int64))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_fault_on_a_block_boundary(tmp_path, monkeypatch, block):
+    # the first row of the second block repeats the stamp of the last
+    # row of the first, and carries a non-unit quaternion
+    monkeypatch.setattr(dataset_io, "BLOCK_LINES", block)
+    rows = [f"{10 * i},{GT_VALUES}" for i in range(block)]
+    path = csv_file(tmp_path, "groundtruth.csv", GROUNDTRUTH_HEADER,
+                    rows + ["", f"{10 * (block - 1)},{GT_VALUES}"])
+    with raises_at(TimestampOrderError, path, block + 3):
+        load_groundtruth_csv(path)
+    path = csv_file(tmp_path, "groundtruth.csv", GROUNDTRUTH_HEADER,
+                    rows + ["", f"{10 * block},0,0,0,1,0.5,0,0,0,0,0,0,0,0,0,0,0"])
+    with raises_at(ParseError, path, block + 3):
+        load_groundtruth_csv(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.floats(0.2, 5.0), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(n_truth=9, ratio=1.0, block=1, seed=0)  # every IMU stamp on a truth record
+def test_groundtruth_reader_equals_whole_file_interpolation(n_truth, ratio, block, seed):
+    # IMU stamps denser or sparser than the records, some on a record,
+    # asked for in blocks of rising stamps
+    rng = np.random.default_rng(seed)
+    traj = small_trajectory(duration=(n_truth - 1) * 0.01)
+    times = np.sort(rng.uniform(0.0, traj.t[-1], max(2, int(n_truth * ratio))))
+    times[0] = 0.0
+    on_grid = rng.random(len(times)) < 0.3
+    times[on_grid] = traj.t[rng.integers(0, n_truth, on_grid.sum())]
+    times = np.unique(times)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_io, "BLOCK_LINES", block)
+        path = os.path.join(tmp, "groundtruth.csv")
+        write_groundtruth_csv(path, traj)
+        want = interpolate_groundtruth(*load_groundtruth_csv(path), times, origin_ns=0)
+        reader = GroundTruthReader(path, 0)
+        cuts = np.sort(rng.integers(1, max(2, len(times)), rng.integers(0, 4)))
+        pieces = [reader.at(part) for part in np.split(times, cuts) if len(part)]
+    got = [np.concatenate([getattr(piece[0], name) for piece in pieces]) for name in "trvp"]
+    assert all(np.array_equal(x, getattr(want[0], name)) for x, name in zip(got, "trvp"))
+    for k in (1, 2):
+        assert np.array_equal(np.concatenate([piece[k] for piece in pieces]), want[k])
+
+
+def test_groundtruth_reader_reads_only_what_it_is_asked(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_io, "BLOCK_LINES", 4)
+    traj = small_trajectory(duration=0.2)  # 21 records, 10 ms apart
+    path = tmp_path / "groundtruth.csv"
+    write_groundtruth_csv(path, traj)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not,a,record\n")
+    reader = GroundTruthReader(path, 0)
+    assert np.array_equal(reader.at([0.0])[0].p, traj.p[:1])
+    assert np.array_equal(reader.at(traj.t[:-1])[0].p, traj.p[:-1])
+    with pytest.raises(ParseError, match=":23: expected 17 columns"):
+        reader.at(traj.t[-1:])
+
+
+def test_truth_ending_before_the_stamps_names_its_last_record(tmp_path):
+    traj = small_trajectory(duration=0.2)
+    path = tmp_path / "groundtruth.csv"
+    write_groundtruth_csv(path, traj)
+    want = "after its last record at 200000000.0 ns"
+    with pytest.raises(DataError, match=want):
+        GroundTruthReader(path, 0).at([0.1, 0.3])
+    with pytest.raises(DataError, match=want):
+        interpolate_groundtruth(*load_groundtruth_csv(path), [0.1, 0.3])
+
+
+class TestTrajectoryWriter:
+    def rows(self, n, seed=35):
+        rng = np.random.default_rng(seed)
+        traj = Trajectory(
+            t=np.arange(n) * 0.005,
+            r=np.array([exp_so3(rng.normal(size=3)) for _ in range(n)]),
+            v=rng.normal(size=(n, 3)),
+            p=rng.normal(size=(n, 3)),
+        )
+        return traj, rng.uniform(0.1, 1.0, n)
+
+    @pytest.mark.parametrize("piece", [1, 7, 256, 700])
+    def test_pieces_write_the_bytes_of_one_call(self, tmp_path, piece):
+        traj, traces = self.rows(600)
+        write_trajectory_csv(tmp_path / "whole.csv", traj, traces)
+        with TrajectoryWriter(tmp_path / "pieces.csv") as out:
+            for i in range(0, len(traj), piece):
+                part = Trajectory(traj.t[i:i + piece], traj.r[i:i + piece],
+                                  traj.v[i:i + piece], traj.p[i:i + piece])
+                out.write(part, traces[i:i + piece])
+        assert out.rows == 600
+        assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["pieces.csv", "whole.csv"]
+
+    def test_a_failed_write_leaves_nothing_and_the_old_file(self, tmp_path):
+        traj, traces = self.rows(600)
+        (tmp_path / "out.csv").write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with TrajectoryWriter(tmp_path / "out.csv") as out:
+                out.write(traj, traces)  # more than a block: rows are on disk
+                raise RuntimeError("late fault")
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert (tmp_path / "out.csv").read_text() == "old\n"

@@ -518,6 +518,51 @@ class TestRunners:
         np.testing.assert_allclose(covs, covs.transpose(0, 2, 1), atol=1e-9)
         assert np.linalg.eigvalsh(covs).min() >= -1e-9
 
+    @pytest.mark.parametrize("sizes", [[1] * 61, [3, 1, 40, 2, 15], [61]])
+    def test_blocks_into_a_sink_give_the_whole_run(self, noisy_fig8, sizes):
+        # IMU blocks of any sizes, each pulled only when the filter needs
+        # its frames, hand out pieces that concatenate to the whole run
+        traj, imu, _, cfg = noisy_fig8
+        imu = imu.slice(0, 61)
+        rng = np.random.default_rng(6)
+        d = 6 * 16
+        corrector = LearnedAffineCorrector(
+            weight=1e-5 * rng.standard_normal((d, 6)), bias=np.zeros(6),
+            feat_mean=np.zeros(d), feat_scale=np.ones(d),
+            raw_eta=inv_softplus(np.array([1e-2] * 3 + [1e-1] * 3)),
+        )
+        kind = RepresentationKind.BODY_PLUS_ATTITUDE
+
+        def provider():
+            return _SpyProvider(OracleProvider(traj, noise_std=0.05, seed=2), 8, kind=kind)
+
+        whole = streaming_run(imu, provider(), corrector, cfg, initial_state_from(traj))
+        pulled = [0]
+
+        def blocks():
+            for start in np.cumsum([0] + sizes[:-1]):
+                block = imu.slice(start, start + sizes[len(pulled) - 1])
+                pulled.append(pulled[-1] + len(block))
+                yield block
+
+        pieces, ends = [], []
+
+        def sink(piece):
+            pieces.append(piece)
+            ends.append(pulled[-1])
+
+        assert streaming_run(blocks(), provider(), corrector, cfg,
+                             initial_state_from(traj), sink=sink) is None
+        assert pulled[-1] == len(imu)
+        for name in ("t", "r", "v", "p", "b_a", "b_g", "P_diag"):
+            got = np.concatenate([getattr(piece, name) for piece in pieces])
+            assert np.array_equal(got, getattr(whole, name)), name
+        # a piece is handed out before any block past its frames is pulled
+        # (the first one once the first two frames are, for the IMU rate)
+        bounds = np.cumsum(sizes)
+        stops = np.cumsum([len(piece) for piece in pieces])
+        assert ends == [bounds[np.searchsorted(bounds, max(stop, 2))] for stop in stops]
+
     def test_memory_footprint(self, noisy_fig8):
         # every frame keeps P's diagonal, and no frame keeps a full P
         traj, imu, corrector, cfg = noisy_fig8
