@@ -18,8 +18,9 @@ commands that draw random numbers (simulate, train-motion, run-ekf);
 train-corrector accepts it and ignores it, since corrector training is
 deterministic.
 
-Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error (an --out in a directory
+that does not exist among them, refused before any work), 3 data error
+(a missing input file among them), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ def _seen_entries(data: str) -> list[CorpusEntry]:
     if not entries:
         raise DataError(f"no seen sequences in {os.path.join(data, MANIFEST_NAME)}")
     return entries
+
+
+def _check_out_dir(out: str | None):
+    """An --out whose directory does not exist is refused before any work."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"--out {out}: no directory {os.path.dirname(out)}")
 
 
 def _initial_state(truth: Trajectory) -> NavState:
@@ -466,6 +473,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _check_out_dir(getattr(args, "out", None))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

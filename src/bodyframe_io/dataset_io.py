@@ -154,7 +154,8 @@ def _stamps_ns(t, origin_ns: int) -> np.ndarray:
 def _read_blocks(path, header: str, quaternions: bool = False):
     """The data rows of a CSV file, parsed and checked a block at a time.
 
-    Yields (first, rest) for each block of up to BLOCK_LINES data rows:
+    A path that names no file raises DataError when the first block is
+    read. Yields (first, rest) for each block of up to BLOCK_LINES data rows:
     the first column (m,), int64 in a timestamp_ns file and float64
     otherwise, and the other columns (m, k) float64. Checks the header;
     blank and whitespace-only lines are skipped but still counted (as
@@ -175,7 +176,11 @@ def _read_blocks(path, header: str, quaternions: bool = False):
     """
     first = np.int64 if header.startswith("timestamp_ns,") else np.float64
     dtype = np.dtype([("first", first), ("rest", np.float64, (header.count(","),))])
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except (FileNotFoundError, IsADirectoryError):
+        raise DataError(f"no such file: {path}") from None
+    with fh:
         lines = enumerate((line for raw in fh for line in raw.splitlines()), start=1)
         _, head = next(lines, (1, None))
         if head is None:

@@ -13,9 +13,13 @@ layer owns `params` and `grads` dicts keyed by local names; containers
 namespace them per layer so an optimizer or a finite-difference checker
 can address every trainable array through a flat dict.
 
-GRU weight and bias gradients are summed once over all batch*time rows
-by BLAS, after the time loop, and GELU cubes as x*x*x: trained weights
-differ from earlier versions' in the last bits, but stay bit-for-bit
+One GRU scan (_scan) runs the recurrence of one direction, or of both
+directions of a bidirectional layer in a single time loop; each step
+writes into buffers allocated before the loop, and every output equals
+a scan of each direction alone to the bit. GRU weight and bias
+gradients are summed once over all batch*time rows by BLAS, after the
+backward time loop, and GELU cubes as x*x*x: trained weights differ
+from earlier versions' in the last bits, but stay bit-for-bit
 reproducible for a fixed seed.
 
 Initialization is deterministic given a generator: Glorot-uniform for
@@ -31,6 +35,8 @@ import math
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+# 0-d arrays: a ufunc takes them without converting a Python float per call
+_HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
 def glorot(rng, shape):
@@ -45,10 +51,6 @@ def glorot(rng, shape):
 def orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
-
-
-def sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 class Layer:
@@ -148,6 +150,81 @@ class Dropout(Layer):
         return dy if self._mask is None else dy * self._mask
 
 
+def _scan(grus, xs, steps):
+    """The recurrence of d GRU directions in one time loop.
+
+    grus are the d directions and xs their inputs (b, t, cin), each in
+    its scan order. Their caches of the last pass are dropped first, so
+    that those arrays are freed before this pass makes its own. Each
+    input projection x W_i + b_i is copied into the rz and ns buffers,
+    which each step then overwrites with its results, so only one
+    projection exists at a time. Runs the first `steps`
+    steps and returns, time-major so that each step works on contiguous
+    rows of every direction:
+
+        rz (t, 2, d, b, h)   the gates, rz[:, 0] r and rz[:, 1] z
+        ns (t, d, b, h)      the candidates n
+        ghn (t, d, b, h)     the n column of h W_h + b_h
+        hs (t+1, d, b, h)    the states, hs[0] the zero initial one
+
+    Rows past `steps` are zero in hs and undefined in the others. Each
+    step writes into preallocated buffers, in the operation order of
+
+        gh = h W_h + b_h            (one matmul over the d directions)
+        r, z = sig(gh + gi),        sig(x) = 0.5 (1 + tanh(0.5 x))
+        n = tanh(gi + r gh_n)
+        h' = (1 - z) n + z h
+
+    so every direction's rows equal a scan of that direction alone to
+    the bit, whatever d is: numpy's matmul multiplies each matrix of a
+    stack by the same BLAS call as a 2-D matmul of that matrix.
+    """
+    d, h = len(grus), grus[0].hidden
+    b, t, _ = xs[0].shape
+    for gru in grus:
+        gru._cache = None
+    rz = np.empty((t, 2, d, b, h))
+    ns = np.empty((t, d, b, h))
+    for k, (gru, x) in enumerate(zip(grus, xs)):
+        gi = x @ gru.params["w_i"]  # (b, t, 3h)
+        gi += gru.params["b_i"]
+        rz[:, :, k] = gi[:, :, : 2 * h].reshape(b, t, 2, h).transpose(1, 2, 0, 3)
+        ns[:, k] = gi[:, :, 2 * h :].transpose(1, 0, 2)
+        del gi  # before the next direction's projection is made
+    w_h = np.stack([gru.params["w_h"] for gru in grus])  # (d, h, 3h)
+    b_h = np.stack([gru.params["b_h"] for gru in grus])  # (d, 3h)
+    ghn = np.empty((t, d, b, h))
+    hs = np.zeros((t + 1, d, b, h))
+    gh = np.empty((d, b, 3 * h))
+    gh_rz = gh[:, :, : 2 * h].reshape(d, b, 2, h).transpose(2, 0, 1, 3)  # (2, d, b, h)
+    gh_n = gh[:, :, 2 * h :]
+    b_rz = np.ascontiguousarray(b_h[:, : 2 * h].reshape(d, 1, 2, h).transpose(2, 0, 1, 3))
+    b_n = np.ascontiguousarray(b_h[:, None, 2 * h :])
+    s = np.empty((2, d, b, h))
+    u = np.empty((d, b, h))
+    v = np.empty((d, b, h))
+    # local names and positional outputs: numpy's per-call overhead, not
+    # the arithmetic, bounds a step at small batches
+    add, multiply, subtract, tanh, matmul = np.add, np.multiply, np.subtract, np.tanh, np.matmul
+    for rz_t, (r, z), n, ghn_t, h_t, h_next in zip(rz[:steps], rz, ns, ghn, hs, hs[1:]):
+        matmul(h_t, w_h, gh)
+        add(gh_rz, b_rz, s)
+        add(gh_n, b_n, ghn_t)
+        add(s, rz_t, s)  # rz_t holds gi's r and z columns until overwritten
+        multiply(_HALF, s, s)
+        tanh(s, s)
+        add(_ONE, s, s)
+        multiply(_HALF, s, rz_t)
+        multiply(r, ghn_t, u)
+        add(n, u, u)  # n holds gi's n column until overwritten
+        tanh(u, n)
+        subtract(_ONE, z, u)
+        multiply(u, n, u)
+        multiply(z, h_t, v)
+        add(u, v, h_next)
+    return rz, ns, ghn, hs
+
+
 class Gru(Layer):
     """Single-direction GRU over (batch, time, channels).
 
@@ -160,6 +237,14 @@ class Gru(Layer):
 
     Set reverse=True to scan right-to-left (output stays time-aligned
     with the input).
+
+    forward runs the recurrence through _scan with one direction, the
+    same scan that BiGru runs both its directions through at once. For
+    backward it caches the input x (a reversed view when reverse) and
+    views of the scan's arrays: the gates rz (t, 2, b, h), r then z, the
+    candidates ns and the n column of h W_h + b_h ghn, (t, b, h) each,
+    and the states hs (t+1, b, h). Nothing else outlives forward: not
+    the input projection, nor the r and z columns of h W_h + b_h.
 
     forward(x, steps=k) runs only the first k steps of the scan: the
     first k frames, or the last k when reversed. The input projection
@@ -182,31 +267,26 @@ class Gru(Layer):
         self.params["b_h"] = np.zeros(3 * hidden)
         self.zero_grads()
 
+    def _in_scan_order(self, x):
+        return x[:, ::-1] if self.reverse else x
+
+    def _keep(self, x, scan, k, partial):
+        """Cache direction k of a _scan's arrays for backward; returns this
+        direction's output, time-aligned with the input."""
+        rz, ns, ghn, hs = scan
+        self._cache = (x, rz[:, :, k], ns[:, k], ghn[:, k], hs[:, k])
+        self._partial = partial
+        out = hs[1:, k].transpose(1, 0, 2)
+        return out[:, ::-1] if self.reverse else out
+
     def forward(self, x, steps=None):
-        if self.reverse:
-            x = x[:, ::-1]
-        b, t, _ = x.shape
+        x = self._in_scan_order(x)
+        t = x.shape[1]
         steps = t if steps is None else min(steps, t)
         if steps < 1:
             raise ValueError("a GRU scan needs at least one step")
-        h = self.hidden
-        w_h, b_h = self.params["w_h"], self.params["b_h"]
-        gi = x @ self.params["w_i"] + self.params["b_i"]  # (b, t, 3h)
-        hs = np.zeros((t + 1, b, h))  # hs[0] is the zero initial state
-        rz = np.empty((t, b, 2 * h))
-        ns = np.empty((t, b, h))
-        ghn = np.empty((t, b, h))
-        for step in range(steps):
-            gh = hs[step] @ w_h + b_h
-            rz[step] = sigmoid(gi[:, step, : 2 * h] + gh[:, : 2 * h])
-            r, z = rz[step, :, :h], rz[step, :, h:]
-            ghn[step] = gh[:, 2 * h :]
-            ns[step] = np.tanh(gi[:, step, 2 * h :] + r * ghn[step])
-            hs[step + 1] = (1.0 - z) * ns[step] + z * hs[step]
-        self._cache = (x, rz, ns, ghn, hs)
-        self._partial = steps < t
-        out = hs[1:].transpose(1, 0, 2)
-        return out[:, ::-1] if self.reverse else out
+        scan = _scan((self,), (x,), steps)
+        return self._keep(x, scan, 0, steps < t)
 
     def backward(self, dy):
         if self._partial:
@@ -222,7 +302,7 @@ class Gru(Layer):
         dh = np.zeros((b, h))
         for step in range(t - 1, -1, -1):
             dh = dh + dy[:, step]
-            r, z, n = rz[step, :, :h], rz[step, :, h:], ns[step]
+            (r, z), n = rz[step], ns[step]
             omz = 1.0 - z
             dn_pre = dh * omz * (1.0 - n * n)
             dgh = np.concatenate(
@@ -249,6 +329,12 @@ class Gru(Layer):
 class BiGru(Layer):
     """Forward and reverse GRUs, outputs concatenated to 2*hidden.
 
+    A full forward pass runs both directions through one _scan, their
+    weights stacked: one time loop of t steps, not two. Each direction
+    then caches its own views of the scan's arrays (see Gru), so the two
+    keep no more for backward than two single-direction passes would,
+    and Gru.backward serves each as before.
+
     forward(x, tail=k) is exact on the newest k frames only: the forward
     GRU scans the whole window, the reverse one only its first k steps
     (see Gru). Rows before the tail carry zeros in the reverse half, and
@@ -261,11 +347,18 @@ class BiGru(Layer):
         self.bwd = Gru(cin, hidden, rng, reverse=True)
 
     def forward(self, x, tail=None):
-        return np.concatenate([self.fwd.forward(x), self.bwd.forward(x, tail)], axis=2)
+        if tail is not None:
+            return np.concatenate([self.fwd.forward(x), self.bwd.forward(x, tail)], axis=2)
+        grus = (self.fwd, self.bwd)
+        xs = [gru._in_scan_order(x) for gru in grus]
+        scan = _scan(grus, xs, x.shape[1])
+        out = [gru._keep(x_k, scan, k, False) for k, (gru, x_k) in enumerate(zip(grus, xs))]
+        return np.concatenate(out, axis=2)
 
     def backward(self, dy):
         h = self.fwd.hidden
-        return self.fwd.backward(dy[:, :, :h]) + self.bwd.backward(dy[:, :, h:])
+        dx_bwd = self.bwd.backward(dy[:, :, h:])  # first: it raises after a tail pass
+        return self.fwd.backward(dy[:, :, :h]) + dx_bwd
 
     def zero_grads(self):
         self.fwd.zero_grads()

@@ -52,8 +52,13 @@ def save_weights(path, variant: str, arrays: dict, meta: dict | None = None):
 
 
 def load_weights(path, expected_variant: str | None = None):
-    """Read a container; returns (variant, meta, {name: array})."""
-    with open(path, "rb") as fh:
+    """Read a container; returns (variant, meta, {name: array}). A path
+    that names no file raises DataError."""
+    try:
+        fh = open(path, "rb")
+    except (FileNotFoundError, IsADirectoryError):
+        raise DataError(f"no such file: {path}") from None
+    with fh:
         blob = fh.read()
     if len(blob) < _PREFIX.size:
         raise ParseError(f"{path}: truncated weight file")

@@ -260,6 +260,51 @@ class TestExitCodes:
         assert "seq02" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("case", [
+        "run-ekf --weights", "run-ekf --corrector-weights", "analyze --weights",
+        "eval --estimate", "eval --baseline",
+    ])
+    def test_missing_input_file_exits_3(self, workdir, ekf_csv, tmp_path, capsys, case):
+        missing = str(tmp_path / "absent")
+        seq = ["--data", workdir["data"], "--name", "seq01"]
+        argv = {
+            "run-ekf --weights": ["run-ekf", *seq, "--provider", "network",
+                                  "--weights", missing],
+            "run-ekf --corrector-weights": ["run-ekf", *seq, "--provider", "zero",
+                                            "--corrector-weights", missing],
+            "analyze --weights": ["analyze", "--data", workdir["data"], "--weights", missing],
+            "eval --estimate": ["eval", "--data", workdir["data"],
+                                "--estimate", f"seq01={missing}"],
+            "eval --baseline": ["eval", "--data", workdir["data"],
+                                "--estimate", f"seq01={ekf_csv}",
+                                "--baseline", f"seq01={missing}"],
+        }[case]
+        out = tmp_path / "out.csv"
+        rc = main(argv + ["--config", workdir["cfg"], "--out", str(out)])
+        assert rc == 3
+        assert f"data error: no such file: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run-ekf", "--name", "seq01", "--provider", "zero"],
+        ["deadreckon", "--name", "seq01"],
+        ["train-corrector"],
+        ["train-motion"],
+        ["eval", "--estimate", "seq01=absent.csv"],
+        ["analyze", "--weights", "absent.bfwt"],
+    ], ids=lambda argv: argv[0])
+    def test_out_in_missing_directory_exits_2_before_any_work(self, tmp_path, capsys, argv):
+        # every input is missing as well: had the command read one first,
+        # it would have exited 3
+        out_dir = tmp_path / "missing"
+        rc = main([argv[0], "--data", str(tmp_path / "absent"), *argv[1:],
+                   "--out", str(out_dir / "out.csv")])
+        assert rc == 2
+        assert f"config error: --out {out_dir / 'out.csv'}: no directory {out_dir}" in (
+            capsys.readouterr().err
+        )
+        assert not out_dir.exists()
+
     def test_removed_representation_exits_2(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "old.ini"
         cfg.write_text(RUN_INI + "representation = global-gravity\n")

@@ -20,7 +20,6 @@ from bodyframe_io.nn import (
     Linear,
     PlateauScheduler,
     orthogonal,
-    sigmoid,
 )
 
 STEP = 1e-6
@@ -162,9 +161,15 @@ class TestDropout:
         np.testing.assert_allclose(dx[dx != 0.0], 1.0 / 0.7)
 
 
+def sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def reference_gru(params, hidden, reverse, x, dy):
     """The per-step GRU loop that accumulated every weight gradient inside
-    the time loop (and w_i by einsum); returns (y, dx, grads)."""
+    the time loop (and w_i by einsum); returns (y, dx, grads, cache), the
+    cache holding the forward loop's gates, candidates and states laid
+    out as Gru caches them."""
     w_i, w_h = params["w_i"], params["w_h"]
     if reverse:
         x = x[:, ::-1]
@@ -189,6 +194,12 @@ def reference_gru(params, hidden, reverse, x, dy):
         cache_n[step], cache_ghn[step] = n, ghn
     out = hs.transpose(1, 0, 2)
     y = out[:, ::-1] if reverse else out
+    cache = {
+        "rz": np.stack([cache_r, cache_z], axis=1),  # (t, 2, b, h) as Gru caches it
+        "ns": cache_n,
+        "ghn": cache_ghn,
+        "hs": np.concatenate([np.zeros((1, b, h)), hs]),
+    }
 
     if reverse:
         dy = dy[:, ::-1]
@@ -224,7 +235,7 @@ def reference_gru(params, hidden, reverse, x, dy):
         "w_h": dw_h,
         "b_h": db_h,
     }
-    return y, (dx[:, ::-1] if reverse else dx), grads
+    return y, (dx[:, ::-1] if reverse else dx), grads, cache
 
 
 class TestGru:
@@ -240,7 +251,7 @@ class TestGru:
             p += 0.1 * rng.standard_normal(p.shape)  # nonzero biases
         x = rng.standard_normal((16, 200, 12))
         dy = rng.standard_normal((16, 200, 32))
-        y_ref, dx_ref, grads_ref = reference_gru(gru.params, 32, reverse, x, dy)
+        y_ref, dx_ref, grads_ref, _ = reference_gru(gru.params, 32, reverse, x, dy)
         assert np.array_equal(gru.forward(x), y_ref)
         dx = gru.backward(dy)
         for name, got, ref in [("dx", dx, dx_ref)] + [
@@ -353,6 +364,101 @@ class TestBiGru:
 
     def test_gradients_batch3_steps9(self):
         check_bigru(np.random.default_rng(22), batch=3, steps=9)
+
+
+def owner(a):
+    """The array that owns a view's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestBiGruLockstep:
+    """A full BiGru pass runs both directions in one scan; every value it
+    computes or keeps must equal two scans of one direction each."""
+
+    @staticmethod
+    def make(rng, cin, hidden):
+        big = BiGru(cin, hidden, rng)
+        for gru in (big.fwd, big.bwd):
+            for p in gru.params.values():
+                p += 0.1 * rng.standard_normal(p.shape)  # nonzero biases
+        return big
+
+    @pytest.mark.parametrize("batch", [1, 6, 16])
+    def test_full_pass_equals_per_direction_scans(self, batch):
+        rng = np.random.default_rng(40 + batch)
+        h, t = 8, 30
+        big = self.make(rng, 5, h)
+        x = rng.standard_normal((batch, t, 5))
+        dy = rng.standard_normal((batch, t, 2 * h))
+        halves = (dy[:, :, :h], dy[:, :, h:])
+        grus = (big.fwd, big.bwd)
+        refs = [reference_gru(g.params, h, g.reverse, x, d) for g, d in zip(grus, halves)]
+        y = big.forward(x)
+        assert np.array_equal(y, np.concatenate([ref[0] for ref in refs], axis=2))
+        for gru, ref in zip(grus, refs):
+            _, rz, ns, ghn, hs = gru._cache
+            for name, got in (("rz", rz), ("ns", ns), ("ghn", ghn), ("hs", hs)):
+                assert np.array_equal(got, ref[3][name]), name
+
+        # backward from the lockstep caches equals backward from lone
+        # directions whose caches the reference loop filled
+        big.zero_grads()
+        dx = big.backward(dy)
+        lone_dx = []
+        for gru, ref, d in zip(grus, refs, halves):
+            lone = Gru(5, h, rng, reverse=gru.reverse)
+            lone.params = {k: p.copy() for k, p in gru.params.items()}
+            lone.zero_grads()
+            c = ref[3]
+            lone._cache = (x[:, ::-1] if gru.reverse else x, c["rz"], c["ns"], c["ghn"], c["hs"])
+            lone._partial = False
+            lone_dx.append(lone.backward(d))
+            for k in gru.params:
+                assert np.array_equal(gru.grads[k], lone.grads[k]), k
+        assert np.array_equal(dx, lone_dx[0] + lone_dx[1])
+
+        # tail passes: the newest rows equal the full pass's; a pass that
+        # scans fewer than t reverse steps leaves no backward, and one that
+        # scans all t is a full pass
+        for tail in (1, 3, t):
+            part = big.forward(x, tail=tail)
+            assert np.array_equal(part[:, -tail:], y[:, -tail:])
+            if tail < t:
+                big.zero_grads()
+                with pytest.raises(RuntimeError, match="partial"):
+                    big.backward(dy)
+                for gru in grus:  # raised before either direction accumulated
+                    assert not any(g.any() for g in gru.grads.values())
+            else:
+                big.zero_grads()
+                assert np.array_equal(big.backward(dy), dx)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 6, 16])
+    def test_stacked_matmul_equals_2d_matmuls(self, d, batch):
+        # the scan multiplies every direction's state by its recurrent
+        # weights in one stacked matmul; each product must be the bits of
+        # the 2-D matmul a lone direction would make
+        rng = np.random.default_rng(50 + batch)
+        hs, w = rng.standard_normal((d, batch, 32)), rng.standard_normal((d, 32, 96))
+        out = np.empty((d, batch, 96))
+        np.matmul(hs, w, out)
+        for k in range(d):
+            assert np.array_equal(out[k], hs[k] @ w[k])
+
+    def test_kept_for_backward_no_more_than_two_lone_scans(self):
+        # x, and per direction rz (t, b, 2h), ns and ghn (t, b, h) and hs
+        # (t+1, b, h): no projection, and no r and z columns of h W_h
+        rng = np.random.default_rng(45)
+        b, t, h = 4, 30, 8
+        big = self.make(rng, 5, h)
+        x = rng.standard_normal((b, t, 5))
+        big.forward(x)
+        kept = {id(owner(a)): owner(a) for g in (big.fwd, big.bwd) for a in g._cache}
+        per_direction = (t * b * 2 * h + 2 * t * b * h + (t + 1) * b * h) * 8
+        assert sum(a.nbytes for a in kept.values()) <= x.nbytes + 2 * per_direction
 
 
 def check_bigru(rng, batch, steps):
