@@ -18,9 +18,10 @@ commands that draw random numbers (simulate, train-motion, run-ekf);
 train-corrector accepts it and ignores it, since corrector training is
 deterministic.
 
-Exit codes: 0 success, 2 configuration error (an --out in a directory
-that does not exist among them, refused before any work), 3 data error
-(a missing input file among them), 4 numerical failure.
+Exit codes: 0 success, 2 configuration error (an --out that is a
+directory or lies in one that does not exist among them, refused before
+any work), 3 data error (a missing input file among them), 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def _seen_entries(data: str) -> list[CorpusEntry]:
 
 
 def _check_out_dir(out: str | None):
-    """An --out whose directory does not exist is refused before any work."""
+    """An --out that is a directory, or whose directory does not exist,
+    is refused before any work."""
+    if out is not None and os.path.isdir(out):
+        raise ConfigError(f"--out {out} is a directory")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"--out {out}: no directory {os.path.dirname(out)}")
 

@@ -20,13 +20,14 @@ are entry points to one filter loop, _run, which always starts from the
 initial covariance P0. _run pulls IMU blocks only as it needs their
 frames and hands out each chunk's finished rows (t, r, v, p, biases and
 the diagonal of P) as a FilterRun piece once the chunk's update is
-done. Between chunks it keeps only the corrector's context of raw
-frames, the provider's window of served frames and the current state,
-so a streaming run with a sink holds memory bounded by the provider's
-window, whatever the stream's length. The runners differ only in where
-the served frames are kept: streaming_run keeps bounded FIFO arrays as
-an online system would, batch_run keeps whole-sequence arrays and
-slices them. Both yield the same windows, so the outputs agree to the
+done. Raw and served frames each live in one kind of store, _Frames,
+whose rows are indexed by their place in the stream. Between chunks
+_run keeps only the corrector's context of raw frames, the provider's
+window of served frames and the current state, so a streaming run
+with a sink holds memory bounded by the provider's window, whatever
+the stream's length. The runners differ in one way only: batch_run
+never drops served frames, and slices the provider's windows out of
+all of them. Both yield the same windows, so the outputs agree to the
 last bit. Without a sink, both return the FilterRun of all the pieces:
 a Trajectory plus biases and the diagonal of P at every frame.
 
@@ -175,71 +176,51 @@ def _chunk_size(dt: float, cfg: EkfConfig) -> int:
     return max(1, int(round(imu_rate / cfg.update_rate)))
 
 
-class _RawFrames:
-    """The raw frames of a stream of BODY-kind ImuWindow blocks, pulled a
-    block at a time as they are needed, indexed by their place in the
-    stream, and kept only from a given frame on."""
+class _Frames:
+    """Rows of (t, w, a[, attitude]) frames, indexed by their place in
+    the stream: frames [start, stop) are held, appended at stop and
+    dropped from start. A written row is never overwritten (a full
+    buffer is replaced, not reused), so views handed out by get never
+    change."""
 
-    def __init__(self, blocks):
-        self._blocks = iter(blocks)
-        self._first = 0  # stream index of the first frame kept
-        self.t, self.w, self.a = np.empty(0), np.empty((0, 3)), np.empty((0, 3))
+    def __init__(self, width: int):
+        self.start = self.stop = 0
+        self._base = 0  # stream index of _buf's first row
+        self._buf = np.empty((0, width))
 
-    def fill(self, stop: int) -> int:
-        """Pulls blocks until frame stop - 1 is held or the stream ends;
-        returns min(stop, the number of frames in the stream)."""
-        while self._first + len(self.t) < stop:
-            block = next(self._blocks, None)
-            if block is None:
-                break
-            self.t = np.concatenate([self.t, block.t])
-            self.w = np.concatenate([self.w, block.w])
-            self.a = np.concatenate([self.a, block.a])
-        return min(stop, self._first + len(self.t))
+    def extend(self, rows: np.ndarray):
+        end = self.stop - self._base
+        if end + len(rows) > len(self._buf):
+            # a new buffer with room to grow, holding the kept rows first
+            held = self._buf[self.start - self._base : end]
+            self._buf = np.empty((len(held) + max(len(held), len(rows)), self._buf.shape[1]))
+            self._buf[: len(held)] = held
+            self._base, end = self.start, len(held)
+        self._buf[end : end + len(rows)] = rows
+        self.stop += len(rows)
 
-    def window(self, start: int, stop: int) -> ImuWindow:
-        """Frames [start, stop) of the stream; they are rows of validated blocks."""
-        lo, hi = start - self._first, stop - self._first
-        return ImuWindow.unchecked(self.t[lo:hi], self.w[lo:hi], self.a[lo:hi])
+    def get(self, start: int, stop: int) -> np.ndarray:
+        """A view of frames [start, stop), which must be held."""
+        return self._buf[start - self._base : stop - self._base]
 
     def keep_from(self, start: int):
         """Drops the frames before frame start."""
-        drop = max(0, start - self._first)
-        self.t, self.w, self.a = self.t[drop:], self.w[drop:], self.a[drop:]
-        self._first += drop
+        self.start = max(self.start, start)
 
 
-class _ArrayFifo:
-    """The newest maxlen rows appended, oldest first, as an online
-    system keeps them in a bounded buffer."""
-
-    def __init__(self, maxlen: int, row_shape: tuple):
-        self.maxlen = maxlen
-        self._rows = np.empty((0, *row_shape))
-
-    def extend(self, rows: np.ndarray):
-        # a new array each time, so views handed out by tail never change
-        self._rows = np.concatenate([self._rows, rows])[-self.maxlen :]
-
-    def tail(self, m: int) -> np.ndarray:
-        """A view of the newest min(m, maxlen) rows."""
-        return self._rows[max(0, len(self._rows) - m) :]
+def _window(rows: np.ndarray, kind=RepresentationKind.BODY) -> ImuWindow:
+    """The ImuWindow of a store's rows, built unchecked: they are rows of
+    validated windows."""
+    return ImuWindow.unchecked(rows[:, 0], rows[:, 1:4], rows[:, 4:7],
+                               rows[:, 7:] if kind.has_attitude else None, kind)
 
 
-class _SequenceArray:
-    """Every row appended, in one array sized for the whole sequence."""
-
-    def __init__(self, n: int, row_shape: tuple):
-        self._rows = np.empty((n, *row_shape))
-        self._end = 0
-
-    def extend(self, rows: np.ndarray):
-        self._rows[self._end : self._end + len(rows)] = rows
-        self._end += len(rows)
-
-    def tail(self, m: int) -> np.ndarray:
-        """A slice of the newest m rows; rows are written once, never moved."""
-        return self._rows[max(0, self._end - m) : self._end]
+def _pull(raw: _Frames, blocks, stop: int) -> int:
+    """Appends IMU blocks to raw until frame stop - 1 is held or the
+    stream ends; returns min(stop, raw.stop)."""
+    while raw.stop < stop and (block := next(blocks, None)) is not None:
+        raw.extend(np.column_stack([block.t, block.w, block.a]))
+    return min(stop, raw.stop)
 
 
 def _rows(t, x: NavState, r, v, p, P_diag) -> FilterRun:
@@ -249,7 +230,7 @@ def _rows(t, x: NavState, r, v, p, P_diag) -> FilterRun:
                      b_g=np.tile(x.b_g, (m, 1)), P_diag=P_diag)
 
 
-def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, n=None):
+def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, drop_served=True):
     """The filter loop over consecutive BODY-kind ImuWindow blocks of one
     stream: yields FilterRun pieces that concatenate to one row per
     sample, first frame 0's, then each chunk's once it is done.
@@ -257,52 +238,51 @@ def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, n=None):
     Samples arrive in chunks of round(imu_rate / update_rate) frames,
     with the rate read from the first two stamps; a chunk pulls the
     next block only when it needs its frames. Each chunk:
-    - corrects the frames not yet corrected, behind corrector.context
-      raw frames of context;
+    - corrects the frames not yet served, behind corrector.context raw
+      frames of context;
     - propagates through the new frames at once (propagate_chunk, then
       ekf_propagate per frame, recording the diagonal of each P);
-    - records each newly corrected frame once, as the provider is
-      served it: re-expressed in provider.required_kind, when that is
-      not the body frame, by one transform_representation call with the
-      frames' pre-update attitudes (the update below has not yet moved
-      the newest one, and served frames are never revised);
+    - serves each newly corrected frame once: re-expressed in
+      provider.required_kind, when that is not the body frame, by one
+      transform_representation call with the frames' pre-update
+      attitudes (the update below has not yet moved the newest one, and
+      served frames are never revised);
     - when the chunk ends on an update frame (every chunk but a partial
       last one), runs the velocity provider over the newest
-      provider.window_len recorded frames (fewer at the start), asks it
+      provider.window_len served frames (fewer at the start), asks it
       for one row, the newest frame's (v, eta), and updates with it;
     - hands out its rows, the last one after the update.
 
-    Update frames are the multiples of k. Raw frames are kept from the
-    first one the next chunk reads: its context, or the frame before
-    it for the step's dt. The recorded rows (t, w, a, then the attitude
-    channel when the kind has one) are kept in an _ArrayFifo store
-    bounded by window_len, or, given the stream's length n, in a
-    whole-sequence _SequenceArray store. The provider's window is built
-    from these rows unchecked: they are rows of the validated corrected
-    window or of transform_representation's.
+    Update frames are the multiples of k. Raw and served frames each
+    live in a _Frames store, indexed by their place in the stream, so
+    the frames served so far are [0, served.stop). Raw frames are kept
+    from the first one the next chunk reads: its context, or the frame
+    before it for the step's dt. Served frames are kept from the first
+    one the provider's next window reads, or, without drop_served, all
+    of them. The provider's window is built from served rows unchecked:
+    they are rows of the validated corrected window or of
+    transform_representation's.
     Raises InvalidRotationError or DataError on an invalid x0.
     """
     cfg.validate()
     x0.validate()
-    imu = _RawFrames(blocks)
-    if imu.fill(2) < 2:
+    blocks, raw = iter(blocks), _Frames(7)
+    if _pull(raw, blocks, 2) < 2:
         raise DataError("need at least two IMU samples")
-    k = _chunk_size(imu.t[1] - imu.t[0], cfg)
+    t01 = raw.get(0, 2)[:, 0]
+    k = _chunk_size(t01[1] - t01[0], cfg)
     kind = provider.required_kind
-    served = provider.window_len
-    # rows of t, w, a, then the attitude channel when the kind has one
-    row_shape = (10,) if kind.has_attitude else (7,)
-    frames = _ArrayFifo(served, row_shape) if n is None else _SequenceArray(n, row_shape)
+    m = provider.window_len
+    served = _Frames(10 if kind.has_attitude else 7)
 
     fs = FilterState(x=x0, P=P0)
-    yield _rows(imu.t[:1], fs.x, *(np.array([x]) for x in (x0.r, x0.v, x0.p, np.diagonal(P0))))
-    corrected_to = 0  # frames [0, corrected_to) are corrected and recorded
+    yield _rows(t01[:1], fs.x, *(np.array([x]) for x in (x0.r, x0.v, x0.p, np.diagonal(P0))))
     start = 1
-    while (stop := imu.fill(start + k)) > start:
-        chunk = imu.window(max(0, corrected_to - corrector.context), stop)
+    while (stop := _pull(raw, blocks, start + k)) > start:
+        chunk = _window(raw.get(max(0, served.stop - corrector.context), stop))
         corrected, corr = correct_and_quantify(corrector, chunk)
         j = len(chunk) - (stop - start)  # chunk row of frame `start`
-        dt = np.diff(imu.window(start - 1, stop).t)
+        dt = np.diff(raw.get(start - 1, stop)[:, 0])
         r, v, p, a_mat, q_mat = propagate_chunk(
             fs.x, corrected.w[j:], corrected.a[j:], dt,
             corr.eta_g[j:], corr.eta_a[j:], cfg.eta_bg, cfg.eta_ba,
@@ -314,26 +294,23 @@ def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, n=None):
             piece.P_diag[i] = np.diagonal(p_cov)
         fs = FilterState(NavState(r[-1], v[-1], p[-1], fs.x.b_a, fs.x.b_g), p_cov)
 
-        new = len(chunk) - (stop - corrected_to)  # chunk row of the first new frame
+        new = len(chunk) - (stop - served.stop)  # chunk row of the first new frame
         if kind is RepresentationKind.BODY:
             columns = [corrected.t[new:], corrected.w[new:], corrected.a[new:]]
         else:
             # the first chunk also serves frame 0, at the initial attitude
-            rotations = r if corrected_to else np.concatenate([x0.r[None], r])
+            rotations = r if served.stop else np.concatenate([x0.r[None], r])
             fresh = transform_representation(corrected.slice(new, len(chunk)), kind, rotations)
             columns = [fresh.t, fresh.w, fresh.a]
             if kind.has_attitude:
                 columns.append(fresh.attitudes)
-        frames.extend(np.column_stack(columns))
-        corrected_to = stop
-        imu.keep_from(stop - max(1, corrector.context))
+        served.extend(np.column_stack(columns))
+        raw.keep_from(stop - max(1, corrector.context))
+        if drop_served:
+            served.keep_from(stop - m)
 
         if (stop - 1) % k == 0:
-            rows = frames.tail(served)
-            window = ImuWindow.unchecked(
-                rows[:, 0], rows[:, 1:4], rows[:, 4:7],
-                rows[:, 7:] if kind.has_attitude else None, kind,
-            )
+            window = _window(served.get(max(0, stop - m), stop), kind)
             v, eta = provider.predict_window(window, 1)
             fs = ekf_update(fs, VelocityMeasurement(v_body=v[-1], eta_v=eta[-1]))
             piece.r[-1], piece.v[-1], piece.p[-1] = fs.x.r, fs.x.v, fs.x.p
@@ -353,11 +330,11 @@ def _collect(pieces) -> FilterRun:
 
 def streaming_run(imu, provider, corrector, cfg: EkfConfig, x0: NavState, sink=None):
     """Online filter pass over imu, a BODY-kind ImuWindow or an iterable
-    of consecutive BODY-kind ImuWindow blocks of one stream, keeping
-    bounded FIFO buffers as an online system would. Returns a FilterRun;
-    or, given a sink, calls sink(piece) with each chunk's rows as a
-    FilterRun piece as soon as they are final, keeps none of them and
-    returns None."""
+    of consecutive BODY-kind ImuWindow blocks of one stream, keeping no
+    more served frames than the provider's window, as an online system
+    would. Returns a FilterRun; or, given a sink, calls sink(piece) with
+    each chunk's rows as a FilterRun piece as soon as they are final,
+    keeps none of them and returns None."""
     pieces = _run([imu] if isinstance(imu, ImuWindow) else imu, provider, corrector, cfg, x0)
     if sink is None:
         return _collect(pieces)
@@ -366,7 +343,7 @@ def streaming_run(imu, provider, corrector, cfg: EkfConfig, x0: NavState, sink=N
 
 
 def batch_run(imu: ImuWindow, provider, corrector, cfg: EkfConfig, x0: NavState):
-    """Offline pass over a BODY-kind ImuWindow, slicing whole-sequence
-    arrays instead of FIFO buffers; outputs match streaming_run to the
-    last bit on the same inputs."""
-    return _collect(_run([imu], provider, corrector, cfg, x0, n=len(imu)))
+    """Offline pass over a BODY-kind ImuWindow that keeps every served
+    frame and slices the provider's windows out of them; outputs match
+    streaming_run to the last bit on the same inputs."""
+    return _collect(_run([imu], provider, corrector, cfg, x0, drop_served=False))

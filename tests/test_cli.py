@@ -49,6 +49,16 @@ window = 50
 stride = 25
 """
 
+# every command that takes --out, with its other required arguments but --data
+OUT_COMMANDS = [
+    ["run-ekf", "--name", "seq01", "--provider", "zero"],
+    ["deadreckon", "--name", "seq01"],
+    ["train-corrector"],
+    ["train-motion"],
+    ["eval", "--estimate", "seq01=absent.csv"],
+    ["analyze", "--weights", "absent.bfwt"],
+]
+
 
 def read_report(path):
     with open(path, newline="") as fh:
@@ -285,14 +295,7 @@ class TestExitCodes:
         assert f"data error: no such file: {missing}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["run-ekf", "--name", "seq01", "--provider", "zero"],
-        ["deadreckon", "--name", "seq01"],
-        ["train-corrector"],
-        ["train-motion"],
-        ["eval", "--estimate", "seq01=absent.csv"],
-        ["analyze", "--weights", "absent.bfwt"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
     def test_out_in_missing_directory_exits_2_before_any_work(self, tmp_path, capsys, argv):
         # every input is missing as well: had the command read one first,
         # it would have exited 3
@@ -304,6 +307,17 @@ class TestExitCodes:
             capsys.readouterr().err
         )
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_out_is_a_directory_exits_2_before_any_work(self, tmp_path, capsys, argv):
+        # every input is missing, as above: the directory is refused first
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main([argv[0], "--data", str(tmp_path / "absent"), *argv[1:],
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert f"config error: --out {out_dir} is a directory" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_removed_representation_exits_2(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "old.ini"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bodyframe_io import ekf
 from bodyframe_io.corrector import (
     IdentityCorrector,
     LearnedAffineCorrector,
@@ -623,6 +624,47 @@ class TestNetworkServing:
         assert len(steps) == len(spy.windows) == 20
         assert max(steps) == model.config.window
         assert all(len(w) <= model.config.window for w in spy.windows)
+
+    def test_streaming_memory_is_bounded_by_the_window(self, noisy_fig8, monkeypatch):
+        # after each chunk the served store holds at most the provider's
+        # window and the raw store the corrector's context plus the rest
+        # of the last block pulled, each in an array at most twice that,
+        # whatever the stream's length
+        traj, imu, _, cfg = noisy_fig8
+        rng = np.random.default_rng(8)
+        d = 6 * 16
+        corrector = LearnedAffineCorrector(
+            weight=1e-5 * rng.standard_normal((d, 6)), bias=np.zeros(6),
+            feat_mean=np.zeros(d), feat_scale=np.ones(d),
+            raw_eta=inv_softplus(np.array([1e-2] * 3 + [1e-1] * 3)),
+        )
+        provider = NetworkProvider(perturbed_tiny_network())
+        block = 7  # frames per block; chunks are 5 frames
+        stores = []
+
+        class SpyFrames(ekf._Frames):
+            def __init__(self, width):
+                super().__init__(width)
+                stores.append(self)
+
+        monkeypatch.setattr(ekf, "_Frames", SpyFrames)
+        held = []
+
+        def sink(piece):
+            raw, served = stores  # made in this order
+            held.append((raw.stop - raw.start, len(raw._buf),
+                         served.stop - served.start, len(served._buf)))
+
+        n = 301
+        blocks = (imu.slice(i, min(i + block, n)) for i in range(0, n, block))
+        streaming_run(blocks, provider, corrector, cfg, initial_state_from(traj), sink=sink)
+        assert len(held) == 1 + (n - 1) // 5
+        raw_bound = max(1, corrector.context) + block - 1
+        m = provider.window_len
+        for raw_rows, raw_alloc, served_rows, served_alloc in held:
+            assert raw_rows <= raw_bound and raw_alloc <= 2 * raw_bound
+            assert served_rows <= m and served_alloc <= 2 * m
+        assert max(h[2] for h in held) == m  # the window did fill
 
     @pytest.mark.parametrize("make, window_len", [
         (lambda traj: ConstantZeroProvider(), 1),
