@@ -24,7 +24,9 @@ only on frames at or before it. Each corrector names the raw frames of
 context it needs, `context` (window_len - 1 for the affine map, none
 for the identity): inferring a run of new frames behind that many
 earlier raw frames reproduces offline outputs for the new frames to
-the last bit.
+the last bit, however many new frames there are, one included. The
+filter relies on this: it corrects each IMU block once, as it arrives,
+behind the context frames of the blocks before it.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ class LearnedAffineCorrector:
     weight has shape (16 * 6, 6) and bias (6,); columns 0:3 are the gyro
     correction, 3:6 the accel correction. Features are standardized
     with statistics frozen at training time. Construction raises
-    DataError unless window_len is a positive int and every array has
-    the shape it implies.
+    DataError unless window_len is a positive int, every array has the
+    shape it implies and raw_eta is finite (a NaN would give NaN
+    uncertainties).
     """
 
     def __init__(
@@ -131,6 +134,8 @@ class LearnedAffineCorrector:
             if actual != shape:
                 raise DataError(f"affine corrector {name} has shape {actual},"
                                 f" expected {shape} for window_len {window_len}")
+        if not np.isfinite(self.raw_eta).all():
+            raise DataError("affine corrector raw_eta must be finite")
 
     @property
     def context(self) -> int:
@@ -146,8 +151,14 @@ class LearnedAffineCorrector:
         return (_raw_features(window, self.window_len) - self.feat_mean) / self.feat_scale
 
     def infer(self, window: ImuWindow) -> CorrectionOutput:
-        pred = self.features(window) @ self.weight + self.bias
         n = len(window)
+        feats = self.features(window)
+        if n == 1:
+            # numpy multiplies one row by a matrix-vector BLAS call, which may
+            # round otherwise than the matrix product of two or more rows; a
+            # doubled row keeps each row's output whatever the window's length
+            feats = np.vstack([feats, feats])
+        pred = (feats @ self.weight)[:n] + self.bias
         eta = self.eta
         return CorrectionOutput(
             gyro_correction=pred[:, 0:3],
@@ -178,8 +189,8 @@ def correct_and_quantify(model, window: ImuWindow):
     if window.kind is not RepresentationKind.BODY:
         raise DataError(f"correct_and_quantify takes a BODY window, got {window.kind.value!r}")
     out = model.infer(window)
-    if np.any(out.eta_g <= 0) or np.any(out.eta_a <= 0):
-        raise DataError("corrector produced non-positive uncertainty")
+    if not ((out.eta_g > 0).all() and (out.eta_a > 0).all()):  # NaN fails too
+        raise DataError("corrector produced an uncertainty that is not positive")
     corrected = ImuWindow(
         t=window.t.copy(),
         w=window.w + out.gyro_correction,

@@ -133,8 +133,8 @@ def slerp(q0, q1, alpha) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV primitives
 
-#: data lines per block of the CSV readers, and rows per block that
-#: TrajectoryWriter formats and writes at once
+#: data lines per block of the CSV readers, and the rows TrajectoryWriter
+#: holds before it formats and writes them
 BLOCK_LINES = 256
 
 
@@ -495,6 +495,9 @@ def load_sequence(seq_dir):
 # Estimated trajectory files
 
 _TRAJECTORY_LINE = ",".join(["%.9g"] * 12) + "\n"
+# rows formatted at once: every flush of a run-ekf stream in one call, and
+# a whole-flight write in pieces whose text stays a few MB
+_FORMAT_ROWS = 16 * BLOCK_LINES
 
 
 class TrajectoryWriter:
@@ -539,8 +542,11 @@ class TrajectoryWriter:
                       for name in ("t", "r", "v", "p"))
         traces = np.concatenate([tr for _, tr in self._pending])
         self._pending, self._pending_rows = [], 0
-        rest = np.column_stack([p, quat_from_matrix(r), v, traces])
-        self._fh.writelines(_TRAJECTORY_LINE % (x, *row) for x, row in zip(t, rest))
+        rows = np.column_stack([t, p, quat_from_matrix(r), v, traces])
+        # one format call per piece, on the rows' values as Python floats
+        for i in range(0, len(rows), _FORMAT_ROWS):
+            piece = rows[i : i + _FORMAT_ROWS]
+            self._fh.write((_TRAJECTORY_LINE * len(piece)) % tuple(piece.ravel().tolist()))
 
     def __exit__(self, exc_type, exc, tb):
         done = False

@@ -18,29 +18,35 @@ Both runners take the IMU stream as one BODY-kind ImuWindow, or
 streaming_run as consecutive blocks of one, and an initial state, and
 are entry points to one filter loop, _run, which always starts from the
 initial covariance P0. _run pulls IMU blocks only as it needs their
-frames and hands out each chunk's finished rows (t, r, v, p, biases and
-the diagonal of P) as a FilterRun piece once the chunk's update is
-done. Raw and served frames each live in one kind of store, _Frames,
-whose rows are indexed by their place in the stream. Between chunks
-_run keeps only the corrector's context of raw frames, the provider's
-window of served frames and the current state, so a streaming run
-with a sink holds memory bounded by the provider's window, whatever
-the stream's length. The runners differ in one way only: batch_run
-never drops served frames, and slices the provider's windows out of
-all of them. Both yield the same windows, so the outputs agree to the
-last bit. Without a sink, both return the FilterRun of all the pieces:
-a Trajectory plus biases and the diagonal of P at every frame.
+frames, corrects each block as it arrives, and hands out each chunk's
+finished rows (t, r, v, p, biases and the diagonal of P) as a
+FilterRun piece once the chunk's update is done. Raw frames (raw and
+corrected readings and the corrector's stds) and served frames each
+live in one kind of store, _Frames, whose rows are indexed by their
+place in the stream. Between chunks _run keeps only the corrector's
+context of raw frames (and the rest of the last block pulled), the
+provider's window of served frames and the current state, so a
+streaming run with a sink holds memory bounded by the provider's
+window and the block size, whatever the stream's length. The runners
+differ in one way only: batch_run never drops served frames, and
+slices the provider's windows out of all of them. Both yield the same
+windows, so the outputs agree to the last bit. Without a sink, both
+return the FilterRun of all the pieces: a Trajectory plus biases and
+the diagonal of P at every frame.
 
 Per-interval convention: the reading at frame i propagates the filter
 across the interval ending at t_i, so each arriving sample is corrected
-and consumed the moment it is seen. Each frame is corrected once (the
-corrector is causal, so its new frames need only corrector.context raw
-frames before them) and re-expressed once in the provider's
-representation, with its pre-update attitude, in one
-transform_representation call per chunk; the filter keeps the frames
-as served. The velocity provider runs only when an update follows, on
-the newest provider.window_len frames, the most it reads, and is asked
-for the newest frame's row only, the one row the update fuses.
+and consumed the moment it is seen. Each frame is corrected once, with
+the rest of its IMU block, in one correct_and_quantify call per block:
+the corrector is causal and does not read the filter's state, so a
+block's frames need only corrector.context raw frames before them, and
+get the bits of correcting the whole stream at once. Each frame is
+re-expressed once in the provider's representation, with its
+pre-update attitude, in one transform_representation call per chunk;
+the filter keeps the frames as served. The velocity provider runs
+only when an update follows, on the newest provider.window_len frames,
+the most it reads, and is asked for the newest frame's row only, the
+one row the update fuses.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from .imu_model import ImuWindow, RepresentationKind, transform_representation
 from .motion_model import VelocityMeasurement
 # The per-frame propagate_* are unused here, but perfbench/tracing.py patches them.
 from .preintegration import (
+    _EYE15,
     ERROR_DIM,
     NavState,
     propagate_chunk,
@@ -149,7 +156,9 @@ def ekf_update(fs: FilterState, z: VelocityMeasurement) -> FilterState:
     sigma = np.diag(z.eta_v * z.eta_v)
     s_mat = h_mat @ fs.P @ h_mat.T + sigma
     s_mat = 0.5 * (s_mat + s_mat.T)
-    if np.linalg.cond(s_mat) > _SINGULAR_COND:
+    # the condition number np.linalg.cond computes, s_max / s_min, without its wrapper
+    sv = np.linalg.svd(s_mat, compute_uv=False)
+    if not sv[-1] > 0.0 or sv[0] / sv[-1] > _SINGULAR_COND:
         raise SingularUpdateError(
             f"innovation covariance condition number exceeds {_SINGULAR_COND:g}"
         )
@@ -157,7 +166,7 @@ def ekf_update(fs: FilterState, z: VelocityMeasurement) -> FilterState:
     innovation = z.v_body - predicted_velocity(fs)
     delta = gain @ innovation
     x_new = state_boxplus(fs.x, delta)
-    i_kh = np.eye(ERROR_DIM) - gain @ h_mat
+    i_kh = _EYE15 - gain @ h_mat
     p_new = i_kh @ fs.P @ i_kh.T + gain @ sigma @ gain.T
     p_new = 0.5 * (p_new + p_new.T)
     return FilterState(x=x_new, P=p_new)
@@ -177,8 +186,9 @@ def _chunk_size(dt: float, cfg: EkfConfig) -> int:
 
 
 class _Frames:
-    """Rows of (t, w, a[, attitude]) frames, indexed by their place in
-    the stream: frames [start, stop) are held, appended at stop and
+    """Rows of frames, the served store's (t, w, a[, attitude]) or the
+    raw store's (see _RAW_WIDTH), indexed by their place in the
+    stream: frames [start, stop) are held, appended at stop and
     dropped from start. A written row is never overwritten (a full
     buffer is replaced, not reused), so views handed out by get never
     change."""
@@ -209,25 +219,48 @@ class _Frames:
 
 
 def _window(rows: np.ndarray, kind=RepresentationKind.BODY) -> ImuWindow:
-    """The ImuWindow of a store's rows, built unchecked: they are rows of
-    validated windows."""
+    """The ImuWindow of (t, w, a[, attitude]) rows, built unchecked: they
+    are rows of validated windows."""
     return ImuWindow.unchecked(rows[:, 0], rows[:, 1:4], rows[:, 4:7],
                                rows[:, 7:] if kind.has_attitude else None, kind)
 
 
-def _pull(raw: _Frames, blocks, stop: int) -> int:
-    """Appends IMU blocks to raw until frame stop - 1 is held or the
-    stream ends; returns min(stop, raw.stop)."""
+# A raw-store row is one frame (w, a, t, w_hat, a_hat, eta_g, eta_a):
+# its raw reading, then columns 6:13, the corrected frame as the served
+# store lays it out, then the corrector's two white-noise stds.
+_RAW_WIDTH = 19
+
+
+def _corrected(raw: _Frames, block: ImuWindow, corrector) -> np.ndarray:
+    """The raw-store rows of block, the next frames of the stream: its
+    frames corrected in one correct_and_quantify call, behind the
+    corrector.context raw frames held before them."""
+    held = raw.get(max(0, raw.stop - corrector.context), raw.stop)
+    rows = np.empty((len(held) + len(block), _RAW_WIDTH))
+    rows[: len(held)] = held
+    new = rows[len(held):]
+    new[:, 0:3], new[:, 3:6], new[:, 6] = block.w, block.a, block.t
+    corrected, corr = correct_and_quantify(
+        corrector, ImuWindow.unchecked(rows[:, 6], rows[:, 0:3], rows[:, 3:6]))
+    rows[:, 7:10], rows[:, 10:13] = corrected.w, corrected.a
+    rows[:, 13:16], rows[:, 16:19] = corr.eta_g, corr.eta_a
+    return new
+
+
+def _pull(raw: _Frames, blocks, stop: int, corrector) -> int:
+    """Appends IMU blocks to raw, each corrected as it arrives, until
+    frame stop - 1 is held or the stream ends; returns min(stop, raw.stop)."""
     while raw.stop < stop and (block := next(blocks, None)) is not None:
-        raw.extend(np.column_stack([block.t, block.w, block.a]))
+        if len(block):  # an empty block has nothing to correct
+            raw.extend(_corrected(raw, block, corrector))
     return min(stop, raw.stop)
 
 
 def _rows(t, x: NavState, r, v, p, P_diag) -> FilterRun:
     """A FilterRun piece: len(t) frames, with x's biases on every row."""
     m = len(t)
-    return FilterRun(t=t, r=r, v=v, p=p, b_a=np.tile(x.b_a, (m, 1)),
-                     b_g=np.tile(x.b_g, (m, 1)), P_diag=P_diag)
+    return FilterRun(t=t, r=r, v=v, p=p, b_a=np.full((m, 3), x.b_a),
+                     b_g=np.full((m, 3), x.b_g), P_diag=P_diag)
 
 
 def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, drop_served=True):
@@ -237,12 +270,13 @@ def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, drop_served=
 
     Samples arrive in chunks of round(imu_rate / update_rate) frames,
     with the rate read from the first two stamps; a chunk pulls the
-    next block only when it needs its frames. Each chunk:
-    - corrects the frames not yet served, behind corrector.context raw
-      frames of context;
-    - propagates through the new frames at once (propagate_chunk, then
+    next block only when it needs its frames. Each block pulled is
+    corrected at once, in one correct_and_quantify call behind
+    corrector.context raw frames of context, and kept in the raw store
+    as raw reading, corrected reading and stds. Each chunk:
+    - propagates through its frames at once (propagate_chunk, then
       ekf_propagate per frame, recording the diagonal of each P);
-    - serves each newly corrected frame once: re-expressed in
+    - serves each of its corrected frames once: re-expressed in
       provider.required_kind, when that is not the body frame, by one
       transform_representation call with the frames' pre-update
       attitudes (the update below has not yet moved the newest one, and
@@ -256,20 +290,21 @@ def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, drop_served=
     Update frames are the multiples of k. Raw and served frames each
     live in a _Frames store, indexed by their place in the stream, so
     the frames served so far are [0, served.stop). Raw frames are kept
-    from the first one the next chunk reads: its context, or the frame
-    before it for the step's dt. Served frames are kept from the first
-    one the provider's next window reads, or, without drop_served, all
-    of them. The provider's window is built from served rows unchecked:
-    they are rows of the validated corrected window or of
+    from the first one the next block's correction or the next chunk
+    reads: the corrector's context, or the frame before the chunk for
+    the step's dt. Served frames are kept from the first one the
+    provider's next window reads, or, without drop_served, all of them.
+    The provider's window is built from served rows unchecked: they are
+    rows of the validated corrected window or of
     transform_representation's.
     Raises InvalidRotationError or DataError on an invalid x0.
     """
     cfg.validate()
     x0.validate()
-    blocks, raw = iter(blocks), _Frames(7)
-    if _pull(raw, blocks, 2) < 2:
+    blocks, raw = iter(blocks), _Frames(_RAW_WIDTH)
+    if _pull(raw, blocks, 2, corrector) < 2:
         raise DataError("need at least two IMU samples")
-    t01 = raw.get(0, 2)[:, 0]
+    t01 = raw.get(0, 2)[:, 6]
     k = _chunk_size(t01[1] - t01[0], cfg)
     kind = provider.required_kind
     m = provider.window_len
@@ -278,33 +313,30 @@ def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, drop_served=
     fs = FilterState(x=x0, P=P0)
     yield _rows(t01[:1], fs.x, *(np.array([x]) for x in (x0.r, x0.v, x0.p, np.diagonal(P0))))
     start = 1
-    while (stop := _pull(raw, blocks, start + k)) > start:
-        chunk = _window(raw.get(max(0, served.stop - corrector.context), stop))
-        corrected, corr = correct_and_quantify(corrector, chunk)
-        j = len(chunk) - (stop - start)  # chunk row of frame `start`
-        dt = np.diff(raw.get(start - 1, stop)[:, 0])
+    while (stop := _pull(raw, blocks, start + k, corrector)) > start:
+        rows = raw.get(start - 1, stop)  # the frame before the chunk, then the chunk's
+        t, new = rows[:, 6], rows[1:]
         r, v, p, a_mat, q_mat = propagate_chunk(
-            fs.x, corrected.w[j:], corrected.a[j:], dt,
-            corr.eta_g[j:], corr.eta_a[j:], cfg.eta_bg, cfg.eta_ba,
+            fs.x, new[:, 7:10], new[:, 10:13], t[1:] - t[:-1],
+            new[:, 13:16], new[:, 16:19], cfg.eta_bg, cfg.eta_ba,
         )
-        piece = _rows(corrected.t[j:], fs.x, r, v, p, np.empty((stop - start, ERROR_DIM)))
+        covs = np.empty((stop - start, ERROR_DIM, ERROR_DIM))
         p_cov = fs.P
         for i in range(stop - start):
-            p_cov = ekf_propagate(p_cov, a_mat[i], q_mat[i])
-            piece.P_diag[i] = np.diagonal(p_cov)
+            covs[i] = p_cov = ekf_propagate(p_cov, a_mat[i], q_mat[i])
+        piece = _rows(t[1:], fs.x, r, v, p, np.diagonal(covs, axis1=1, axis2=2).copy())
         fs = FilterState(NavState(r[-1], v[-1], p[-1], fs.x.b_a, fs.x.b_g), p_cov)
 
-        new = len(chunk) - (stop - served.stop)  # chunk row of the first new frame
-        if kind is RepresentationKind.BODY:
-            columns = [corrected.t[new:], corrected.w[new:], corrected.a[new:]]
-        else:
+        fresh = raw.get(served.stop, stop)[:, 6:13]  # corrected (t, w, a) not yet served
+        if kind is not RepresentationKind.BODY:
             # the first chunk also serves frame 0, at the initial attitude
             rotations = r if served.stop else np.concatenate([x0.r[None], r])
-            fresh = transform_representation(corrected.slice(new, len(chunk)), kind, rotations)
-            columns = [fresh.t, fresh.w, fresh.a]
+            out = transform_representation(_window(fresh), kind, rotations)
+            columns = [out.t, out.w, out.a]
             if kind.has_attitude:
-                columns.append(fresh.attitudes)
-        served.extend(np.column_stack(columns))
+                columns.append(out.attitudes)
+            fresh = np.column_stack(columns)
+        served.extend(fresh)
         raw.keep_from(stop - max(1, corrector.context))
         if drop_served:
             served.keep_from(stop - m)

@@ -55,13 +55,14 @@ class VelocityMeasurement:
     eta_v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v_body", np.asarray(self.v_body, dtype=float))
-        object.__setattr__(self, "eta_v", np.asarray(self.eta_v, dtype=float))
-        if self.v_body.shape != (3,) or self.eta_v.shape != (3,):
+        v, eta = np.asarray(self.v_body, dtype=float), np.asarray(self.eta_v, dtype=float)
+        object.__setattr__(self, "v_body", v)
+        object.__setattr__(self, "eta_v", eta)
+        if v.shape != (3,) or eta.shape != (3,):
             raise DataError("velocity measurement fields must be 3-vectors")
-        if not (np.all(np.isfinite(self.v_body)) and np.all(np.isfinite(self.eta_v))):
+        if not (np.isfinite(v).all() and np.isfinite(eta).all()):
             raise DataError("velocity measurement must be finite")
-        if np.any(self.eta_v <= 0.0):
+        if not (eta > 0.0).all():
             raise DataError("eta_v must be strictly positive")
 
 
@@ -615,10 +616,10 @@ class OracleProvider:
         # the first truth row after stamp - 1e-9 s is the only one that can match
         rows = np.searchsorted(self._times, stamps - 1e-9, side="right")
         rows = np.minimum(rows, len(self._times) - 1)
-        missing = np.flatnonzero(np.abs(self._times[rows] - stamps) >= 1e-9)
-        if missing.size:
-            raise DataError(f"no oracle measurement at t={stamps[missing[0]]}")
-        return self._v[rows], np.tile(self._eta, (len(rows), 1))
+        missing = np.abs(self._times[rows] - stamps) >= 1e-9
+        if missing.any():
+            raise DataError(f"no oracle measurement at t={stamps[missing.argmax()]}")
+        return self._v[rows], np.full((len(rows), 3), self._eta)
 
 
 class NetworkProvider:

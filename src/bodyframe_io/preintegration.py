@@ -37,7 +37,10 @@ chunk between two updates is known up front (as in on-manifold
 preintegration, Forster et al., TRO 2017). propagate_chunk computes
 Exp, J_r, u, A and Q = B W B^T for all k rows at once, Q in closed form
 from B's two noise blocks; only the rotation chain loops per frame, and
-v and p are running sums. Rows match the per-frame propagate_state,
+v and p are running sums. A, Q and the rotation chain are written in
+place into arrays allocated once per chunk, and the Taylor branch of
+the trig coefficients is evaluated only when some row's angle is below
+1e-4 rad. Rows match the per-frame propagate_state,
 propagation_jacobians and propagate_covariance (the tests' reference)
 bit for bit.
 """
@@ -51,7 +54,7 @@ import numpy as np
 from .errors import DataError, InvalidRotationError
 from .imu_model import GRAVITY, ImuWindow
 from .simulator import Trajectory
-from .so3 import _SMALL_ANGLE, exp_so3, hat, is_rotation, log_so3, right_jacobian, row_dots
+from .so3 import _EYE3, _SMALL_ANGLE, exp_so3, hat, is_rotation, log_so3, right_jacobian, row_dots
 
 ERROR_DIM = 15
 NOISE_DIM = 12
@@ -158,11 +161,28 @@ def state_boxminus(x1: NavState, x0: NavState) -> np.ndarray:
     )
 
 
+# flat (row-major) places of +xi and -xi in hat(xi)
+_HAT_PLUS = np.array([7, 2, 3])
+_HAT_MINUS = np.array([5, 6, 1])
+_EYE15 = np.eye(ERROR_DIM)
+_EYE15.flags.writeable = False
+# flat places of the db_a and db_g diagonals in a 15x15 matrix
+_BA_DIAG = np.arange(9, 12) * (ERROR_DIM + 1)
+_BG_DIAG = np.arange(12, 15) * (ERROR_DIM + 1)
+
+
 def _hat_rows(xi) -> np.ndarray:
     """hat of each row of xi (k, 3), as (k, 3, 3)."""
-    x, y, z = xi.T
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    out = np.zeros((len(xi), 9))
+    out[:, _HAT_PLUS] = xi
+    out[:, _HAT_MINUS] = -xi
+    return out.reshape(-1, 3, 3)
+
+
+def _closed_forms(theta, theta2):
+    """sin t / t, (1 - cos t) / t^2 and (t - sin t) / t^3."""
+    sin = np.sin(theta)
+    return sin / theta, (1.0 - np.cos(theta)) / theta2, (theta - sin) / (theta2 * theta)
 
 
 def _exp_rows(phi):
@@ -170,34 +190,49 @@ def _exp_rows(phi):
     same arithmetic row by row, Taylor branch below 1e-4 rad included."""
     theta2 = row_dots(phi, phi)[:, None, None]  # (k, 1, 1)
     theta = np.sqrt(theta2)
-    t4, small = theta2 * theta2, theta < _SMALL_ANGLE
-    with np.errstate(divide="ignore", invalid="ignore"):  # closed forms unused at 0
-        sin, cos = np.sin(theta), np.cos(theta)
-        a = np.where(small, 1.0 - theta2 / 6.0 + t4 / 120.0, sin / theta)
-        b = np.where(small, 0.5 - theta2 / 24.0 + t4 / 720.0, (1.0 - cos) / theta2)
-        c = np.where(small, 1.0 / 6.0 - theta2 / 120.0 + t4 / 5040.0,
-                     (theta - sin) / (theta2 * theta))
+    small = theta < _SMALL_ANGLE
+    if small.any():
+        with np.errstate(divide="ignore", invalid="ignore"):  # replaced below at 0
+            a, b, c = _closed_forms(theta, theta2)
+        t2 = theta2[small]
+        t4 = t2 * t2
+        a[small] = 1.0 - t2 / 6.0 + t4 / 120.0
+        b[small] = 0.5 - t2 / 24.0 + t4 / 720.0
+        c[small] = 1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0
+    else:
+        a, b, c = _closed_forms(theta, theta2)
     k = _hat_rows(phi)
     kk = k @ k
-    return np.eye(3) + a * k + b * kk, np.eye(3) - b * k + c * kk
+    exp, jr = a * k, b * k
+    exp += _EYE3
+    exp += b * kk
+    np.subtract(_EYE3, jr, out=jr)
+    jr += c * kk
+    return exp, jr
 
 
 def _nominal_steps(x: NavState, w, a, dt):
     """R, v, p before and after each of k steps, (k + 1) rows, with each u and J_r(phi)."""
     if not (dt > 0).all():
         raise DataError("dt must be positive")
-    exp, jr = _exp_rows((w - x.b_g) * dt[:, None])
+    step = dt[:, None]
+    exp, jr = _exp_rows((w - x.b_g) * step)
     r = np.empty((len(dt) + 1, 3, 3))
     r[0] = x.r
     for i in range(len(dt)):
-        r[i + 1] = r[i] @ exp[i]
+        np.matmul(r[i], exp[i], out=r[i + 1])
     u = (r[:-1] @ (a - x.b_a)[:, :, None])[:, :, 0]
     acc = u + GRAVITY
     # Running sums in the per-frame order: v' = v + acc dt, and
     # p' = (p + v dt) + dt^2/2 acc with its two terms interleaved.
-    v = np.cumsum(np.concatenate([x.v[None], acc * dt[:, None]]), axis=0)
+    v = np.empty((len(dt) + 1, 3))
+    v[0] = x.v
+    np.multiply(acc, step, out=v[1:])
+    np.cumsum(v, axis=0, out=v)
     terms = np.empty((2 * len(dt) + 1, 3))
-    terms[0], terms[1::2], terms[2::2] = x.p, v[:-1] * dt[:, None], (0.5 * dt * dt)[:, None] * acc
+    terms[0] = x.p
+    np.multiply(v[:-1], step, out=terms[1::2])
+    np.multiply((0.5 * dt * dt)[:, None], acc, out=terms[2::2])
     return r, v, np.cumsum(terms, axis=0)[::2], u, jr
 
 
@@ -207,29 +242,37 @@ def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, eta_bg, eta_ba):
     eta_a (k, 3) and walk stds eta_bg, eta_ba (scalars or 3-vectors).
     Returns (r, v, p, a_mat, q_mat): the state after each step, r (k, 3,
     3), v and p (k, 3), and each step's A and Q, (k, 15, 15). Raises
-    DataError on a dt <= 0 or a negative std."""
+    DataError on a dt <= 0 or a std that is negative or NaN."""
     for name, std in (("eta_g", eta_g), ("eta_a", eta_a), ("eta_bg", eta_bg), ("eta_ba", eta_ba)):
-        if (np.asarray(std) < 0).any():
+        if not (np.asarray(std) >= 0).all():  # NaN fails too
             raise DataError(f"{name} must be nonnegative")
     dt = np.asarray(dt, dtype=float)
     r, v, p, u, jr = _nominal_steps(x, w, a, dt)
+    k = len(dt)
     step, half = dt[:, None, None], (-0.5 * dt * dt)[:, None, None]
-    rot_bias = -step * (r[1:] @ jr)  # G, in A's db_g and B's eta_g columns
-    accel = np.concatenate([-step * r[:-1], half * r[:-1]], axis=1)  # N, the same for db_a, eta_a
+    neg = -step
     hat_u = _hat_rows(u)
 
-    a_mat = np.tile(np.eye(ERROR_DIM), (len(dt), 1, 1))
-    a_mat[:, 0:3, 12:15] = rot_bias
-    a_mat[:, 3:6, 0:3], a_mat[:, 6:9, 0:3] = -step * hat_u, half * hat_u
-    a_mat[:, 6:9, 3:6] = step * np.eye(3)
-    a_mat[:, 3:9, 9:12] = accel
+    a_mat = np.empty((k, ERROR_DIM, ERROR_DIM))
+    a_mat[:] = _EYE15
+    rot_bias = a_mat[:, 0:3, 12:15]  # G, in A's db_g and B's eta_g columns
+    np.matmul(r[1:], jr, out=rot_bias)
+    np.multiply(neg, rot_bias, out=rot_bias)
+    np.multiply(neg, hat_u, out=a_mat[:, 3:6, 0:3])
+    np.multiply(half, hat_u, out=a_mat[:, 6:9, 0:3])
+    np.multiply(step, _EYE3, out=a_mat[:, 6:9, 3:6])
+    accel = a_mat[:, 3:9, 9:12]  # N, the same for db_a, eta_a
+    np.multiply(neg, r[:-1], out=accel[:, 0:3])
+    np.multiply(half, r[:-1], out=accel[:, 3:6])
 
-    q_mat = np.zeros_like(a_mat)
-    q_mat[:, 0:3, 0:3] = (rot_bias * eta_g[:, None, :] ** 2) @ rot_bias.transpose(0, 2, 1)
-    q_mat[:, 3:9, 3:9] = (accel * eta_a[:, None, :] ** 2) @ accel.transpose(0, 2, 1)
-    diag = np.arange(3)
-    q_mat[:, 9 + diag, 9 + diag] = np.asarray(eta_ba, dtype=float) ** 2
-    q_mat[:, 12 + diag, 12 + diag] = np.asarray(eta_bg, dtype=float) ** 2
+    q_mat = np.zeros((k, ERROR_DIM, ERROR_DIM))
+    np.matmul(rot_bias * eta_g[:, None, :] ** 2, rot_bias.transpose(0, 2, 1),
+              out=q_mat[:, 0:3, 0:3])
+    np.matmul(accel * eta_a[:, None, :] ** 2, accel.transpose(0, 2, 1),
+              out=q_mat[:, 3:9, 3:9])
+    flat = q_mat.reshape(k, -1)
+    flat[:, _BA_DIAG] = np.asarray(eta_ba, dtype=float) ** 2
+    flat[:, _BG_DIAG] = np.asarray(eta_bg, dtype=float) ** 2
     return r[1:], v[1:], p[1:], a_mat, q_mat
 
 

@@ -27,6 +27,9 @@ _SMALL_ANGLE = 1e-4
 
 _ROTATION_TOL = 1e-9
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 def hat(xi):
     """Map a 3-vector to its skew-symmetric matrix, hat(xi) @ y == cross(xi, y)."""
@@ -67,7 +70,7 @@ def exp_so3(xi):
     else:
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / theta2
-    return np.eye(3) + a * k + b * (k @ k)
+    return _EYE3 + a * k + b * (k @ k)
 
 
 def log_so3(r):
@@ -183,7 +186,7 @@ def right_jacobian(xi):
     else:
         b = (1.0 - np.cos(theta)) / theta2
         c = (theta - np.sin(theta)) / (theta2 * theta)
-    return np.eye(3) - b * k + c * (k @ k)
+    return _EYE3 - b * k + c * (k @ k)
 
 
 def is_rotation(r, tol=_ROTATION_TOL):
@@ -195,7 +198,7 @@ def is_rotation(r, tol=_ROTATION_TOL):
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         return False
-    if not np.abs(r @ r.T - np.eye(3)).max() <= tol:
+    if not np.abs(r @ r.T - _EYE3).max() <= tol:
         return False
     (a, b, c), (d, e, f), (g, h, i) = r.tolist()
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

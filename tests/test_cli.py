@@ -233,6 +233,25 @@ class TestExitCodes:
             assert rc == 2
             assert "corrector." + key.split()[0] in capsys.readouterr().err
 
+    def test_nan_corrector_eta_exits_3_without_output(self, workdir, tmp_path, capsys):
+        # a NaN uncertainty is a data error, not a crash in the filter
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        weights = tmp_path / "corrector.bfwt"
+        assert main(["train-corrector", "--data", workdir["data"], "--out", str(weights)]) == 0
+        variant, meta, arrays = load_weights(weights)
+        arrays["raw_eta"] = np.array(arrays["raw_eta"])
+        arrays["raw_eta"][0] = np.nan
+        save_weights(weights, variant, arrays, meta)
+        capsys.readouterr()
+        out = tmp_path / "ekf.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", "oracle", "--config", workdir["cfg"],
+                   "--corrector-weights", str(weights), "--out", str(out)])
+        assert rc == 3
+        assert "raw_eta must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["corrector.bfwt"]
+
     def test_update_rate_above_imu_rate_exits_2(self, workdir, tmp_path):
         fast = tmp_path / "fast.ini"
         fast.write_text("[ekf]\nupdate_rate = 500.0\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bodyframe_io.corrector import (
     IdentityCorrector,
@@ -68,6 +70,22 @@ class TestIdentity:
         _, out = correct_and_quantify(IdentityCorrector(eta_g=2e-3, eta_a=0.05), window)
         np.testing.assert_array_equal(out.eta_g, np.full((2, 3), 2e-3))
         np.testing.assert_array_equal(out.eta_a, np.full((2, 3), 0.05))
+
+    @pytest.mark.parametrize("field", ["eta_g", "eta_a"])
+    def test_nan_uncertainty_output_rejected(self, field):
+        # a corrector whose stds turn NaN after construction: NaN is not positive
+        corrector = IdentityCorrector()
+        getattr(corrector, field)[1] = np.nan
+        window = ImuWindow(t=np.arange(4) * 0.01, w=np.zeros((4, 3)), a=np.zeros((4, 3)))
+        with pytest.raises(DataError, match="uncertainty that is not positive"):
+            correct_and_quantify(corrector, window)
+
+    def test_nan_raw_eta_rejected(self):
+        with pytest.raises(DataError, match="raw_eta must be finite"):
+            LearnedAffineCorrector(
+                weight=np.zeros((96, 6)), bias=np.zeros(6), feat_mean=np.zeros(96),
+                feat_scale=np.ones(96), raw_eta=np.array([np.nan] + [0.0] * 5),
+            )
 
     def test_rejects_nonpositive_uncertainty(self):
         with pytest.raises(ConfigError):
@@ -199,3 +217,32 @@ class TestTraining:
         save_weights(path, variant, {**saved, **arrays}, meta)
         with pytest.raises(DataError, match="window_len"):
             LearnedAffineCorrector.load(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 16]), st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+@example(window_len=1, runs=[1] * 12, seed=0)  # one-row windows only
+def test_runs_behind_context_reproduce_one_window(window_len, runs, seed):
+    # a stream split into runs at random points, each run inferred behind
+    # `context` raw frames (fewer at the start), gives the bits of one
+    # whole-window infer; a one-frame run with no context is a one-row infer
+    rng = np.random.default_rng(seed)
+    d = 6 * window_len
+    model = LearnedAffineCorrector(
+        weight=rng.normal(size=(d, 6)), bias=rng.normal(size=6), feat_mean=rng.normal(size=d),
+        feat_scale=rng.uniform(0.5, 2.0, size=d), raw_eta=rng.normal(size=6),
+        window_len=window_len,
+    )
+    n = sum(runs)
+    window = ImuWindow(t=np.arange(n) * 0.005, w=rng.normal(size=(n, 3)),
+                       a=rng.normal(size=(n, 3)))
+    whole = model.infer(window)
+    start = 0
+    for run in runs:
+        stop = start + run
+        part = model.infer(window.slice(max(0, start - model.context), stop))
+        for name in ("gyro_correction", "accel_correction", "eta_g", "eta_a"):
+            assert np.array_equal(getattr(part, name)[-run:],
+                                  getattr(whole, name)[start:stop]), (name, start)
+        start = stop

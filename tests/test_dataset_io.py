@@ -749,3 +749,35 @@ class TestTrajectoryWriter:
                 raise RuntimeError("late fault")
         assert os.listdir(tmp_path) == ["out.csv"]
         assert (tmp_path / "out.csv").read_text() == "old\n"
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.just(8)), elements=FLOATS),
+       st.integers(1, 40), st.integers(1, 9), st.integers(1, 7), st.integers(0, 2**32 - 1))
+@example(values=np.array([[-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                           0.1, 1.0 / 3.0, -0.0]]), piece=1, block=1, format_rows=1, seed=0)
+def test_writer_bytes_are_per_row_formatting(values, piece, block, format_rows, seed):
+    # rows formatted many at a time are the bytes of formatting each value of
+    # each row with %.9g on its own, however they are written, flushed and formatted
+    n = len(values)
+    rng = np.random.default_rng(seed)
+    traj = Trajectory(t=values[:, 0], r=np.array([exp_so3(rng.normal(size=3)) for _ in range(n)]),
+                      p=values[:, 1:4], v=values[:, 4:7])
+    traces = values[:, 7]
+    rows = np.column_stack([traj.t, traj.p, dataset_io.quat_from_matrix(traj.r), traj.v, traces])
+    want = dataset_io.TRAJECTORY_HEADER + "\n" + "".join(
+        ",".join("%.9g" % x for x in row) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_io, "BLOCK_LINES", block)
+        mp.setattr(dataset_io, "_FORMAT_ROWS", format_rows)
+        path = os.path.join(tmp, "est.csv")
+        with TrajectoryWriter(path) as out:
+            for i in range(0, n, piece):
+                part = slice(i, i + piece)
+                out.write(Trajectory(traj.t[part], traj.r[part], traj.v[part], traj.p[part]),
+                          traces[part])
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode()

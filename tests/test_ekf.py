@@ -519,7 +519,7 @@ class TestRunners:
         np.testing.assert_allclose(covs, covs.transpose(0, 2, 1), atol=1e-9)
         assert np.linalg.eigvalsh(covs).min() >= -1e-9
 
-    @pytest.mark.parametrize("sizes", [[1] * 61, [3, 1, 40, 2, 15], [61]])
+    @pytest.mark.parametrize("sizes", [[1] * 61, [3, 1, 40, 2, 15], [61], [0, 3, 0, 58]])
     def test_blocks_into_a_sink_give_the_whole_run(self, noisy_fig8, sizes):
         # IMU blocks of any sizes, each pulled only when the filter needs
         # its frames, hand out pieces that concatenate to the whole run
@@ -563,6 +563,54 @@ class TestRunners:
         bounds = np.cumsum(sizes)
         stops = np.cumsum([len(piece) for piece in pieces])
         assert ends == [bounds[np.searchsorted(bounds, max(stop, 2))] for stop in stops]
+
+    def test_one_frame_blocks_at_the_imu_rate_match_batch(self, noisy_fig8):
+        # a window_len 1 corrector has no context: one-frame blocks are each
+        # corrected by a one-row infer, batch_run corrects the stream at once
+        traj, imu, _, _ = noisy_fig8
+        imu = imu.slice(0, 121)
+        rng = np.random.default_rng(13)
+        corrector = LearnedAffineCorrector(
+            weight=0.1 * rng.standard_normal((6, 6)), bias=0.01 * rng.standard_normal(6),
+            feat_mean=rng.standard_normal(6), feat_scale=np.ones(6),
+            raw_eta=inv_softplus(np.array([1e-2] * 3 + [1e-1] * 3)), window_len=1,
+        )
+        assert corrector.context == 0
+        cfg = EkfConfig(update_rate=100.0, eta_bg=1e-6, eta_ba=1e-5)  # the IMU rate
+        provider = OracleProvider(traj, noise_std=0.05, seed=2)
+        x0 = initial_state_from(traj)
+        blocks = (imu.slice(i, i + 1) for i in range(len(imu)))
+        a = streaming_run(blocks, provider, corrector, cfg, x0)
+        b = batch_run(imu, provider, corrector, cfg, x0)
+        assert len(a) == len(b) == len(imu)
+        for x, y in zip(run_arrays(a), run_arrays(b)):
+            assert np.array_equal(x, y)
+
+    def test_corrector_runs_once_per_block(self, noisy_fig8, monkeypatch):
+        # each IMU block is corrected in one call, behind the corrector's
+        # context, however many chunks its frames fall in
+        traj, imu, _, cfg = noisy_fig8
+        rng = np.random.default_rng(9)
+        d = 6 * 16
+        corrector = LearnedAffineCorrector(
+            weight=1e-5 * rng.standard_normal((d, 6)), bias=np.zeros(6),
+            feat_mean=np.zeros(d), feat_scale=np.ones(d),
+            raw_eta=inv_softplus(np.array([1e-2] * 3 + [1e-1] * 3)),
+        )
+        windows = []
+
+        def spy(model, window):
+            windows.append(len(window))
+            return correct_and_quantify(model, window)
+
+        monkeypatch.setattr(ekf, "correct_and_quantify", spy)
+        n, block = 801, 256
+        blocks = [imu.slice(i, min(i + block, n)) for i in range(0, n, block)]
+        run = streaming_run(iter(blocks), ConstantZeroProvider(), corrector, cfg,
+                            initial_state_from(traj))
+        assert len(run) == n
+        assert 0 < len(windows) <= len(blocks) == 4
+        assert sum(windows) <= n + (len(blocks) - 1) * corrector.context
 
     def test_memory_footprint(self, noisy_fig8):
         # every frame keeps P's diagonal, and no frame keeps a full P

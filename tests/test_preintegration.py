@@ -270,6 +270,11 @@ class TestPropagateChunk:
             inputs[name] = -np.abs(np.asarray(inputs[name]))
             with pytest.raises(DataError, match=f"{name} must be nonnegative"):
                 propagate_chunk(**inputs)
+            # one NaN std fails too
+            inputs[name] = np.array(np.abs(inputs[name]), dtype=float)
+            inputs[name].flat[0] = np.nan
+            with pytest.raises(DataError, match=f"{name} must be nonnegative"):
+                propagate_chunk(**inputs)
 
 
 class TestDeadReckon:
