@@ -4,168 +4,112 @@ Simulation of IMU data on analytic trajectories, learned sensor
 correction and body-frame velocity models built from scratch on numpy,
 an error-state EKF that fuses the two, dataset I/O in EuRoC-style CSV,
 trajectory metrics, and latent-space analysis utilities.
+
+The public names in ``__all__`` load on first access (PEP 562):
+``import bodyframe_io`` imports none of the submodules, and
+``bodyframe_io.X`` imports only the module that defines X (and what
+that module imports). ``from bodyframe_io import *`` loads them all.
 """
 
-from .analysis import collect_latents, pca_cumulative_variance
-from .corrector import (
-    CorrectionOutput,
-    IdentityCorrector,
-    LearnedAffineCorrector,
-    correct_and_quantify,
-    train_corrector,
-)
-from .ekf import (
-    P0,
-    EkfConfig,
-    FilterRun,
-    FilterState,
-    batch_run,
-    ekf_propagate,
-    ekf_update,
-    measurement_jacobian,
-    predicted_velocity,
-    streaming_run,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateInputError,
-    InsufficientDataError,
-    InvalidRotationError,
-    NumericalError,
-    ParseError,
-    SingularUpdateError,
-    TimestampOrderError,
-)
-from .imu_model import (
-    GRAVITY,
-    ImuWindow,
-    RepresentationKind,
-    specific_force,
-    transform_representation,
-)
-from .metrics import (
-    accuracy_auc,
-    ate,
-    improvement_percentage,
-    rte,
-    rte_residuals,
-)
-from .motion_model import (
-    ConstantZeroProvider,
-    LossConfig,
-    MotionNet,
-    MotionNetConfig,
-    NetworkProvider,
-    OracleProvider,
-    TrainConfig,
-    VelocityMeasurement,
-    WindowSet,
-    combined_loss,
-    covariance_loss,
-    huber_loss,
-    oracle_predict,
-    train_motion_model,
-    velocity_windows,
-)
-from .preintegration import (
-    NavState,
-    dead_reckon,
-    propagate_chunk,
-    propagate_covariance,
-    propagate_state,
-    propagation_jacobians,
-    state_boxminus,
-    state_boxplus,
-)
-from .simulator import (
-    BiasTruth,
-    NoiseSpec,
-    TrajectoryKind,
-    Trajectory,
-    TrajectorySpec,
-    YawMode,
-    corrupt_imu,
-    derive_imu,
-    generate_trajectory,
-)
-from .so3 import exp_so3, hat, is_rotation, log_so3, right_jacobian, vee
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiasTruth",
-    "ConfigError",
-    "ConstantZeroProvider",
-    "CorrectionOutput",
-    "DataError",
-    "DegenerateInputError",
-    "EkfConfig",
-    "FilterRun",
-    "FilterState",
-    "GRAVITY",
-    "IdentityCorrector",
-    "ImuWindow",
-    "InsufficientDataError",
-    "InvalidRotationError",
-    "LearnedAffineCorrector",
-    "LossConfig",
-    "MotionNet",
-    "MotionNetConfig",
-    "NavState",
-    "NetworkProvider",
-    "NoiseSpec",
-    "NumericalError",
-    "OracleProvider",
-    "P0",
-    "ParseError",
-    "RepresentationKind",
-    "SingularUpdateError",
-    "TimestampOrderError",
-    "TrainConfig",
-    "TrajectoryKind",
-    "Trajectory",
-    "TrajectorySpec",
-    "VelocityMeasurement",
-    "WindowSet",
-    "YawMode",
-    "accuracy_auc",
-    "ate",
-    "batch_run",
-    "collect_latents",
-    "combined_loss",
-    "correct_and_quantify",
-    "corrupt_imu",
-    "covariance_loss",
-    "dead_reckon",
-    "derive_imu",
-    "ekf_propagate",
-    "ekf_update",
-    "exp_so3",
-    "generate_trajectory",
-    "hat",
-    "huber_loss",
-    "improvement_percentage",
-    "is_rotation",
-    "log_so3",
-    "measurement_jacobian",
-    "oracle_predict",
-    "pca_cumulative_variance",
-    "predicted_velocity",
-    "propagate_chunk",
-    "propagate_covariance",
-    "propagate_state",
-    "propagation_jacobians",
-    "right_jacobian",
-    "rte",
-    "rte_residuals",
-    "specific_force",
-    "state_boxminus",
-    "state_boxplus",
-    "streaming_run",
-    "train_corrector",
-    "train_motion_model",
-    "transform_representation",
-    "vee",
-    "velocity_windows",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "analysis": ("collect_latents", "pca_cumulative_variance"),
+    "corrector": (
+        "CorrectionOutput",
+        "IdentityCorrector",
+        "LearnedAffineCorrector",
+        "correct_and_quantify",
+        "train_corrector",
+    ),
+    "ekf": (
+        "P0",
+        "EkfConfig",
+        "FilterRun",
+        "FilterState",
+        "batch_run",
+        "ekf_propagate",
+        "ekf_update",
+        "measurement_jacobian",
+        "predicted_velocity",
+        "streaming_run",
+    ),
+    "errors": (
+        "ConfigError",
+        "DataError",
+        "DegenerateInputError",
+        "InsufficientDataError",
+        "InvalidRotationError",
+        "NumericalError",
+        "ParseError",
+        "SingularUpdateError",
+        "TimestampOrderError",
+    ),
+    "imu_model": (
+        "GRAVITY",
+        "ImuWindow",
+        "RepresentationKind",
+        "specific_force",
+        "transform_representation",
+    ),
+    "metrics": ("accuracy_auc", "ate", "improvement_percentage", "rte", "rte_residuals"),
+    "motion_model": (
+        "ConstantZeroProvider",
+        "LossConfig",
+        "MotionNet",
+        "MotionNetConfig",
+        "NetworkProvider",
+        "OracleProvider",
+        "TrainConfig",
+        "VelocityMeasurement",
+        "WindowSet",
+        "combined_loss",
+        "covariance_loss",
+        "huber_loss",
+        "oracle_predict",
+        "train_motion_model",
+        "velocity_windows",
+    ),
+    "preintegration": (
+        "NavState",
+        "dead_reckon",
+        "propagate_chunk",
+        "propagate_covariance",
+        "propagate_state",
+        "propagation_jacobians",
+        "state_boxminus",
+        "state_boxplus",
+    ),
+    "simulator": (
+        "BiasTruth",
+        "NoiseSpec",
+        "TrajectoryKind",
+        "Trajectory",
+        "TrajectorySpec",
+        "YawMode",
+        "corrupt_imu",
+        "derive_imu",
+        "generate_trajectory",
+    ),
+    "so3": ("exp_so3", "hat", "is_rotation", "log_so3", "right_jacobian", "vee"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """A public name, imported from its module on first access and kept."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,9 +18,15 @@ commands that draw random numbers (simulate, train-motion, run-ekf);
 train-corrector accepts it and ignores it, since corrector training is
 deterministic.
 
+Each command imports only the modules it runs. simulate,
+train-corrector, deadreckon and eval never load the filter (ekf), the
+network (motion_model, nn) or the latent analysis; simulate loads no
+corrector either, and run-ekf no analysis.
+
 Exit codes: 0 success, 2 configuration error (an --out that is a
-directory or lies in one that does not exist among them, refused before
-any work), 3 data error (a missing input file among them), 4 numerical
+directory or lies in one that does not exist, and --weights without
+--provider network or the reverse, among them, refused before any
+work), 3 data error (a missing input file among them), 4 numerical
 failure.
 """
 
@@ -29,12 +35,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import config as cfgmod
-from .analysis import collect_latents, pca_cumulative_variance
-from .corrector import IdentityCorrector, LearnedAffineCorrector, train_corrector
 from .dataset_io import (
     CorpusEntry,
     GroundTruthReader,
@@ -49,26 +54,40 @@ from .dataset_io import (
     write_sequence,
     write_trajectory_csv,
 )
-from .ekf import streaming_run
 from .errors import ConfigError, DataError, InsufficientDataError, NumericalError
 from .imu_model import transform_representation
-from .metrics import accuracy_auc, ate, improvement_percentage, rte
-from .motion_model import (
-    ConstantZeroProvider,
-    MotionNet,
-    NetworkProvider,
-    OracleProvider,
-    train_motion_model,
-    velocity_windows,
-)
-from .preintegration import NavState, dead_reckon
 from .simulator import Trajectory, corrupt_imu, derive_imu, generate_trajectory
+
+if TYPE_CHECKING:
+    from .motion_model import OracleProvider
+    from .preintegration import NavState
 
 REPORT_COLUMNS = ("seq", "ate_m", "rte_m", "auc", "vs_baseline_pct")
 
 
 # ---------------------------------------------------------------------------
 # Shared helpers
+
+
+def streaming_run(*args, **kwargs):
+    """ekf.streaming_run, importing the filter on the first call."""
+    from .ekf import streaming_run
+
+    return streaming_run(*args, **kwargs)
+
+
+def train_corrector(*args, **kwargs):
+    """corrector.train_corrector, importing the corrector on the first call."""
+    from .corrector import train_corrector
+
+    return train_corrector(*args, **kwargs)
+
+
+def train_motion_model(*args, **kwargs):
+    """motion_model.train_motion_model, importing the network on the first call."""
+    from .motion_model import train_motion_model
+
+    return train_motion_model(*args, **kwargs)
 
 
 def _load(args) -> cfgmod.RunConfig:
@@ -99,6 +118,8 @@ def _check_out_dir(out: str | None):
 
 
 def _initial_state(truth: Trajectory) -> NavState:
+    from .preintegration import NavState
+
     zero = np.zeros(3)
     return NavState(r=truth.r[0], v=truth.v[0], p=truth.p[0], b_a=zero, b_g=zero)
 
@@ -145,6 +166,8 @@ def _estimate_pair(data: str, name: str, csv_path: str):
 def _network_windows(data: str, entries, net_cfg, stride: int):
     """The entries' network windows; each whole sequence is re-expressed
     in the network's representation with its ground-truth attitudes."""
+    from .motion_model import velocity_windows
+
     sequences = []
     for entry in entries:
         imu, truth, _ = load_sequence(_seq_dir(data, entry.path))
@@ -222,6 +245,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_deadreckon(args) -> int:
+    from .preintegration import dead_reckon
+
     imu, truth, _ = load_sequence(_seq_dir(args.data, args.name))
     estimate = dead_reckon(_initial_state(truth), imu)
     write_trajectory_csv(args.out, estimate, np.zeros(len(estimate)))
@@ -266,6 +291,11 @@ def _cmd_train_motion(args) -> int:
 def _cmd_run_ekf(args) -> int:
     if args.weights and args.provider != "network":
         raise ConfigError(f"--weights is for --provider network, not {args.provider}")
+    if args.provider == "network" and not args.weights:
+        raise ConfigError("--provider network requires --weights")
+    from .corrector import IdentityCorrector, LearnedAffineCorrector
+    from .motion_model import ConstantZeroProvider, MotionNet, NetworkProvider, OracleProvider
+
     cfg = _load(args)
     seq_dir = _seq_dir(args.data, args.name)
     imu_path = os.path.join(seq_dir, "imu.csv")
@@ -290,8 +320,6 @@ def _cmd_run_ekf(args) -> int:
         provider = OracleProvider(noise_std=cfg.getfloat("ekf", "oracle_noise"), seed=args.seed)
         blocks = _feeding(provider, truth, blocks)
     else:
-        if not args.weights:
-            raise ConfigError("--provider network requires --weights")
         provider = NetworkProvider(MotionNet.load(args.weights))
 
     with TrajectoryWriter(args.out) as out:
@@ -302,6 +330,8 @@ def _cmd_run_ekf(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .metrics import accuracy_auc, ate, improvement_percentage, rte
+
     cfg = _load(args)
     interval = cfg.getfloat("eval", "rte_interval")
     tau_max = cfg.getfloat("eval", "tau_max")
@@ -334,6 +364,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import collect_latents, pca_cumulative_variance
+    from .motion_model import MotionNet
+
     cfg = _load(args)
     model = MotionNet.load(args.weights)
     if args.names:

@@ -10,7 +10,9 @@ Typed accessors convert on demand, reject NaN and infinite numbers,
 and report the offending ``section.key`` path on failure. The
 ``*_spec`` / ``*_config`` builders below translate sections into the
 dataclasses the library modules consume, so the CLI layer never parses
-strings itself.
+strings itself. Each builder imports the module that defines its
+dataclass when it is called, so loading the config imports none of
+``simulator``, ``motion_model`` or ``ekf``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import enum
 import io
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .ekf import EkfConfig
 from .errors import ConfigError
-from .imu_model import RepresentationKind
-from .motion_model import LossConfig, MotionNetConfig, TrainConfig
-from .simulator import NoiseSpec, TrajectoryKind, TrajectorySpec, YawMode
+
+if TYPE_CHECKING:
+    from .ekf import EkfConfig
+    from .motion_model import LossConfig, MotionNetConfig, TrainConfig
+    from .simulator import NoiseSpec, TrajectorySpec
 
 # Every supported key with its default, as strings (INI is untyped).
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -189,6 +193,8 @@ def _enum_member(cfg: RunConfig, section: str, key: str, kind: type[enum.Enum]):
 
 
 def trajectory_spec(cfg: RunConfig) -> TrajectorySpec:
+    from .simulator import TrajectoryKind, TrajectorySpec, YawMode
+
     triples = {key: cfg.getfloats("simulator", key) for key in ("center", "ratios", "phases")}
     for key, values in triples.items():
         if len(values) != 3:
@@ -206,6 +212,8 @@ def trajectory_spec(cfg: RunConfig) -> TrajectorySpec:
 
 
 def noise_spec(cfg: RunConfig, seed: int) -> NoiseSpec:
+    from .simulator import NoiseSpec
+
     b_g0 = cfg.getfloats("noise", "b_g0")
     b_a0 = cfg.getfloats("noise", "b_a0")
     if len(b_g0) != 3 or len(b_a0) != 3:
@@ -223,6 +231,9 @@ def noise_spec(cfg: RunConfig, seed: int) -> NoiseSpec:
 
 
 def motion_net_config(cfg: RunConfig, seed: int) -> MotionNetConfig:
+    from .imu_model import RepresentationKind
+    from .motion_model import MotionNetConfig
+
     return MotionNetConfig(
         representation=_enum_member(cfg, "motion", "representation", RepresentationKind),
         window=cfg.getint("motion", "window"),
@@ -237,6 +248,8 @@ def motion_net_config(cfg: RunConfig, seed: int) -> MotionNetConfig:
 
 
 def motion_loss_config(cfg: RunConfig) -> LossConfig:
+    from .motion_model import LossConfig
+
     return LossConfig(
         delta=cfg.getfloat("motion", "delta"),
         lam=cfg.getfloat("motion", "lambda"),
@@ -244,6 +257,8 @@ def motion_loss_config(cfg: RunConfig) -> LossConfig:
 
 
 def motion_train_config(cfg: RunConfig, seed: int) -> TrainConfig:
+    from .motion_model import TrainConfig
+
     return TrainConfig(
         epochs=cfg.getint("motion", "epochs"),
         lr=cfg.getfloat("motion", "lr"),
@@ -255,6 +270,8 @@ def motion_train_config(cfg: RunConfig, seed: int) -> TrainConfig:
 
 
 def ekf_config(cfg: RunConfig) -> EkfConfig:
+    from .ekf import EkfConfig
+
     return EkfConfig(
         update_rate=cfg.getfloat("ekf", "update_rate"),
         eta_bg=cfg.getfloat("ekf", "eta_bg"),

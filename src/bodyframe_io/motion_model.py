@@ -277,10 +277,13 @@ _META_FITS = {
 class MotionNet:
     """Conv encoders + bidirectional GRU stack + two output heads."""
 
-    def __init__(self, config: MotionNetConfig = MotionNetConfig()):
+    def __init__(self, config: MotionNetConfig = MotionNetConfig(), init: bool = True):
+        """The architecture of config, its weights drawn from config.seed;
+        with init=False every weight is zero and nothing is drawn (load
+        fills them from a file)."""
         config.validate()
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed) if init else None
         k = config.kernel
         hidden = config.latent_dim // 2
 
@@ -461,7 +464,7 @@ class MotionNet:
                     raise TypeError(f"{k} = {meta[k]!r} does not fit its {t.__name__} field")
             values = {k: t(meta[k]) for k, t in types.items()}
             kind = RepresentationKind[meta["representation"]]
-            model = cls(MotionNetConfig(representation=kind, **values))
+            model = cls(MotionNetConfig(representation=kind, **values), init=False)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad motion meta value: {exc!r}") from None
         norm = {k[5:]: v for k, v in arrays.items() if k.startswith("norm.")}

@@ -26,6 +26,8 @@ Initialization is deterministic given a generator: Glorot-uniform for
 input weights, orthogonal (QR with sign fix) for recurrent weights,
 zeros for biases unless a layer opts into zero_init for its weights
 (used by decoder output layers so a fresh model predicts exactly zero).
+Given None instead of a generator, a layer draws nothing and its
+weights are zeros, for a model whose weights are read from a file.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class Layer:
 class Linear(Layer):
     def __init__(self, cin, cout, rng, zero_init=False):
         super().__init__()
-        self.params["w"] = np.zeros((cin, cout)) if zero_init else glorot(rng, (cin, cout))
+        zero = zero_init or rng is None
+        self.params["w"] = np.zeros((cin, cout)) if zero else glorot(rng, (cin, cout))
         self.params["b"] = np.zeros(cout)
         self.zero_grads()
 
@@ -90,7 +93,8 @@ class Conv1d(Layer):
         if kernel % 2 != 1:
             raise ValueError("kernel size must be odd for same padding")
         self.kernel = kernel
-        self.params["w"] = glorot(rng, (kernel, cin, cout))
+        shape = (kernel, cin, cout)
+        self.params["w"] = np.zeros(shape) if rng is None else glorot(rng, shape)
         self.params["b"] = np.zeros(cout)
         self.zero_grads()
 
@@ -261,8 +265,12 @@ class Gru(Layer):
         super().__init__()
         self.hidden = hidden
         self.reverse = reverse
-        self.params["w_i"] = glorot(rng, (cin, 3 * hidden))
-        self.params["w_h"] = np.hstack([orthogonal(rng, hidden) for _ in range(3)])
+        if rng is None:
+            self.params["w_i"] = np.zeros((cin, 3 * hidden))
+            self.params["w_h"] = np.zeros((hidden, 3 * hidden))
+        else:
+            self.params["w_i"] = glorot(rng, (cin, 3 * hidden))
+            self.params["w_h"] = np.hstack([orthogonal(rng, hidden) for _ in range(3)])
         self.params["b_i"] = np.zeros(3 * hidden)
         self.params["b_h"] = np.zeros(3 * hidden)
         self.zero_grads()

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import importlib
 import math
 import os
 import shutil
@@ -169,6 +170,93 @@ class TestTopLevel:
         assert (data / "o.csv").exists()
 
 
+# the modules simulate and train-corrector may load, and every module
+SIMULATE_MODULES = {"cli", "config", "dataset_io", "errors", "imu_model", "simulator", "so3"}
+TRAIN_CORRECTOR_MODULES = SIMULATE_MODULES | {"corrector", "weights_io"}
+ALL_MODULES = {
+    "analysis", "cli", "config", "corrector", "dataset_io", "ekf", "errors", "imu_model",
+    "metrics", "motion_model", "nn", "preintegration", "simulator", "so3", "weights_io",
+}
+FILTER_AND_NETWORK = {"ekf", "motion_model", "nn", "analysis"}
+
+
+class TestStartup:
+    """Each command imports only the modules it runs."""
+
+    @staticmethod
+    def fresh_python(code, *args):
+        """Standard output lines of a new interpreter running code on this source tree."""
+        src = str(Path(bodyframe_io.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        )
+        return done.stdout.splitlines()
+
+    @pytest.fixture(scope="class")
+    def startup_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("startup")
+        ini = root / "run.ini"
+        ini.write_text("[simulator]\nduration = 1.0\nimu_rate = 50.0\n"
+                       "[ekf]\nupdate_rate = 10.0\n[eval]\nrte_interval = 0.5\n")
+        data = root / "data"
+        assert main(["simulate", "--data", str(data), "--name", "s", "--config", str(ini)]) == 0
+        assert main(["deadreckon", "--data", str(data), "--name", "s",
+                     "--out", str(root / "dr.csv")]) == 0
+        return root
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["simulate", "--data", "{root}/new", "--name", "s", "--config", "{root}/run.ini"],
+         ALL_MODULES - SIMULATE_MODULES),
+        (["train-corrector", "--data", "{root}/data", "--out", "{root}/c.bfwt"],
+         ALL_MODULES - TRAIN_CORRECTOR_MODULES),
+        (["deadreckon", "--data", "{root}/data", "--name", "s", "--out", "{root}/d.csv"],
+         FILTER_AND_NETWORK),
+        (["eval", "--data", "{root}/data", "--estimate", "s={root}/dr.csv",
+          "--config", "{root}/run.ini"],
+         FILTER_AND_NETWORK),
+        (["run-ekf", "--data", "{root}/data", "--name", "s", "--provider", "oracle",
+          "--config", "{root}/run.ini", "--out", "{root}/o.csv"],
+         {"analysis"}),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_command_leaves_modules_unloaded(self, startup_corpus, argv, absent):
+        code = (
+            "import sys\n"
+            "from bodyframe_io.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('bodyframe_io.')))\n"
+        )
+        lines = self.fresh_python(code, *(a.format(root=startup_corpus) for a in argv))
+        loaded = {m.removeprefix("bodyframe_io.") for m in lines[-1].split()}
+        assert "cli" in loaded
+        assert not loaded & absent, sorted(loaded & absent)
+
+    def test_package_names_load_on_first_access(self):
+        code = (
+            "import sys\n"
+            "import bodyframe_io\n"
+            "print(sorted(m for m in sys.modules if m.startswith('bodyframe_io.')))\n"
+            "bodyframe_io.ate\n"
+            "print(sorted(m for m in sys.modules if m.startswith('bodyframe_io.')))\n"
+        )
+        before, after = self.fresh_python(code)
+        assert before == "[]"
+        assert after == "['bodyframe_io.errors', 'bodyframe_io.metrics', 'bodyframe_io.so3']"
+
+    def test_every_public_name_resolves(self):
+        names = dir(bodyframe_io)
+        for name in bodyframe_io.__all__:
+            assert name in names
+            value = getattr(bodyframe_io, name)
+            module = importlib.import_module("." + bodyframe_io._MODULE_OF[name], "bodyframe_io")
+            assert value is getattr(module, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bodyframe_io.no_such_name
+        from bodyframe_io import ekf  # a submodule still imports by name
+
+        assert bodyframe_io.ekf is ekf
+
+
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -260,10 +348,16 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
 
-    def test_network_provider_without_weights_exits_2(self, workdir, tmp_path):
-        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
-                   "--provider", "network", "--out", str(tmp_path / "o.csv")])
+    def test_network_provider_without_weights_exits_2(self, tmp_path, capsys):
+        # rejected before anything is read: neither the sequence, the
+        # corrector weights nor the config need exist
+        out = tmp_path / "o.csv"
+        rc = main(["run-ekf", "--data", str(tmp_path / "none"), "--name", "ghost",
+                   "--provider", "network", "--corrector-weights", str(tmp_path / "c.bfwt"),
+                   "--config", str(tmp_path / "none.ini"), "--out", str(out)])
         assert rc == 2
+        assert "--weights" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("provider", ["zero", "oracle"])
     def test_weights_without_network_provider_exit_2(self, workdir, tmp_path, capsys,

@@ -689,6 +689,26 @@ class TestPersistence:
         for a, b in zip(model.forward(win), again.forward(win)):
             np.testing.assert_array_equal(a, b)
 
+    def test_load_draws_no_initial_weights(self, tiny_set, tmp_path, monkeypatch):
+        # load builds the architecture without drawing the weights it
+        # overwrites; save -> load -> save gives the same bytes
+        from bodyframe_io import nn
+
+        model, _ = train_motion_model(
+            tiny_set, tiny_set, TINY,
+            train_cfg=TrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0),
+        )
+        first, second = tmp_path / "a.bfw", tmp_path / "b.bfw"
+        model.save(first)
+
+        def no_draw(*args):
+            raise AssertionError("load drew initial weights")
+
+        monkeypatch.setattr(nn, "glorot", no_draw)
+        monkeypatch.setattr(nn, "orthogonal", no_draw)
+        MotionNet.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_wrong_variant_rejected(self, tmp_path):
         from bodyframe_io.corrector import IdentityCorrector  # noqa: F401
         from bodyframe_io.weights_io import save_weights
