@@ -9,9 +9,19 @@ The public names in ``__all__`` load on first access (PEP 562):
 ``import bodyframe_io`` imports none of the submodules, and
 ``bodyframe_io.X`` imports only the module that defines X (and what
 that module imports). ``from bodyframe_io import *`` loads them all.
+
+Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where unset, before any submodule loads numpy: a
+threaded BLAS may sum in another order, changing seeded results in
+their last bits with the core count.
 """
 
 import importlib
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 __version__ = "0.1.0"
 

@@ -11,12 +11,12 @@ sequence subdirectories plus a manifest):
   eval             ATE / RTE / AUC report against ground truth
   analyze          latent PCA spectrum of a trained network
 
-All numeric behaviour is driven by an INI run config (see
-``--dump-defaults``), which every command but deadreckon takes;
-unknown keys are rejected. ``--seed`` (default 0) is taken by the
-commands that draw random numbers (simulate, train-motion, run-ekf);
-train-corrector accepts it and ignores it, since corrector training is
-deterministic.
+Numeric settings come from an INI run config (see ``--dump-defaults``),
+which every command but deadreckon and train-corrector takes; unknown
+keys and a [DEFAULT] section are rejected. ``--seed`` (default 0,
+nonnegative) is taken by the commands that draw random numbers
+(simulate, train-motion, run-ekf); train-corrector accepts it and
+ignores it, since corrector training is deterministic.
 
 Each command imports only the modules it runs. simulate,
 train-corrector, deadreckon and eval never load the filter (ekf), the
@@ -63,6 +63,7 @@ if TYPE_CHECKING:
     from .preintegration import NavState
 
 REPORT_COLUMNS = ("seq", "ate_m", "rte_m", "auc", "vs_baseline_pct")
+ORACLE_NOISE_STD = 0.05  # m/s, the oracle provider's velocity noise
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +89,6 @@ def train_motion_model(*args, **kwargs):
     from .motion_model import train_motion_model
 
     return train_motion_model(*args, **kwargs)
-
-
-def _load(args) -> cfgmod.RunConfig:
-    return cfgmod.load_config(getattr(args, "config", None))
 
 
 def _seq_dir(data: str, name: str) -> str:
@@ -228,7 +225,7 @@ def _cmd_simulate(args) -> int:
     name = args.name
     if name in (".", "..") or os.path.basename(name) != name or name.splitlines() != [name]:
         raise ConfigError(f"sequence name must be one path component on one line, got {name!r}")
-    cfg = _load(args)
+    cfg = cfgmod.load_config(args.config)
     trajectory = generate_trajectory(cfgmod.trajectory_spec(cfg))
     ideal = derive_imu(trajectory)
     corrupted, bias = corrupt_imu(ideal, cfgmod.noise_spec(cfg, args.seed))
@@ -255,19 +252,18 @@ def _cmd_deadreckon(args) -> int:
 
 
 def _cmd_train_corrector(args) -> int:
-    cfg = _load(args)
     dataset = []
     for entry in _seen_entries(args.data):
         imu, _, (b_g, b_a) = load_sequence(_seq_dir(args.data, entry.path))
         dataset.append((imu, b_g, b_a))
-    model, mse = train_corrector(dataset, window_len=cfg.getint("corrector", "window_len"))
+    model, mse = train_corrector(dataset)
     model.save(args.out)
     print(f"wrote {args.out} (training MSE {mse:.6g})")
     return 0
 
 
 def _cmd_train_motion(args) -> int:
-    cfg = _load(args)
+    cfg = cfgmod.load_config(args.config)
     net_cfg = cfgmod.motion_net_config(cfg, args.seed)
     windows = _network_windows(
         args.data, _seen_entries(args.data), net_cfg, cfg.getint("motion", "stride")
@@ -296,7 +292,7 @@ def _cmd_run_ekf(args) -> int:
     from .corrector import IdentityCorrector, LearnedAffineCorrector
     from .motion_model import ConstantZeroProvider, MotionNet, NetworkProvider, OracleProvider
 
-    cfg = _load(args)
+    cfg = cfgmod.load_config(args.config)
     seq_dir = _seq_dir(args.data, args.name)
     imu_path = os.path.join(seq_dir, "imu.csv")
 
@@ -315,9 +311,9 @@ def _cmd_run_ekf(args) -> int:
     truth = GroundTruthReader(os.path.join(seq_dir, "groundtruth.csv"), origin_ns)
     x0 = _initial_state(truth.at([0.0])[0])
     if args.provider == "zero":
-        provider = ConstantZeroProvider(eta=cfg.getfloat("ekf", "zero_eta"))
+        provider = ConstantZeroProvider()
     elif args.provider == "oracle":
-        provider = OracleProvider(noise_std=cfg.getfloat("ekf", "oracle_noise"), seed=args.seed)
+        provider = OracleProvider(noise_std=ORACLE_NOISE_STD, seed=args.seed)
         blocks = _feeding(provider, truth, blocks)
     else:
         provider = NetworkProvider(MotionNet.load(args.weights))
@@ -332,10 +328,7 @@ def _cmd_run_ekf(args) -> int:
 def _cmd_eval(args) -> int:
     from .metrics import accuracy_auc, ate, improvement_percentage, rte
 
-    cfg = _load(args)
-    interval = cfg.getfloat("eval", "rte_interval")
-    tau_max = cfg.getfloat("eval", "tau_max")
-    n_thresholds = cfg.getint("eval", "n_thresholds")
+    interval = cfgmod.load_config(args.config).getfloat("eval", "rte_interval")
     estimates = [_parse_named(item) for item in args.estimate or []]
     baselines = dict(_parse_named(item) for item in args.baseline or [])
     unmatched = sorted(set(baselines) - {name for name, _ in estimates})
@@ -352,9 +345,7 @@ def _cmd_eval(args) -> int:
         row = {"seq": name, "ate_m": ate(*pair), "vs_baseline_pct": vs}
         try:
             # accuracy_auc first: it checks its settings before the flight's span
-            row["auc"] = accuracy_auc(
-                *pair, interval=interval, tau_max=tau_max, n_thresholds=n_thresholds
-            )
+            row["auc"] = accuracy_auc(*pair, interval=interval)
             row["rte_m"] = rte(*pair, interval=interval)
         except InsufficientDataError:  # a flight no longer than the interval has no RTE
             row["auc"] = row["rte_m"] = None
@@ -367,7 +358,7 @@ def _cmd_analyze(args) -> int:
     from .analysis import collect_latents, pca_cumulative_variance
     from .motion_model import MotionNet
 
-    cfg = _load(args)
+    cfg = cfgmod.load_config(args.config)
     model = MotionNet.load(args.weights)
     if args.names:
         entries = [CorpusEntry(name=n, role="seen", path=n) for n in args.names]
@@ -394,14 +385,22 @@ def _cmd_analyze(args) -> int:
 # Parser / dispatch
 
 
-_SEED_HELP = "RNG seed (default: 0)"
+_SEED_HELP = "RNG seed, a nonnegative integer (default: 0)"
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only nonnegative seeds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _add_common(sub, config_keys: str, seed_help: str | None = None):
     """--config and the epilog; --seed only where seed_help is given."""
     sub.add_argument("--config", help="INI run config (defaults if omitted)")
     if seed_help is not None:
-        sub.add_argument("--seed", type=int, default=0, help=seed_help)
+        sub.add_argument("--seed", type=_seed, default=0, help=seed_help)
     sub.epilog = f"config keys used: {config_keys}"
 
 
@@ -437,11 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-corrector", help="fit the affine IMU corrector")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="weights file to write")
-    _add_common(
-        p,
-        "corrector.window_len",
-        "unused: the closed-form corrector fit is deterministic",
-    )
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="unused: the closed-form corrector fit is deterministic")
+    p.epilog = "config keys used: none (train-corrector takes no --config)"
     p.set_defaults(func=_cmd_train_corrector)
 
     p = sub.add_parser("train-motion", help="fit the body-frame velocity network")
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         "motion.representation/window/stride/latent_dim/gru_layers/"
         "imu_encoder_channels/attitude_encoder_channels/dropout_p/kernel/"
-        "epochs/lr/batch_size/patience/lr_decay/delta/lambda/val_fraction",
+        "epochs/lr/batch_size/delta/lambda/val_fraction",
         _SEED_HELP,
     )
     p.set_defaults(func=_cmd_train_motion)
@@ -465,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="trajectory CSV to write")
     _add_common(
         p,
-        "ekf.update_rate/eta_bg/eta_ba/oracle_noise/zero_eta,"
+        "ekf.update_rate, noise.sigma_bg/sigma_ba (bias walk),"
         " noise.sigma_g/sigma_a (identity corrector stds)",
         _SEED_HELP,
     )
@@ -486,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline trajectory CSV for the same sequence (repeatable)",
     )
     p.add_argument("--out", help="report CSV to write")
-    _add_common(p, "eval.rte_interval/tau_max/n_thresholds")
+    _add_common(p, "eval.rte_interval")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("analyze", help="latent PCA spectrum of a trained network")

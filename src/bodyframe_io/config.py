@@ -3,8 +3,8 @@
 A run config is a flat two-level mapping (section -> key -> string).
 ``DEFAULTS`` documents every recognized key together with its default
 value; user files may override any subset but introducing an unknown
-section or key is a hard error, which catches typos early instead of
-silently running with a default.
+section or key, or a [DEFAULT] section, is a hard error, which catches
+typos early instead of silently running with a default.
 
 Typed accessors convert on demand, reject NaN and infinite numbers,
 and report the offending ``section.key`` path on failure. The
@@ -53,9 +53,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "b_g0": "0.0, 0.0, 0.0",
         "b_a0": "0.0, 0.0, 0.0",
     },
-    "corrector": {
-        "window_len": "16",
-    },
     "motion": {
         "representation": "body+attitude",
         "window": "200",
@@ -69,23 +66,15 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "epochs": "100",
         "lr": "1e-3",
         "batch_size": "128",
-        "patience": "5",
-        "lr_decay": "0.2",
         "delta": "0.005",
         "lambda": "1e-4",
         "val_fraction": "0.2",
     },
     "ekf": {
         "update_rate": "20.0",
-        "eta_bg": "1e-6",
-        "eta_ba": "1e-5",
-        "oracle_noise": "0.05",
-        "zero_eta": "1.0",
     },
     "eval": {
         "rte_interval": "5.0",
-        "tau_max": "1.0",
-        "n_thresholds": "100",
     },
 }
 
@@ -160,6 +149,8 @@ def load_config(path: str | None = None) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigError(f"{path}: a [DEFAULT] section is not supported")
     for section in parser.sections():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -263,8 +254,6 @@ def motion_train_config(cfg: RunConfig, seed: int) -> TrainConfig:
         epochs=cfg.getint("motion", "epochs"),
         lr=cfg.getfloat("motion", "lr"),
         batch_size=cfg.getint("motion", "batch_size"),
-        patience=cfg.getint("motion", "patience"),
-        lr_decay=cfg.getfloat("motion", "lr_decay"),
         seed=seed,
     )
 
@@ -274,6 +263,6 @@ def ekf_config(cfg: RunConfig) -> EkfConfig:
 
     return EkfConfig(
         update_rate=cfg.getfloat("ekf", "update_rate"),
-        eta_bg=cfg.getfloat("ekf", "eta_bg"),
-        eta_ba=cfg.getfloat("ekf", "eta_ba"),
+        sigma_bg=cfg.getfloat("noise", "sigma_bg"),
+        sigma_ba=cfg.getfloat("noise", "sigma_ba"),
     )

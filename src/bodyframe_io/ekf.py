@@ -111,22 +111,22 @@ class FilterRun(Trajectory):
 class EkfConfig:
     """Filter wiring.
 
-    eta_bg / eta_ba are the per-sample random-walk stds fed straight
-    into the process-noise matrix (convert a continuous density by
-    multiplying with sqrt(dt) before building the config). White-noise
-    stds come from the corrector output per frame, not from here.
+    sigma_bg / sigma_ba are NoiseSpec's bias random-walk densities: a
+    frame of length dt adds the walk variance sigma^2 dt to the process
+    noise. White-noise stds come from the corrector output per frame,
+    not from here.
     """
 
     update_rate: float = 20.0
-    eta_bg: float = 1e-6
-    eta_ba: float = 1e-5
+    sigma_bg: float = 1e-5
+    sigma_ba: float = 1e-4
 
     def validate(self):
         # written as `not x > 0` so that NaN fails too
         if not self.update_rate > 0.0:
             raise ConfigError("update_rate must be positive")
-        if not (self.eta_bg >= 0.0 and self.eta_ba >= 0.0):
-            raise ConfigError("random-walk stds must be nonnegative")
+        if not (self.sigma_bg >= 0.0 and self.sigma_ba >= 0.0):
+            raise ConfigError("sigma_bg and sigma_ba must be nonnegative")
 
 
 def ekf_propagate(p_cov: np.ndarray, a_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
@@ -318,7 +318,7 @@ def _run(blocks, provider, corrector, cfg: EkfConfig, x0: NavState, drop_served=
         t, new = rows[:, 6], rows[1:]
         r, v, p, a_mat, q_mat = propagate_chunk(
             fs.x, new[:, 7:10], new[:, 10:13], t[1:] - t[:-1],
-            new[:, 13:16], new[:, 16:19], cfg.eta_bg, cfg.eta_ba,
+            new[:, 13:16], new[:, 16:19], cfg.sigma_bg, cfg.sigma_ba,
         )
         covs = np.empty((stop - start, ERROR_DIM, ERROR_DIM))
         p_cov = fs.P

@@ -129,17 +129,13 @@ class TrainConfig:
     epochs: int = 100
     lr: float = 1e-3
     batch_size: int = 128
-    patience: int = 5
-    lr_decay: float = 0.2
     seed: int = 0
 
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.lr <= 0.0 or not (0.0 < self.lr_decay < 1.0):
-            raise ConfigError("lr must be positive and lr_decay in (0, 1)")
-        if self.patience < 0:
-            raise ConfigError("patience must be nonnegative")
+        if not self.lr > 0.0:  # NaN fails too
+            raise ConfigError("lr must be positive")
 
 
 @dataclass(frozen=True)
@@ -495,10 +491,11 @@ def train_motion_model(
 ):
     """Fit a MotionNet on the training windows, validating on val.
 
-    Adam with a plateau schedule on the validation loss; returns the
-    best-validation checkpoint and a history dict with per-epoch train
-    loss, validation loss, and learning rate. Deterministic for a fixed
-    seed (one worker, seeded shuffle and dropout).
+    Adam with PlateauScheduler's default schedule on the validation
+    loss; returns the best-validation checkpoint and a history dict with
+    per-epoch train loss, validation loss, and learning rate.
+    Deterministic for a fixed seed (one worker, seeded shuffle and
+    dropout).
     """
     loss_cfg.validate()
     train_cfg.validate()
@@ -507,7 +504,7 @@ def train_motion_model(
     model = MotionNet(cfg)
     model.set_normalization(train.imu, train.att)
     opt = Adam(model.parameters(), lr=train_cfg.lr)
-    sched = PlateauScheduler(opt, patience=train_cfg.patience, factor=train_cfg.lr_decay)
+    sched = PlateauScheduler(opt)
     rng = np.random.default_rng(train_cfg.seed)
 
     def val_loss():

@@ -236,14 +236,15 @@ def _nominal_steps(x: NavState, w, a, dt):
     return r, v, np.cumsum(terms, axis=0)[::2], u, jr
 
 
-def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, eta_bg, eta_ba):
+def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, sigma_bg, sigma_ba):
     """k first-order steps from x with its biases held: readings w, a
     (k, 3), each held over its dt (k,), with white-noise stds eta_g,
-    eta_a (k, 3) and walk stds eta_bg, eta_ba (scalars or 3-vectors).
-    Returns (r, v, p, a_mat, q_mat): the state after each step, r (k, 3,
-    3), v and p (k, 3), and each step's A and Q, (k, 15, 15). Raises
-    DataError on a dt <= 0 or a std that is negative or NaN."""
-    for name, std in (("eta_g", eta_g), ("eta_a", eta_a), ("eta_bg", eta_bg), ("eta_ba", eta_ba)):
+    eta_a (k, 3) and walk densities sigma_bg, sigma_ba (scalars or
+    3-vectors), a step's walk variance being sigma^2 dt. Returns (r, v,
+    p, a_mat, q_mat): the state after each step, r (k, 3, 3), v and p
+    (k, 3), and each step's A and Q, (k, 15, 15). Raises DataError on a
+    dt <= 0 or a std or density that is negative or NaN."""
+    for name, std in dict(eta_g=eta_g, eta_a=eta_a, sigma_bg=sigma_bg, sigma_ba=sigma_ba).items():
         if not (np.asarray(std) >= 0).all():  # NaN fails too
             raise DataError(f"{name} must be nonnegative")
     dt = np.asarray(dt, dtype=float)
@@ -271,8 +272,8 @@ def propagate_chunk(x: NavState, w, a, dt, eta_g, eta_a, eta_bg, eta_ba):
     np.matmul(accel * eta_a[:, None, :] ** 2, accel.transpose(0, 2, 1),
               out=q_mat[:, 3:9, 3:9])
     flat = q_mat.reshape(k, -1)
-    flat[:, _BA_DIAG] = np.asarray(eta_ba, dtype=float) ** 2
-    flat[:, _BG_DIAG] = np.asarray(eta_bg, dtype=float) ** 2
+    flat[:, _BA_DIAG] = np.asarray(sigma_ba, dtype=float) ** 2 * dt[:, None]
+    flat[:, _BG_DIAG] = np.asarray(sigma_bg, dtype=float) ** 2 * dt[:, None]
     return r[1:], v[1:], p[1:], a_mat, q_mat
 
 

@@ -257,11 +257,7 @@ def fusion_inputs():
     corrector = IdentityCorrector(
         eta_g=1e-3 * np.sqrt(200.0), eta_a=1e-2 * np.sqrt(200.0)
     )
-    cfg = EkfConfig(
-        update_rate=20.0,
-        eta_bg=1e-5 * np.sqrt(1 / 200.0),
-        eta_ba=1e-4 * np.sqrt(1 / 200.0),
-    )
+    cfg = EkfConfig(update_rate=20.0, sigma_bg=1e-5, sigma_ba=1e-4)
     return traj, imu, OracleProvider(traj, noise_std=0.05, seed=4), corrector, cfg
 
 
@@ -315,11 +311,7 @@ def test_criterion_05_filter_health(fusion_run, covariance_spy):
     corrector = IdentityCorrector(
         eta_g=1e-3 * np.sqrt(100.0), eta_a=1e-2 * np.sqrt(100.0)
     )
-    cfg = EkfConfig(
-        update_rate=20.0,
-        eta_bg=1e-5 * np.sqrt(1 / 100.0),
-        eta_ba=1e-4 * np.sqrt(1 / 100.0),
-    )
+    cfg = EkfConfig(update_rate=20.0, sigma_bg=1e-5, sigma_ba=1e-4)
     x0 = initial_state(traj)
     inside = total = 0
     for seed in range(20):
@@ -640,11 +632,7 @@ def test_criterion_11_streaming_contract(covariance_spy):
     corrector = IdentityCorrector(
         eta_g=1e-3 * np.sqrt(100.0), eta_a=1e-2 * np.sqrt(100.0)
     )
-    cfg = EkfConfig(
-        update_rate=20.0,
-        eta_bg=1e-5 * np.sqrt(1 / 100.0),
-        eta_ba=1e-4 * np.sqrt(1 / 100.0),
-    )
+    cfg = EkfConfig(update_rate=20.0, sigma_bg=1e-5, sigma_ba=1e-4)
     x0 = initial_state(traj)
     # each runner's every full P is taken from its own propagate and update calls
     online = streaming_run(imu, OracleProvider(traj, 0.05, seed=6), corrector, cfg, x0)

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import hashlib
 import importlib
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 import bodyframe_io
 from bodyframe_io import config as cfgmod
 from bodyframe_io import dataset_io
-from bodyframe_io.cli import emit_report, main
+from bodyframe_io.cli import ORACLE_NOISE_STD, emit_report, main
 from bodyframe_io.corrector import IdentityCorrector, LearnedAffineCorrector
 from bodyframe_io.dataset_io import (
     TRAJECTORY_HEADER,
@@ -257,6 +258,46 @@ class TestStartup:
         assert bodyframe_io.ekf is ekf
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreads:
+    """Importing the package picks one BLAS thread unless the user set a count."""
+
+    @staticmethod
+    def run(argv, threads):
+        """Runs argv in a new interpreter on this source tree, with the
+        BLAS thread variables unset (threads None) or set to threads."""
+        src = str(Path(bodyframe_io.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, check=True).stdout
+
+    @pytest.mark.parametrize("threads, want", [(None, "1 1 1"), ("2", "2 2 2")])
+    def test_import_sets_one_thread_and_keeps_a_user_value(self, threads, want):
+        code = ("import os, bodyframe_io\n"
+                f"print(' '.join(os.environ[k] for k in {BLAS_THREAD_VARS!r}))\n")
+        assert self.run(["-c", code], threads).split() == want.split()
+
+    def test_weights_do_not_depend_on_the_variables_being_set(self, workdir, tmp_path):
+        ini = tmp_path / "one-epoch.ini"
+        ini.write_text("[motion]\nwindow = 50\nstride = 25\nlatent_dim = 8\n"
+                       "gru_layers = 1\nepochs = 1\nbatch_size = 4\n")
+        digests = {}
+        for threads in (None, "1"):
+            for command, extra in (("train-corrector", []),
+                                   ("train-motion", ["--config", str(ini)])):
+                out = tmp_path / f"{command}-{threads}.bfwt"
+                self.run(["-m", "bodyframe_io.cli", command, "--data", workdir["data"],
+                          "--out", str(out), *extra], threads)
+                digests[command, threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+        for command in ("train-corrector", "train-motion"):
+            assert digests[command, None] == digests[command, "1"], command
+
+
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -312,14 +353,46 @@ class TestExitCodes:
         assert "--config" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_removed_corrector_keys_exit_2(self, workdir, tmp_path, capsys):
-        for key in ("epochs = 5", "lr = 0.1"):
-            cfg = tmp_path / "old.ini"
-            cfg.write_text(f"[corrector]\n{key}\n")
-            rc = main(["train-corrector", "--data", workdir["data"],
-                       "--config", str(cfg), "--out", str(tmp_path / "c.bfwt")])
-            assert rc == 2
-            assert "corrector." + key.split()[0] in capsys.readouterr().err
+    def test_train_corrector_takes_no_config(self, workdir, tmp_path, capsys):
+        out = tmp_path / "c.bfwt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train-corrector", "--data", workdir["data"], "--out", str(out),
+                  "--config", str(tmp_path / "x.ini")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    # keys that only ever took one value are constants now; an old
+    # config that still sets one is refused before anything is written
+    @pytest.mark.parametrize("name", [
+        "corrector.window_len", "motion.patience", "motion.lr_decay", "ekf.eta_bg",
+        "ekf.eta_ba", "ekf.oracle_noise", "ekf.zero_eta", "eval.tau_max",
+        "eval.n_thresholds",
+    ])
+    def test_removed_keys_exit_2(self, workdir, tmp_path, capsys, name):
+        section, key = name.split(".")
+        cfg = tmp_path / "old.ini"
+        cfg.write_text(f"[{section}]\n{key} = 1\n")
+        out = tmp_path / "o.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", "zero", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert ("[corrector]" if section == "corrector" else name) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--data", "{tmp}/d", "--name", "s"],
+        ["train-motion", "--data", "{data}", "--out", "{tmp}/m.bfwt"],
+        ["run-ekf", "--data", "{data}", "--name", "seq01", "--provider", "oracle",
+         "--out", "{tmp}/o.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2_before_any_work(self, workdir, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path, data=workdir["data"]) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be nonnegative" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_nan_corrector_eta_exits_3_without_output(self, workdir, tmp_path, capsys):
         # a NaN uncertainty is a data error, not a crash in the filter
@@ -473,18 +546,6 @@ class TestExitCodes:
         assert rc == 4
         assert "numerical error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window_len", ["0", "-3"])
-    def test_nonpositive_corrector_window_exits_2(self, workdir, tmp_path, capsys,
-                                                  window_len):
-        cfg = tmp_path / "corr.ini"
-        cfg.write_text(f"[corrector]\nwindow_len = {window_len}\n")
-        out = tmp_path / "c.bfwt"
-        rc = main(["train-corrector", "--data", workdir["data"], "--config", str(cfg),
-                   "--out", str(out)])
-        assert rc == 2
-        assert "window_len" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("section, line", [
         ("simulator", "ratios = 1, 2"),
         ("simulator", "phases = 0, 0.5, 1, 2"),
@@ -518,7 +579,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("line, message", [
         ("rte_interval = 0", "interval"),
         ("rte_interval = -2.0", "interval"),
-        ("tau_max = nan", "eval.tau_max"),
+        ("rte_interval = nan", "eval.rte_interval"),
     ])
     def test_bad_eval_settings_exit_2(self, workdir, ekf_csv, tmp_path, capsys, line, message):
         cfg = tmp_path / "eval.ini"
@@ -532,8 +593,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("provider, line", [
         ("zero", "update_rate = nan"),
-        ("zero", "zero_eta = nan"),
-        ("oracle", "oracle_noise = nan"),
+        ("oracle", "update_rate = inf"),
     ])
     def test_nan_filter_settings_exit_2(self, workdir, tmp_path, capsys, provider, line):
         cfg = tmp_path / "ekf.ini"
@@ -543,6 +603,18 @@ class TestExitCodes:
                    "--provider", provider, "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert f"ekf.{line.split()[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["sigma_bg = nan", "sigma_ba = -1e-4"])
+    def test_bad_walk_density_exits_2(self, workdir, tmp_path, capsys, line):
+        # the filter's bias walk comes from the noise model's densities
+        cfg = tmp_path / "walk.ini"
+        cfg.write_text(f"[noise]\n{line}\n")
+        out = tmp_path / "o.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", "zero", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert line.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
     def test_motion_meta_missing_a_field_exits_3(self, workdir, tmp_path, capsys):
@@ -801,8 +873,8 @@ class TestTrainers:
         cfg = tmp_path / "fast.ini"
         cfg.write_text("[ekf]\nupdate_rate = 10.0\n")
         corr = str(tmp_path / "corr.bfwt")
-        main(["train-corrector", "--data", workdir["data"], "--config",
-              str(cfg), "--seed", "0", "--out", corr])
+        assert main(["train-corrector", "--data", workdir["data"], "--seed", "0",
+                     "--out", corr]) == 0
         out = str(tmp_path / "traj.csv")
         rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
                    "--provider", "oracle", "--corrector-weights", corr,
@@ -860,9 +932,9 @@ def in_memory_run_ekf(seq_dir, provider, corrector, ini, seed, weights, out):
         corrector = IdentityCorrector(eta_g=cfg.getfloat("noise", "sigma_g") * root_rate,
                                       eta_a=cfg.getfloat("noise", "sigma_a") * root_rate)
     if provider == "zero":
-        provider = ConstantZeroProvider(eta=cfg.getfloat("ekf", "zero_eta"))
+        provider = ConstantZeroProvider()
     elif provider == "oracle":
-        provider = OracleProvider(truth, noise_std=cfg.getfloat("ekf", "oracle_noise"), seed=seed)
+        provider = OracleProvider(truth, noise_std=ORACLE_NOISE_STD, seed=seed)
     else:
         provider = NetworkProvider(MotionNet.load(weights))
     zero = np.zeros(3)

@@ -16,9 +16,10 @@ from bodyframe_io.config import (
     noise_spec,
     trajectory_spec,
 )
+from bodyframe_io.ekf import EkfConfig
 from bodyframe_io.errors import ConfigError
 from bodyframe_io.imu_model import RepresentationKind
-from bodyframe_io.motion_model import MotionNetConfig
+from bodyframe_io.motion_model import LossConfig, MotionNetConfig, TrainConfig
 from bodyframe_io.simulator import TrajectoryKind, YawMode
 
 
@@ -55,6 +56,15 @@ class TestLoading:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "nope.ini"))
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nbogus = 3\n",
+        "[DEFAULT]\nepochs = 1\n[motion]\nlr = 1e-2\n",
+    ], ids=["unknown_key", "key_of_a_section"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser copies [DEFAULT] keys into every section
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            load_config(write_ini(tmp_path, text))
 
     def test_malformed_ini_rejected(self, tmp_path):
         path = write_ini(tmp_path, "duration = 5\n")  # key before any section
@@ -182,6 +192,14 @@ class TestBuilders:
         assert motion_net_config(RunConfig(), seed=0) == MotionNetConfig()
         assert MotionNetConfig().window == 200
 
+    def test_other_builder_defaults_match_their_dataclasses(self):
+        assert motion_train_config(RunConfig(), seed=0) == TrainConfig()
+        assert motion_loss_config(RunConfig()) == LossConfig()
+        assert ekf_config(RunConfig()) == EkfConfig()
+        # the filter's bias walk is the simulator's, by default too
+        noise = noise_spec(RunConfig(), seed=0)
+        assert (EkfConfig().sigma_bg, EkfConfig().sigma_ba) == (noise.sigma_bg, noise.sigma_ba)
+
     def test_bad_representation_rejected(self):
         cfg = RunConfig()
         cfg.values["motion"]["representation"] = "camera"
@@ -199,9 +217,9 @@ class TestBuilders:
     def test_ekf_builder(self):
         cfg = RunConfig()
         cfg.values["ekf"]["update_rate"] = "10"
-        cfg.values["ekf"]["eta_ba"] = "2e-5"
+        cfg.values["noise"]["sigma_ba"] = "2e-4"
         ecfg = ekf_config(cfg)
-        assert ecfg.update_rate == 10.0 and ecfg.eta_ba == 2e-5
+        assert ecfg.update_rate == 10.0 and ecfg.sigma_ba == 2e-4
 
 
 class TestDumpDefaults:

@@ -121,7 +121,7 @@ def one_step(x, w_hat, a_hat, eta_g, eta_a, dt, cfg):
     """propagate_chunk over a single frame."""
     return propagate_chunk(
         x, np.atleast_2d(w_hat), np.atleast_2d(a_hat), np.array([dt]),
-        np.atleast_2d(eta_g), np.atleast_2d(eta_a), cfg.eta_bg, cfg.eta_ba,
+        np.atleast_2d(eta_g), np.atleast_2d(eta_a), cfg.sigma_bg, cfg.sigma_ba,
     )
 
 
@@ -129,7 +129,7 @@ class TestPropagate:
     def test_hover_is_fixed_point(self):
         x0 = NavState.identity()
         p0 = np.zeros((15, 15))
-        cfg = EkfConfig(eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(sigma_bg=1e-5, sigma_ba=1e-4)
         a_hover = np.array([0, 0, 9.80665])
         r, v, p, a_mat, q_mat = one_step(
             x0, np.zeros(3), a_hover, np.full(3, 1e-3), np.full(3, 1e-2), 0.01, cfg
@@ -140,7 +140,7 @@ class TestPropagate:
         # P grew by exactly B W B^T
         p1 = ekf_propagate(p0, a_mat[0], q_mat[0])
         _, b = propagation_jacobians(x0, np.zeros(3), a_hover, 0.01)
-        w_cov = np.diag(np.repeat([1e-3, 1e-2, 1e-6, 1e-5], 3) ** 2)
+        w_cov = np.diag(np.repeat([1e-3, 1e-2, 1e-5 * 0.1, 1e-4 * 0.1], 3) ** 2)
         expected = b @ w_cov @ b.T
         np.testing.assert_allclose(p1, 0.5 * (expected + expected.T), atol=1e-18)
 
@@ -150,14 +150,15 @@ class TestPropagate:
         w_hat = rng.standard_normal(3)
         a_hat = rng.standard_normal(3)
         eta_g, eta_a = np.full(3, 2e-3), np.full(3, 3e-2)
-        cfg = EkfConfig(eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(sigma_bg=1e-5, sigma_ba=1e-4)
         dt = 0.005
         r, v, p, a_mat, q_mat = one_step(fs.x, w_hat, a_hat, eta_g, eta_a, dt, cfg)
         p_next = ekf_propagate(fs.P, a_mat[0], q_mat[0])
 
         x_ref = propagate_state(fs.x, w_hat, a_hat, dt)
         a_ref, b_ref = propagation_jacobians(fs.x, w_hat, a_hat, dt)
-        w_cov = np.diag(np.concatenate([eta_g, eta_a, np.full(3, 1e-6), np.full(3, 1e-5)]) ** 2)
+        walk = np.repeat([cfg.sigma_bg, cfg.sigma_ba], 3) ** 2 * dt  # variances sigma^2 dt
+        w_cov = np.diag(np.concatenate([eta_g ** 2, eta_a ** 2, walk]))
         p_ref = propagate_covariance(fs.P, a_ref, b_ref, w_cov)
         np.testing.assert_array_equal(r[0], x_ref.r)
         np.testing.assert_array_equal(v[0], x_ref.v)
@@ -165,13 +166,31 @@ class TestPropagate:
         np.testing.assert_array_equal(p_next, p_ref)
 
     def test_zero_noise_zero_p_stays_zero(self):
-        cfg = EkfConfig(eta_bg=0.0, eta_ba=0.0)
+        cfg = EkfConfig(sigma_bg=0.0, sigma_ba=0.0)
         _, _, _, a_mat, q_mat = one_step(
             NavState.identity(), np.array([0.1, 0, 0]), np.array([0, 1, 9.0]),
             np.zeros(3), np.zeros(3), 0.01, cfg,
         )
         out = ekf_propagate(np.zeros((15, 15)), a_mat[0], q_mat[0])
         np.testing.assert_array_equal(out, np.zeros((15, 15)))
+
+    @pytest.mark.parametrize("rate", [100.0, 2000.0])
+    def test_walk_block_is_the_density_times_dt(self, rate):
+        # Q's bias block is the walk corrupt_imu draws, variance sigma^2 dt_i
+        # on each frame, at any IMU rate and under timing jitter
+        cfg = EkfConfig()
+        rng = np.random.default_rng(int(rate))
+        k = 40
+        dt = rng.uniform(0.9, 1.1, size=k) / rate
+        *_, q_mat = propagate_chunk(
+            NavState.identity(), rng.standard_normal((k, 3)), rng.standard_normal((k, 3)),
+            dt, np.full((k, 3), 1e-3), np.full((k, 3), 1e-2), cfg.sigma_bg, cfg.sigma_ba,
+        )
+        expected = np.zeros((k, 6, 6))
+        diag = np.arange(6)
+        expected[:, diag, diag] = np.repeat([1e-4, 1e-5], 3) ** 2 * dt[:, None]  # b_a, b_g
+        np.testing.assert_allclose(q_mat[:, 9:15, 9:15], expected, rtol=1e-15, atol=0.0)
+        assert not q_mat[:, 9:15, :9].any() and not q_mat[:, :9, 9:15].any()
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(DataError):
@@ -297,10 +316,7 @@ def noisy_fig8():
     corrector = IdentityCorrector(
         eta_g=1e-3 * np.sqrt(rate), eta_a=1e-2 * np.sqrt(rate)
     )
-    cfg = EkfConfig(
-        update_rate=20.0,
-        eta_bg=1e-5 * np.sqrt(1 / rate), eta_ba=1e-4 * np.sqrt(1 / rate),
-    )
+    cfg = EkfConfig(update_rate=20.0, sigma_bg=1e-5, sigma_ba=1e-4)
     return traj, imu, corrector, cfg
 
 
@@ -342,7 +358,7 @@ class TestRunners:
                           seed=3)
         imu, _ = corrupt_imu(derive_imu(traj), noise)
         corrector = IdentityCorrector(eta_g=1e-3 * 10.0, eta_a=1e-2 * 10.0)
-        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(update_rate=20.0)
         states = streaming_run(
             imu, ConstantZeroProvider(eta=0.05), corrector, cfg,
             initial_state_from(traj),
@@ -364,7 +380,7 @@ class TestRunners:
     def test_small_buffer_streaming_still_matches_batch(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
         imu = imu.slice(0, 400)
-        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(update_rate=20.0)
         provider = _SpyProvider(OracleProvider(traj, noise_std=0.02, seed=5), 50)
         x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
@@ -374,7 +390,7 @@ class TestRunners:
 
     def test_update_cadence(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
-        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)  # k = 5
+        cfg = EkfConfig(update_rate=20.0)  # k = 5
         # frames 0..20 at 100 Hz: 20 new frames in chunks of 5; with 23
         # frames the partial last chunk ends on no update, so the
         # provider is not called for it. Each call asks for one row.
@@ -437,7 +453,7 @@ class TestRunners:
 
     @pytest.mark.parametrize("field, value", [
         ("update_rate", 0.0), ("update_rate", np.nan),
-        ("eta_bg", -1e-6), ("eta_bg", np.nan), ("eta_ba", np.nan),
+        ("sigma_bg", -1e-5), ("sigma_bg", np.nan), ("sigma_ba", np.nan),
     ])
     def test_bad_config_rejected(self, noisy_fig8, field, value):
         traj, imu, corrector, _ = noisy_fig8
@@ -480,9 +496,10 @@ class TestRunners:
         assert np.array_equal(run.t, imu.t)
         corrected, corr = correct_and_quantify(corrector, imu)
         meas = OracleProvider(traj, noise_std=0.05, seed=3)
+        walk = np.repeat([cfg.sigma_bg, cfg.sigma_ba], 3) ** 2  # times dt: variances
         w_cov = [
-            np.diag(np.concatenate([g, a, np.full(3, cfg.eta_bg), np.full(3, cfg.eta_ba)]) ** 2)
-            for g, a in zip(corr.eta_g, corr.eta_a)
+            np.diag(np.concatenate([g ** 2, a ** 2, walk * dt]))
+            for g, a, dt in zip(corr.eta_g, corr.eta_a, np.diff(imu.t, prepend=imu.t[0]))
         ]
         fs = FilterState(x=initial_state_from(traj), P=P0)
         t = imu.t.tolist()
@@ -576,7 +593,7 @@ class TestRunners:
             raw_eta=inv_softplus(np.array([1e-2] * 3 + [1e-1] * 3)), window_len=1,
         )
         assert corrector.context == 0
-        cfg = EkfConfig(update_rate=100.0, eta_bg=1e-6, eta_ba=1e-5)  # the IMU rate
+        cfg = EkfConfig(update_rate=100.0)  # the IMU rate
         provider = OracleProvider(traj, noise_std=0.05, seed=2)
         x0 = initial_state_from(traj)
         blocks = (imu.slice(i, i + 1) for i in range(len(imu)))
@@ -639,7 +656,7 @@ class TestNetworkServing:
     def test_streaming_matches_batch_exactly(self, noisy_fig8, covariance_spy):
         traj, imu, corrector, _ = noisy_fig8
         imu = imu.slice(0, 301)
-        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(update_rate=20.0)
         provider = NetworkProvider(perturbed_tiny_network())
         x0 = initial_state_from(traj)
         a = streaming_run(imu, provider, corrector, cfg, x0)
@@ -657,7 +674,7 @@ class TestNetworkServing:
 
     def test_network_never_runs_on_more_than_its_window(self, noisy_fig8):
         traj, imu, corrector, _ = noisy_fig8
-        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(update_rate=20.0)
         model = perturbed_tiny_network()
         steps = []
         forward_arrays = model.forward_arrays
@@ -775,7 +792,7 @@ class TestNetworkServing:
         # a provider window shorter than a chunk keeps only the chunk's newest frames
         traj, imu, corrector, _ = noisy_fig8
         imu = imu.slice(0, 61)
-        cfg = EkfConfig(update_rate=20.0, eta_bg=1e-6, eta_ba=1e-5)
+        cfg = EkfConfig(update_rate=20.0)
         runs = []
         for runner in (streaming_run, batch_run):
             spy = _SpyProvider(

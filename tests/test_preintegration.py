@@ -202,12 +202,14 @@ class TestCovariance:
 
 
 
-def per_frame_reference(x, w, a, dt, eta_g, eta_a, eta_bg, eta_ba, p_cov):
-    """A chunk the per-frame way: rows of r, v, p, A, Q and P."""
+def per_frame_reference(x, w, a, dt, eta_g, eta_a, sigma_bg, sigma_ba, p_cov):
+    """A chunk the per-frame way: rows of r, v, p, A, Q and P, with
+    walk variances sigma^2 dt."""
     out = {name: [] for name in ("r", "v", "p", "a_mat", "q_mat", "P")}
     for i in range(len(dt)):
         a_mat, b_mat = propagation_jacobians(x, w[i], a[i], dt[i])
-        w_cov = noise_covariance(eta_g[i], eta_a[i], eta_bg, eta_ba)
+        walk = [np.broadcast_to(s, (3,)) ** 2 * dt[i] for s in (sigma_bg, sigma_ba)]
+        w_cov = np.diag(np.concatenate([eta_g[i] ** 2, eta_a[i] ** 2, *walk]))
         p_cov = propagate_covariance(p_cov, a_mat, b_mat, w_cov)
         x = propagate_state(x, w[i], a[i], dt[i])
         for name, value in zip(out, (x.r, x.v, x.p, a_mat, b_mat @ w_cov @ b_mat.T, p_cov)):
@@ -223,8 +225,8 @@ def chunk_inputs(rng, k, rate_scale=1.0):
         dt=rng.uniform(4e-4, 1e-2, size=k),
         eta_g=np.abs(rng.normal(size=(k, 3))) * 1e-2,
         eta_a=np.abs(rng.normal(size=(k, 3))) * 1e-1,
-        eta_bg=1e-6,
-        eta_ba=np.array([1e-5, 2e-5, 3e-5]),
+        sigma_bg=1e-5,
+        sigma_ba=np.array([1e-4, 2e-4, 3e-4]),
     )
 
 
@@ -265,7 +267,7 @@ class TestPropagateChunk:
 
     def test_rejects_negative_noise_std(self):
         rng = np.random.default_rng(28)
-        for name in ("eta_g", "eta_a", "eta_bg", "eta_ba"):
+        for name in ("eta_g", "eta_a", "sigma_bg", "sigma_ba"):
             inputs = chunk_inputs(rng, 3)
             inputs[name] = -np.abs(np.asarray(inputs[name]))
             with pytest.raises(DataError, match=f"{name} must be nonnegative"):
