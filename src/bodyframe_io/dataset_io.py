@@ -95,10 +95,10 @@ def quat_from_matrix(r) -> np.ndarray:
 def matrix_from_quat(q) -> np.ndarray:
     """Unit quaternions (wxyz), (4,) or (n, 4), to rotation matrices,
     (3, 3) or (n, 3, 3); normalizes small drift. Raises DataError when a
-    norm is more than 1e-6 from 1."""
+    norm is more than 1e-6 from 1 or not a number."""
     q = np.asarray(q, dtype=float)
     n = row_norms(q)
-    bad = np.flatnonzero(np.abs(n - 1.0) > 1e-6)
+    bad = np.flatnonzero(~(np.abs(n - 1.0) <= 1e-6))
     if bad.size:
         raise DataError(f"quaternion norm {np.ravel(n)[bad[0]]:.6g} too far from 1")
     w, x, y, z = np.moveaxis(q / n[..., None], -1, 0)
@@ -167,12 +167,13 @@ def _read_blocks(path, header: str, quaternions: bool = False):
     line by line by _parse_lines, which reads them as int() and float()
     do or raises ParseError naming the first line with a wrong column
     count or a value that does not parse. Either way a %.17g-written
-    float64 reads back bit for bit. A parsed block is then checked: its
-    first column must rise strictly, from the last row of the block
-    before (TimestampOrderError), and with quaternions set rest[:, 3:7]
-    must be within 1e-6 of unit norm (ParseError). A fault is reported
-    when the block that holds it is read, so a file whose fault lies in
-    a later block yields the blocks before it first.
+    float64 reads back bit for bit. A parsed block is then checked:
+    every value must be finite (ParseError: nan and inf parse as
+    floats), its first column must rise strictly, from the last row of
+    the block before (TimestampOrderError), and with quaternions set
+    rest[:, 3:7] must be within 1e-6 of unit norm (ParseError). A fault
+    is reported when the block that holds it is read, so a file whose
+    fault lies in a later block yields the blocks before it first.
     """
     first = np.int64 if header.startswith("timestamp_ns,") else np.float64
     dtype = np.dtype([("first", first), ("rest", np.float64, (header.count(","),))])
@@ -213,6 +214,9 @@ def _parse_block(path, linenos, rows, dtype, prev, quaternions):
     except (ValueError, DeprecationWarning):
         table = _parse_lines(path, linenos, rows, dtype)
     first, rest = table["first"].copy(), np.ascontiguousarray(table["rest"])
+    finite = np.isfinite(rest).all(axis=1) & np.isfinite(first)
+    if not finite.all():
+        raise ParseError(f"{path}:{linenos[finite.argmin()]}: non-finite value")
     _check_monotone(path, linenos, first, prev)
     if quaternions:
         _check_unit_quaternions(path, linenos, rest[:, 3:7])
@@ -247,8 +251,8 @@ def _parse_lines(path, linenos, rows, dtype) -> np.ndarray:
 
 def _check_unit_quaternions(path, linenos, q):
     """ParseError naming the line of the first row of q (n, 4) whose
-    norm is more than 1e-6 from 1."""
-    bad = np.flatnonzero(np.abs(row_norms(q) - 1.0) > 1e-6)
+    norm is more than 1e-6 from 1 (or NaN)."""
+    bad = np.flatnonzero(~(np.abs(row_norms(q) - 1.0) <= 1e-6))
     if bad.size:
         raise ParseError(f"{path}:{linenos[bad[0]]}: quaternion is not unit norm")
 
@@ -293,8 +297,8 @@ def _load_imu(path):
 
 def load_imu_csv(path) -> ImuWindow:
     """Read an IMU file as a BODY-kind ImuWindow; timestamps become
-    seconds since the file's first stamp. Raises DataError on a
-    non-finite reading."""
+    seconds since the file's first stamp. Raises ParseError naming the
+    line of a non-finite reading."""
     return _load_imu(path)[0]
 
 
@@ -339,7 +343,7 @@ def load_groundtruth_csv(path):
     """Read a ground-truth file as (stamps, values): integer ns stamps
     (n,) and the 16 value columns (n, 16), in file order
     (p, q wxyz, v, b_w, b_a). Raises ParseError naming the line of a
-    quaternion more than 1e-6 from unit norm."""
+    non-finite value or of a quaternion more than 1e-6 from unit norm."""
     return _read_csv(path, GROUNDTRUTH_HEADER, quaternions=True)
 
 
@@ -575,7 +579,8 @@ def write_trajectory_csv(path, traj: Trajectory, traces):
 def read_trajectory_csv(path):
     """Read filter output back as (Trajectory, traces); the file stores
     no biases, accelerations or rates. Raises ParseError naming the line
-    of a quaternion more than 1e-6 from unit norm."""
+    of a non-finite value or of a quaternion more than 1e-6 from unit
+    norm."""
     t, values = _read_csv(path, TRAJECTORY_HEADER, quaternions=True)
     estimate = Trajectory(
         t=t,

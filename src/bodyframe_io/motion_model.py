@@ -280,6 +280,7 @@ class MotionNet:
         config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed) if init else None
+        self._saved = None  # eta and where it is unclipped, for backward_arrays
         k = config.kernel
         hidden = config.latent_dim // 2
 
@@ -365,47 +366,61 @@ class MotionNet:
             self._norm["att_shift"] = flat.mean(axis=0)
             self._norm["att_scale"] = np.maximum(flat.std(axis=0), 1e-8)
 
-    def encode(self, imu, att):
-        """Encoder output (the latent tap): (batch, time, enc_dim)."""
+    def encode(self, imu, att, train=False):
+        """Encoder output (the latent tap): (batch, time, enc_dim). Only
+        with train do the layers save what backward_arrays reads."""
         h = (imu - self._norm["imu_shift"]) / self._norm["imu_scale"]
         for layer in self._imu_stack:
-            h = layer.forward(h)
+            h = layer.forward(h, train=train)
         if self._att_dim:
             if att is None:
                 raise DataError("model expects an attitude channel")
             g = (att - self._norm["att_shift"]) / self._norm["att_scale"]
             for layer in self._att_stack:
-                g = layer.forward(g)
+                g = layer.forward(g, train=train)
             h = np.concatenate([h, g], axis=2)
         return h
 
     def forward_arrays(self, imu, att=None, train=False, rng=None, tail=None):
         """(batch, time, 6) [+ (batch, time, 3)] -> v, eta of (batch, time, 3).
 
+        A training pass (train=True) drops out with rng and makes every
+        layer save what backward_arrays reads, which that backward then
+        frees; an evaluation pass saves nothing and cannot be followed
+        by backward_arrays.
+
         With tail=k only the newest min(k, time) rows of v and eta are
         returned, equal to the bit to the full pass's rows: the last
         reverse GRU scans only k steps, and the heads still run on every
         row, as a row-subset matmul may round differently. Such a pass
-        cannot be followed by backward_arrays.
+        cannot be followed by backward_arrays either.
         """
-        h = self.encode(imu, att)
+        h = self.encode(imu, att, train)
         for gru in self._grus[:-1]:
-            h = gru.forward(h)
-        h = self._grus[-1].forward(h, tail)
-        h = self._dropout.forward(h, rng if train else None)
-        v = self._v_out.forward(self._v_gelu.forward(self._v_hidden.forward(h)))
-        raw = self._e_out.forward(self._e_gelu.forward(self._e_hidden.forward(h)))
+            h = gru.forward(h, train=train)
+        h = self._grus[-1].forward(h, tail, train)
+        h = self._dropout.forward(h, rng if train else None, train)
+        v = self._v_gelu.forward(self._v_hidden.forward(h, train), train)
+        v = self._v_out.forward(v, train)
+        raw = self._e_gelu.forward(self._e_hidden.forward(h, train), train)
+        raw = self._e_out.forward(raw, train)
         lo, hi = math.log(ETA_MIN), math.log(ETA_MAX)
         eta = np.exp(np.clip(raw, lo, hi))
-        self._eta_inside = (raw > lo) & (raw < hi)
-        self._eta = eta
+        self._saved = (eta, (raw > lo) & (raw < hi)) if train else None
         if tail is not None:
             return v[:, -tail:], eta[:, -tail:]
         return v, eta
 
     def backward_arrays(self, dv, deta):
-        """Accumulate parameter grads from dL/dv and dL/deta."""
-        draw = deta * self._eta * self._eta_inside
+        """Accumulate parameter grads from dL/dv and dL/deta, reading and
+        freeing what the last training forward_arrays saved; RuntimeError
+        when no such pass came since the last backward."""
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise RuntimeError("backward_arrays needs a training forward_arrays since the last"
+                               " backward: an evaluation pass saves nothing")
+        eta, inside = saved
+        draw = deta * eta * inside
         dh = self._v_hidden.backward(self._v_gelu.backward(self._v_out.backward(dv)))
         dh += self._e_hidden.backward(self._e_gelu.backward(self._e_out.backward(draw)))
         dh = self._dropout.backward(dh)

@@ -3,10 +3,24 @@
 Just enough machinery for the velocity network: 1-D convolution,
 gated recurrent units (run in both directions for a bidirectional
 stack), linear layers, smooth GELU, inverted dropout, and Adam. No
-autograd: every layer caches what its backward pass needs and exposes
+autograd: every layer exposes
 
-    forward(x, ...) -> y
-    backward(dy)    -> dx     (accumulating parameter gradients)
+    forward(x, ..., train=True) -> y
+    backward(dy)                -> dx     (accumulating parameter gradients)
+
+A training forward (train=True, the layers' default) saves the arrays
+its backward reads, and backward consumes them: it takes them from the
+layer, so they are freed once it returns, and a second backward
+without a new forward raises RuntimeError. An evaluation forward
+(train=False) saves nothing and drops what an earlier forward saved, so
+backward after it raises too. A training step thus holds each layer's
+arrays from its forward to its backward only. What each layer saves:
+
+    Linear    its input
+    Conv1d    its zero-padded input
+    Gelu      its derivative at the input, one array
+    Dropout   which units it kept, as booleans
+    Gru       its input and views of the scan's arrays (see Gru)
 
 Sequence tensors are (batch, time, channels), float64 throughout. Each
 layer owns `params` and `grads` dicts keyed by local names; containers
@@ -59,6 +73,19 @@ class Layer:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self._saved: tuple | None = None  # the last training forward's, for backward
+
+    def _take(self) -> tuple:
+        """The arrays the last training forward saved, handed to backward
+        once: the layer forgets them, so they are freed when backward is
+        done with them."""
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise RuntimeError(
+                f"{type(self).__name__} backward needs a full training forward since the last"
+                " backward: an evaluation forward or a partial GRU scan saves nothing"
+            )
+        return saved
 
     def zero_grads(self):
         for k, p in self.params.items():
@@ -73,12 +100,13 @@ class Linear(Layer):
         self.params["b"] = np.zeros(cout)
         self.zero_grads()
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, train=True):
+        self._saved = (x,) if train else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dy):
-        x2 = self._x.reshape(-1, self._x.shape[-1])
+        (x,) = self._take()
+        x2 = x.reshape(-1, x.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         self.grads["w"] += x2.T @ dy2
         self.grads["b"] += dy2.sum(axis=0)
@@ -98,24 +126,25 @@ class Conv1d(Layer):
         self.params["b"] = np.zeros(cout)
         self.zero_grads()
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         b, t, cin = x.shape
         pad = self.kernel // 2
         xp = np.zeros((b, t + 2 * pad, cin))
         xp[:, pad : pad + t] = x
-        self._xp = xp
+        self._saved = (xp,) if train else None
         y = np.tile(self.params["b"], (b, t, 1))
         for k in range(self.kernel):
             y += xp[:, k : k + t] @ self.params["w"][k]
         return y
 
     def backward(self, dy):
+        (xp,) = self._take()
         b, t, _ = dy.shape
         pad = self.kernel // 2
-        dxp = np.zeros_like(self._xp)
+        dxp = np.zeros_like(xp)
         dy2 = dy.reshape(-1, dy.shape[-1])
         for k in range(self.kernel):
-            seg = self._xp[:, k : k + t].reshape(-1, self._xp.shape[-1])
+            seg = xp[:, k : k + t].reshape(-1, xp.shape[-1])
             self.grads["w"][k] += seg.T @ dy2
             dxp[:, k : k + t] += dy @ self.params["w"][k].T
         self.grads["b"] += dy2.sum(axis=0)
@@ -123,43 +152,52 @@ class Conv1d(Layer):
 
 
 class Gelu(Layer):
-    """tanh-form GELU; smooth, so finite-difference checks stay clean."""
+    """tanh-form GELU; smooth, so finite-difference checks stay clean.
 
-    def forward(self, x):
-        self._x = x
-        self._u = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-        return 0.5 * x * (1.0 + self._u)
+    A training forward saves the derivative at x, one array, so backward
+    is a single product dy * g."""
+
+    def forward(self, x, train=True):
+        u = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+        half_x, one_u = 0.5 * x, 1.0 + u
+        if train:
+            du = (1.0 - u * u) * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+            self._saved = (0.5 * one_u + half_x * du,)
+        else:
+            self._saved = None
+        return half_x * one_u
 
     def backward(self, dy):
-        x, u = self._x, self._u
-        du = (1.0 - u * u) * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        return dy * (0.5 * (1.0 + u) + 0.5 * x * du)
+        (g,) = self._take()
+        return dy * g
 
 
 class Dropout(Layer):
-    """Inverted dropout; a no-op unless forward is given a generator."""
+    """Inverted dropout; a no-op unless forward is given a generator.
+
+    A training forward saves which units it kept, as booleans; backward
+    scales by the same float mask, rebuilt from them."""
 
     def __init__(self, p):
         super().__init__()
         self.p = float(p)
 
-    def forward(self, x, rng=None):
-        if rng is None or self.p <= 0.0:
-            self._mask = None
-            return x
-        self._mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * self._mask
+    def forward(self, x, rng=None, train=True):
+        keep = None if rng is None or self.p <= 0.0 else rng.random(x.shape) >= self.p
+        self._saved = (keep,) if train else None
+        return x if keep is None else x * (keep / (1.0 - self.p))
 
     def backward(self, dy):
-        return dy if self._mask is None else dy * self._mask
+        (keep,) = self._take()
+        return dy if keep is None else dy * (keep / (1.0 - self.p))
 
 
 def _scan(grus, xs, steps):
     """The recurrence of d GRU directions in one time loop.
 
     grus are the d directions and xs their inputs (b, t, cin), each in
-    its scan order. Their caches of the last pass are dropped first, so
-    that those arrays are freed before this pass makes its own. Each
+    its scan order. What they saved from the last pass is dropped first,
+    so that those arrays are freed before this pass makes its own. Each
     input projection x W_i + b_i is copied into the rz and ns buffers,
     which each step then overwrites with its results, so only one
     projection exists at a time. Runs the first `steps`
@@ -186,7 +224,7 @@ def _scan(grus, xs, steps):
     d, h = len(grus), grus[0].hidden
     b, t, _ = xs[0].shape
     for gru in grus:
-        gru._cache = None
+        gru._saved = None
     rz = np.empty((t, 2, d, b, h))
     ns = np.empty((t, d, b, h))
     for k, (gru, x) in enumerate(zip(grus, xs)):
@@ -243,18 +281,21 @@ class Gru(Layer):
     with the input).
 
     forward runs the recurrence through _scan with one direction, the
-    same scan that BiGru runs both its directions through at once. For
-    backward it caches the input x (a reversed view when reverse) and
-    views of the scan's arrays: the gates rz (t, 2, b, h), r then z, the
-    candidates ns and the n column of h W_h + b_h ghn, (t, b, h) each,
-    and the states hs (t+1, b, h). Nothing else outlives forward: not
-    the input projection, nor the r and z columns of h W_h + b_h.
+    same scan that BiGru runs both its directions through at once. A
+    training forward saves for backward the input x (a reversed view
+    when reverse) and views of the scan's arrays: the gates rz (t, 2, b,
+    h), r then z, the candidates ns and the n column of h W_h + b_h
+    ghn, (t, b, h) each, and the states hs (t+1, b, h). Nothing else
+    outlives forward: not the input projection, nor the r and z columns
+    of h W_h + b_h. backward takes these from the layer, so they live
+    from the forward to the backward only; an evaluation forward
+    (train=False) saves none of them.
 
     forward(x, steps=k) runs only the first k steps of the scan: the
     first k frames, or the last k when reversed. The input projection
     and the output keep the whole window's shape; the rows the scan
     reached equal the full scan's to the bit and the others are zero.
-    backward raises after such a partial scan.
+    Such a partial scan saves nothing, so backward raises after it.
 
     Backward's time loop carries only the dh recursion. It stores each
     step's dgi and the n column of dgh, and the weight and bias gradients
@@ -278,30 +319,28 @@ class Gru(Layer):
     def _in_scan_order(self, x):
         return x[:, ::-1] if self.reverse else x
 
-    def _keep(self, x, scan, k, partial):
-        """Cache direction k of a _scan's arrays for backward; returns this
-        direction's output, time-aligned with the input."""
+    def _keep(self, x, scan, k, save):
+        """Direction k of a _scan's output, time-aligned with the input;
+        with save, that direction's arrays are saved for backward."""
         rz, ns, ghn, hs = scan
-        self._cache = (x, rz[:, :, k], ns[:, k], ghn[:, k], hs[:, k])
-        self._partial = partial
+        if save:
+            self._saved = (x, rz[:, :, k], ns[:, k], ghn[:, k], hs[:, k])
         out = hs[1:, k].transpose(1, 0, 2)
         return out[:, ::-1] if self.reverse else out
 
-    def forward(self, x, steps=None):
+    def forward(self, x, steps=None, train=True):
         x = self._in_scan_order(x)
         t = x.shape[1]
         steps = t if steps is None else min(steps, t)
         if steps < 1:
             raise ValueError("a GRU scan needs at least one step")
         scan = _scan((self,), (x,), steps)
-        return self._keep(x, scan, 0, steps < t)
+        return self._keep(x, scan, 0, train and steps == t)
 
     def backward(self, dy):
-        if self._partial:
-            raise RuntimeError("GRU backward needs a full forward scan, not a partial one")
+        x, rz, ns, ghn, hs = self._take()
         if self.reverse:
             dy = dy[:, ::-1]
-        x, rz, ns, ghn, hs = self._cache
         b, t, cin = x.shape
         h = self.hidden
         w_h = self.params["w_h"]
@@ -338,10 +377,12 @@ class BiGru(Layer):
     """Forward and reverse GRUs, outputs concatenated to 2*hidden.
 
     A full forward pass runs both directions through one _scan, their
-    weights stacked: one time loop of t steps, not two. Each direction
-    then caches its own views of the scan's arrays (see Gru), so the two
-    keep no more for backward than two single-direction passes would,
-    and Gru.backward serves each as before.
+    weights stacked: one time loop of t steps, not two. In training each
+    direction then saves its own views of the scan's arrays (see Gru),
+    so the two keep no more for backward than two single-direction
+    passes would, and Gru.backward serves each as before. The scan's
+    arrays are freed once both directions' backwards have read them;
+    an evaluation pass (train=False) saves none.
 
     forward(x, tail=k) is exact on the newest k frames only: the forward
     GRU scans the whole window, the reverse one only its first k steps
@@ -354,13 +395,15 @@ class BiGru(Layer):
         self.fwd = Gru(cin, hidden, rng, reverse=False)
         self.bwd = Gru(cin, hidden, rng, reverse=True)
 
-    def forward(self, x, tail=None):
+    def forward(self, x, tail=None, train=True):
         if tail is not None:
-            return np.concatenate([self.fwd.forward(x), self.bwd.forward(x, tail)], axis=2)
+            return np.concatenate(
+                [self.fwd.forward(x, train=train), self.bwd.forward(x, tail, train)], axis=2
+            )
         grus = (self.fwd, self.bwd)
         xs = [gru._in_scan_order(x) for gru in grus]
         scan = _scan(grus, xs, x.shape[1])
-        out = [gru._keep(x_k, scan, k, False) for k, (gru, x_k) in enumerate(zip(grus, xs))]
+        out = [gru._keep(x_k, scan, k, train) for k, (gru, x_k) in enumerate(zip(grus, xs))]
         return np.concatenate(out, axis=2)
 
     def backward(self, dy):

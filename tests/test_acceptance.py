@@ -422,7 +422,8 @@ def gradient_check_worst():
         return value
 
     model.zero_grads()
-    v, eta = model.forward_arrays(imu, att, train=False)
+    # a training pass without a generator: no dropout, the arrays saved
+    v, eta = model.forward_arrays(imu, att, train=True)
     _, dv, deta = _combined_loss_grads(v, truth, eta, loss_cfg)
     model.backward_arrays(dv, deta)
     grads = model.gradients()

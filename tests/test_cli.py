@@ -481,6 +481,41 @@ class TestExitCodes:
         assert f"data error: no such file: {missing}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name, column, value", [
+        ("train-motion", "groundtruth.csv", 4, "nan"),  # qw
+        ("run-ekf", "groundtruth.csv", 4, "nan"),
+        ("eval", "groundtruth.csv", 4, "nan"),
+        ("eval", "groundtruth.csv", 1, "nan"),  # px
+        ("eval", "groundtruth.csv", 2, "inf"),
+        ("eval", "estimate", 1, "nan"),
+        ("eval", "estimate", 5, "-inf"),  # qx
+    ])
+    def test_non_finite_truth_or_estimate_exits_3(self, workdir, ekf_csv, tmp_path, capsys,
+                                                  command, name, column, value):
+        # nan passes every norm and range test, so each reader rejects it by name
+        data = tmp_path / "data"
+        shutil.copytree(workdir["data"], data)
+        path = data / "seq01" / name if name != "estimate" else tmp_path / "est.csv"
+        if name == "estimate":
+            shutil.copy(ekf_csv, path)
+        lines = path.read_text().splitlines()
+        fields = lines[6].split(",")
+        fields[column] = value
+        lines[6] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "train-motion": ["train-motion", "--data", str(data), "--seed", "0"],
+            "run-ekf": ["run-ekf", "--data", str(data), "--name", "seq01",
+                        "--provider", "oracle"],
+            "eval": ["eval", "--data", str(data), "--estimate",
+                     f"seq01={path if name == 'estimate' else ekf_csv}"],
+        }[command]
+        rc = main(argv + ["--config", workdir["cfg"], "--out", str(out)])
+        assert rc == 3
+        assert f"{path}:7: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
     def test_out_in_missing_directory_exits_2_before_any_work(self, tmp_path, capsys, argv):
         # every input is missing as well: had the command read one first,

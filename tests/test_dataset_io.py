@@ -66,9 +66,11 @@ class TestQuaternions:
     def test_identity(self):
         np.testing.assert_allclose(quat_from_matrix(np.eye(3)), [1, 0, 0, 0], atol=0)
 
-    def test_rejects_non_unit_quaternion(self):
-        with pytest.raises(DataError):
-            matrix_from_quat([1.0, 0.5, 0.0, 0.0])
+    @pytest.mark.parametrize("q", [[1.0, 0.5, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0],
+                                   [1.0, np.inf, 0.0, 0.0]])
+    def test_rejects_non_unit_quaternion(self, q):
+        with pytest.raises(DataError, match="too far from 1"):
+            matrix_from_quat(q)
 
     def test_slerp_halfway_is_half_angle(self):
         q0 = quat_from_matrix(np.eye(3))
@@ -462,6 +464,10 @@ class TestMalformedFiles:
         (["0,y,0,0,0,0,0", "5,0,0"], ParseError, 2),
         # every line of a block parses before its stamps are ordered
         (["5,0,0,0,0,0,0", "3,0,0,0,0,0,0", "4,z,0,0,0,0,0"], ParseError, 4),
+        # nan and inf parse as floats, and are faults of their own
+        (["0,0,0,0,0,0,0", "", "5,0,nan,0,0,0,0"], ParseError, 4),
+        (["0,0,0,0,0,0,0", "5,0,0,0,0,0,-inf"], ParseError, 3),
+        (["0,0,0,0,0,0,0", "5,0,0,0,0,0,0", "4,NaN,0,0,0,0,0"], ParseError, 4),
     ])
     def test_imu_fault_names_its_line(self, tmp_path, rows, error, line):
         path = csv_file(tmp_path, "imu.csv", "timestamp_ns,wx,wy,wz,ax,ay,az", rows)
@@ -481,6 +487,11 @@ class TestMalformedFiles:
         ([f"0,{GT_VALUES}", "  ", f"0,{GT_VALUES}"], TimestampOrderError, 4),
         ([f"0,{GT_VALUES}", f"5,{GT_VALUES},0"], ParseError, 3),
         ([f"0,{GT_VALUES}", f"5.0,{GT_VALUES}"], ParseError, 3),
+        # a non-finite position, or quaternion component, which no norm check sees
+        ([f"0,{GT_VALUES}", "5,nan,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0"], ParseError, 3),
+        ([f"0,{GT_VALUES}", "", "5,0,0,inf,1,0,0,0,0,0,0,0,0,0,0,0,0"], ParseError, 4),
+        ([f"0,{GT_VALUES}", "5,0,0,0,nan,0,0,0,0,0,0,0,0,0,0,0,0"], ParseError, 3),
+        ([f"0,{GT_VALUES}", "5,0,0,0,1,0,-inf,0,0,0,0,0,0,0,0,0,0"], ParseError, 3),
     ])
     def test_groundtruth_fault_names_its_line(self, tmp_path, rows, error, line):
         path = csv_file(tmp_path, "groundtruth.csv", GROUNDTRUTH_HEADER, rows)
@@ -494,12 +505,45 @@ class TestMalformedFiles:
          TimestampOrderError, 4),
         (["0,0,0,0,1,0,0,0,0,0,0,0", "0.1,0,0,0,1,0,0,0,0,0,0"], ParseError, 3),
         (["0,0,0,0,1,0,0,0,0,0,0,0", "0.1,0,0,0,1,0,0,0,0,0,0,nope"], ParseError, 3),
+        # non-finite: a position, a quaternion component, the time, the trace
+        (["0,0,0,0,1,0,0,0,0,0,0,0", "0.1,nan,0,0,1,0,0,0,0,0,0,0"], ParseError, 3),
+        (["0,0,0,0,1,0,0,0,0,0,0,0", "0.1,0,-inf,0,1,0,0,0,0,0,0,0"], ParseError, 3),
+        (["0,0,0,0,1,0,0,0,0,0,0,0", "", "0.1,0,0,0,1,0,0,nan,0,0,0,0"], ParseError, 4),
+        (["0,0,0,0,inf,0,0,0,0,0,0,0"], ParseError, 2),
+        (["0,0,0,0,1,0,0,0,0,0,0,0", "nan,0,0,0,1,0,0,0,0,0,0,0"], ParseError, 3),
+        (["0,0,0,0,1,0,0,0,0,0,0,0", "0.1,0,0,0,1,0,0,0,0,0,0,inf"], ParseError, 3),
     ])
     def test_trajectory_fault_names_its_line(self, tmp_path, rows, error, line):
         path = csv_file(tmp_path, "est.csv", "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P", rows)
         with raises_at(error, path, line) as info:
             read_trajectory_csv(path)
         assert type(info.value) is error
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 5])  # px, then qx
+    def test_non_finite_value_names_its_line_in_every_reader(self, tmp_path, value, column):
+        imu = ["0,0,0,0,0,0,9.8", "5,0,0,0,0,0,9.8"]
+        gt = [f"0,{GT_VALUES}", f"5,{GT_VALUES}"]
+        est = ["0,0,0,0,1,0,0,0,0,0,0,0", "0.1,0,0,0,1,0,0,0,0,0,0,0"]
+        for rows in (imu, gt, est):
+            fields = rows[1].split(",")
+            fields[column] = value
+            rows[1] = ",".join(fields)
+        paths = {}
+        for name, header, rows, read in (
+            ("imu.csv", IMU_HEADER, imu, load_imu_csv),
+            ("groundtruth.csv", GROUNDTRUTH_HEADER, gt, load_groundtruth_csv),
+            ("est.csv", "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P", est, read_trajectory_csv),
+        ):
+            paths[name] = path = csv_file(tmp_path, name, header, rows)
+            with pytest.raises(ParseError) as info:
+                read(path)
+            assert str(info.value) == f"{path}:3: non-finite value"
+        # the streaming readers fail on the same line
+        with pytest.raises(ParseError, match=":3: non-finite value"):
+            list(read_imu_blocks(paths["imu.csv"])[1])
+        with pytest.raises(ParseError, match=":3: non-finite value"):
+            GroundTruthReader(paths["groundtruth.csv"], 0).at(np.array([0.0]))
 
     def test_empty_file_and_no_rows(self, tmp_path):
         empty = tmp_path / "imu.csv"
@@ -553,7 +597,7 @@ def test_float_round_trip_is_bit_exact(readings):
 # ---------------------------------------------------------------------------
 # reading and writing in blocks
 
-FAULTS = ("columns", "value", "order", "quaternion")
+FAULTS = ("columns", "value", "order", "nonfinite", "quaternion")
 
 
 @st.composite
@@ -575,14 +619,14 @@ def csv_case(draw):
     blanks = draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=n + 1))
     before = draw(st.lists(st.integers(0, n), min_size=len(blanks), max_size=len(blanks)))
 
-    fault = draw(st.sampled_from((None,) + FAULTS[: 4 if kind == "groundtruth" else 3]))
+    fault = draw(st.sampled_from((None,) + (FAULTS if kind == "groundtruth" else FAULTS[:-1])))
     lines = [[str(s)] + ["%.17g" % x for x in row] for s, row in zip(stamps, values)]
     bad = None
     if fault == "order" and n > 1:
         bad = draw(st.integers(1, n - 1))
         lines[bad][0] = lines[bad - 1][0]
         error, message = TimestampOrderError, "timestamps not strictly increasing"
-    elif fault in ("columns", "value", "quaternion"):
+    elif fault in ("columns", "value", "nonfinite", "quaternion"):
         bad = draw(st.integers(0, n - 1))
         if fault == "columns":
             lines[bad].append("0")
@@ -594,6 +638,10 @@ def csv_case(draw):
                 (int if col == 0 else float)("1.5x")
             except ValueError as exc:
                 error, message = ParseError, str(exc)
+        elif fault == "nonfinite":
+            col = draw(st.integers(1, n_values))
+            lines[bad][col] = draw(st.sampled_from(["nan", "inf", "-inf", "-NaN", "Infinity"]))
+            error, message = ParseError, "non-finite value"
         else:
             lines[bad][4:8] = ["1", "0.5", "0", "0"]
             error, message = ParseError, "quaternion is not unit norm"

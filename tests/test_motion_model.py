@@ -1,5 +1,7 @@
 """Velocity network: losses, gradients, training, providers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from bodyframe_io.motion_model import (
     train_motion_model,
     velocity_windows,
 )
+from bodyframe_io.nn import Layer
 from bodyframe_io.simulator import (
     Trajectory,
     TrajectoryKind,
@@ -386,7 +389,8 @@ class TestGradients:
             return val
 
         model.zero_grads()
-        v, eta = model.forward_arrays(imu, att, train=False)
+        # a training pass without a generator: no dropout, the arrays saved
+        v, eta = model.forward_arrays(imu, att, train=True)
         _, dv, deta = _combined_loss_grads(v, truth, eta, cfg)
         model.backward_arrays(dv, deta)
         grads = model.gradients()
@@ -408,6 +412,101 @@ class TestGradients:
             rel = np.abs(grads[name] - fd) / (np.abs(grads[name]) + np.abs(fd) + 1e-6)
             worst = max(worst, float(rel.max()))
         assert worst < 1e-3
+
+
+def held_arrays(obj):
+    """The arrays a model or layer references outside its parameters,
+    gradients and input normalization, through its layers too."""
+    held = []
+    for key, value in vars(obj).items():
+        if key in ("params", "grads", "_norm", "_named"):
+            continue
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, Layer):
+                held += held_arrays(item)
+            elif isinstance(item, np.ndarray):
+                held.append(item)
+    return held
+
+
+def training_batch(model, batch, time, seed=0):
+    """A training forward_arrays on random windows; returns its (dv, deta)."""
+    rng = np.random.default_rng(seed)
+    imu, att = rng.standard_normal((batch, time, 6)), rng.standard_normal((batch, time, 3))
+    v, eta = model.forward_arrays(imu, att, train=True, rng=rng)
+    _, dv, deta = _combined_loss_grads(v, rng.standard_normal(v.shape), eta, LossConfig())
+    return dv, deta
+
+
+class TestSavedArrays:
+    """Each layer holds what its backward reads from its forward to its
+    backward only, and an evaluation pass holds nothing."""
+
+    def test_backward_frees_every_saved_array(self):
+        model = MotionNet(MotionNetConfig())  # dropout on
+        dv, deta = training_batch(model, 2, 20)
+        layers = [layer for _, layer in model._named] + [
+            layer for layer in model._imu_stack + model._att_stack if not layer.params
+        ] + [model._dropout, model._v_gelu, model._e_gelu]
+        assert all(held_arrays(layer) for layer in layers)
+        model.zero_grads()
+        model.backward_arrays(dv, deta)
+        assert held_arrays(model) == []
+
+    def test_second_backward_and_backward_after_evaluation_raise(self, tiny_set):
+        model = MotionNet(TINY)
+        dv, deta = training_batch(model, 2, 8)
+        model.backward_arrays(dv, deta)
+        grads = {k: g.copy() for k, g in model.gradients().items()}
+        with pytest.raises(RuntimeError, match="training forward_arrays"):
+            model.backward_arrays(dv, deta)
+        for k, g in model.gradients().items():  # nothing was added again
+            assert np.array_equal(g, grads[k]), k
+        training_batch(model, 2, 8)
+        model.forward_arrays(tiny_set.imu, tiny_set.att, train=False)
+        with pytest.raises(RuntimeError, match="an evaluation pass saves nothing"):
+            model.backward_arrays(dv, deta)
+
+    @pytest.mark.parametrize("run", [
+        lambda model, win, s: model.forward_arrays(s.imu, s.att, train=False),
+        lambda model, win, s: model.forward_arrays(s.imu, s.att, tail=1),
+        lambda model, win, s: model.forward(win),
+        lambda model, win, s: NetworkProvider(model).predict_window(win, 1),
+        lambda model, win, s: NetworkProvider(model).predict_window(win, 8),
+    ], ids=["forward_arrays", "tail", "forward", "predict_window 1", "predict_window 8"])
+    def test_evaluation_passes_leave_nothing_saved(self, tiny_window, tiny_set, run):
+        model = MotionNet(TINY)
+        training_batch(model, 2, 8)  # something for the evaluation pass to drop
+        run(model, tiny_window[0], tiny_set)
+        assert held_arrays(model) == []
+
+    def test_encode_saves_nothing(self, tiny_set):
+        model = MotionNet(TINY)
+        model.encode(tiny_set.imu, tiny_set.att)
+        assert held_arrays(model) == []
+
+    def test_memory_held_through_one_training_step(self):
+        # batch 16 and window 200, the benchmark's training step. A
+        # backward that kept every saved array to its end would still
+        # hold all of what forward left, and peak about 28% above it;
+        # freeing each layer's arrays as its backward finishes peaks
+        # about 13% above (29.7 MB held after forward, 33.5 MB peak).
+        model = MotionNet(MotionNetConfig())
+        model.zero_grads()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dv, deta = training_batch(model, 16, 200)
+            held_forward = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            dx = model.backward_arrays(dv, deta)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dx.shape == (16, 200, 6)
+        assert held_forward > 20 * 2**20  # the saved arrays are tens of MB
+        assert held - base < 0.05 * held_forward
+        assert peak - base < 1.2 * held_forward
 
 
 class TestTraining:
@@ -658,8 +757,9 @@ class TestTailServing:
         assert np.array_equal(v, v_full[-n_tail:]) and np.array_equal(eta, eta_full[-n_tail:])
 
     def test_backward_after_tail_forward_raises(self, tiny_set):
+        # even a training pass saves nothing in a partial reverse scan
         model = MotionNet(TINY)
-        model.forward_arrays(tiny_set.imu, tiny_set.att, tail=1)
+        model.forward_arrays(tiny_set.imu, tiny_set.att, train=True, tail=1)
         zeros = np.zeros(tiny_set.v.shape)
         with pytest.raises(RuntimeError, match="partial"):
             model.backward_arrays(zeros, zeros)

@@ -124,6 +124,19 @@ class TestGelu:
         rng = np.random.default_rng(6)
         check_layer(Gelu(), rng.standard_normal((3, 5)))
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_bits_of_the_direct_formulas(self, train):
+        # forward and backward give the bits of the textbook expressions,
+        # with the derivative computed where forward computes it
+        x = np.random.default_rng(16).standard_normal((4, 50, 8)) * 3.0
+        dy = np.random.default_rng(17).standard_normal(x.shape)
+        u = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+        g = Gelu()
+        assert np.array_equal(g.forward(x, train=train), 0.5 * x * (1.0 + u))
+        if train:
+            du = (1.0 - u * u) * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+            assert np.array_equal(g.backward(dy), dy * (0.5 * (1.0 + u) + 0.5 * x * du))
+
     def test_cube_by_products_matches_power(self):
         # Gelu computes x^3 as x * x * x: two roundings instead of pow's
         # one, so at most about one ulp apart. Only the absolute error of
@@ -160,6 +173,77 @@ class TestDropout:
         np.testing.assert_array_equal((dx != 0.0), (y != 0.0))
         np.testing.assert_allclose(dx[dx != 0.0], 1.0 / 0.7)
 
+    def test_bits_of_a_float_mask(self):
+        # the saved booleans rebuild the float mask (keep / (1 - p)) exactly
+        d = Dropout(0.3)
+        x = np.random.default_rng(11).standard_normal((4, 50, 8))
+        dy = np.random.default_rng(12).standard_normal(x.shape)
+        mask = (np.random.default_rng(13).random(x.shape) >= 0.3) / (1.0 - 0.3)
+        assert np.array_equal(d.forward(x, rng=np.random.default_rng(13)), x * mask)
+        assert np.array_equal(d.backward(dy), dy * mask)
+
+
+def layer_cases():
+    """(name, layer, x, forward kwargs) for every layer; each call of the
+    kwargs gives the dropout a generator of the same seed."""
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((2, 7, 3))
+    no_kwargs = dict
+    return [
+        ("linear", Linear(3, 4, rng), x, no_kwargs),
+        ("conv", Conv1d(3, 4, 3, rng), x, no_kwargs),
+        ("gelu", Gelu(), x, no_kwargs),
+        ("dropout", Dropout(0.5), x, lambda: {"rng": np.random.default_rng(31)}),
+        ("identity dropout", Dropout(0.5), x, no_kwargs),
+        ("gru", Gru(3, 4, rng), x, no_kwargs),
+        ("reverse gru", Gru(3, 4, rng, reverse=True), x, no_kwargs),
+        ("bigru", BiGru(3, 4, rng), x, no_kwargs),
+    ]
+
+
+def held_arrays(layer):
+    """The arrays a layer references outside its params and grads, its
+    directions' too for a BiGru."""
+    held = []
+    for key, value in vars(layer).items():
+        if isinstance(value, Gru):
+            held += held_arrays(value)
+        elif key not in ("params", "grads"):
+            items = value if isinstance(value, tuple) else (value,)
+            held += [a for a in items if isinstance(a, np.ndarray)]
+    return held
+
+
+class TestSavedForBackward:
+    """A training forward saves what backward reads; backward consumes it."""
+
+    @pytest.mark.parametrize("case", range(len(layer_cases())),
+                             ids=[c[0] for c in layer_cases()])
+    def test_backward_consumes_what_forward_saved(self, case):
+        name, layer, x, kwargs = layer_cases()[case]
+        y = layer.forward(x, **kwargs())
+        dy = np.ones_like(y)
+        layer.zero_grads()
+        first = layer.backward(dy)
+        assert not held_arrays(layer)
+        with pytest.raises(RuntimeError, match="training forward"):
+            layer.backward(dy)
+        # a new training forward makes backward available again
+        layer.forward(x, **kwargs())
+        assert np.array_equal(layer.backward(dy), first)
+
+    @pytest.mark.parametrize("case", range(len(layer_cases())),
+                             ids=[c[0] for c in layer_cases()])
+    def test_evaluation_forward_saves_nothing(self, case):
+        name, layer, x, kwargs = layer_cases()[case]
+        y = layer.forward(x, **kwargs())
+        if name != "identity dropout":
+            assert held_arrays(layer)  # the training pass saved arrays
+        assert np.array_equal(layer.forward(x, **kwargs(), train=False), y)
+        assert not held_arrays(layer)  # and the evaluation pass dropped them
+        with pytest.raises(RuntimeError, match="training forward"):
+            layer.backward(np.ones_like(y))
+
 
 def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
@@ -169,7 +253,7 @@ def reference_gru(params, hidden, reverse, x, dy):
     """The per-step GRU loop that accumulated every weight gradient inside
     the time loop (and w_i by einsum); returns (y, dx, grads, cache), the
     cache holding the forward loop's gates, candidates and states laid
-    out as Gru caches them."""
+    out as Gru saves them."""
     w_i, w_h = params["w_i"], params["w_h"]
     if reverse:
         x = x[:, ::-1]
@@ -195,7 +279,7 @@ def reference_gru(params, hidden, reverse, x, dy):
     out = hs.transpose(1, 0, 2)
     y = out[:, ::-1] if reverse else out
     cache = {
-        "rz": np.stack([cache_r, cache_z], axis=1),  # (t, 2, b, h) as Gru caches it
+        "rz": np.stack([cache_r, cache_z], axis=1),  # (t, 2, b, h) as Gru saves it
         "ns": cache_n,
         "ghn": cache_ghn,
         "hs": np.concatenate([np.zeros((1, b, h)), hs]),
@@ -398,7 +482,7 @@ class TestBiGruLockstep:
         y = big.forward(x)
         assert np.array_equal(y, np.concatenate([ref[0] for ref in refs], axis=2))
         for gru, ref in zip(grus, refs):
-            _, rz, ns, ghn, hs = gru._cache
+            _, rz, ns, ghn, hs = gru._saved
             for name, got in (("rz", rz), ("ns", ns), ("ghn", ghn), ("hs", hs)):
                 assert np.array_equal(got, ref[3][name]), name
 
@@ -412,8 +496,7 @@ class TestBiGruLockstep:
             lone.params = {k: p.copy() for k, p in gru.params.items()}
             lone.zero_grads()
             c = ref[3]
-            lone._cache = (x[:, ::-1] if gru.reverse else x, c["rz"], c["ns"], c["ghn"], c["hs"])
-            lone._partial = False
+            lone._saved = (x[:, ::-1] if gru.reverse else x, c["rz"], c["ns"], c["ghn"], c["hs"])
             lone_dx.append(lone.backward(d))
             for k in gru.params:
                 assert np.array_equal(gru.grads[k], lone.grads[k]), k
@@ -456,7 +539,7 @@ class TestBiGruLockstep:
         big = self.make(rng, 5, h)
         x = rng.standard_normal((b, t, 5))
         big.forward(x)
-        kept = {id(owner(a)): owner(a) for g in (big.fwd, big.bwd) for a in g._cache}
+        kept = {id(owner(a)): owner(a) for g in (big.fwd, big.bwd) for a in g._saved}
         per_direction = (t * b * 2 * h + 2 * t * b * h + (t + 1) * b * h) * 8
         assert sum(a.nbytes for a in kept.values()) <= x.nbytes + 2 * per_direction
 
