@@ -15,6 +15,14 @@ velocity loss plus a weighted Gaussian negative-log-likelihood term
 that supervises the uncertainty channel; all gradients are hand-derived
 through the layers in nn.py.
 
+The network computes in float32 (NET_DTYPE): its parameters, Adam
+state, activations and the v and eta it returns. Inputs are normalized
+in float64 and then rounded; the loss is computed in float64 and its
+gradients rounded back; NetworkProvider serves float64 rows. Weight
+files hold the float32 values exactly in their float64 format, and a
+file with values float32 cannot hold (one an earlier float64 network
+wrote) is rounded to float32 when loaded.
+
 Training and analysis windows are one WindowSet of stacked arrays, cut
 from whole sequences by velocity_windows. The module also hosts the
 velocity providers the filter consumes: the network itself, run on the
@@ -43,6 +51,7 @@ from .nn import Adam, BiGru, Conv1d, Dropout, Gelu, Linear, PlateauScheduler
 from .weights_io import load_weights, save_weights
 
 MOTION_VARIANT = "motion-net-v1"
+NET_DTYPE = np.float32  # what MotionNet computes in
 ETA_MIN = 1e-4  # m/s, keeps the measurement covariance invertible
 ETA_MAX = 1e2
 
@@ -239,7 +248,9 @@ def combined_loss(pred, truth, eta_v, cfg: LossConfig = LossConfig()):
 
 
 def _combined_loss_grads(v, truth, eta, cfg):
-    """Loss plus gradients w.r.t. v and eta; shapes (..., 3)."""
+    """Loss plus gradients w.r.t. v and eta; shapes (..., 3). Computed in
+    float64 whatever the dtype of v and eta."""
+    v, eta = np.asarray(v, dtype=float), np.asarray(eta, dtype=float)
     n_frames = int(np.prod(v.shape[:-1]))
     e = v - truth
     a = np.abs(e)
@@ -274,9 +285,10 @@ class MotionNet:
     """Conv encoders + bidirectional GRU stack + two output heads."""
 
     def __init__(self, config: MotionNetConfig = MotionNetConfig(), init: bool = True):
-        """The architecture of config, its weights drawn from config.seed;
-        with init=False every weight is zero and nothing is drawn (load
-        fills them from a file)."""
+        """The architecture of config, its weights drawn in float64 from
+        config.seed and rounded to NET_DTYPE; with init=False every
+        weight is zero and nothing is drawn (load fills them from a
+        file)."""
         config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed) if init else None
@@ -341,6 +353,7 @@ class MotionNet:
             ("e_hidden", self._e_hidden),
             ("e_out", self._e_out),
         ]
+        self.cast(NET_DTYPE)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -353,6 +366,18 @@ class MotionNet:
     def zero_grads(self):
         for _, lay in self._named:
             lay.zero_grads()
+
+    def cast(self, dtype):
+        """Round every parameter to dtype, which the whole network then
+        computes in; an optimizer must be built after this."""
+        for _, lay in self._named:
+            lay.cast(dtype)
+
+    @property
+    def dtype(self):
+        """The dtype of the parameters, and of every array the network
+        computes."""
+        return self._v_out.params["w"].dtype
 
     # -- forward / backward over raw arrays ---------------------------------
 
@@ -367,22 +392,24 @@ class MotionNet:
             self._norm["att_scale"] = np.maximum(flat.std(axis=0), 1e-8)
 
     def encode(self, imu, att, train=False):
-        """Encoder output (the latent tap): (batch, time, enc_dim). Only
-        with train do the layers save what backward_arrays reads."""
-        h = (imu - self._norm["imu_shift"]) / self._norm["imu_scale"]
+        """Encoder output (the latent tap): (batch, time, enc_dim), in the
+        network's dtype. Only with train do the layers save what
+        backward_arrays reads."""
+        h = ((imu - self._norm["imu_shift"]) / self._norm["imu_scale"]).astype(self.dtype)
         for layer in self._imu_stack:
             h = layer.forward(h, train=train)
         if self._att_dim:
             if att is None:
                 raise DataError("model expects an attitude channel")
-            g = (att - self._norm["att_shift"]) / self._norm["att_scale"]
+            g = ((att - self._norm["att_shift"]) / self._norm["att_scale"]).astype(self.dtype)
             for layer in self._att_stack:
                 g = layer.forward(g, train=train)
             h = np.concatenate([h, g], axis=2)
         return h
 
     def forward_arrays(self, imu, att=None, train=False, rng=None, tail=None):
-        """(batch, time, 6) [+ (batch, time, 3)] -> v, eta of (batch, time, 3).
+        """(batch, time, 6) [+ (batch, time, 3)] -> v, eta of (batch, time, 3),
+        in the network's dtype.
 
         A training pass (train=True) drops out with rng and makes every
         layer save what backward_arrays reads, which that backward then
@@ -412,14 +439,16 @@ class MotionNet:
         return v, eta
 
     def backward_arrays(self, dv, deta):
-        """Accumulate parameter grads from dL/dv and dL/deta, reading and
-        freeing what the last training forward_arrays saved; RuntimeError
-        when no such pass came since the last backward."""
+        """Accumulate parameter grads from dL/dv and dL/deta, rounded to
+        the network's dtype, reading and freeing what the last training
+        forward_arrays saved; RuntimeError when no such pass came since
+        the last backward. Returns dL/dimu in the network's dtype."""
         saved, self._saved = self._saved, None
         if saved is None:
             raise RuntimeError("backward_arrays needs a training forward_arrays since the last"
                                " backward: an evaluation pass saves nothing")
         eta, inside = saved
+        dv, deta = dv.astype(eta.dtype), deta.astype(eta.dtype)
         draw = deta * eta * inside
         dh = self._v_hidden.backward(self._v_gelu.backward(self._v_out.backward(dv)))
         dh += self._e_hidden.backward(self._e_gelu.backward(self._e_out.backward(draw)))
@@ -434,13 +463,14 @@ class MotionNet:
             dimu = dh
         for layer in reversed(self._imu_stack):
             dimu = layer.backward(dimu)
-        return dimu / self._norm["imu_scale"]
+        return dimu / self._norm["imu_scale"].astype(dimu.dtype)
 
     # -- window-level API ----------------------------------------------------
 
     def forward(self, window: ImuWindow, tail=None) -> tuple[np.ndarray, np.ndarray]:
         """Evaluation-mode inference: (v, eta), (n, 3) each, one row per
-        frame; with tail=k only the newest min(k, n) rows, as forward_arrays."""
+        frame in the network's dtype; with tail=k only the newest min(k, n)
+        rows, as forward_arrays."""
         self.config.require_kind(window.kind, "window")
         att = window.attitudes[None] if self._att_dim else None
         v, eta = self.forward_arrays(
@@ -461,6 +491,8 @@ class MotionNet:
 
     @classmethod
     def load(cls, path) -> "MotionNet":
+        """The network a save wrote; its weights are rounded to NET_DTYPE,
+        and one beyond that dtype's range is a DataError."""
         _, meta, arrays = load_weights(path, expected_variant=MOTION_VARIANT)
         names = sorted(f.name for f in fields(MotionNetConfig))
         if sorted(meta) != names:
@@ -487,7 +519,11 @@ class MotionNet:
             if params[name].shape != arr.shape:
                 raise DataError(f"weight {name} has shape {arr.shape}, "
                                 f"expected {params[name].shape}")
-            params[name][...] = arr
+            with np.errstate(over="ignore"):
+                params[name][...] = arr
+            if not np.isfinite(params[name]).all():
+                raise DataError(f"{path}: weight {name} holds a value beyond {params[name].dtype}"
+                                " range")
         for name, arr in norm.items():
             model._norm[name] = arr.copy()
         return model
@@ -643,7 +679,7 @@ class NetworkProvider:
     The model sees the last model.config.window frames of the window it
     is given (all of them when there are fewer), as in training, and
     computes only what the rows of the n_tail newest frames need (see
-    MotionNet.forward_arrays); those rows are returned.
+    MotionNet.forward_arrays); those rows are returned in float64.
     """
 
     def __init__(self, model: MotionNet):
@@ -654,4 +690,5 @@ class NetworkProvider:
     def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
         if len(window) > self.window_len:
             window = window.slice(len(window) - self.window_len, len(window))
-        return self.model.forward(window, _tail_rows(n_tail, window))
+        v, eta = self.model.forward(window, _tail_rows(n_tail, window))
+        return v.astype(float), eta.astype(float)

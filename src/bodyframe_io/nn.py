@@ -22,8 +22,13 @@ arrays from its forward to its backward only. What each layer saves:
     Dropout   which units it kept, as booleans
     Gru       its input and views of the scan's arrays (see Gru)
 
-Sequence tensors are (batch, time, channels), float64 throughout. Each
-layer owns `params` and `grads` dicts keyed by local names; containers
+Sequence tensors are (batch, time, channels). A layer computes in the
+dtype of its parameters and of its input, which agree: every buffer it
+allocates, and every array it saves or returns, has that dtype. Layers
+are built in float64, and cast(dtype) moves a layer to another; the
+velocity network (motion_model.MotionNet) casts all of its layers to
+float32, so its training and serving move half the bytes. Each layer
+owns `params` and `grads` dicts keyed by local names; containers
 namespace them per layer so an optimizer or a finite-difference checker
 can address every trainable array through a flat dict.
 
@@ -51,8 +56,6 @@ import math
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-# 0-d arrays: a ufunc takes them without converting a Python float per call
-_HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
 def glorot(rng, shape):
@@ -90,6 +93,12 @@ class Layer:
     def zero_grads(self):
         for k, p in self.params.items():
             self.grads[k] = np.zeros_like(p)
+
+    def cast(self, dtype):
+        """Hold the parameters, rounded, and zeroed gradients in dtype,
+        which forward and backward then compute in."""
+        self.params = {k: p.astype(dtype) for k, p in self.params.items()}
+        self.zero_grads()
 
 
 class Linear(Layer):
@@ -129,7 +138,7 @@ class Conv1d(Layer):
     def forward(self, x, train=True):
         b, t, cin = x.shape
         pad = self.kernel // 2
-        xp = np.zeros((b, t + 2 * pad, cin))
+        xp = np.zeros((b, t + 2 * pad, cin), x.dtype)
         xp[:, pad : pad + t] = x
         self._saved = (xp,) if train else None
         y = np.tile(self.params["b"], (b, t, 1))
@@ -176,7 +185,8 @@ class Dropout(Layer):
     """Inverted dropout; a no-op unless forward is given a generator.
 
     A training forward saves which units it kept, as booleans; backward
-    scales by the same float mask, rebuilt from them."""
+    scales by the same float mask, rebuilt from them in the dtype of
+    the array it scales."""
 
     def __init__(self, p):
         super().__init__()
@@ -185,11 +195,15 @@ class Dropout(Layer):
     def forward(self, x, rng=None, train=True):
         keep = None if rng is None or self.p <= 0.0 else rng.random(x.shape) >= self.p
         self._saved = (keep,) if train else None
-        return x if keep is None else x * (keep / (1.0 - self.p))
+        return x if keep is None else x * self._mask(keep, x.dtype)
 
     def backward(self, dy):
         (keep,) = self._take()
-        return dy if keep is None else dy * (keep / (1.0 - self.p))
+        return dy if keep is None else dy * self._mask(keep, dy.dtype)
+
+    def _mask(self, keep, dtype):
+        # keep / (1 - p) alone would be float64 whatever dtype is
+        return np.divide(keep, 1.0 - self.p, dtype=dtype)
 
 
 def _scan(grus, xs, steps):
@@ -209,7 +223,8 @@ def _scan(grus, xs, steps):
         ghn (t, d, b, h)     the n column of h W_h + b_h
         hs (t+1, d, b, h)    the states, hs[0] the zero initial one
 
-    Rows past `steps` are zero in hs and undefined in the others. Each
+    Rows past `steps` are zero in hs and undefined in the others. Every
+    buffer, and each 0-d constant of the step, has the input's dtype. Each
     step writes into preallocated buffers, in the operation order of
 
         gh = h W_h + b_h            (one matmul over the d directions)
@@ -223,10 +238,11 @@ def _scan(grus, xs, steps):
     """
     d, h = len(grus), grus[0].hidden
     b, t, _ = xs[0].shape
+    dtype = xs[0].dtype
     for gru in grus:
         gru._saved = None
-    rz = np.empty((t, 2, d, b, h))
-    ns = np.empty((t, d, b, h))
+    rz = np.empty((t, 2, d, b, h), dtype)
+    ns = np.empty((t, d, b, h), dtype)
     for k, (gru, x) in enumerate(zip(grus, xs)):
         gi = x @ gru.params["w_i"]  # (b, t, 3h)
         gi += gru.params["b_i"]
@@ -235,16 +251,20 @@ def _scan(grus, xs, steps):
         del gi  # before the next direction's projection is made
     w_h = np.stack([gru.params["w_h"] for gru in grus])  # (d, h, 3h)
     b_h = np.stack([gru.params["b_h"] for gru in grus])  # (d, 3h)
-    ghn = np.empty((t, d, b, h))
-    hs = np.zeros((t + 1, d, b, h))
-    gh = np.empty((d, b, 3 * h))
+    ghn = np.empty((t, d, b, h), dtype)
+    hs = np.zeros((t + 1, d, b, h), dtype)
+    gh = np.empty((d, b, 3 * h), dtype)
     gh_rz = gh[:, :, : 2 * h].reshape(d, b, 2, h).transpose(2, 0, 1, 3)  # (2, d, b, h)
     gh_n = gh[:, :, 2 * h :]
     b_rz = np.ascontiguousarray(b_h[:, : 2 * h].reshape(d, 1, 2, h).transpose(2, 0, 1, 3))
     b_n = np.ascontiguousarray(b_h[:, None, 2 * h :])
-    s = np.empty((2, d, b, h))
-    u = np.empty((d, b, h))
-    v = np.empty((d, b, h))
+    s = np.empty((2, d, b, h), dtype)
+    u = np.empty((d, b, h), dtype)
+    v = np.empty((d, b, h), dtype)
+    # 0-d arrays, which a ufunc takes without converting a Python float
+    # per call; of the input's dtype, as a float64 one would promote a
+    # float32 step to float64 (NEP 50)
+    half, one = np.array(0.5, dtype), np.array(1.0, dtype)
     # local names and positional outputs: numpy's per-call overhead, not
     # the arithmetic, bounds a step at small batches
     add, multiply, subtract, tanh, matmul = np.add, np.multiply, np.subtract, np.tanh, np.matmul
@@ -253,14 +273,14 @@ def _scan(grus, xs, steps):
         add(gh_rz, b_rz, s)
         add(gh_n, b_n, ghn_t)
         add(s, rz_t, s)  # rz_t holds gi's r and z columns until overwritten
-        multiply(_HALF, s, s)
+        multiply(half, s, s)
         tanh(s, s)
-        add(_ONE, s, s)
-        multiply(_HALF, s, rz_t)
+        add(one, s, s)
+        multiply(half, s, rz_t)
         multiply(r, ghn_t, u)
         add(n, u, u)  # n holds gi's n column until overwritten
         tanh(u, n)
-        subtract(_ONE, z, u)
+        subtract(one, z, u)
         multiply(u, n, u)
         multiply(z, h_t, v)
         add(u, v, h_next)
@@ -299,7 +319,8 @@ class Gru(Layer):
 
     Backward's time loop carries only the dh recursion. It stores each
     step's dgi and the n column of dgh, and the weight and bias gradients
-    are summed from them once over all batch*time rows by BLAS.
+    are summed from them once over all batch*time rows by BLAS. The views
+    of rz, ns and ghn are dropped when the loop ends, before those sums.
     """
 
     def __init__(self, cin, hidden, rng, reverse=False):
@@ -344,9 +365,9 @@ class Gru(Layer):
         b, t, cin = x.shape
         h = self.hidden
         w_h = self.params["w_h"]
-        dgi = np.empty((b, t, 3 * h))
-        dghn = np.empty((t, b, h))
-        dh = np.zeros((b, h))
+        dgi = np.empty((b, t, 3 * h), hs.dtype)
+        dghn = np.empty((t, b, h), hs.dtype)
+        dh = np.zeros((b, h), hs.dtype)
         for step in range(t - 1, -1, -1):
             dh = dh + dy[:, step]
             (r, z), n = rz[step], ns[step]
@@ -360,6 +381,7 @@ class Gru(Layer):
             dgi[:, step, 2 * h :] = dn_pre
             dghn[step] = dgh[:, 2 * h :]
             dh = dh * z + dgh @ w_h.T
+        del rz, ns, ghn, r, z, n  # only x and hs are read from here on
         rows = dgi.reshape(-1, 3 * h)  # (b*t, 3h)
         self.grads["w_i"] += x.reshape(-1, cin).T @ rows
         self.grads["b_i"] += rows.sum(axis=0)
@@ -381,8 +403,9 @@ class BiGru(Layer):
     direction then saves its own views of the scan's arrays (see Gru),
     so the two keep no more for backward than two single-direction
     passes would, and Gru.backward serves each as before. The scan's
-    arrays are freed once both directions' backwards have read them;
-    an evaluation pass (train=False) saves none.
+    gate arrays are freed once both directions' time loops have read
+    them; an evaluation pass (train=False) saves none. backward adds the
+    reverse direction's input gradient into the forward one's in place.
 
     forward(x, tail=k) is exact on the newest k frames only: the forward
     GRU scans the whole window, the reverse one only its first k steps
@@ -409,16 +432,23 @@ class BiGru(Layer):
     def backward(self, dy):
         h = self.fwd.hidden
         dx_bwd = self.bwd.backward(dy[:, :, h:])  # first: it raises after a tail pass
-        return self.fwd.backward(dy[:, :, :h]) + dx_bwd
+        dx = self.fwd.backward(dy[:, :, :h])
+        dx += dx_bwd  # in place: the bits of dx + dx_bwd, without a third array
+        return dx
 
     def zero_grads(self):
         self.fwd.zero_grads()
         self.bwd.zero_grads()
 
+    def cast(self, dtype):
+        self.fwd.cast(dtype)
+        self.bwd.cast(dtype)
+
 
 class Adam:
     """Standard Adam on a flat {name: array} parameter dict, with the
-    usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8."""
+    usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8. Its moments,
+    and each update, are in the dtype of the parameter they belong to."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 

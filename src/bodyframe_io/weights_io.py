@@ -12,10 +12,12 @@ Layout (little-endian):
                        "arrays": [{"name", "shape", "dtype"}, ...]}
     then          raw C-order array payloads, concatenated in listed order
 
-All arrays are stored as float64. `variant` tags what the weights are
-for (e.g. "affine-corrector-v1", "motion-net-v1") so loaders can refuse
-files meant for a different model. A header lacking any of its three
-fields, or with an ill-formed one, raises ParseError.
+All arrays are stored as float64; a float32 array is stored exactly.
+`variant` tags what the weights are for (e.g. "affine-corrector-v1",
+"motion-net-v1") so loaders can refuse files meant for a different
+model. A header lacking any of its three fields, or with an ill-formed
+one, raises ParseError; an array holding a NaN or an infinity raises
+DataError naming the file and the array.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def save_weights(path, variant: str, arrays: dict, meta: dict | None = None):
 
 def load_weights(path, expected_variant: str | None = None):
     """Read a container; returns (variant, meta, {name: array}). A path
-    that names no file raises DataError."""
+    that names no file, or an array with a non-finite value, raises
+    DataError."""
     try:
         fh = open(path, "rb")
     except (FileNotFoundError, IsADirectoryError):
@@ -88,6 +91,9 @@ def load_weights(path, expected_variant: str | None = None):
         end = offset + 8 * count
         if end > len(blob):
             raise ParseError(f"{path}: payload shorter than declared arrays")
-        arrays[name] = np.frombuffer(blob[offset:end], dtype=np.float64).reshape(shape).copy()
+        arr = np.frombuffer(blob[offset:end], dtype=np.float64).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: array {name} must be finite")
+        arrays[name] = arr.copy()
         offset = end
     return variant, meta, arrays

@@ -413,6 +413,43 @@ class TestExitCodes:
         assert "raw_eta must be finite" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["corrector.bfwt"]
 
+    def test_nan_corrector_weight_exits_3_naming_file_and_array(self, workdir, tmp_path,
+                                                                capsys):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        weights = tmp_path / "corrector.bfwt"
+        assert main(["train-corrector", "--data", workdir["data"], "--out", str(weights)]) == 0
+        variant, meta, arrays = load_weights(weights)
+        arrays["weight"][4, 1] = np.nan
+        save_weights(weights, variant, arrays, meta)
+        capsys.readouterr()
+        out = tmp_path / "ekf.csv"
+        rc = main(["run-ekf", "--data", workdir["data"], "--name", "seq01",
+                   "--provider", "oracle", "--config", workdir["cfg"],
+                   "--corrector-weights", str(weights), "--out", str(out)])
+        assert rc == 3
+        assert f"{weights}: array weight must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["corrector.bfwt"]
+
+    def test_nan_motion_weight_exits_3_naming_file_and_array(self, workdir, tmp_path, capsys):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        weights = tmp_path / "net.bfwt"
+        tiny_model().save(str(weights))
+        variant, meta, arrays = load_weights(weights)
+        arrays["att_conv0.w"][0, 1, 2] = np.nan
+        save_weights(weights, variant, arrays, meta)
+        out = tmp_path / "o.csv"
+        for argv in (
+            ["run-ekf", "--data", workdir["data"], "--name", "seq01", "--provider", "network",
+             "--weights", str(weights), "--config", workdir["cfg"], "--out", str(out)],
+            ["analyze", "--data", workdir["data"], "--weights", str(weights),
+             "--config", workdir["cfg"], "--out", str(out)],
+        ):
+            assert main(argv) == 3
+            assert f"{weights}: array att_conv0.w must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_update_rate_above_imu_rate_exits_2(self, workdir, tmp_path):
         fast = tmp_path / "fast.ini"
         fast.write_text("[ekf]\nupdate_rate = 500.0\n")

@@ -1,5 +1,7 @@
 """Velocity network: losses, gradients, training, providers."""
 
+import copy
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,7 +32,7 @@ from bodyframe_io.motion_model import (
     train_motion_model,
     velocity_windows,
 )
-from bodyframe_io.nn import Layer
+from bodyframe_io.nn import Adam, Layer
 from bodyframe_io.simulator import (
     Trajectory,
     TrajectoryKind,
@@ -363,24 +365,49 @@ class TestForwardContract:
             VelocityMeasurement(v_body=np.zeros(3), eta_v=np.array([1, 1, 0.0]))
 
 
-class TestGradients:
-    def test_whole_model_matches_finite_differences(self):
-        """End-to-end check of the hand-derived backward pass.
+def float64_copy(model):
+    """The same network with its parameters cast to float64, which it
+    then computes in."""
+    twin = copy.deepcopy(model)
+    twin.cast(np.float64)
+    return twin
 
-        Heads are re-randomized first: at the zero-init point the loss
-        is insensitive to everything upstream of the output layers and
-        the check would be vacuous there.
+
+def analytic_gradients(model, imu, att, truth):
+    """The parameter gradients of one training pass without dropout."""
+    model.zero_grads()
+    v, eta = model.forward_arrays(imu, att, train=True)
+    _, dv, deta = _combined_loss_grads(v, truth, eta, LossConfig())
+    model.backward_arrays(dv, deta)
+    return model.gradients()
+
+
+class TestGradients:
+    @pytest.fixture
+    def point(self):
+        """A TINY network, every parameter re-randomized, and a batch.
+
+        Heads are re-randomized too: at the zero-init point the loss is
+        insensitive to everything upstream of the output layers and a
+        gradient check would be vacuous there.
         """
         model = MotionNet(TINY)
         rng = np.random.default_rng(21)
-        params = model.parameters()
-        for p in params.values():
+        for p in model.parameters().values():
             p[...] = 0.3 * rng.standard_normal(p.shape)
-
         b, t = 2, 6
         imu = 0.5 * rng.standard_normal((b, t, 6))
         att = 0.5 * rng.standard_normal((b, t, 3))
         truth = 0.3 * rng.standard_normal((b, t, 3))
+        return model, imu, att, truth
+
+    def test_whole_model_matches_finite_differences(self, point):
+        """End-to-end check of the hand-derived backward pass, on a
+        float64 copy of the network: a central difference of step 1e-5
+        needs float64 losses."""
+        model, imu, att, truth = point
+        model = float64_copy(model)
+        params = model.parameters()
         cfg = LossConfig()
 
         def loss():
@@ -388,12 +415,7 @@ class TestGradients:
             val, _, _ = _combined_loss_grads(v, truth, eta, cfg)
             return val
 
-        model.zero_grads()
-        # a training pass without a generator: no dropout, the arrays saved
-        v, eta = model.forward_arrays(imu, att, train=True)
-        _, dv, deta = _combined_loss_grads(v, truth, eta, cfg)
-        model.backward_arrays(dv, deta)
-        grads = model.gradients()
+        grads = analytic_gradients(model, imu, att, truth)
 
         step = 1e-5
         worst = 0.0
@@ -412,6 +434,18 @@ class TestGradients:
             rel = np.abs(grads[name] - fd) / (np.abs(grads[name]) + np.abs(fd) + 1e-6)
             worst = max(worst, float(rel.max()))
         assert worst < 1e-3
+
+    def test_float32_gradients_match_float64_ones(self, point):
+        # the network's own float32 pass, at the same (float32) point as
+        # its float64 copy: every gradient agrees to float32 precision,
+        # relative to the largest entry of its array (4e-7 at worst here)
+        model, imu, att, truth = point
+        want = analytic_gradients(float64_copy(model), imu, att, truth)
+        got = analytic_gradients(model, imu, att, truth)
+        for name, g in got.items():
+            assert g.dtype == np.float32, name
+            err = np.abs(g - want[name]).max()
+            assert err <= 1e-5 * np.abs(want[name]).max(), name
 
 
 def held_arrays(obj):
@@ -485,13 +519,10 @@ class TestSavedArrays:
         model.encode(tiny_set.imu, tiny_set.att)
         assert held_arrays(model) == []
 
-    def test_memory_held_through_one_training_step(self):
-        # batch 16 and window 200, the benchmark's training step. A
-        # backward that kept every saved array to its end would still
-        # hold all of what forward left, and peak about 28% above it;
-        # freeing each layer's arrays as its backward finishes peaks
-        # about 13% above (29.7 MB held after forward, 33.5 MB peak).
-        model = MotionNet(MotionNetConfig())
+    @staticmethod
+    def memory_of_one_training_step(model):
+        """(held after forward, held after backward, backward's peak) in
+        bytes, for a batch of 16 windows of 200 frames."""
         model.zero_grads()
         tracemalloc.start()
         try:
@@ -504,9 +535,41 @@ class TestSavedArrays:
         finally:
             tracemalloc.stop()
         assert dx.shape == (16, 200, 6)
-        assert held_forward > 20 * 2**20  # the saved arrays are tens of MB
-        assert held - base < 0.05 * held_forward
-        assert peak - base < 1.2 * held_forward
+        return held_forward, held - base, peak - base
+
+    def test_memory_held_through_one_training_step(self):
+        # batch 16 and window 200, the benchmark's training step. A
+        # backward that kept every saved array to its end would still
+        # hold all of what forward left, and peak about 28% above it;
+        # freeing each layer's arrays as its backward finishes peaks
+        # about 7% above (15.0 MB held after forward, 16.1 MB peak). The
+        # float32 network holds about half of what its float64 copy does
+        # (29.7 MB).
+        model = MotionNet(MotionNetConfig())
+        held_forward, held, peak = self.memory_of_one_training_step(model)
+        held_forward_64, _, _ = self.memory_of_one_training_step(float64_copy(model))
+        assert held_forward <= 0.55 * held_forward_64
+        assert held < 0.05 * held_forward
+        assert peak < 1.2 * held_forward
+
+    def test_training_step_stays_in_float32(self):
+        # every array a training step saves, returns or updates is
+        # float32 (or a boolean pattern): one float64 array, such as a
+        # dropout mask, would promote each layer after it
+        model = MotionNet(MotionNetConfig(window=20))  # dropout on
+        opt = Adam(model.parameters())
+        rng = np.random.default_rng(0)
+        imu, att = rng.standard_normal((2, 20, 6)), rng.standard_normal((2, 20, 3))
+        v, eta = model.forward_arrays(imu, att, train=True, rng=rng)
+        saved = held_arrays(model)
+        assert any(a.dtype == bool for a in saved)  # the dropout pattern is among them
+        _, dv, deta = _combined_loss_grads(v, np.zeros(v.shape), eta, LossConfig())
+        model.zero_grads()
+        dx = model.backward_arrays(dv, deta)
+        opt.step(model.gradients())
+        arrays = [v, eta, dx, *saved, *model.parameters().values(),
+                  *model.gradients().values(), *opt.m.values(), *opt.v.values()]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32), np.dtype(bool)}
 
 
 class TestTraining:
@@ -808,6 +871,60 @@ class TestPersistence:
         monkeypatch.setattr(nn, "orthogonal", no_draw)
         MotionNet.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_float32_weights_round_trip_exactly(self, tiny_set, tmp_path):
+        from bodyframe_io.weights_io import load_weights
+
+        model, _ = train_motion_model(
+            tiny_set, tiny_set, TINY,
+            train_cfg=TrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0),
+        )
+        path = tmp_path / "net.bfw"
+        model.save(path)
+        _, _, stored = load_weights(path)
+        again = MotionNet.load(path).parameters()
+        for name, p in model.parameters().items():
+            assert p.dtype == again[name].dtype == np.float32, name
+            assert stored[name].dtype == np.float64, name
+            assert np.array_equal(stored[name], p), name  # float32 held exactly
+            assert np.array_equal(again[name], p), name
+
+    def test_float64_weights_load_rounded(self, tiny_window, tmp_path):
+        # a file an earlier float64 network wrote: every value is rounded
+        # to float32, and the network serves finite rows
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        path = tmp_path / "net.bfw"
+        MotionNet(TINY).save(path)
+        variant, meta, arrays = load_weights(path)
+        rng = np.random.default_rng(8)
+        for name in arrays:
+            if not name.startswith("norm."):
+                arrays[name] = 0.3 * rng.standard_normal(arrays[name].shape)
+        save_weights(path, variant, arrays, meta)
+        model = MotionNet.load(path)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p, arrays[name].astype(np.float32)), name
+            assert not np.array_equal(p, arrays[name]), name  # rounded, not kept
+        v, eta = NetworkProvider(model).predict_window(tiny_window[0], 8)
+        assert v.dtype == eta.dtype == np.float64
+        assert np.isfinite(v).all() and np.isfinite(eta).all()
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "array att_conv1.w must be finite"),
+        (-np.inf, "array att_conv1.w must be finite"),
+        (1e300, "weight att_conv1.w holds a value beyond float32 range"),
+    ])
+    def test_weight_float32_cannot_hold_rejected(self, tmp_path, value, message):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        path = tmp_path / "net.bfw"
+        MotionNet(TINY).save(path)
+        variant, meta, arrays = load_weights(path)
+        arrays["att_conv1.w"][1, 2, 3] = value
+        save_weights(path, variant, arrays, meta)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            MotionNet.load(path)
 
     def test_wrong_variant_rejected(self, tmp_path):
         from bodyframe_io.corrector import IdentityCorrector  # noqa: F401

@@ -245,6 +245,31 @@ class TestSavedForBackward:
             layer.backward(np.ones_like(y))
 
 
+class TestCast:
+    """A layer cast to float32 computes in float32: what it returns and
+    what it saves, and its gradients."""
+
+    @pytest.mark.parametrize("case", range(len(layer_cases())),
+                             ids=[c[0] for c in layer_cases()])
+    def test_float32_layer_computes_in_float32(self, case):
+        name, layer, x, kwargs = layer_cases()[case]
+        _, twin, _, _ = layer_cases()[case]
+        layer.cast(np.float32)
+        twin.cast(np.float32)
+        twin.cast(np.float64)  # the same rounded weights, in float64
+        x = x.astype(np.float32)
+        y, y64 = layer.forward(x, **kwargs()), twin.forward(x.astype(np.float64), **kwargs())
+        assert y.dtype == np.float32
+        assert all(a.dtype in (np.float32, bool) for a in held_arrays(layer))
+        dy = np.ones_like(y)
+        dx, dx64 = layer.backward(dy), twin.backward(dy.astype(np.float64))
+        assert dx.dtype == np.float32
+        np.testing.assert_allclose(y, y64, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(dx, dx64, rtol=1e-5, atol=1e-6)
+        grus = (layer.fwd, layer.bwd) if name == "bigru" else (layer,)
+        assert all(g.dtype == np.float32 for gru in grus for g in gru.grads.values())
+
+
 def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
@@ -518,15 +543,18 @@ class TestBiGruLockstep:
                 big.zero_grads()
                 assert np.array_equal(big.backward(dy), dx)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("batch", [1, 6, 16])
-    def test_stacked_matmul_equals_2d_matmuls(self, d, batch):
+    def test_stacked_matmul_equals_2d_matmuls(self, d, batch, dtype):
         # the scan multiplies every direction's state by its recurrent
         # weights in one stacked matmul; each product must be the bits of
-        # the 2-D matmul a lone direction would make
+        # the 2-D matmul a lone direction would make, in the float32 of
+        # the velocity network too, whose exact tail serving rests on it
         rng = np.random.default_rng(50 + batch)
-        hs, w = rng.standard_normal((d, batch, 32)), rng.standard_normal((d, 32, 96))
-        out = np.empty((d, batch, 96))
+        hs = rng.standard_normal((d, batch, 32)).astype(dtype)
+        w = rng.standard_normal((d, 32, 96)).astype(dtype)
+        out = np.empty((d, batch, 96), dtype)
         np.matmul(hs, w, out)
         for k in range(d):
             assert np.array_equal(out[k], hs[k] @ w[k])

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -73,3 +74,13 @@ def test_header_with_ill_formed_entries(tmp_path):
         path.write_bytes(b"BFWT" + struct.pack("<HHI", 1, 0, len(text)) + text)
         with pytest.raises(ParseError, match="corrupt header"):
             load_weights(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_rejected_naming_file_and_array(tmp_path, value):
+    path = tmp_path / "model.bfw"
+    arrays = {"ok": np.zeros(2), "w": np.ones((2, 3))}
+    arrays["w"][1, 0] = value
+    save_weights(path, "v", arrays)
+    with pytest.raises(DataError, match=re.escape(f"{path}: array w must be finite")):
+        load_weights(path)
