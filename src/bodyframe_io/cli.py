@@ -13,7 +13,11 @@ sequence subdirectories plus a manifest):
 
 Numeric settings come from an INI run config (see ``--dump-defaults``),
 which every command but deadreckon and train-corrector takes; unknown
-keys and a [DEFAULT] section are rejected. ``--seed`` (default 0,
+keys and a [DEFAULT] section are rejected. Each key's type is its
+default's, and every value in the file is parsed when it loads, so a
+value that does not parse is a configuration error whichever command
+reads the file. ``--dump-defaults`` prints numbers as Python writes them
+(``0.001``, not ``1e-3``). ``--seed`` (default 0,
 nonnegative) is taken by the commands that draw random numbers
 (simulate, train-motion, run-ekf); train-corrector accepts it and
 ignores it, since corrector training is deterministic.
@@ -265,10 +269,9 @@ def _cmd_train_corrector(args) -> int:
 def _cmd_train_motion(args) -> int:
     cfg = cfgmod.load_config(args.config)
     net_cfg = cfgmod.motion_net_config(cfg, args.seed)
-    windows = _network_windows(
-        args.data, _seen_entries(args.data), net_cfg, cfg.getint("motion", "stride")
-    )
-    train, val = windows.split(cfg.getfloat("motion", "val_fraction"), args.seed)
+    entries = _seen_entries(args.data)
+    windows = _network_windows(args.data, entries, net_cfg, cfg["motion"]["stride"])
+    train, val = windows.split(cfg["motion"]["val_fraction"], args.seed)
     model, history = train_motion_model(
         train,
         val,
@@ -279,7 +282,7 @@ def _cmd_train_motion(args) -> int:
     model.save(args.out)
     print(
         f"wrote {args.out} ({len(train)} train / {len(val)} val windows,"
-        f" best val loss {min(history['val_loss']):.6g})"
+        f" best val loss {np.nanmin(history['val_loss']):.6g})"
     )
     return 0
 
@@ -303,8 +306,8 @@ def _cmd_run_ekf(args) -> int:
         # densities at the sequence's sample rate, from a first pass over imu.csv.
         root_rate = float(np.sqrt(_sample_rate(read_imu_blocks(imu_path)[1])))
         corrector = IdentityCorrector(
-            eta_g=cfg.getfloat("noise", "sigma_g") * root_rate,
-            eta_a=cfg.getfloat("noise", "sigma_a") * root_rate,
+            eta_g=cfg["noise"]["sigma_g"] * root_rate,
+            eta_a=cfg["noise"]["sigma_a"] * root_rate,
         )
 
     origin_ns, blocks = read_imu_blocks(imu_path)
@@ -328,7 +331,7 @@ def _cmd_run_ekf(args) -> int:
 def _cmd_eval(args) -> int:
     from .metrics import accuracy_auc, ate, improvement_percentage, rte
 
-    interval = cfgmod.load_config(args.config).getfloat("eval", "rte_interval")
+    interval = cfgmod.load_config(args.config)["eval"]["rte_interval"]
     estimates = [_parse_named(item) for item in args.estimate or []]
     baselines = dict(_parse_named(item) for item in args.baseline or [])
     unmatched = sorted(set(baselines) - {name for name, _ in estimates})
@@ -344,7 +347,6 @@ def _cmd_eval(args) -> int:
             vs = improvement_percentage(ate(*base), ate(*pair))
         row = {"seq": name, "ate_m": ate(*pair), "vs_baseline_pct": vs}
         try:
-            # accuracy_auc first: it checks its settings before the flight's span
             row["auc"] = accuracy_auc(*pair, interval=interval)
             row["rte_m"] = rte(*pair, interval=interval)
         except InsufficientDataError:  # a flight no longer than the interval has no RTE
@@ -364,9 +366,7 @@ def _cmd_analyze(args) -> int:
         entries = [CorpusEntry(name=n, role="seen", path=n) for n in args.names]
     else:
         entries = _seen_entries(args.data)
-    windows = _network_windows(
-        args.data, entries, model.config, cfg.getint("motion", "stride")
-    )
+    windows = _network_windows(args.data, entries, model.config, cfg["motion"]["stride"])
     features = collect_latents(model, windows)
     fractions = pca_cumulative_variance(features, standardize=args.standardize)
     with open(args.out, "w", encoding="utf-8") as fh:

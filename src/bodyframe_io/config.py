@@ -1,27 +1,33 @@
 """INI-backed run configuration shared by the command line tools.
 
-A run config is a flat two-level mapping (section -> key -> string).
-``DEFAULTS`` documents every recognized key together with its default
-value; user files may override any subset but introducing an unknown
-section or key, or a [DEFAULT] section, is a hard error, which catches
-typos early instead of silently running with a default.
+``DEFAULTS`` lists every recognized key (section -> key -> default),
+and each key's type is its default's: an int, a float, a word, a float
+3-vector or a list of ints. ``load_config`` parses every value of a
+user file once, when it loads, by the type of that key's default, and
+returns plain nested dicts of typed values: the defaults with the
+file's values in their place. A user file may set any subset of the
+keys. An unknown section or key, a [DEFAULT] section, a value that
+does not parse, a NaN or infinite number and a float vector whose
+length is not its default's are each a ConfigError naming the
+``section.key``, which catches typos early instead of silently running
+with a default.
 
-Typed accessors convert on demand, reject NaN and infinite numbers,
-and report the offending ``section.key`` path on failure. The
-``*_spec`` / ``*_config`` builders below translate sections into the
+The ``*_spec`` / ``*_config`` builders below pass sections into the
 dataclasses the library modules consume, so the CLI layer never parses
-strings itself. Each builder imports the module that defines its
-dataclass when it is called, so loading the config imports none of
+strings itself. A word that names an enum member (``simulator.kind``,
+``simulator.yaw_mode``, ``motion.representation``) is checked by the
+builder, which imports the module that defines its enum and dataclass
+when it is called, so loading the config imports none of
 ``simulator``, ``motion_model`` or ``ekf``.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import enum
 import io
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError
@@ -31,118 +37,88 @@ if TYPE_CHECKING:
     from .motion_model import LossConfig, MotionNetConfig, TrainConfig
     from .simulator import NoiseSpec, TrajectorySpec
 
-# Every supported key with its default, as strings (INI is untyped).
-DEFAULTS: dict[str, dict[str, str]] = {
+# Every supported key with its default; a value's type is its default's.
+DEFAULTS: dict[str, dict] = {
     "simulator": {
         "kind": "figure8",
-        "duration": "60.0",
-        "imu_rate": "200.0",
-        "amplitude": "1.0",
-        "rate": "0.5",
-        "center": "0.0, 0.0, 0.0",
+        "duration": 60.0,
+        "imu_rate": 200.0,
+        "amplitude": 1.0,
+        "rate": 0.5,
+        "center": (0.0, 0.0, 0.0),
         "yaw_mode": "follow_velocity",
-        "yaw_rate": "0.0",
-        "ratios": "1.0, 2.0, 3.0",
-        "phases": "0.0, 0.5, 1.0",
+        "yaw_rate": 0.0,
+        "ratios": (1.0, 2.0, 3.0),
+        "phases": (0.0, 0.5, 1.0),
     },
     "noise": {
-        "sigma_g": "1e-3",
-        "sigma_a": "1e-2",
-        "sigma_bg": "1e-5",
-        "sigma_ba": "1e-4",
-        "b_g0": "0.0, 0.0, 0.0",
-        "b_a0": "0.0, 0.0, 0.0",
+        "sigma_g": 1e-3,
+        "sigma_a": 1e-2,
+        "sigma_bg": 1e-5,
+        "sigma_ba": 1e-4,
+        "b_g0": (0.0, 0.0, 0.0),
+        "b_a0": (0.0, 0.0, 0.0),
     },
     "motion": {
         "representation": "body+attitude",
-        "window": "200",
-        "stride": "100",
-        "latent_dim": "64",
-        "gru_layers": "2",
-        "imu_encoder_channels": "32, 64",
-        "attitude_encoder_channels": "16, 32",
-        "dropout_p": "0.5",
-        "kernel": "5",
-        "epochs": "100",
-        "lr": "1e-3",
-        "batch_size": "128",
-        "delta": "0.005",
-        "lambda": "1e-4",
-        "val_fraction": "0.2",
+        "window": 200,
+        "stride": 100,
+        "latent_dim": 64,
+        "gru_layers": 2,
+        "imu_encoder_channels": (32, 64),
+        "attitude_encoder_channels": (16, 32),
+        "dropout_p": 0.5,
+        "kernel": 5,
+        "epochs": 100,
+        "lr": 1e-3,
+        "batch_size": 128,
+        "delta": 0.005,
+        "lambda": 1e-4,
+        "val_fraction": 0.2,
     },
     "ekf": {
-        "update_rate": "20.0",
+        "update_rate": 20.0,
     },
     "eval": {
-        "rte_interval": "5.0",
+        "rte_interval": 5.0,
     },
 }
 
-@dataclass
-class RunConfig:
-    """Merged defaults + user overrides, with typed access."""
-
-    values: dict[str, dict[str, str]] = field(
-        default_factory=lambda: {s: dict(kv) for s, kv in DEFAULTS.items()}
-    )
-
-    def get(self, section: str, key: str) -> str:
-        try:
-            return self.values[section][key]
-        except KeyError:
-            raise ConfigError(f"unknown config key {section}.{key}") from None
-
-    def getfloat(self, section: str, key: str) -> float:
-        raw = self.get(section, key)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"config key {section}.{key}: expected a number, got {raw!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"config key {section}.{key}: must be finite, got {raw!r}")
-        return value
-
-    def getint(self, section: str, key: str) -> int:
-        raw = self.get(section, key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"config key {section}.{key}: expected an integer, got {raw!r}"
-            ) from None
-
-    def getfloats(self, section: str, key: str) -> tuple[float, ...]:
-        raw = self.get(section, key)
-        try:
-            values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(
-                f"config key {section}.{key}: expected comma-separated numbers,"
-                f" got {raw!r}"
-            ) from None
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"config key {section}.{key}: must be finite, got {raw!r}")
-        return values
-
-    def getints(self, section: str, key: str) -> tuple[int, ...]:
-        raw = self.get(section, key)
-        try:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(
-                f"config key {section}.{key}: expected comma-separated integers,"
-                f" got {raw!r}"
-            ) from None
+# what a value that does not parse should be, by element type: (one value, a vector)
+_EXPECTED = {int: ("an integer", "comma-separated integers"),
+             float: ("a number", "comma-separated numbers")}
 
 
-def load_config(path: str | None = None) -> RunConfig:
-    """Defaults merged with an optional INI file; unknown keys rejected."""
-    cfg = RunConfig()
+def _parse(path: str, raw: str, default):
+    """The INI text raw of the key path ("section.key") as a value of
+    its default's type."""
+    if isinstance(default, str):
+        return raw
+    vector = isinstance(default, tuple)
+    kind = type(default[0]) if vector else type(default)
+    tokens = [tok for tok in raw.split(",") if tok.strip()] if vector else [raw]
+    try:
+        values = tuple(map(kind, tokens))
+    except ValueError:
+        raise ConfigError(
+            f"config key {path}: expected {_EXPECTED[kind][vector]}, got {raw!r}"
+        ) from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ConfigError(f"config key {path}: must be finite, got {raw!r}")
+    if kind is float and vector and len(values) != len(default):
+        raise ConfigError(
+            f"config key {path}: expected {len(default)} numbers, got {raw!r}"
+        )
+    return values if vector else values[0]
+
+
+def load_config(path: str | None = None) -> dict[str, dict]:
+    """DEFAULTS with the values of an optional INI file in their place,
+    each parsed by its default's type; a fresh copy on every call."""
+    cfg = {section: dict(kv) for section, kv in DEFAULTS.items()}
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' is text
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -154,26 +130,35 @@ def load_config(path: str | None = None) -> RunConfig:
     for section in parser.sections():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
+        for key, raw in parser.items(section):
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            cfg.values[section][key] = value
+            cfg[section][key] = _parse(f"{section}.{key}", raw, DEFAULTS[section][key])
     return cfg
 
 
 def dump_defaults() -> str:
-    """The full default configuration as INI text."""
+    """The full default configuration as INI text, numbers as Python
+    writes them (str)."""
     parser = configparser.ConfigParser()
     for section, kv in DEFAULTS.items():
-        parser[section] = kv
+        parser[section] = {
+            key: ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            for key, value in kv.items()
+        }
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
 
 
-def _enum_member(cfg: RunConfig, section: str, key: str, kind: type[enum.Enum]):
-    """The member of the enum `kind` whose value is the key's text."""
-    name = cfg.get(section, key).strip().lower()
+def _fields(cls, values: dict) -> dict:
+    """The entries of values that name a field of the dataclass cls."""
+    return {f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}
+
+
+def _enum_member(cfg: dict, section: str, key: str, kind: type[enum.Enum]):
+    """The member of the enum `kind` whose value is the key's word."""
+    name = cfg[section][key].lower()
     try:
         return kind(name)
     except ValueError:
@@ -183,86 +168,51 @@ def _enum_member(cfg: RunConfig, section: str, key: str, kind: type[enum.Enum]):
         ) from None
 
 
-def trajectory_spec(cfg: RunConfig) -> TrajectorySpec:
+def trajectory_spec(cfg: dict) -> TrajectorySpec:
     from .simulator import TrajectoryKind, TrajectorySpec, YawMode
 
-    triples = {key: cfg.getfloats("simulator", key) for key in ("center", "ratios", "phases")}
-    for key, values in triples.items():
-        if len(values) != 3:
-            raise ConfigError(f"config key simulator.{key}: expected three numbers")
-    return TrajectorySpec(
-        kind=_enum_member(cfg, "simulator", "kind", TrajectoryKind),
-        duration=cfg.getfloat("simulator", "duration"),
-        imu_rate=cfg.getfloat("simulator", "imu_rate"),
-        amplitude=cfg.getfloat("simulator", "amplitude"),
-        rate=cfg.getfloat("simulator", "rate"),
-        yaw_mode=_enum_member(cfg, "simulator", "yaw_mode", YawMode),
-        yaw_rate=cfg.getfloat("simulator", "yaw_rate"),
-        **triples,
-    )
+    return TrajectorySpec(**{
+        **cfg["simulator"],
+        "kind": _enum_member(cfg, "simulator", "kind", TrajectoryKind),
+        "yaw_mode": _enum_member(cfg, "simulator", "yaw_mode", YawMode),
+    })
 
 
-def noise_spec(cfg: RunConfig, seed: int) -> NoiseSpec:
+def noise_spec(cfg: dict, seed: int) -> NoiseSpec:
     from .simulator import NoiseSpec
 
-    b_g0 = cfg.getfloats("noise", "b_g0")
-    b_a0 = cfg.getfloats("noise", "b_a0")
-    if len(b_g0) != 3 or len(b_a0) != 3:
-        raise ConfigError("config keys noise.b_g0/b_a0: expected three numbers")
-    sigmas = {k: cfg.getfloat("noise", k) for k in ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba")}
-    for key, value in sigmas.items():
+    for key in ("sigma_g", "sigma_a", "sigma_bg", "sigma_ba"):
+        value = cfg["noise"][key]
         if not value >= 0.0:
             raise ConfigError(f"config key noise.{key}: must be nonnegative, got {value}")
-    return NoiseSpec(
-        **sigmas,
-        b_g0=b_g0,
-        b_a0=b_a0,
-        seed=seed,
-    )
+    return NoiseSpec(**cfg["noise"], seed=seed)
 
 
-def motion_net_config(cfg: RunConfig, seed: int) -> MotionNetConfig:
+def motion_net_config(cfg: dict, seed: int) -> MotionNetConfig:
     from .imu_model import RepresentationKind
     from .motion_model import MotionNetConfig
 
-    return MotionNetConfig(
-        representation=_enum_member(cfg, "motion", "representation", RepresentationKind),
-        window=cfg.getint("motion", "window"),
-        latent_dim=cfg.getint("motion", "latent_dim"),
-        gru_layers=cfg.getint("motion", "gru_layers"),
-        imu_encoder_channels=cfg.getints("motion", "imu_encoder_channels"),
-        attitude_encoder_channels=cfg.getints("motion", "attitude_encoder_channels"),
-        dropout_p=cfg.getfloat("motion", "dropout_p"),
-        kernel=cfg.getint("motion", "kernel"),
-        seed=seed,
-    )
+    return MotionNetConfig(**{
+        **_fields(MotionNetConfig, cfg["motion"]),
+        "representation": _enum_member(cfg, "motion", "representation", RepresentationKind),
+        "seed": seed,
+    })
 
 
-def motion_loss_config(cfg: RunConfig) -> LossConfig:
+def motion_loss_config(cfg: dict) -> LossConfig:
     from .motion_model import LossConfig
 
-    return LossConfig(
-        delta=cfg.getfloat("motion", "delta"),
-        lam=cfg.getfloat("motion", "lambda"),
-    )
+    return LossConfig(delta=cfg["motion"]["delta"], lam=cfg["motion"]["lambda"])
 
 
-def motion_train_config(cfg: RunConfig, seed: int) -> TrainConfig:
+def motion_train_config(cfg: dict, seed: int) -> TrainConfig:
     from .motion_model import TrainConfig
 
-    return TrainConfig(
-        epochs=cfg.getint("motion", "epochs"),
-        lr=cfg.getfloat("motion", "lr"),
-        batch_size=cfg.getint("motion", "batch_size"),
-        seed=seed,
-    )
+    return TrainConfig(**_fields(TrainConfig, cfg["motion"]), seed=seed)
 
 
-def ekf_config(cfg: RunConfig) -> EkfConfig:
+def ekf_config(cfg: dict) -> EkfConfig:
     from .ekf import EkfConfig
 
-    return EkfConfig(
-        update_rate=cfg.getfloat("ekf", "update_rate"),
-        sigma_bg=cfg.getfloat("noise", "sigma_bg"),
-        sigma_ba=cfg.getfloat("noise", "sigma_ba"),
-    )
+    return EkfConfig(**cfg["ekf"], sigma_bg=cfg["noise"]["sigma_bg"],
+                     sigma_ba=cfg["noise"]["sigma_ba"])

@@ -77,11 +77,13 @@ def _raw_features(window: ImuWindow, k: int) -> np.ndarray:
 
 
 class IdentityCorrector:
-    """Pass-through corrector with constant configured uncertainties."""
+    """Pass-through corrector with constant configured uncertainties:
+    eta_g and eta_a are the per-frame gyro and accelerometer noise
+    stds, one value or one per axis."""
 
     context = 0
 
-    def __init__(self, eta_g=1e-3, eta_a=1e-2):
+    def __init__(self, eta_g, eta_a):
         self.eta_g = np.broadcast_to(np.asarray(eta_g, dtype=float), (3,)).copy()
         self.eta_a = np.broadcast_to(np.asarray(eta_a, dtype=float), (3,)).copy()
         if not (np.all(self.eta_g > 0) and np.all(self.eta_a > 0)):  # NaN fails too

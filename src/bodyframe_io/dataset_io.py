@@ -31,7 +31,9 @@ Estimated trajectories use a third format shared with the filter:
 
     t,px,py,pz,qw,qx,qy,qz,vx,vy,vz,tr_P
 
-with t in seconds and 9 significant digits; TrajectoryWriter writes
+with t in seconds to the nanosecond (9 decimals, the resolution of the
+stamps on disk) and the other values to 9 significant digits;
+TrajectoryWriter writes
 them in blocks of rows and atomically, and read_trajectory_csv returns
 them as a Trajectory.
 
@@ -498,7 +500,7 @@ def load_sequence(seq_dir):
 # ---------------------------------------------------------------------------
 # Estimated trajectory files
 
-_TRAJECTORY_LINE = ",".join(["%.9g"] * 12) + "\n"
+_TRAJECTORY_LINE = "%.9f," + ",".join(["%.9g"] * 11) + "\n"
 # rows formatted at once: every flush of a run-ekf stream in one call, and
 # a whole-flight write in pieces whose text stays a few MB
 _FORMAT_ROWS = 16 * BLOCK_LINES
@@ -510,7 +512,8 @@ class TrajectoryWriter:
     Used as a context manager: write(traj, traces) adds rows, a
     Trajectory and tr_P, the trace of the error covariance, from traces
     (len(traj),). Rows are formatted and written BLOCK_LINES or more at a
-    time, one row per timestamp with 9 significant digits. They go to a
+    time, one row per timestamp, t to the nanosecond and the other values
+    to 9 significant digits. They go to a
     temporary file beside path, which replaces path when the with block
     ends without an exception and is removed when it ends with one, so
     a run that fails leaves no output behind and path as it was. rows
@@ -569,9 +572,9 @@ class TrajectoryWriter:
 
 def write_trajectory_csv(path, traj: Trajectory, traces):
     """Write filter output, the Trajectory that read_trajectory_csv
-    returns, through a TrajectoryWriter: one row per timestamp, 9
-    significant digits, with tr_P the trace of the error covariance
-    from traces (n,)."""
+    returns, through a TrajectoryWriter: one row per timestamp, t to the
+    nanosecond and the other values to 9 significant digits, with tr_P
+    the trace of the error covariance from traces (n,)."""
     with TrajectoryWriter(path) as out:
         out.write(traj, traces)
 

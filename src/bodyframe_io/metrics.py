@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConfigError, DataError, InsufficientDataError
 from .so3 import row_norms
 
+AUC_TAU_MAX = 1.0  # m, the largest threshold of accuracy_auc's grid
+AUC_THRESHOLDS = 100  # the number of thresholds on that grid
+
 
 def _check_pair(truth, estimate):
     if len(truth) != len(estimate):
@@ -65,25 +68,15 @@ def rte(truth, estimate, interval: float = 5.0) -> float:
     return float(np.sqrt(np.mean(res**2)))
 
 
-def accuracy_auc(
-    truth,
-    estimate,
-    interval: float = 5.0,
-    tau_max: float = 1.0,
-    n_thresholds: int = 100,
-) -> float:
+def accuracy_auc(truth, estimate, interval: float = 5.0) -> float:
     """Mean fraction of interval residuals below a uniform threshold grid.
 
     accuracy(tau) = fraction of residual norms <= tau; the AUC averages
-    accuracy over n_thresholds uniform points on (0, tau_max], so the
-    result lives in [0, 1].
+    accuracy over AUC_THRESHOLDS uniform points on (0, AUC_TAU_MAX], so
+    the result lives in [0, 1].
     """
-    if not tau_max > 0.0:  # NaN fails too
-        raise ConfigError(f"tau_max must be positive, got {tau_max}")
-    if n_thresholds < 1:
-        raise ConfigError("n_thresholds must be >= 1")
     res = rte_residuals(truth, estimate, interval)
-    taus = tau_max * np.arange(1, n_thresholds + 1) / n_thresholds
+    taus = AUC_TAU_MAX * np.arange(1, AUC_THRESHOLDS + 1) / AUC_THRESHOLDS
     acc = np.array([np.mean(res <= tau) for tau in taus])
     return float(acc.mean())
 

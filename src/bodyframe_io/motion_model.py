@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .imu_model import ImuWindow, RepresentationKind
 from .nn import Adam, BiGru, Conv1d, Dropout, Gelu, Linear, PlateauScheduler
 from .weights_io import load_weights, save_weights
@@ -542,9 +542,11 @@ def train_motion_model(
 ):
     """Fit a MotionNet on the training windows, validating on val.
 
-    Adam with PlateauScheduler's default schedule on the validation
-    loss; returns the best-validation checkpoint and a history dict with
-    per-epoch train loss, validation loss, and learning rate.
+    Adam with PlateauScheduler's schedule on the validation loss;
+    returns the best-validation checkpoint, the weights of the epoch
+    with the lowest loss that is not NaN, and a history dict with
+    per-epoch train loss, validation loss, and learning rate. Raises
+    NumericalError when no epoch's validation loss is finite.
     Deterministic for a fixed seed (one worker, seeded shuffle and
     dropout).
     """
@@ -587,6 +589,10 @@ def train_motion_model(
             best_params = {k: p.copy() for k, p in model.parameters().items()}
         sched.step(vl)
 
+    if not math.isfinite(best):
+        raise NumericalError(
+            f"no finite validation loss in {train_cfg.epochs} epochs (lr {train_cfg.lr:g})"
+        )
     for k, p in model.parameters().items():
         p[...] = best_params[k]
     return model, history
@@ -622,19 +628,16 @@ def oracle_predict(truth, noise_std, seed=0) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ConstantZeroProvider:
-    """Always reports zero body velocity (a stationarity prior)."""
+    """Always reports zero body velocity (a stationarity prior) with a
+    std of ETA m/s on every axis."""
 
     required_kind = RepresentationKind.BODY
     window_len = 1
-
-    def __init__(self, eta=1.0):
-        if not eta > 0.0:  # NaN fails too
-            raise ConfigError("eta must be positive")
-        self.eta = float(eta)
+    ETA = 1.0
 
     def predict_window(self, window: ImuWindow, n_tail: int) -> tuple[np.ndarray, np.ndarray]:
         n_tail = _tail_rows(n_tail, window)
-        return np.zeros((n_tail, 3)), np.full((n_tail, 3), self.eta)
+        return np.zeros((n_tail, 3)), np.full((n_tail, 3), self.ETA)
 
 
 class OracleProvider:

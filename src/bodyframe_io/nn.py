@@ -472,15 +472,13 @@ class Adam:
 
 
 class PlateauScheduler:
-    """Multiply the optimizer lr by `factor`, down to MIN_LR, after
-    `patience` epochs without an improvement of more than TOL."""
+    """Multiply the optimizer lr by FACTOR, down to MIN_LR, after
+    PATIENCE epochs without an improvement of more than TOL."""
 
-    MIN_LR, TOL = 1e-6, 1e-12
+    PATIENCE, FACTOR, MIN_LR, TOL = 5, 0.2, 1e-6, 1e-12
 
-    def __init__(self, optimizer, patience=5, factor=0.2):
+    def __init__(self, optimizer):
         self.opt = optimizer
-        self.patience = patience
-        self.factor = factor
         self.best = math.inf
         self.bad_epochs = 0
 
@@ -490,8 +488,8 @@ class PlateauScheduler:
             self.bad_epochs = 0
             return False
         self.bad_epochs += 1
-        if self.bad_epochs > self.patience:
-            self.opt.lr = max(self.opt.lr * self.factor, self.MIN_LR)
+        if self.bad_epochs > self.PATIENCE:
+            self.opt.lr = max(self.opt.lr * self.FACTOR, self.MIN_LR)
             self.bad_epochs = 0
             return True
         return False

@@ -307,6 +307,16 @@ class TestExitCodes:
         assert rc == 2
         assert "ekf.bogus" in capsys.readouterr().err
 
+    def test_bad_value_of_a_key_the_command_does_not_read_exits_2(self, tmp_path, capsys):
+        # the whole file is parsed when it loads: simulate reads no [motion] key
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[motion]\nlr = fast\n")
+        rc = main(["simulate", "--data", str(tmp_path / "d"), "--name", "s",
+                   "--config", str(bad)])
+        assert rc == 2
+        assert "motion.lr" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_sequence_exits_3(self, tmp_path, capsys):
         rc = main(["deadreckon", "--data", str(tmp_path), "--name", "ghost",
                    "--out", str(tmp_path / "o.csv")])
@@ -890,6 +900,29 @@ class TestPipeline:
                    "--estimate", f"seq01={truncated}"])
         assert rc == 3
 
+    def test_estimates_keep_stamps_off_the_10_ns_grid(self, tmp_path, capsys):
+        # EuRoC-like stamps, not on a 10 ns grid: t is written to the
+        # nanosecond, so eval matches each row to its IMU stamp past t = 1 s
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulator]\nduration = 30.0\nimu_rate = 50.0\n")
+        data = tmp_path / "data"
+        assert main(["simulate", "--data", str(data), "--name", "s",
+                     "--config", str(ini)]) == 0
+        for name in ("imu.csv", "groundtruth.csv"):
+            path = data / "s" / name
+            header, *rows = path.read_text().splitlines()
+            shifted = []
+            for i, row in enumerate(rows):
+                stamp, rest = row.split(",", 1)
+                shifted.append(f"{int(stamp) + 1_234_567 + 7 * i},{rest}")
+            path.write_text("\n".join([header, *shifted]) + "\n")
+        est = tmp_path / "dr.csv"
+        assert main(["deadreckon", "--data", str(data), "--name", "s", "--out", str(est)]) == 0
+        assert main(["eval", "--data", str(data), "--estimate", f"s={est}"]) == 0
+        assert "timestamps differ" not in capsys.readouterr().err
+        # the last frame, 1500, is 30 s and 7 * 1500 ns after the first
+        assert est.read_text().splitlines()[-1].startswith("30.000010500,")
+
     def test_dead_reckoning_output_shape(self, workdir, dr_csv):
         imu, _, _ = load_sequence(os.path.join(workdir["data"], "seq01"))
         with open(dr_csv) as fh:
@@ -916,6 +949,40 @@ class TestPipeline:
 
 
 class TestTrainers:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_motion_without_a_finite_validation_loss_exits_4(self, workdir, tmp_path,
+                                                                  capsys):
+        # a learning rate this large overflows the first steps: every
+        # validation loss is NaN, so there is no checkpoint to write
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text(
+            "[motion]\nwindow = 50\nstride = 50\nlatent_dim = 8\n"
+            "gru_layers = 1\nimu_encoder_channels = 4\n"
+            "attitude_encoder_channels = 4\nkernel = 3\ndropout_p = 0.0\n"
+            "epochs = 2\nbatch_size = 4\nlr = 1e30\n"
+        )
+        out = tmp_path / "net.bfwt"
+        rc = main(["train-motion", "--data", workdir["data"],
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 4
+        assert "no finite validation loss" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_motion_prints_the_checkpoints_loss(self, workdir, tmp_path, capsys,
+                                                      monkeypatch):
+        # the checkpoint is the epoch of the lowest loss that is not NaN,
+        # wherever NaN stands in the history
+        history = {"train_loss": [1.0] * 4, "val_loss": [np.nan, 0.3, 0.2, np.nan],
+                   "lr": [1e-3] * 4}
+        monkeypatch.setattr("bodyframe_io.cli.train_motion_model",
+                            lambda train, val, net_cfg, *_: (tiny_model(net_cfg.window), history))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[motion]\nwindow = 50\nstride = 50\n")
+        rc = main(["train-motion", "--data", workdir["data"], "--config", str(cfg),
+                   "--out", str(tmp_path / "net.bfwt")])
+        assert rc == 0
+        assert "best val loss 0.2)" in capsys.readouterr().out
+
     def test_train_corrector_writes_loadable_weights(self, workdir, tmp_path):
         from bodyframe_io.corrector import LearnedAffineCorrector
 
@@ -1001,8 +1068,8 @@ def in_memory_run_ekf(seq_dir, provider, corrector, ini, seed, weights, out):
         corrector = LearnedAffineCorrector.load(corrector)
     else:
         root_rate = float(np.sqrt((len(imu) - 1) / (imu.t[-1] - imu.t[0])))
-        corrector = IdentityCorrector(eta_g=cfg.getfloat("noise", "sigma_g") * root_rate,
-                                      eta_a=cfg.getfloat("noise", "sigma_a") * root_rate)
+        corrector = IdentityCorrector(eta_g=cfg["noise"]["sigma_g"] * root_rate,
+                                      eta_a=cfg["noise"]["sigma_a"] * root_rate)
     if provider == "zero":
         provider = ConstantZeroProvider()
     elif provider == "oracle":
@@ -1013,7 +1080,7 @@ def in_memory_run_ekf(seq_dir, provider, corrector, ini, seed, weights, out):
     x0 = NavState(r=truth.r[0], v=truth.v[0], p=truth.p[0], b_a=zero, b_g=zero)
     run = streaming_run(imu, provider, corrector, cfgmod.ekf_config(cfg), x0)
     rest = np.column_stack([run.p, quat_from_matrix(run.r), run.v, run.P_diag.sum(axis=1)])
-    line = ",".join(["%.9g"] * 12) + "\n"
+    line = "%.9f," + ",".join(["%.9g"] * 11) + "\n"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
         fh.writelines(line % (x, *row) for x, row in zip(run.t, rest))
@@ -1202,3 +1269,100 @@ class TestReport:
         assert text.splitlines() == [
             "seq,ate_m,rte_m,auc,vs_baseline_pct", "no sequences"
         ]
+
+
+class TestCommandLineRoundTrip:
+    """CI's command-line round trip: the README's commands on its 60 s
+    figure-eight corpus, each a `python -m bodyframe_io.cli` process. The
+    pipeline runs once, on one corpus and one 1-epoch network; each of
+    its exit codes and each exit-code check is one assertion."""
+
+    PIPELINE = [
+        "simulate --data corpus --name fig8 --seed 7",
+        "deadreckon --data corpus --name fig8 --out dr.csv",
+        "run-ekf --data corpus --name fig8 --provider oracle --out ekf.csv",
+        "eval --data corpus --estimate fig8=ekf.csv --baseline fig8=dr.csv --out report.csv",
+        # without --corrector-weights: the identity fallback's rate pass
+        "run-ekf --data corpus --name fig8 --provider zero --out zero.csv",
+        "eval --data corpus --estimate fig8=zero.csv --baseline fig8=dr.csv"
+        " --out zero-report.csv",
+        # the README's training section, with one epoch of train-motion;
+        # run-ekf then serves the network through the bounded served store
+        "train-corrector --data corpus --out corrector.bfwt",
+        "train-motion --data corpus --config one-epoch.ini --out motion.bfwt",
+        "run-ekf --data corpus --name fig8 --provider network --weights motion.bfwt"
+        " --corrector-weights corrector.bfwt --out net.csv",
+        "analyze --data corpus --weights motion.bfwt --out spectrum.csv",
+        # seeded training is bit-reproducible at the command line
+        "train-motion --data corpus --config one-epoch.ini --seed 3 --out seeded-a.bfwt",
+        "train-motion --data corpus --config one-epoch.ini --seed 3 --out seeded-b.bfwt",
+    ]
+
+    @staticmethod
+    def cli(cwd, command):
+        """(exit code, standard error) of `python -m bodyframe_io.cli` with
+        the words of command, run in cwd on this source tree."""
+        src = str(Path(bodyframe_io.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "bodyframe_io.cli", *command.split()],
+                              cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        return done.returncode, done.stderr
+
+    @pytest.fixture(scope="class")
+    def trip(self, tmp_path_factory):
+        """The directory the pipeline ran in and each command's result."""
+        root = tmp_path_factory.mktemp("round-trip")
+        (root / "one-epoch.ini").write_text("[motion]\nepochs = 1\n")
+        return root, {command: self.cli(root, command) for command in self.PIPELINE}
+
+    @pytest.mark.parametrize("command", PIPELINE)
+    def test_pipeline_command_exits_0(self, trip, command):
+        _, results = trip
+        code, err = results[command]
+        assert code == 0, err
+
+    def test_seeded_training_writes_the_same_bytes(self, trip):
+        root, _ = trip
+        assert (root / "seeded-a.bfwt").read_bytes() == (root / "seeded-b.bfwt").read_bytes()
+
+    def test_corrector_with_a_nan_weight_exits_3(self, trip):
+        from bodyframe_io.weights_io import load_weights, save_weights
+
+        root, _ = trip
+        variant, meta, arrays = load_weights(root / "corrector.bfwt")
+        arrays["weight"][0, 0] = np.nan
+        save_weights(root / "nan-corrector.bfwt", variant, arrays, meta)
+        code, _ = self.cli(root, "run-ekf --data corpus --name fig8 --provider zero"
+                                 " --corrector-weights nan-corrector.bfwt --out nan-corrector.csv")
+        assert code == 3
+
+    @pytest.mark.parametrize("command", [
+        # an --out in a directory that does not exist, and an existing directory
+        "run-ekf --data corpus --name fig8 --provider zero --out missing/x.csv",
+        "run-ekf --data corpus --name fig8 --provider zero --out outdir",
+        # --provider network without --weights is refused before any file is
+        # read, so a missing sequence is not reached (exit 3)
+        "run-ekf --data corpus --name ghost --provider network --out ghost.csv",
+        # a negative --seed is refused by the argument parser
+        "simulate --data corpus --name neg --seed -1",
+        # a key that is now a constant or comes from [noise] is unknown
+        "run-ekf --data corpus --name fig8 --provider zero --config old.ini --out old.csv",
+    ], ids=["missing-dir", "out-is-dir", "network-without-weights", "negative-seed",
+            "old-key"])
+    def test_configuration_error_exits_2(self, trip, command):
+        root, _ = trip
+        (root / "outdir").mkdir(exist_ok=True)
+        (root / "old.ini").write_text("[ekf]\neta_bg = 1e-6\n")
+        code, _ = self.cli(root, command)
+        assert code == 2
+
+    def test_estimate_with_a_nan_field_exits_3(self, trip):
+        root, _ = trip
+        lines = (root / "ekf.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[1] = "nan"
+        lines[2] = ",".join(fields)
+        (root / "nan-ekf.csv").write_text("\n".join(lines) + "\n")
+        code, _ = self.cli(root, "eval --data corpus --estimate fig8=nan-ekf.csv"
+                                 " --out nan-report.csv")
+        assert code == 3

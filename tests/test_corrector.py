@@ -49,9 +49,14 @@ def trained(biased_sequence):
     return model, mse, noisy
 
 
+def identity():
+    """An identity corrector with the default noise densities' stds at 1 Hz."""
+    return IdentityCorrector(eta_g=1e-3, eta_a=1e-2)
+
+
 class TestIdentity:
     def test_needs_no_context(self):
-        assert IdentityCorrector().context == 0
+        assert identity().context == 0
 
     def test_leaves_readings_unchanged(self):
         rng = np.random.default_rng(41)
@@ -60,7 +65,7 @@ class TestIdentity:
             w=rng.normal(size=(10, 3)),
             a=rng.normal(size=(10, 3)),
         )
-        corrected, out = correct_and_quantify(IdentityCorrector(), window)
+        corrected, out = correct_and_quantify(identity(), window)
         np.testing.assert_array_equal(corrected.w, window.w)
         np.testing.assert_array_equal(corrected.a, window.a)
         np.testing.assert_array_equal(out.gyro_correction, np.zeros((10, 3)))
@@ -74,7 +79,7 @@ class TestIdentity:
     @pytest.mark.parametrize("field", ["eta_g", "eta_a"])
     def test_nan_uncertainty_output_rejected(self, field):
         # a corrector whose stds turn NaN after construction: NaN is not positive
-        corrector = IdentityCorrector()
+        corrector = identity()
         getattr(corrector, field)[1] = np.nan
         window = ImuWindow(t=np.arange(4) * 0.01, w=np.zeros((4, 3)), a=np.zeros((4, 3)))
         with pytest.raises(DataError, match="uncertainty that is not positive"):
@@ -89,7 +94,7 @@ class TestIdentity:
 
     def test_rejects_nonpositive_uncertainty(self):
         with pytest.raises(ConfigError):
-            IdentityCorrector(eta_g=0.0)
+            IdentityCorrector(eta_g=0.0, eta_a=1e-2)
 
     @pytest.mark.parametrize(
         "kind", [k for k in RepresentationKind if k is not RepresentationKind.BODY]
@@ -100,7 +105,7 @@ class TestIdentity:
         window = ImuWindow(t=[0.0, 0.01], w=zeros, a=zeros, kind=kind,
                            attitudes=zeros if kind.has_attitude else None)
         with pytest.raises(DataError, match="BODY"):
-            correct_and_quantify(IdentityCorrector(), window)
+            correct_and_quantify(identity(), window)
 
 
 class TestTraining:

@@ -809,7 +809,8 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
                            0.1, 1.0 / 3.0, -0.0]]), piece=1, block=1, format_rows=1, seed=0)
 def test_writer_bytes_are_per_row_formatting(values, piece, block, format_rows, seed):
     # rows formatted many at a time are the bytes of formatting each value of
-    # each row with %.9g on its own, however they are written, flushed and formatted
+    # each row on its own, t with %.9f and the rest with %.9g, however they are
+    # written, flushed and formatted
     n = len(values)
     rng = np.random.default_rng(seed)
     traj = Trajectory(t=values[:, 0], r=np.array([exp_so3(rng.normal(size=3)) for _ in range(n)]),
@@ -817,7 +818,7 @@ def test_writer_bytes_are_per_row_formatting(values, piece, block, format_rows, 
     traces = values[:, 7]
     rows = np.column_stack([traj.t, traj.p, dataset_io.quat_from_matrix(traj.r), traj.v, traces])
     want = dataset_io.TRAJECTORY_HEADER + "\n" + "".join(
-        ",".join("%.9g" % x for x in row) + "\n" for row in rows)
+        ",".join(["%.9f" % row[0]] + ["%.9g" % x for x in row[1:]]) + "\n" for row in rows)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset_io, "BLOCK_LINES", block)
         mp.setattr(dataset_io, "_FORMAT_ROWS", format_rows)

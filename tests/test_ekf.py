@@ -286,6 +286,12 @@ def initial_state_from(traj):
                     np.zeros(3), np.zeros(3))
 
 
+class _HoverPrior(ConstantZeroProvider):
+    """A zero-velocity prior held tighter than the production one, 0.05 m/s."""
+
+    ETA = 0.05
+
+
 class _SpyProvider:
     """Wraps a provider, declaring its own window_len (and required_kind,
     when given); records windows and tail sizes."""
@@ -360,7 +366,7 @@ class TestRunners:
         corrector = IdentityCorrector(eta_g=1e-3 * 10.0, eta_a=1e-2 * 10.0)
         cfg = EkfConfig(update_rate=20.0)
         states = streaming_run(
-            imu, ConstantZeroProvider(eta=0.05), corrector, cfg,
+            imu, _HoverPrior(), corrector, cfg,
             initial_state_from(traj),
         )
         drift = float(np.linalg.norm(states.p, axis=1).max())

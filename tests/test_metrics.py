@@ -5,6 +5,8 @@ import pytest
 
 from bodyframe_io.errors import ConfigError, DataError, InsufficientDataError
 from bodyframe_io.metrics import (
+    AUC_TAU_MAX,
+    AUC_THRESHOLDS,
     accuracy_auc,
     ate,
     improvement_percentage,
@@ -138,20 +140,19 @@ class TestRte:
 
 class TestAccuracyAuc:
     def test_perfect_is_one(self):
-        assert accuracy_auc(*line_pair(), tau_max=1.0) == 1.0
+        assert accuracy_auc(*line_pair()) == 1.0
 
     def test_all_residuals_beyond_grid_is_zero(self):
         pair = line_pair(yaw_err=np.pi / 2)  # residuals 5*sqrt(2) ~ 7.07
-        assert accuracy_auc(*pair, tau_max=1.0) == 0.0
+        assert accuracy_auc(*pair) == 0.0
 
     def test_step_function_integral(self):
-        # all residuals equal 0.5 with tau_max 1: accuracy jumps 0 -> 1
-        # at tau = 0.5, so the grid mean is ~0.5 (within one grid cell).
-        pair = line_pair(n=101, dt=0.1, speed=0.1, yaw_err=np.pi / 2)
+        # all residuals equal 0.5 on the grid up to 1 m: accuracy jumps
+        # 0 -> 1 at tau = 0.5, so the grid mean is ~0.5 (within one grid cell).
+        pair = line_pair(n=101, dt=0.1, speed=0.1 / np.sqrt(2.0), yaw_err=np.pi / 2)
         res = rte_residuals(*pair, interval=5.0)
-        np.testing.assert_allclose(res, 0.5 * np.sqrt(2.0), atol=1e-12)
-        auc = accuracy_auc(*pair, tau_max=np.sqrt(2.0), n_thresholds=100)
-        assert auc == pytest.approx(0.5, abs=1.0 / 100.0)
+        np.testing.assert_allclose(res, 0.5, atol=1e-12)
+        assert accuracy_auc(*pair) == pytest.approx(0.5, abs=1.0 / 100.0)
 
     def test_accuracy_nondecreasing_in_tau(self):
         rng = np.random.default_rng(2)
@@ -160,12 +161,14 @@ class TestAccuracyAuc:
         taus = np.linspace(0.01, 3.0, 50)
         acc = [np.mean(res <= tau) for tau in taus]
         assert all(b >= a for a, b in zip(acc, acc[1:]))
-        assert 0.0 <= accuracy_auc(*pair, interval=2.0, tau_max=3.0) <= 1.0
+        assert 0.0 <= accuracy_auc(*pair, interval=2.0) <= 1.0
 
-    @pytest.mark.parametrize("tau_max", [0.0, -1.0, np.nan])
-    def test_bad_tau_max_rejected(self, tau_max):
-        with pytest.raises(ConfigError, match="tau_max"):
-            accuracy_auc(*line_pair(), tau_max=tau_max)
+    @pytest.mark.parametrize("residual, auc", [(0.995, 0.01), (0.985, 0.02), (0.505, 0.5)])
+    def test_grid_is_100_thresholds_up_to_1_m(self, residual, auc):
+        # residuals all equal to `residual` fall below the thresholds k/100 >= residual
+        assert (AUC_TAU_MAX, AUC_THRESHOLDS) == (1.0, 100)
+        pair = line_pair(n=101, dt=0.1, speed=residual / 5.0 / np.sqrt(2.0), yaw_err=np.pi / 2)
+        assert accuracy_auc(*pair) == pytest.approx(auc, abs=1e-12)
 
 
 class TestImprovement:

@@ -608,20 +608,22 @@ class TestOptim:
         np.testing.assert_allclose(p["w"], [1.5], atol=1e-3)
 
     def test_plateau_scheduler_decays_after_patience(self):
+        # the schedule is a constant: times 0.2 after 5 epochs without improvement
+        assert (PlateauScheduler.PATIENCE, PlateauScheduler.FACTOR) == (5, 0.2)
         p = {"w": np.zeros(1)}
         opt = Adam(p, lr=1.0)
-        sched = PlateauScheduler(opt, patience=2, factor=0.5)
+        sched = PlateauScheduler(opt)
         sched.step(1.0)  # best
         assert opt.lr == 1.0
-        for _ in range(2):
+        for _ in range(5):
             sched.step(1.0)  # no improvement, within patience
         assert opt.lr == 1.0
         sched.step(1.0)  # exceeds patience
-        assert opt.lr == 0.5
+        assert opt.lr == 0.2
         sched.step(0.1)  # improvement resets counter
-        for _ in range(3):
+        for _ in range(6):
             sched.step(0.2)
-        assert opt.lr == 0.25
+        assert opt.lr == 0.2 * 0.2
 
     def test_orthogonal_is_orthogonal(self):
         q = orthogonal(np.random.default_rng(18), 7)
