@@ -272,6 +272,7 @@ def _cmd_train_motion(args) -> int:
     entries = _seen_entries(args.data)
     windows = _network_windows(args.data, entries, net_cfg, cfg["motion"]["stride"])
     train, val = windows.split(cfg["motion"]["val_fraction"], args.seed)
+    del windows  # split copied every window, so training holds train and val only
     model, history = train_motion_model(
         train,
         val,

@@ -13,8 +13,8 @@ and the origin is subtracted before the conversion to seconds
 stamps such as EuRoC's survive a write/load round trip exact.
 Quaternions are Hamilton convention, wxyz order, body-to-world; this
 module is the only place they exist, with rotation matrices everywhere
-else. Floats are written with repr-level precision (%.17g), one
-%-format per row, so a write/read round trip is exact. Every reader
+else. Floats are written with repr-level precision (%.17g), a piece of
+rows per %-format call, so a write/read round trip is exact. Every reader
 parses a file in blocks of BLOCK_LINES data lines, each into arrays at
 once, and names the file line of the first fault it finds; a whole-file
 reader returns the concatenation of the blocks. read_imu_blocks and
@@ -138,14 +138,29 @@ def slerp(q0, q1, alpha) -> np.ndarray:
 #: data lines per block of the CSV readers, and the rows TrajectoryWriter
 #: holds before it formats and writes them
 BLOCK_LINES = 256
+# rows formatted at once: every flush of a run-ekf stream in one call, and
+# a whole-file write in pieces whose text stays a few MB
+_FORMAT_ROWS = 16 * BLOCK_LINES
+
+
+def _format_rows(line: str, first, rest):
+    """The text of one line per row, `line % (first[i], *rest[i])`, for
+    the arrays first (n,) and rest (n, k): a piece of _FORMAT_ROWS rows at
+    a time, each formatted by one % call on the rows' values as Python
+    numbers, so that an int64 first column stays an exact int for %d."""
+    for i in range(0, len(first), _FORMAT_ROWS):
+        piece = rest[i : i + _FORMAT_ROWS]
+        values = np.empty((len(piece), 1 + piece.shape[1]), object)
+        values[:, 0] = first[i : i + _FORMAT_ROWS].tolist()
+        values[:, 1:] = piece
+        yield (line * len(piece)) % tuple(values.ravel().tolist())
 
 
 def _write_csv(path, header: str, line: str, first, rest):
-    """The header, then one line per row: `line % (first[i], *rest[i])`,
-    formatted straight from the arrays first (n,) and rest (n, k)."""
+    """The header, then _format_rows(line, first, rest)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(line % (x, *row) for x, row in zip(first, rest))
+        fh.writelines(_format_rows(line, first, rest))
 
 
 def _stamps_ns(t, origin_ns: int) -> np.ndarray:
@@ -501,9 +516,6 @@ def load_sequence(seq_dir):
 # Estimated trajectory files
 
 _TRAJECTORY_LINE = "%.9f," + ",".join(["%.9g"] * 11) + "\n"
-# rows formatted at once: every flush of a run-ekf stream in one call, and
-# a whole-flight write in pieces whose text stays a few MB
-_FORMAT_ROWS = 16 * BLOCK_LINES
 
 
 class TrajectoryWriter:
@@ -549,11 +561,8 @@ class TrajectoryWriter:
                       for name in ("t", "r", "v", "p"))
         traces = np.concatenate([tr for _, tr in self._pending])
         self._pending, self._pending_rows = [], 0
-        rows = np.column_stack([t, p, quat_from_matrix(r), v, traces])
-        # one format call per piece, on the rows' values as Python floats
-        for i in range(0, len(rows), _FORMAT_ROWS):
-            piece = rows[i : i + _FORMAT_ROWS]
-            self._fh.write((_TRAJECTORY_LINE * len(piece)) % tuple(piece.ravel().tolist()))
+        rest = np.column_stack([p, quat_from_matrix(r), v, traces])
+        self._fh.writelines(_format_rows(_TRAJECTORY_LINE, t, rest))
 
     def __exit__(self, exc_type, exc, tb):
         done = False

@@ -20,7 +20,8 @@ arrays from its forward to its backward only. What each layer saves:
     Conv1d    its zero-padded input
     Gelu      its derivative at the input, one array
     Dropout   which units it kept, as booleans
-    Gru       its input and views of the scan's arrays (see Gru)
+    Gru       its input, views of the scan's gates and candidates, and
+              its output, which holds its states (see Gru)
 
 Sequence tensors are (batch, time, channels). A layer computes in the
 dtype of its parameters and of its input, which agree: every buffer it
@@ -220,7 +221,8 @@ def _scan(grus, xs, steps):
 
         rz (t, 2, d, b, h)   the gates, rz[:, 0] r and rz[:, 1] z
         ns (t, d, b, h)      the candidates n
-        ghn (t, d, b, h)     the n column of h W_h + b_h
+        ghn (t, d, b, h)     the n column of h W_h + b_h, which no layer
+                             keeps: Gru.backward recomputes it
         hs (t+1, d, b, h)    the states, hs[0] the zero initial one
 
     Rows past `steps` are zero in hs and undefined in the others. Every
@@ -303,13 +305,12 @@ class Gru(Layer):
     forward runs the recurrence through _scan with one direction, the
     same scan that BiGru runs both its directions through at once. A
     training forward saves for backward the input x (a reversed view
-    when reverse) and views of the scan's arrays: the gates rz (t, 2, b,
-    h), r then z, the candidates ns and the n column of h W_h + b_h
-    ghn, (t, b, h) each, and the states hs (t+1, b, h). Nothing else
-    outlives forward: not the input projection, nor the r and z columns
-    of h W_h + b_h. backward takes these from the layer, so they live
-    from the forward to the backward only; an evaluation forward
-    (train=False) saves none of them.
+    when reverse), views of the scan's gates rz (t, 2, b, h), r then z,
+    and candidates ns (t, b, h), and the output y (b, t, h) it returns,
+    a view of the scan's states. Nothing else outlives forward: not the
+    input projection, nor any column of h W_h + b_h. backward takes
+    these from the layer, so they live from the forward to the backward
+    only; an evaluation forward (train=False) saves none of them.
 
     forward(x, steps=k) runs only the first k steps of the scan: the
     first k frames, or the last k when reversed. The input projection
@@ -317,10 +318,14 @@ class Gru(Layer):
     reached equal the full scan's to the bit and the others are zero.
     Such a partial scan saves nothing, so backward raises after it.
 
-    Backward's time loop carries only the dh recursion. It stores each
+    backward first reads the step-start states back from y, in scan
+    order, into one (t, b, h) array, and recomputes the n column of
+    h W_h + b_h that the loop reads from them (_n_column), to the bit the
+    scan's. Its time loop carries only the dh recursion. It stores each
     step's dgi and the n column of dgh, and the weight and bias gradients
-    are summed from them once over all batch*time rows by BLAS. The views
-    of rz, ns and ghn are dropped when the loop ends, before those sums.
+    are summed from them once over all batch*time rows by BLAS. The
+    gates, candidates and n column are dropped when the loop ends, before
+    those sums.
     """
 
     def __init__(self, cin, hidden, rng, reverse=False):
@@ -340,14 +345,18 @@ class Gru(Layer):
     def _in_scan_order(self, x):
         return x[:, ::-1] if self.reverse else x
 
-    def _keep(self, x, scan, k, save):
-        """Direction k of a _scan's output, time-aligned with the input;
-        with save, that direction's arrays are saved for backward."""
-        rz, ns, ghn, hs = scan
-        if save:
-            self._saved = (x, rz[:, :, k], ns[:, k], ghn[:, k], hs[:, k])
+    def _output(self, hs, k):
+        """Direction k's states hs[1:, k] of a _scan, as the output
+        (b, t, h): time-aligned with the input, a view."""
         out = hs[1:, k].transpose(1, 0, 2)
         return out[:, ::-1] if self.reverse else out
+
+    def _save(self, x, scan, k, y):
+        """Save for backward the input x in scan order, direction k's
+        gates and candidates of the scan, and the output y this layer
+        returns, which holds its states."""
+        rz, ns, _, _ = scan
+        self._saved = (x, rz[:, :, k], ns[:, k], y)
 
     def forward(self, x, steps=None, train=True):
         x = self._in_scan_order(x)
@@ -356,10 +365,35 @@ class Gru(Layer):
         if steps < 1:
             raise ValueError("a GRU scan needs at least one step")
         scan = _scan((self,), (x,), steps)
-        return self._keep(x, scan, 0, train and steps == t)
+        y = self._output(scan[3], 0)
+        if train and steps == t:
+            self._save(x, scan, 0, y)
+        return y
+
+    def _step_states(self, y):
+        """The state each step of the scan started from, (t, b, h) in scan
+        order and contiguous: the zero initial state, then every row of
+        the output y but the scan's last."""
+        if self.reverse:
+            y = y[:, ::-1]
+        hs = np.empty((y.shape[1], y.shape[0], y.shape[2]), y.dtype)
+        hs[0] = 0
+        hs[1:] = y[:, :-1].transpose(1, 0, 2)
+        return hs
+
+    def _n_column(self, hs):
+        """The n column of hs W_h + b_h for step-start states hs (t, b, h),
+        to the bit the scan's: the stacked matmul multiplies each step's
+        (b, h) states by the whole (h, 3h) W_h, the BLAS call the scan
+        makes, and b_h's n part is added to the product's n column."""
+        h = self.hidden
+        return np.matmul(hs, self.params["w_h"])[:, :, 2 * h :] + self.params["b_h"][2 * h :]
 
     def backward(self, dy):
-        x, rz, ns, ghn, hs = self._take()
+        x, rz, ns, y = self._take()
+        hs = self._step_states(y)
+        del y  # hs holds all that backward reads of the output
+        ghn = self._n_column(hs)
         if self.reverse:
             dy = dy[:, ::-1]
         b, t, cin = x.shape
@@ -385,11 +419,11 @@ class Gru(Layer):
         rows = dgi.reshape(-1, 3 * h)  # (b*t, 3h)
         self.grads["w_i"] += x.reshape(-1, cin).T @ rows
         self.grads["b_i"] += rows.sum(axis=0)
-        h_rows = hs[:-1].transpose(1, 0, 2).reshape(-1, h)  # step-start states, as rows
+        h_rows = hs.transpose(1, 0, 2).reshape(-1, h)  # step-start states, as rows
         self.grads["w_h"][:, : 2 * h] += h_rows.T @ rows[:, : 2 * h]
         self.grads["b_h"][: 2 * h] += rows[:, : 2 * h].sum(axis=0)
         dghn_rows = dghn.reshape(-1, h)  # (t*b, h): dgh's n column, t-major
-        self.grads["w_h"][:, 2 * h :] += hs[:-1].reshape(-1, h).T @ dghn_rows
+        self.grads["w_h"][:, 2 * h :] += hs.reshape(-1, h).T @ dghn_rows
         self.grads["b_h"][2 * h :] += dghn_rows.sum(axis=0)
         dx = dgi @ self.params["w_i"].T
         return dx[:, ::-1] if self.reverse else dx
@@ -400,9 +434,10 @@ class BiGru(Layer):
 
     A full forward pass runs both directions through one _scan, their
     weights stacked: one time loop of t steps, not two. In training each
-    direction then saves its own views of the scan's arrays (see Gru),
-    so the two keep no more for backward than two single-direction
-    passes would, and Gru.backward serves each as before. The scan's
+    direction then saves its input, its own views of the scan's gates and
+    candidates, and its half of the concatenated output (see Gru), which
+    the next layer reads too: the states are kept once, and the scan's
+    state and n-column buffers are freed when forward returns. The
     gate arrays are freed once both directions' time loops have read
     them; an evaluation pass (train=False) saves none. backward adds the
     reverse direction's input gradient into the forward one's in place.
@@ -426,8 +461,12 @@ class BiGru(Layer):
         grus = (self.fwd, self.bwd)
         xs = [gru._in_scan_order(x) for gru in grus]
         scan = _scan(grus, xs, x.shape[1])
-        out = [gru._keep(x_k, scan, k, train) for k, (gru, x_k) in enumerate(zip(grus, xs))]
-        return np.concatenate(out, axis=2)
+        y = np.concatenate([gru._output(scan[3], k) for k, gru in enumerate(grus)], axis=2)
+        if train:
+            h = self.fwd.hidden
+            for k, (gru, x_k) in enumerate(zip(grus, xs)):
+                gru._save(x_k, scan, k, y[:, :, k * h : (k + 1) * h])
+        return y
 
     def backward(self, dy):
         h = self.fwd.hidden

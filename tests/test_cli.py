@@ -1272,10 +1272,11 @@ class TestReport:
 
 
 class TestCommandLineRoundTrip:
-    """CI's command-line round trip: the README's commands on its 60 s
-    figure-eight corpus, each a `python -m bodyframe_io.cli` process. The
-    pipeline runs once, on one corpus and one 1-epoch network; each of
-    its exit codes and each exit-code check is one assertion."""
+    """The README's command-line round trip on its 60 s figure-eight
+    corpus, each command a `python -m bodyframe_io.cli` process; CI runs
+    it here and only one command through the installed console script.
+    The pipeline runs once, on one corpus and one 1-epoch network; each
+    of its exit codes and each exit-code check is one assertion."""
 
     PIPELINE = [
         "simulate --data corpus --name fig8 --seed 7",

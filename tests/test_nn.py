@@ -19,6 +19,7 @@ from bodyframe_io.nn import (
     Gru,
     Linear,
     PlateauScheduler,
+    _scan,
     orthogonal,
 )
 
@@ -507,9 +508,15 @@ class TestBiGruLockstep:
         y = big.forward(x)
         assert np.array_equal(y, np.concatenate([ref[0] for ref in refs], axis=2))
         for gru, ref in zip(grus, refs):
-            _, rz, ns, ghn, hs = gru._saved
-            for name, got in (("rz", rz), ("ns", ns), ("ghn", ghn), ("hs", hs)):
+            _, rz, ns, out = gru._saved
+            for name, got in (("rz", rz), ("ns", ns)):
                 assert np.array_equal(got, ref[3][name]), name
+            # the states are read back from the output, and the n column of
+            # h W_h + b_h is recomputed from them
+            assert np.array_equal(out, ref[0])
+            hs = gru._step_states(out)
+            assert np.array_equal(hs, ref[3]["hs"][:-1])
+            assert np.array_equal(gru._n_column(hs), ref[3]["ghn"])
 
         # backward from the lockstep caches equals backward from lone
         # directions whose caches the reference loop filled
@@ -521,7 +528,7 @@ class TestBiGruLockstep:
             lone.params = {k: p.copy() for k, p in gru.params.items()}
             lone.zero_grads()
             c = ref[3]
-            lone._saved = (x[:, ::-1] if gru.reverse else x, c["rz"], c["ns"], c["ghn"], c["hs"])
+            lone._saved = (x[:, ::-1] if gru.reverse else x, c["rz"], c["ns"], ref[0])
             lone_dx.append(lone.backward(d))
             for k in gru.params:
                 assert np.array_equal(gru.grads[k], lone.grads[k]), k
@@ -559,17 +566,37 @@ class TestBiGruLockstep:
         for k in range(d):
             assert np.array_equal(out[k], hs[k] @ w[k])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 6, 16])
+    def test_recomputed_n_column_equals_the_scans(self, batch, dtype):
+        # backward recomputes the n column of h W_h + b_h from the states
+        # the layer's output holds; for both directions it must be the bits
+        # of the scan's, in the float32 of the velocity network too
+        rng = np.random.default_rng(60 + batch)
+        h, t = 32, 30
+        big = self.make(rng, 5, h)
+        big.cast(dtype)
+        x = rng.standard_normal((batch, t, 5)).astype(dtype)
+        y = big.forward(x)
+        grus = (big.fwd, big.bwd)
+        _, _, ghn, _ = _scan(grus, [gru._in_scan_order(x) for gru in grus], t)
+        for k, gru in enumerate(grus):
+            hs = gru._step_states(y[:, :, k * h : (k + 1) * h])
+            assert np.array_equal(gru._n_column(hs), ghn[:, k]), gru.reverse
+
     def test_kept_for_backward_no_more_than_two_lone_scans(self):
-        # x, and per direction rz (t, b, 2h), ns and ghn (t, b, h) and hs
-        # (t+1, b, h): no projection, and no r and z columns of h W_h
+        # x, per direction rz (t, b, 2h) and ns (t, b, h), and the states
+        # once, as the output (b, t, 2h) the layer returns: no projection,
+        # no column of h W_h and no second copy of the states
         rng = np.random.default_rng(45)
         b, t, h = 4, 30, 8
         big = self.make(rng, 5, h)
         x = rng.standard_normal((b, t, 5))
-        big.forward(x)
+        y = big.forward(x)
         kept = {id(owner(a)): owner(a) for g in (big.fwd, big.bwd) for a in g._saved}
-        per_direction = (t * b * 2 * h + 2 * t * b * h + (t + 1) * b * h) * 8
-        assert sum(a.nbytes for a in kept.values()) <= x.nbytes + 2 * per_direction
+        per_direction = (t * b * 2 * h + t * b * h) * 8
+        assert sum(a.nbytes for a in kept.values()) <= x.nbytes + 2 * per_direction + y.nbytes
+        assert any(a is owner(y) for a in kept.values())  # the states are the output's
 
 
 def check_bigru(rng, batch, steps):
