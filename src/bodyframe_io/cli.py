@@ -271,7 +271,7 @@ def _cmd_train_motion(args) -> int:
     net_cfg = cfgmod.motion_net_config(cfg, args.seed)
     entries = _seen_entries(args.data)
     windows = _network_windows(args.data, entries, net_cfg, cfg["motion"]["stride"])
-    train, val = windows.split(cfg["motion"]["val_fraction"], args.seed)
+    train, val = windows.split(args.seed)
     del windows  # split copied every window, so training holds train and val only
     model, history = train_motion_model(
         train,
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         "motion.representation/window/stride/latent_dim/gru_layers/"
         "imu_encoder_channels/attitude_encoder_channels/dropout_p/kernel/"
-        "epochs/lr/batch_size/delta/lambda/val_fraction",
+        "epochs/lr/batch_size/lambda",
         _SEED_HELP,
     )
     p.set_defaults(func=_cmd_train_motion)

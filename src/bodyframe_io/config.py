@@ -72,9 +72,7 @@ DEFAULTS: dict[str, dict] = {
         "epochs": 100,
         "lr": 1e-3,
         "batch_size": 128,
-        "delta": 0.005,
         "lambda": 1e-4,
-        "val_fraction": 0.2,
     },
     "ekf": {
         "update_rate": 20.0,
@@ -202,7 +200,7 @@ def motion_net_config(cfg: dict, seed: int) -> MotionNetConfig:
 def motion_loss_config(cfg: dict) -> LossConfig:
     from .motion_model import LossConfig
 
-    return LossConfig(delta=cfg["motion"]["delta"], lam=cfg["motion"]["lambda"])
+    return LossConfig(lam=cfg["motion"]["lambda"])
 
 
 def motion_train_config(cfg: dict, seed: int) -> TrainConfig:

@@ -54,6 +54,7 @@ MOTION_VARIANT = "motion-net-v1"
 NET_DTYPE = np.float32  # what MotionNet computes in
 ETA_MIN = 1e-4  # m/s, keeps the measurement covariance invertible
 ETA_MAX = 1e2
+HUBER_DELTA = 0.005  # m/s, the corner of the velocity loss's Huber term
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,9 @@ class MotionNetConfig:
 
 @dataclass(frozen=True)
 class LossConfig:
-    delta: float = 0.005  # m/s, Huber corner
     lam: float = 1e-4  # weight of the uncertainty term
 
     def validate(self):
-        if self.delta <= 0.0:
-            raise ConfigError("delta must be positive")
         if self.lam < 0.0:
             raise ConfigError("lambda must be nonnegative")
 
@@ -154,6 +152,8 @@ class WindowSet:
     exactly when kind.has_attitude, and v (N, T, 3) body-frame velocity
     targets. Construction rejects an empty set and disagreeing shapes."""
 
+    VAL_FRACTION = 0.2  # the share of windows split holds out for validation
+
     kind: RepresentationKind
     imu: np.ndarray
     att: np.ndarray | None
@@ -175,12 +175,11 @@ class WindowSet:
         att = None if self.att is None else self.att[index]
         return WindowSet(self.kind, self.imu[index], att, self.v[index])
 
-    def split(self, val_fraction: float, seed: int) -> tuple["WindowSet", "WindowSet"]:
-        """(train, val): a seeded permutation's first round(val_fraction * N) validate."""
-        if not 0.0 < val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in (0, 1)")
+    def split(self, seed: int) -> tuple["WindowSet", "WindowSet"]:
+        """(train, val): a seeded permutation's first round(VAL_FRACTION * N),
+        at least one, validate."""
         order = np.random.default_rng(seed).permutation(len(self))
-        n_val = max(1, int(round(val_fraction * len(self))))
+        n_val = max(1, int(round(self.VAL_FRACTION * len(self))))
         if n_val >= len(self):
             raise DataError("too few windows to hold out a validation split")
         return self[order[n_val:]], self[order[:n_val]]
@@ -216,47 +215,20 @@ def velocity_windows(sequences, length: int, stride: int) -> WindowSet:
 # losses
 
 
-def huber_loss(pred, truth, delta=0.005):
-    """Componentwise Huber loss summed over the residual's components."""
-    e = np.asarray(pred, dtype=float) - np.asarray(truth, dtype=float)
-    if not np.all(np.isfinite(e)):
-        raise DataError("huber_loss requires finite inputs")
-    a = np.abs(e)
-    per = np.where(a <= delta, 0.5 * e * e, delta * (a - 0.5 * delta))
-    return float(np.sum(per))
-
-
-def covariance_loss(pred, truth, eta_v):
-    """Gaussian NLL core e' Sigma^-1 e + ln det Sigma, Sigma = diag(eta^2)."""
-    e = np.asarray(pred, dtype=float) - np.asarray(truth, dtype=float)
-    eta = np.asarray(eta_v, dtype=float)
-    if np.any(eta <= 0.0):
-        raise DataError("eta_v must be strictly positive")
-    return float(np.sum(e * e / (eta * eta)) + np.sum(np.log(eta * eta)))
-
-
-def combined_loss(pred, truth, eta_v, cfg: LossConfig = LossConfig()):
-    """Per-frame mean of huber + lambda * covariance over an (n, 3) batch."""
-    cfg.validate()
-    v = np.atleast_2d(np.asarray(pred, dtype=float))
-    t = np.atleast_2d(np.asarray(truth, dtype=float))
-    eta = np.atleast_2d(np.asarray(eta_v, dtype=float))
-    if v.shape != t.shape or v.shape != eta.shape:
-        raise DataError("combined_loss requires matching shapes")
-    loss, _, _ = _combined_loss_grads(v, t, eta, cfg)
-    return loss
-
-
-def _combined_loss_grads(v, truth, eta, cfg):
-    """Loss plus gradients w.r.t. v and eta; shapes (..., 3). Computed in
-    float64 whatever the dtype of v and eta."""
+def combined_loss(v, truth, eta, cfg: LossConfig):
+    """(loss, dloss/dv, dloss/deta) for velocities v, targets truth and
+    stds eta, each (..., 3): the per-frame mean of the componentwise
+    Huber loss (corner HUBER_DELTA), summed over the axes, plus cfg.lam
+    times the Gaussian NLL core e' Sigma^-1 e + ln det Sigma,
+    Sigma = diag(eta^2). Computed in float64 whatever the dtype of v
+    and eta."""
     v, eta = np.asarray(v, dtype=float), np.asarray(eta, dtype=float)
     n_frames = int(np.prod(v.shape[:-1]))
     e = v - truth
     a = np.abs(e)
-    quad = a <= cfg.delta
-    huber = np.where(quad, 0.5 * e * e, cfg.delta * (a - 0.5 * cfg.delta))
-    dhuber = np.where(quad, e, cfg.delta * np.sign(e))
+    quad = a <= HUBER_DELTA
+    huber = np.where(quad, 0.5 * e * e, HUBER_DELTA * (a - 0.5 * HUBER_DELTA))
+    dhuber = np.where(quad, e, HUBER_DELTA * np.sign(e))
 
     inv2 = 1.0 / (eta * eta)
     cov = e * e * inv2 + np.log(eta * eta)
@@ -562,7 +534,7 @@ def train_motion_model(
 
     def val_loss():
         v, eta = model.forward_arrays(val.imu, val.att, train=False)
-        loss, _, _ = _combined_loss_grads(v, val.v, eta, loss_cfg)
+        loss, _, _ = combined_loss(v, val.v, eta, loss_cfg)
         return loss
 
     n = len(train)
@@ -575,7 +547,7 @@ def train_motion_model(
         for start in range(0, n, train_cfg.batch_size):
             batch = train[order[start : start + train_cfg.batch_size]]
             v, eta = model.forward_arrays(batch.imu, batch.att, train=True, rng=rng)
-            loss, dv, deta = _combined_loss_grads(v, batch.v, eta, loss_cfg)
+            loss, dv, deta = combined_loss(v, batch.v, eta, loss_cfg)
             model.zero_grads()
             model.backward_arrays(dv, deta)
             opt.step(model.gradients())

@@ -221,13 +221,13 @@ def _scan(grus, xs, steps):
 
         rz (t, 2, d, b, h)   the gates, rz[:, 0] r and rz[:, 1] z
         ns (t, d, b, h)      the candidates n
-        ghn (t, d, b, h)     the n column of h W_h + b_h, which no layer
-                             keeps: Gru.backward recomputes it
         hs (t+1, d, b, h)    the states, hs[0] the zero initial one
 
-    Rows past `steps` are zero in hs and undefined in the others. Every
-    buffer, and each 0-d constant of the step, has the input's dtype. Each
-    step writes into preallocated buffers, in the operation order of
+    Rows past `steps` are zero in hs and undefined in the others. The n
+    column of h W_h + b_h lives one step in a (d, b, h) buffer, as no
+    layer keeps it: Gru.backward recomputes it. Every buffer, and each
+    0-d constant of the step, has the input's dtype. Each step writes
+    into preallocated buffers, in the operation order of
 
         gh = h W_h + b_h            (one matmul over the d directions)
         r, z = sig(gh + gi),        sig(x) = 0.5 (1 + tanh(0.5 x))
@@ -253,7 +253,6 @@ def _scan(grus, xs, steps):
         del gi  # before the next direction's projection is made
     w_h = np.stack([gru.params["w_h"] for gru in grus])  # (d, h, 3h)
     b_h = np.stack([gru.params["b_h"] for gru in grus])  # (d, 3h)
-    ghn = np.empty((t, d, b, h), dtype)
     hs = np.zeros((t + 1, d, b, h), dtype)
     gh = np.empty((d, b, 3 * h), dtype)
     gh_rz = gh[:, :, : 2 * h].reshape(d, b, 2, h).transpose(2, 0, 1, 3)  # (2, d, b, h)
@@ -261,6 +260,7 @@ def _scan(grus, xs, steps):
     b_rz = np.ascontiguousarray(b_h[:, : 2 * h].reshape(d, 1, 2, h).transpose(2, 0, 1, 3))
     b_n = np.ascontiguousarray(b_h[:, None, 2 * h :])
     s = np.empty((2, d, b, h), dtype)
+    ghn = np.empty((d, b, h), dtype)
     u = np.empty((d, b, h), dtype)
     v = np.empty((d, b, h), dtype)
     # 0-d arrays, which a ufunc takes without converting a Python float
@@ -270,23 +270,23 @@ def _scan(grus, xs, steps):
     # local names and positional outputs: numpy's per-call overhead, not
     # the arithmetic, bounds a step at small batches
     add, multiply, subtract, tanh, matmul = np.add, np.multiply, np.subtract, np.tanh, np.matmul
-    for rz_t, (r, z), n, ghn_t, h_t, h_next in zip(rz[:steps], rz, ns, ghn, hs, hs[1:]):
+    for rz_t, (r, z), n, h_t, h_next in zip(rz[:steps], rz, ns, hs, hs[1:]):
         matmul(h_t, w_h, gh)
         add(gh_rz, b_rz, s)
-        add(gh_n, b_n, ghn_t)
+        add(gh_n, b_n, ghn)
         add(s, rz_t, s)  # rz_t holds gi's r and z columns until overwritten
         multiply(half, s, s)
         tanh(s, s)
         add(one, s, s)
         multiply(half, s, rz_t)
-        multiply(r, ghn_t, u)
+        multiply(r, ghn, u)
         add(n, u, u)  # n holds gi's n column until overwritten
         tanh(u, n)
         subtract(one, z, u)
         multiply(u, n, u)
         multiply(z, h_t, v)
         add(u, v, h_next)
-    return rz, ns, ghn, hs
+    return rz, ns, hs
 
 
 class Gru(Layer):
@@ -355,7 +355,7 @@ class Gru(Layer):
         """Save for backward the input x in scan order, direction k's
         gates and candidates of the scan, and the output y this layer
         returns, which holds its states."""
-        rz, ns, _, _ = scan
+        rz, ns, _ = scan
         self._saved = (x, rz[:, :, k], ns[:, k], y)
 
     def forward(self, x, steps=None, train=True):
@@ -365,7 +365,7 @@ class Gru(Layer):
         if steps < 1:
             raise ValueError("a GRU scan needs at least one step")
         scan = _scan((self,), (x,), steps)
-        y = self._output(scan[3], 0)
+        y = self._output(scan[2], 0)
         if train and steps == t:
             self._save(x, scan, 0, y)
         return y
@@ -437,10 +437,10 @@ class BiGru(Layer):
     direction then saves its input, its own views of the scan's gates and
     candidates, and its half of the concatenated output (see Gru), which
     the next layer reads too: the states are kept once, and the scan's
-    state and n-column buffers are freed when forward returns. The
-    gate arrays are freed once both directions' time loops have read
-    them; an evaluation pass (train=False) saves none. backward adds the
-    reverse direction's input gradient into the forward one's in place.
+    state buffer is freed when forward returns. The gate arrays are
+    freed once both directions' time loops have read them; an evaluation
+    pass (train=False) saves none. backward adds the reverse direction's
+    input gradient into the forward one's in place.
 
     forward(x, tail=k) is exact on the newest k frames only: the forward
     GRU scans the whole window, the reverse one only its first k steps
@@ -461,7 +461,7 @@ class BiGru(Layer):
         grus = (self.fwd, self.bwd)
         xs = [gru._in_scan_order(x) for gru in grus]
         scan = _scan(grus, xs, x.shape[1])
-        y = np.concatenate([gru._output(scan[3], k) for k, gru in enumerate(grus)], axis=2)
+        y = np.concatenate([gru._output(scan[2], k) for k, gru in enumerate(grus)], axis=2)
         if train:
             h = self.fwd.hidden
             for k, (gru, x_k) in enumerate(zip(grus, xs)):

@@ -10,7 +10,8 @@ with g = GRAVITY:
 
 The 15-dim error state delta = (dxi, dv, dp, db_a, db_g) uses the left
 (global) perturbation on rotation, R_true = Exp(dxi) R_hat, and plain
-addition elsewhere. boxplus/boxminus realize that retraction; the
+addition elsewhere. state_boxplus realizes that retraction (its
+inverse, boxminus, is a test reference in tests/reference.py); the
 Jacobians A (15x15) and B (15x12) below are the exact derivatives of
 the retracted one-step error dynamics at delta = 0 and are validated
 against central finite differences in the tests.
@@ -54,6 +55,7 @@ import numpy as np
 from .errors import DataError, InvalidRotationError
 from .imu_model import GRAVITY, ImuWindow
 from .simulator import Trajectory
+# log_so3 is unused here, but perfbench/tracing.py patches preintegration.log_so3.
 from .so3 import _EYE3, _SMALL_ANGLE, exp_so3, hat, is_rotation, log_so3, right_jacobian, row_dots
 
 ERROR_DIM = 15
@@ -145,19 +147,6 @@ def state_boxplus(x: NavState, delta) -> NavState:
         x.p + delta[6:9],
         x.b_a + delta[9:12],
         x.b_g + delta[12:15],
-    )
-
-
-def state_boxminus(x1: NavState, x0: NavState) -> np.ndarray:
-    """Inverse retraction: the 15-vector error taking x0 to x1."""
-    return np.concatenate(
-        [
-            log_so3(x1.r @ x0.r.T),
-            x1.v - x0.v,
-            x1.p - x0.p,
-            x1.b_a - x0.b_a,
-            x1.b_g - x0.b_g,
-        ]
     )
 
 

@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import covariance_loss, huber_loss
 from test_motion_model import simulated_sequence, window_rmse
 from test_preintegration import fd_jacobians
 
@@ -43,9 +44,7 @@ from bodyframe_io.motion_model import (
     MotionNetConfig,
     OracleProvider,
     TrainConfig,
-    _combined_loss_grads,
-    covariance_loss,
-    huber_loss,
+    combined_loss,
     train_motion_model,
     velocity_windows,
 )
@@ -342,27 +341,35 @@ def test_criterion_05_filter_health(fusion_run, covariance_spy):
 
 
 def test_criterion_06_loss_unit_values():
+    """Each unit value from the references and from the training loss:
+    the Huber values are combined_loss at lambda = 0, the NLL values its
+    loss at lambda = 1 minus its loss at lambda = 0, on one frame."""
     e_small = np.array([[1e-3, 0.0, 0.0]])
     e_large = np.array([[1e-2, 0.0, 0.0]])
+    e_unit = np.array([[1.0, 0.0, 0.0]])
     zero = np.zeros((1, 3))
     ones = np.ones((1, 3))
-    h_small = huber_loss(e_small, zero)
-    h_large = huber_loss(e_large, zero)
-    c_zero = covariance_loss(zero, zero, ones)
-    c_one = covariance_loss(np.array([[1.0, 0.0, 0.0]]), zero, ones)
-    errs = (
-        abs(h_small - 5e-7),
-        abs(h_large - 3.75e-5),
-        abs(c_zero - 0.0),
-        abs(c_one - 1.0),
-    )
-    ok = max(errs) <= 1e-12
+
+    def trained(v, lam):
+        loss, _, _ = combined_loss(v, zero, ones, LossConfig(lam=lam))
+        return loss
+
+    cases = [  # (name, reference value, training-loss value, expected)
+        ("huber small", huber_loss(e_small, zero), trained(e_small, 0.0), 5e-7),
+        ("huber large", huber_loss(e_large, zero), trained(e_large, 0.0), 3.75e-5),
+        ("nll zero", covariance_loss(zero, zero, ones), trained(zero, 1.0) - trained(zero, 0.0),
+         0.0),
+        ("nll one", covariance_loss(e_unit, zero, ones),
+         trained(e_unit, 1.0) - trained(e_unit, 0.0), 1.0),
+    ]
+    dev = max(abs(value - want) for _, ref, got, want in cases for value in (ref, got))
+    ok = dev <= 1e-12
     check(
         6,
         "loss unit values",
         ok,
-        f"huber {h_small:.3e}/{h_large:.3e}, covariance {c_zero:.1e}/{c_one:.6f},"
-        f" max dev {max(errs):.1e} (<=1e-12)",
+        ", ".join(f"{name} {ref:.6g}/{got:.6g}" for name, ref, got, _ in cases)
+        + f" (reference/training loss), max dev {dev:.1e} (<=1e-12)",
     )
 
 
@@ -421,13 +428,13 @@ def gradient_check_worst():
 
     def loss():
         v, eta = model.forward_arrays(imu, att, train=False)
-        value, _, _ = _combined_loss_grads(v, truth, eta, loss_cfg)
+        value, _, _ = combined_loss(v, truth, eta, loss_cfg)
         return value
 
     model.zero_grads()
     # a training pass without a generator: no dropout, the arrays saved
     v, eta = model.forward_arrays(imu, att, train=True)
-    _, dv, deta = _combined_loss_grads(v, truth, eta, loss_cfg)
+    _, dv, deta = combined_loss(v, truth, eta, loss_cfg)
     model.backward_arrays(dv, deta)
     grads = model.gradients()
 

@@ -3,7 +3,6 @@
 import configparser
 import csv
 import hashlib
-import importlib
 import math
 import os
 import shutil
@@ -232,30 +231,13 @@ class TestStartup:
         assert "cli" in loaded
         assert not loaded & absent, sorted(loaded & absent)
 
-    def test_package_names_load_on_first_access(self):
+    def test_package_import_loads_no_submodule(self):
         code = (
             "import sys\n"
             "import bodyframe_io\n"
             "print(sorted(m for m in sys.modules if m.startswith('bodyframe_io.')))\n"
-            "bodyframe_io.ate\n"
-            "print(sorted(m for m in sys.modules if m.startswith('bodyframe_io.')))\n"
         )
-        before, after = self.fresh_python(code)
-        assert before == "[]"
-        assert after == "['bodyframe_io.errors', 'bodyframe_io.metrics', 'bodyframe_io.so3']"
-
-    def test_every_public_name_resolves(self):
-        names = dir(bodyframe_io)
-        for name in bodyframe_io.__all__:
-            assert name in names
-            value = getattr(bodyframe_io, name)
-            module = importlib.import_module("." + bodyframe_io._MODULE_OF[name], "bodyframe_io")
-            assert value is getattr(module, name)
-        with pytest.raises(AttributeError, match="no_such_name"):
-            bodyframe_io.no_such_name
-        from bodyframe_io import ekf  # a submodule still imports by name
-
-        assert bodyframe_io.ekf is ekf
+        assert self.fresh_python(code) == ["[]"]
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -377,7 +359,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("name", [
         "corrector.window_len", "motion.patience", "motion.lr_decay", "ekf.eta_bg",
         "ekf.eta_ba", "ekf.oracle_noise", "ekf.zero_eta", "eval.tau_max",
-        "eval.n_thresholds",
+        "eval.n_thresholds", "motion.delta", "motion.val_fraction",
     ])
     def test_removed_keys_exit_2(self, workdir, tmp_path, capsys, name):
         section, key = name.split(".")

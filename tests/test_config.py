@@ -61,7 +61,7 @@ class TestLoading:
         assert cfg["ekf"] == DEFAULTS["ekf"]
 
     def test_defaults_have_the_five_types(self):
-        # 33 keys, each an int, a float, a word, a float 3-vector or an int list
+        # 31 keys, each an int, a float, a word, a float 3-vector or an int list
         kinds = set()
         for kv in DEFAULTS.values():
             for default in kv.values():
@@ -72,7 +72,7 @@ class TestLoading:
                 else:
                     kinds.add(type(default))
         assert kinds == {int, float, str, (tuple, float), (tuple, int)}
-        assert sum(map(len, DEFAULTS.values())) == 33
+        assert sum(map(len, DEFAULTS.values())) == 31
 
     def test_each_value_takes_its_defaults_type(self, tmp_path):
         # a float key written as an integer is still a float, an int list of one is a tuple
@@ -86,7 +86,9 @@ class TestLoading:
         assert cfg["motion"]["imu_encoder_channels"] == (8,)
         assert cfg["simulator"]["kind"] == "Circle"  # words are checked by the builders
 
-    @pytest.mark.parametrize("name", ["ekf.bogus", "simulator.nope"])
+    # motion.delta and motion.val_fraction are constants now
+    @pytest.mark.parametrize("name", ["ekf.bogus", "simulator.nope", "motion.delta",
+                                      "motion.val_fraction"])
     def test_unknown_key_names_full_path(self, tmp_path, name):
         section, key = name.split(".")
         with pytest.raises(ConfigError, match=name):

@@ -571,7 +571,10 @@ class TestBiGruLockstep:
     def test_recomputed_n_column_equals_the_scans(self, batch, dtype):
         # backward recomputes the n column of h W_h + b_h from the states
         # the layer's output holds; for both directions it must be the bits
-        # of the scan's, in the float32 of the velocity network too
+        # of the scan's, in the float32 of the velocity network too. The
+        # scan keeps that column one step only, so the reference is made
+        # here by the scan's own call per step: the stacked matmul of the
+        # step-start states by the stacked W_h, plus b_h's n part
         rng = np.random.default_rng(60 + batch)
         h, t = 32, 30
         big = self.make(rng, 5, h)
@@ -579,10 +582,14 @@ class TestBiGruLockstep:
         x = rng.standard_normal((batch, t, 5)).astype(dtype)
         y = big.forward(x)
         grus = (big.fwd, big.bwd)
-        _, _, ghn, _ = _scan(grus, [gru._in_scan_order(x) for gru in grus], t)
+        _, _, hs = _scan(grus, [gru._in_scan_order(x) for gru in grus], t)
+        w_h = np.stack([gru.params["w_h"] for gru in grus])  # (2, h, 3h)
+        b_n = np.stack([gru.params["b_h"][2 * h :] for gru in grus])[:, None]  # (2, 1, h)
+        ghn = np.stack([np.matmul(hs[i], w_h)[:, :, 2 * h :] + b_n for i in range(t)])
         for k, gru in enumerate(grus):
-            hs = gru._step_states(y[:, :, k * h : (k + 1) * h])
-            assert np.array_equal(gru._n_column(hs), ghn[:, k]), gru.reverse
+            states = gru._step_states(y[:, :, k * h : (k + 1) * h])
+            assert np.array_equal(states, hs[:-1, k]), gru.reverse
+            assert np.array_equal(gru._n_column(states), ghn[:, k]), gru.reverse
 
     def test_kept_for_backward_no_more_than_two_lone_scans(self):
         # x, per direction rz (t, b, 2h) and ns (t, b, h), and the states

