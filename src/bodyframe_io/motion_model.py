@@ -517,7 +517,9 @@ def train_motion_model(
     Adam with PlateauScheduler's schedule on the validation loss;
     returns the best-validation checkpoint, the weights of the epoch
     with the lowest loss that is not NaN, and a history dict with
-    per-epoch train loss, validation loss, and learning rate. Raises
+    per-epoch train loss, validation loss, and learning rate. The
+    validation loss is the per-frame mean over the validation windows,
+    computed train_cfg.batch_size windows at a time. Raises
     NumericalError when no epoch's validation loss is finite.
     Deterministic for a fixed seed (one worker, seeded shuffle and
     dropout).
@@ -533,9 +535,19 @@ def train_motion_model(
     rng = np.random.default_rng(train_cfg.seed)
 
     def val_loss():
-        v, eta = model.forward_arrays(val.imu, val.att, train=False)
-        loss, _, _ = combined_loss(v, val.v, eta, loss_cfg)
-        return loss
+        # at most batch_size windows per pass, so that validation holds no
+        # more than a training step; the chunks' losses, per-frame means,
+        # are combined as the mean over all frames. A set of one batch or
+        # less is one pass: the loss the whole set gives, to the bit
+        loss = 0.0
+        for start in range(0, len(val), train_cfg.batch_size):
+            chunk = val[start : start + train_cfg.batch_size]
+            v, eta = model.forward_arrays(chunk.imu, chunk.att, train=False)
+            chunk_loss, _, _ = combined_loss(v, chunk.v, eta, loss_cfg)
+            if len(chunk) == len(val):
+                return chunk_loss
+            loss += chunk_loss * len(chunk)
+        return loss / len(val)
 
     n = len(train)
     history = {"train_loss": [], "val_loss": [], "lr": []}

@@ -20,8 +20,7 @@ arrays from its forward to its backward only. What each layer saves:
     Conv1d    its zero-padded input
     Gelu      its derivative at the input, one array
     Dropout   which units it kept, as booleans
-    Gru       its input, views of the scan's gates and candidates, and
-              its output, which holds its states (see Gru)
+    Gru       its input and its output, which holds its states (see Gru)
 
 Sequence tensors are (batch, time, channels). A layer computes in the
 dtype of its parameters and of its input, which agree: every buffer it
@@ -224,9 +223,11 @@ def _scan(grus, xs, steps):
         hs (t+1, d, b, h)    the states, hs[0] the zero initial one
 
     Rows past `steps` are zero in hs and undefined in the others. The n
-    column of h W_h + b_h lives one step in a (d, b, h) buffer, as no
-    layer keeps it: Gru.backward recomputes it. Every buffer, and each
-    0-d constant of the step, has the input's dtype. Each step writes
+    column of h W_h + b_h lives one step in a (d, b, h) buffer. No layer
+    keeps rz, ns or that column: Gru.backward rebuilds them from the
+    input and the states, to the bit (Gru._rebuild), so they are freed
+    when the layer's forward returns. Every buffer, and each 0-d
+    constant of the step, has the input's dtype. Each step writes
     into preallocated buffers, in the operation order of
 
         gh = h W_h + b_h            (one matmul over the d directions)
@@ -304,13 +305,13 @@ class Gru(Layer):
 
     forward runs the recurrence through _scan with one direction, the
     same scan that BiGru runs both its directions through at once. A
-    training forward saves for backward the input x (a reversed view
-    when reverse), views of the scan's gates rz (t, 2, b, h), r then z,
-    and candidates ns (t, b, h), and the output y (b, t, h) it returns,
-    a view of the scan's states. Nothing else outlives forward: not the
-    input projection, nor any column of h W_h + b_h. backward takes
-    these from the layer, so they live from the forward to the backward
-    only; an evaluation forward (train=False) saves none of them.
+    training forward saves for backward only the input x (a reversed
+    view when reverse) and the output y (b, t, h) it returns, a view of
+    the scan's states. Nothing else outlives forward: not the input
+    projection, the gates, the candidates, nor any column of
+    h W_h + b_h. backward takes x and y from the layer, so they live
+    from the forward to the backward only; an evaluation forward
+    (train=False) saves neither.
 
     forward(x, steps=k) runs only the first k steps of the scan: the
     first k frames, or the last k when reversed. The input projection
@@ -319,14 +320,20 @@ class Gru(Layer):
     Such a partial scan saves nothing, so backward raises after it.
 
     backward first reads the step-start states back from y, in scan
-    order, into one (t, b, h) array, and recomputes the n column of
-    h W_h + b_h that the loop reads from them (_n_column), to the bit the
-    scan's. Its time loop carries only the dh recursion. It stores each
-    step's dgi and the n column of dgh, and the weight and bias gradients
-    are summed from them once over all batch*time rows by BLAS. The
-    gates, candidates and n column are dropped when the loop ends, before
-    those sums.
+    order, into one (t, b, h) array. It then rebuilds the gates r and
+    z, the candidates n and the n column of h W_h + b_h for the whole
+    window from x and those states (_rebuild), with the scan's own
+    operations, so every value is the bit of the scan's. Its time loop
+    carries only the dh recursion, newest step first, and writes each
+    step's dgi and the n column of dgh over what that step has read;
+    the weight and bias gradients are then summed from them once over
+    all batch*time rows by BLAS, each sum freeing what no later one
+    reads. A backward thus allocates, beyond what it returns, about six
+    (t, b, h) arrays of its own dtype (see _rebuild), and only one
+    direction's at a time.
     """
+
+    REBUILD_ROWS = 512  # about the state rows backward rebuilds at a time (see _rebuild)
 
     def __init__(self, cin, hidden, rng, reverse=False):
         super().__init__()
@@ -351,23 +358,16 @@ class Gru(Layer):
         out = hs[1:, k].transpose(1, 0, 2)
         return out[:, ::-1] if self.reverse else out
 
-    def _save(self, x, scan, k, y):
-        """Save for backward the input x in scan order, direction k's
-        gates and candidates of the scan, and the output y this layer
-        returns, which holds its states."""
-        rz, ns, _ = scan
-        self._saved = (x, rz[:, :, k], ns[:, k], y)
-
     def forward(self, x, steps=None, train=True):
         x = self._in_scan_order(x)
         t = x.shape[1]
         steps = t if steps is None else min(steps, t)
         if steps < 1:
             raise ValueError("a GRU scan needs at least one step")
-        scan = _scan((self,), (x,), steps)
-        y = self._output(scan[2], 0)
+        _, _, hs = _scan((self,), (x,), steps)
+        y = self._output(hs, 0)
         if train and steps == t:
-            self._save(x, scan, 0, y)
+            self._saved = (x, y)
         return y
 
     def _step_states(self, y):
@@ -381,50 +381,110 @@ class Gru(Layer):
         hs[1:] = y[:, :-1].transpose(1, 0, 2)
         return hs
 
-    def _n_column(self, hs):
-        """The n column of hs W_h + b_h for step-start states hs (t, b, h),
-        to the bit the scan's: the stacked matmul multiplies each step's
-        (b, h) states by the whole (h, 3h) W_h, the BLAS call the scan
-        makes, and b_h's n part is added to the product's n column."""
+    def _rebuild(self, x, hs):
+        """The gates, candidates and n column of h W_h + b_h of the scan
+        whose input was x (b, t, cin), in scan order, and whose step-start
+        states are hs (t, b, h), to the bit the scan's. Returns
+
+            gi (b, t, 3h)   r, z and n, in the columns of x W_i + b_i
+            ghn (t, b, h)   the n column of hs W_h + b_h
+
+        gi is made as the scan makes it, x W_i then + b_i, and each
+        column is overwritten by its gate or candidate. The rest is made
+        for k = REBUILD_ROWS // b steps at a time (at least one), which
+        keeps its temporaries small: a stacked matmul multiplies each
+        step's (b, h) states by the whole (h, 3h) W_h, the BLAS call the
+        scan makes, and the scan's elementwise operations follow in its
+        order, on all of those steps at once.
+        """
         h = self.hidden
-        return np.matmul(hs, self.params["w_h"])[:, :, 2 * h :] + self.params["b_h"][2 * h :]
+        w_h, b_h = self.params["w_h"], self.params["b_h"]
+        half, one = np.array(0.5, hs.dtype), np.array(1.0, hs.dtype)
+        gi = x @ self.params["w_i"]
+        gi += self.params["b_i"]
+        ghn = np.empty_like(hs)
+        t, b, _ = hs.shape
+        k = max(1, self.REBUILD_ROWS // b)
+        for start in range(0, t, k):
+            steps = slice(start, start + k)
+            gh = np.matmul(hs[steps], w_h)  # (k, b, 3h)
+            gh += b_h
+            g = gi[:, steps].transpose(1, 0, 2)  # (k, b, 3h), a view of gi
+            s = np.add(gh[:, :, : 2 * h], g[:, :, : 2 * h])
+            np.multiply(half, s, s)
+            np.tanh(s, s)
+            np.add(one, s, s)
+            np.multiply(half, s, g[:, :, : 2 * h])
+            ghn[steps] = gh[:, :, 2 * h :]
+            g[:, :, 2 * h :] += g[:, :, :h] * ghn[steps]
+            np.tanh(g[:, :, 2 * h :], g[:, :, 2 * h :])
+        return gi, ghn
 
     def backward(self, dy):
-        x, rz, ns, y = self._take()
+        x, y = self._take()
         hs = self._step_states(y)
         del y  # hs holds all that backward reads of the output
-        ghn = self._n_column(hs)
-        if self.reverse:
-            dy = dy[:, ::-1]
         b, t, cin = x.shape
         h = self.hidden
-        w_h = self.params["w_h"]
-        dgi = np.empty((b, t, 3 * h), hs.dtype)
-        dghn = np.empty((t, b, h), hs.dtype)
+        # gi's columns become dgi's as the loop reaches each step, after
+        # it has read them; n's becomes 1 - n^2 once h - n is made from
+        # it, and ghn's becomes dgh's n column
+        dgi, dghn = self._rebuild(x, hs)
+        r, z, n = dgi[:, :, :h], dgi[:, :, h : 2 * h], dgi[:, :, 2 * h :]
+        hmn = hs - n.transpose(1, 0, 2)
+        one = np.array(1.0, hs.dtype)
+        np.multiply(n, n, n)
+        np.subtract(one, n, n)
+        if self.reverse:
+            dy = dy[:, ::-1]
+        w_ht = self.params["w_h"].T
         dh = np.zeros((b, h), hs.dtype)
-        for step in range(t - 1, -1, -1):
-            dh = dh + dy[:, step]
-            (r, z), n = rz[step], ns[step]
-            omz = 1.0 - z
-            dn_pre = dh * omz * (1.0 - n * n)
-            dgh = np.concatenate(
-                [dn_pre * ghn[step] * r * (1.0 - r), dh * (hs[step] - n) * z * omz, dn_pre * r],
-                axis=1,
-            )
-            dgi[:, step, : 2 * h] = dgh[:, : 2 * h]
-            dgi[:, step, 2 * h :] = dn_pre
-            dghn[step] = dgh[:, 2 * h :]
-            dh = dh * z + dgh @ w_h.T
-        del rz, ns, ghn, r, z, n  # only x and hs are read from here on
-        rows = dgi.reshape(-1, 3 * h)  # (b*t, 3h)
-        self.grads["w_i"] += x.reshape(-1, cin).T @ rows
-        self.grads["b_i"] += rows.sum(axis=0)
-        h_rows = hs.transpose(1, 0, 2).reshape(-1, h)  # step-start states, as rows
-        self.grads["w_h"][:, : 2 * h] += h_rows.T @ rows[:, : 2 * h]
-        self.grads["b_h"][: 2 * h] += rows[:, : 2 * h].sum(axis=0)
+        dgh = np.empty((b, 3 * h), hs.dtype)
+        dgh_rz, dgh_n = dgh[:, : 2 * h], dgh[:, 2 * h :]
+        dgh_r, dgh_z = dgh[:, :h], dgh[:, h : 2 * h]
+        om = np.empty((b, 2 * h), hs.dtype)  # 1 - r, then 1 - z
+        omz = om[:, h:]
+        dh_omz, dh_w = np.empty((b, h), hs.dtype), np.empty((b, h), hs.dtype)
+        add, multiply, subtract, matmul = np.add, np.multiply, np.subtract, np.matmul
+        # each step, newest first, adds dy to dh and computes, every
+        # product from the left,
+        #     dn = dh (1 - z) (1 - n^2)
+        #     dgh = [dn ghn r (1 - r), dh (h - n) z (1 - z), dn r]
+        #     dgi = [dgh_r, dgh_z, dn],  dh' = dh z + dgh W_h^T
+        # into preallocated buffers, the r and z columns in one call each
+        per_step = [a.transpose(1, 0, 2)[::-1] for a in (dy, dgi, r, z, n)]
+        per_step += [dghn[::-1], hmn[::-1]]
+        for dy_t, dgi_t, r_t, z_t, n_t, dghn_t, hmn_t in zip(*per_step):
+            rz_t = dgi_t[:, : 2 * h]
+            add(dh, dy_t, dh)
+            subtract(one, rz_t, om)
+            multiply(dh, omz, dh_omz)
+            multiply(dh_omz, n_t, n_t)  # dn, in n's place in dgi
+            multiply(n_t, dghn_t, dgh_r)
+            multiply(dh, hmn_t, dgh_z)
+            multiply(dgh_rz, rz_t, dgh_rz)
+            multiply(dgh_rz, om, dgh_rz)
+            multiply(n_t, r_t, dgh_n)
+            multiply(dh, z_t, dh)  # the last read of this step's gates
+            rz_t[...] = dgh_rz
+            dghn_t[...] = dgh_n
+            matmul(dgh, w_ht, dh_w)
+            add(dh, dh_w, dh)
+        # each sum frees what no later one reads
+        del per_step, hmn, r, z, n, dgi_t, r_t, z_t, n_t, rz_t, dghn_t, hmn_t
         dghn_rows = dghn.reshape(-1, h)  # (t*b, h): dgh's n column, t-major
         self.grads["w_h"][:, 2 * h :] += hs.reshape(-1, h).T @ dghn_rows
         self.grads["b_h"][2 * h :] += dghn_rows.sum(axis=0)
+        del dghn, dghn_rows
+        rows = dgi.reshape(-1, 3 * h)  # (b*t, 3h)
+        h_rows = hs.transpose(1, 0, 2).reshape(-1, h)  # step-start states, as rows
+        del hs
+        self.grads["w_h"][:, : 2 * h] += h_rows.T @ rows[:, : 2 * h]
+        self.grads["b_h"][: 2 * h] += rows[:, : 2 * h].sum(axis=0)
+        del h_rows
+        self.grads["w_i"] += x.reshape(-1, cin).T @ rows
+        self.grads["b_i"] += rows.sum(axis=0)
+        del x  # freed before dx is made, when no other layer holds it
         dx = dgi @ self.params["w_i"].T
         return dx[:, ::-1] if self.reverse else dx
 
@@ -434,13 +494,13 @@ class BiGru(Layer):
 
     A full forward pass runs both directions through one _scan, their
     weights stacked: one time loop of t steps, not two. In training each
-    direction then saves its input, its own views of the scan's gates and
-    candidates, and its half of the concatenated output (see Gru), which
-    the next layer reads too: the states are kept once, and the scan's
-    state buffer is freed when forward returns. The gate arrays are
-    freed once both directions' time loops have read them; an evaluation
-    pass (train=False) saves none. backward adds the reverse direction's
-    input gradient into the forward one's in place.
+    direction then saves only its input and its half of the concatenated
+    output (see Gru), which the next layer reads too: the states are kept
+    once, and the scan's gate, candidate and state buffers are freed when
+    forward returns. An evaluation pass (train=False) saves nothing.
+    backward runs the reverse direction, then the forward one, each
+    rebuilding its own gates, and adds the reverse direction's input
+    gradient into the forward one's in place.
 
     forward(x, tail=k) is exact on the newest k frames only: the forward
     GRU scans the whole window, the reverse one only its first k steps
@@ -465,7 +525,7 @@ class BiGru(Layer):
         if train:
             h = self.fwd.hidden
             for k, (gru, x_k) in enumerate(zip(grus, xs)):
-                gru._save(x_k, scan, k, y[:, :, k * h : (k + 1) * h])
+                gru._saved = (x_k, y[:, :, k * h : (k + 1) * h])
         return y
 
     def backward(self, dy):

@@ -8,6 +8,9 @@ way, and each is compared with that production code in the tests:
     state_boxminus                the inverse of preintegration.state_boxplus,
                                   read by the finite-difference Jacobians
                                   of tests/test_preintegration.py
+    gru_backward                  nn.Gru.backward from gates and
+                                  candidates kept by the scan, not
+                                  rebuilt from its states
 """
 
 import numpy as np
@@ -48,3 +51,47 @@ def state_boxminus(x1: NavState, x0: NavState) -> np.ndarray:
             x1.b_g - x0.b_g,
         ]
     )
+
+
+def gru_backward(gru, x, rz, ns, y, dy):
+    """nn.Gru.backward for a direction whose scan kept its gates rz
+    (t, 2, b, h), r then z, and candidates ns (t, b, h): x is the input in
+    scan order and y the output. Each step computes its gate gradients
+    from the kept arrays by whole-array expressions; the n column of
+    h W_h + b_h is made from the states read back from y by the stacked
+    matmul the scan's BLAS call per step equals. Accumulates into
+    gru.grads and returns dx, as Gru.backward does."""
+    hs = gru._step_states(y)
+    h = gru.hidden
+    w_h = gru.params["w_h"]
+    ghn = np.matmul(hs, w_h)[:, :, 2 * h :] + gru.params["b_h"][2 * h :]
+    if gru.reverse:
+        dy = dy[:, ::-1]
+    b, t, cin = x.shape
+    dgi = np.empty((b, t, 3 * h), hs.dtype)
+    dghn = np.empty((t, b, h), hs.dtype)
+    dh = np.zeros((b, h), hs.dtype)
+    for step in range(t - 1, -1, -1):
+        dh = dh + dy[:, step]
+        (r, z), n = rz[step], ns[step]
+        omz = 1.0 - z
+        dn_pre = dh * omz * (1.0 - n * n)
+        dgh = np.concatenate(
+            [dn_pre * ghn[step] * r * (1.0 - r), dh * (hs[step] - n) * z * omz, dn_pre * r],
+            axis=1,
+        )
+        dgi[:, step, : 2 * h] = dgh[:, : 2 * h]
+        dgi[:, step, 2 * h :] = dn_pre
+        dghn[step] = dgh[:, 2 * h :]
+        dh = dh * z + dgh @ w_h.T
+    rows = dgi.reshape(-1, 3 * h)  # (b*t, 3h)
+    gru.grads["w_i"] += x.reshape(-1, cin).T @ rows
+    gru.grads["b_i"] += rows.sum(axis=0)
+    h_rows = hs.transpose(1, 0, 2).reshape(-1, h)  # step-start states, as rows
+    gru.grads["w_h"][:, : 2 * h] += h_rows.T @ rows[:, : 2 * h]
+    gru.grads["b_h"][: 2 * h] += rows[:, : 2 * h].sum(axis=0)
+    dghn_rows = dghn.reshape(-1, h)  # (t*b, h): dgh's n column, t-major
+    gru.grads["w_h"][:, 2 * h :] += hs.reshape(-1, h).T @ dghn_rows
+    gru.grads["b_h"][2 * h :] += dghn_rows.sum(axis=0)
+    dx = dgi @ gru.params["w_i"].T
+    return dx[:, ::-1] if gru.reverse else dx

@@ -526,41 +526,64 @@ class TestSavedArrays:
         assert held_arrays(model) == []
 
     @staticmethod
-    def memory_of_one_training_step(model):
+    def memory_of_one_training_step(model, batch=16):
         """(held after forward, held after backward, backward's peak) in
-        bytes, for a batch of 16 windows of 200 frames."""
+        bytes, for a batch of windows of 200 frames."""
         model.zero_grads()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            dv, deta = training_batch(model, 16, 200)
+            dv, deta = training_batch(model, batch, 200)
             held_forward = tracemalloc.get_traced_memory()[0] - base
             tracemalloc.reset_peak()
             dx = model.backward_arrays(dv, deta)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert dx.shape == (16, 200, 6)
+        assert dx.shape == (batch, 200, 6)
         return held_forward, held - base, peak - base
+
+    @staticmethod
+    def one_rebuild(model, batch):
+        """The bytes one GRU direction's backward allocates for the whole
+        window: its states, its input projection whose columns become the
+        gates and then dgi, the n column of h W_h + b_h and h - n."""
+        h = model.config.latent_dim // 2
+        return 6 * 200 * batch * h * np.dtype(np.float32).itemsize
 
     def test_memory_held_through_one_training_step(self):
         # batch 16 and window 200, the benchmark's training step. A
         # backward that kept every saved array to its end would still
         # hold all of what forward left, and peak about 28% above it;
         # freeing each layer's arrays as its backward finishes peaks
-        # about 12% above (12.6 MiB held after forward, 14.1 MiB peak).
+        # about 10% above (7.9 MiB held after forward, 8.8 MiB peak).
         # The float32 network holds about half of what its float64 copy
-        # does (24.9 MiB). The absolute bound holds only while each GRU
-        # layer keeps its states once, in its output, and no column of
-        # h W_h + b_h (a second copy of the states and the n column held
-        # 15.0 MiB).
+        # does (15.5 MiB). The absolute bound holds only while each GRU
+        # direction keeps only its input and its output, which holds its
+        # states (the gates and candidates too held 12.6 MiB), and the
+        # peak's only while backward rebuilds them for one direction at
+        # a time, and frees what it no longer reads as it goes (14.1 MiB
+        # peak when they were kept)
         model = MotionNet(MotionNetConfig())
         held_forward, held, peak = self.memory_of_one_training_step(model)
         held_forward_64, _, _ = self.memory_of_one_training_step(float64_copy(model))
         assert held_forward <= 0.55 * held_forward_64
         assert held < 0.05 * held_forward
         assert peak < 1.2 * held_forward
-        assert held_forward < 13.5 * 2**20
+        assert peak - held_forward <= self.one_rebuild(model, 16)
+        assert held_forward < 8.5 * 2**20
+
+    def test_memory_held_through_one_training_step_at_batch_128(self):
+        # the default batch: 63.5 MiB held after forward and 69.3 MiB peak
+        # in backward (101.0 and 112.9 MiB when each GRU direction kept
+        # its gates and candidates)
+        model = MotionNet(MotionNetConfig())
+        held_forward, held, peak = self.memory_of_one_training_step(model, batch=128)
+        assert held < 0.05 * held_forward
+        assert peak < 1.2 * held_forward
+        assert peak - held_forward <= self.one_rebuild(model, 128)
+        assert held_forward < 68 * 2**20
+        assert peak < 75 * 2**20
 
     def test_training_step_stays_in_float32(self):
         # every array a training step saves, returns or updates is
@@ -624,6 +647,33 @@ class TestTraining:
         assert set(p1) == set(p2)
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
+
+    def test_validation_in_batches_equals_one_pass(self):
+        # the validation loss runs at most batch_size windows per pass and
+        # combines the chunks' losses as the mean over all frames: within
+        # 1e-12 relative of one pass over the whole set (the sums run in
+        # another order), and a set of one batch is that one pass to the bit.
+        # Every chunk holds two windows or more: a pass over one window may
+        # differ from a wider one in the last float32 bit of a row, as BLAS
+        # takes another path for a single row
+        rng = np.random.default_rng(8)
+
+        def windows(n):
+            return WindowSet(RepresentationKind.BODY_PLUS_ATTITUDE, rng.standard_normal((n, 8, 6)),
+                             rng.standard_normal((n, 8, 3)), 0.3 * rng.standard_normal((n, 8, 3)))
+
+        train, val = windows(4), windows(8)
+        for batch_size in (3, 8):
+            model, history = train_motion_model(
+                train, val, TINY, train_cfg=TrainConfig(epochs=1, batch_size=batch_size, seed=0)
+            )
+            v, eta = model.forward_arrays(val.imu, val.att)
+            one_pass, _, _ = combined_loss(v, val.v, eta, LossConfig())
+            (chunked,) = history["val_loss"]
+            if batch_size < len(val):
+                assert abs(chunked - one_pass) <= 1e-12 * abs(one_pass)
+            else:
+                assert chunked == one_pass
 
     def test_representation_mismatch_rejected(self, tiny_set):
         body = WindowSet(RepresentationKind.BODY, tiny_set.imu, None, tiny_set.v)

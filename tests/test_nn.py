@@ -8,6 +8,7 @@ so rtol 1e-6 is a comfortable but honest gate.
 
 import numpy as np
 import pytest
+from reference import gru_backward
 
 from bodyframe_io.nn import (
     _GELU_C,
@@ -277,9 +278,9 @@ def sigmoid(x):
 
 def reference_gru(params, hidden, reverse, x, dy):
     """The per-step GRU loop that accumulated every weight gradient inside
-    the time loop (and w_i by einsum); returns (y, dx, grads, cache), the
-    cache holding the forward loop's gates, candidates and states laid
-    out as Gru saves them."""
+    the time loop (and w_i by einsum); returns (y, dx, grads, states),
+    the states (t+1, b, h) of the forward loop in scan order, the zero
+    initial one first."""
     w_i, w_h = params["w_i"], params["w_h"]
     if reverse:
         x = x[:, ::-1]
@@ -304,12 +305,7 @@ def reference_gru(params, hidden, reverse, x, dy):
         cache_n[step], cache_ghn[step] = n, ghn
     out = hs.transpose(1, 0, 2)
     y = out[:, ::-1] if reverse else out
-    cache = {
-        "rz": np.stack([cache_r, cache_z], axis=1),  # (t, 2, b, h) as Gru saves it
-        "ns": cache_n,
-        "ghn": cache_ghn,
-        "hs": np.concatenate([np.zeros((1, b, h)), hs]),
-    }
+    states = np.concatenate([np.zeros((1, b, h)), hs])
 
     if reverse:
         dy = dy[:, ::-1]
@@ -345,7 +341,7 @@ def reference_gru(params, hidden, reverse, x, dy):
         "w_h": dw_h,
         "b_h": db_h,
     }
-    return y, (dx[:, ::-1] if reverse else dx), grads, cache
+    return y, (dx[:, ::-1] if reverse else dx), grads, states
 
 
 class TestGru:
@@ -508,31 +504,17 @@ class TestBiGruLockstep:
         y = big.forward(x)
         assert np.array_equal(y, np.concatenate([ref[0] for ref in refs], axis=2))
         for gru, ref in zip(grus, refs):
-            _, rz, ns, out = gru._saved
-            for name, got in (("rz", rz), ("ns", ns)):
-                assert np.array_equal(got, ref[3][name]), name
-            # the states are read back from the output, and the n column of
-            # h W_h + b_h is recomputed from them
+            x_k, out = gru._saved
+            assert np.array_equal(x_k, x[:, ::-1] if gru.reverse else x)
+            # the states are read back from the output
             assert np.array_equal(out, ref[0])
-            hs = gru._step_states(out)
-            assert np.array_equal(hs, ref[3]["hs"][:-1])
-            assert np.array_equal(gru._n_column(hs), ref[3]["ghn"])
+            assert np.array_equal(gru._step_states(out), ref[3][:-1])
 
-        # backward from the lockstep caches equals backward from lone
-        # directions whose caches the reference loop filled
+        # backward equals a backward from the kept gates and candidates
+        # (test_backward_equals_backward_from_kept_gates); its dx is the
+        # reference for the tail passes below
         big.zero_grads()
         dx = big.backward(dy)
-        lone_dx = []
-        for gru, ref, d in zip(grus, refs, halves):
-            lone = Gru(5, h, rng, reverse=gru.reverse)
-            lone.params = {k: p.copy() for k, p in gru.params.items()}
-            lone.zero_grads()
-            c = ref[3]
-            lone._saved = (x[:, ::-1] if gru.reverse else x, c["rz"], c["ns"], ref[0])
-            lone_dx.append(lone.backward(d))
-            for k in gru.params:
-                assert np.array_equal(gru.grads[k], lone.grads[k]), k
-        assert np.array_equal(dx, lone_dx[0] + lone_dx[1])
 
         # tail passes: the newest rows equal the full pass's; a pass that
         # scans fewer than t reverse steps leaves no backward, and one that
@@ -568,42 +550,94 @@ class TestBiGruLockstep:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("batch", [1, 6, 16])
-    def test_recomputed_n_column_equals_the_scans(self, batch, dtype):
-        # backward recomputes the n column of h W_h + b_h from the states
-        # the layer's output holds; for both directions it must be the bits
-        # of the scan's, in the float32 of the velocity network too. The
-        # scan keeps that column one step only, so the reference is made
-        # here by the scan's own call per step: the stacked matmul of the
-        # step-start states by the stacked W_h, plus b_h's n part
+    def test_rebuilt_gates_equal_the_scans(self, batch, dtype):
+        # backward rebuilds r, z, n and the n column of h W_h + b_h from the
+        # input and the states the layer's output holds; for both
+        # directions they must be the bits of the scan's, in the float32 of
+        # the velocity network too. The scan keeps that n column one step
+        # only, so its reference is made here by the scan's own call per
+        # step: the stacked matmul of the step-start states by the stacked
+        # W_h, plus b_h's n part. At 200 steps the rebuild runs in several
+        # blocks of steps for batches 6 and 16, the last one partial
         rng = np.random.default_rng(60 + batch)
-        h, t = 32, 30
+        h, t = 32, 200
         big = self.make(rng, 5, h)
         big.cast(dtype)
         x = rng.standard_normal((batch, t, 5)).astype(dtype)
         y = big.forward(x)
         grus = (big.fwd, big.bwd)
-        _, _, hs = _scan(grus, [gru._in_scan_order(x) for gru in grus], t)
+        rz, ns, hs = _scan(grus, [gru._in_scan_order(x) for gru in grus], t)
         w_h = np.stack([gru.params["w_h"] for gru in grus])  # (2, h, 3h)
         b_n = np.stack([gru.params["b_h"][2 * h :] for gru in grus])[:, None]  # (2, 1, h)
         ghn = np.stack([np.matmul(hs[i], w_h)[:, :, 2 * h :] + b_n for i in range(t)])
         for k, gru in enumerate(grus):
             states = gru._step_states(y[:, :, k * h : (k + 1) * h])
             assert np.array_equal(states, hs[:-1, k]), gru.reverse
-            assert np.array_equal(gru._n_column(states), ghn[:, k]), gru.reverse
+            gi, gh_n = gru._rebuild(gru._in_scan_order(x), states)
+            gi = gi.transpose(1, 0, 2)  # (t, b, 3h), as the scan's buffers
+            rebuilt = {
+                "r": (gi[:, :, :h], rz[:, 0, k]),
+                "z": (gi[:, :, h : 2 * h], rz[:, 1, k]),
+                "n": (gi[:, :, 2 * h :], ns[:, k]),
+                "n column": (gh_n, ghn[:, k]),
+            }
+            for name, (got, scan) in rebuilt.items():
+                assert got.dtype == dtype, name
+                assert np.array_equal(got, scan), (name, gru.reverse)
+
+    @pytest.mark.parametrize("t", [30, 200])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 6, 16])
+    def test_backward_equals_backward_from_kept_gates(self, batch, dtype, t):
+        # the rebuilt gates give the gradients and dx of a backward that
+        # reads the gates and candidates the scan kept, to the bit: for
+        # each direction alone and for both through BiGru
+        rng = np.random.default_rng(70 + batch + t)
+        h = 32
+        big = self.make(rng, 5, h)
+        big.cast(dtype)
+        x = rng.standard_normal((batch, t, 5)).astype(dtype)
+        dy = rng.standard_normal((batch, t, 2 * h)).astype(dtype)
+        grus = (big.fwd, big.bwd)
+        xs = [gru._in_scan_order(x) for gru in grus]
+        rz, ns, _ = _scan(grus, xs, t)
+        y = big.forward(x)
+        big.zero_grads()
+        dx = big.backward(dy)
+        ref_dx = []
+        for k, gru in enumerate(grus):
+            lone, ref = Gru(5, h, None, gru.reverse), Gru(5, h, None, gru.reverse)
+            for layer in (lone, ref):
+                layer.params = {name: p.copy() for name, p in gru.params.items()}
+                layer.zero_grads()
+            half = slice(k * h, (k + 1) * h)
+            ref_dx.append(
+                gru_backward(ref, xs[k], rz[:, :, k], ns[:, k], y[:, :, half], dy[:, :, half])
+            )
+            lone.forward(x)
+            lone_dx = lone.backward(dy[:, :, half])
+            assert lone_dx.dtype == dtype
+            assert np.array_equal(lone_dx, ref_dx[-1]), gru.reverse
+            for name in gru.params:
+                assert np.array_equal(lone.grads[name], ref.grads[name]), (name, gru.reverse)
+                assert np.array_equal(gru.grads[name], ref.grads[name]), (name, gru.reverse)
+        assert np.array_equal(dx, ref_dx[0] + ref_dx[1])
 
     def test_kept_for_backward_no_more_than_two_lone_scans(self):
-        # x, per direction rz (t, b, 2h) and ns (t, b, h), and the states
-        # once, as the output (b, t, 2h) the layer returns: no projection,
-        # no column of h W_h and no second copy of the states
+        # each direction keeps its input, in scan order, and its half of
+        # the output (b, t, 2h) the layer returns, which holds its states:
+        # no projection, no gate, candidate or column of h W_h, and no
+        # second copy of the states
         rng = np.random.default_rng(45)
         b, t, h = 4, 30, 8
         big = self.make(rng, 5, h)
         x = rng.standard_normal((b, t, 5))
         y = big.forward(x)
-        kept = {id(owner(a)): owner(a) for g in (big.fwd, big.bwd) for a in g._saved}
-        per_direction = (t * b * 2 * h + t * b * h) * 8
-        assert sum(a.nbytes for a in kept.values()) <= x.nbytes + 2 * per_direction + y.nbytes
-        assert any(a is owner(y) for a in kept.values())  # the states are the output's
+        for k, gru in enumerate((big.fwd, big.bwd)):
+            x_k, out = gru._saved
+            assert owner(x_k) is owner(x) and owner(out) is owner(y)
+            assert np.array_equal(x_k, gru._in_scan_order(x))
+            assert np.array_equal(out, y[:, :, k * h : (k + 1) * h])
 
 
 def check_bigru(rng, batch, steps):
