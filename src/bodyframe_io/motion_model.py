@@ -519,7 +519,8 @@ def train_motion_model(
     with the lowest loss that is not NaN, and a history dict with
     per-epoch train loss, validation loss, and learning rate. The
     validation loss is the per-frame mean over the validation windows,
-    computed train_cfg.batch_size windows at a time. Raises
+    computed train_cfg.batch_size windows at a time; a last window that
+    would be alone joins the chunk before it. Raises
     NumericalError when no epoch's validation loss is finite.
     Deterministic for a fixed seed (one worker, seeded shuffle and
     dropout).
@@ -538,15 +539,22 @@ def train_motion_model(
         # at most batch_size windows per pass, so that validation holds no
         # more than a training step; the chunks' losses, per-frame means,
         # are combined as the mean over all frames. A set of one batch or
-        # less is one pass: the loss the whole set gives, to the bit
-        loss = 0.0
-        for start in range(0, len(val), train_cfg.batch_size):
-            chunk = val[start : start + train_cfg.batch_size]
+        # less is one pass: the loss the whole set gives, to the bit. A
+        # last window that would be alone joins the chunk before it: a
+        # pass over one window can differ from a wider pass in the last
+        # float32 bit of a row, as BLAS takes another path for one row
+        stops = list(range(train_cfg.batch_size, len(val), train_cfg.batch_size))
+        if stops and stops[-1] == len(val) - 1:
+            stops.pop()
+        loss, start = 0.0, 0
+        for stop in stops + [len(val)]:
+            chunk = val[start:stop]
             v, eta = model.forward_arrays(chunk.imu, chunk.att, train=False)
             chunk_loss, _, _ = combined_loss(v, chunk.v, eta, loss_cfg)
             if len(chunk) == len(val):
                 return chunk_loss
             loss += chunk_loss * len(chunk)
+            start = stop
         return loss / len(val)
 
     n = len(train)

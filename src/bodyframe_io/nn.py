@@ -381,44 +381,40 @@ class Gru(Layer):
         hs[1:] = y[:, :-1].transpose(1, 0, 2)
         return hs
 
-    def _rebuild(self, x, hs):
-        """The gates, candidates and n column of h W_h + b_h of the scan
-        whose input was x (b, t, cin), in scan order, and whose step-start
-        states are hs (t, b, h), to the bit the scan's. Returns
+    def _rebuild(self, gi, hs):
+        """The gates, candidates and n column of h W_h + b_h of k steps of
+        the scan whose input projection x W_i + b_i, in scan order, is
+        gi (b, k, 3h) and whose step-start states are hs (k, b, h), to
+        the bit the scan's. Returns them time-major, gate-major and
+        contiguous, as the scan lays them out:
 
-            gi (b, t, 3h)   r, z and n, in the columns of x W_i + b_i
-            ghn (t, b, h)   the n column of hs W_h + b_h
+            rz (k, 2, b, h)   the gates, rz[:, 0] r and rz[:, 1] z
+            n (k, b, h)       the candidates
+            ghn (k, b, h)     the n column of hs W_h + b_h
 
-        gi is made as the scan makes it, x W_i then + b_i, and each
-        column is overwritten by its gate or candidate. The rest is made
-        for k = REBUILD_ROWS // b steps at a time (at least one), which
-        keeps its temporaries small: a stacked matmul multiplies each
-        step's (b, h) states by the whole (h, 3h) W_h, the BLAS call the
-        scan makes, and the scan's elementwise operations follow in its
-        order, on all of those steps at once.
+        gi's gate columns are copied into rz and n, which the scan's
+        elementwise operations, in its order, then overwrite with the
+        gates and candidates. A stacked matmul multiplies each step's
+        (b, h) states by the whole (h, 3h) W_h, the BLAS call the scan
+        makes, and b_h is added to all of it.
         """
+        b, k, _ = gi.shape
         h = self.hidden
-        w_h, b_h = self.params["w_h"], self.params["b_h"]
         half, one = np.array(0.5, hs.dtype), np.array(1.0, hs.dtype)
-        gi = x @ self.params["w_i"]
-        gi += self.params["b_i"]
-        ghn = np.empty_like(hs)
-        t, b, _ = hs.shape
-        k = max(1, self.REBUILD_ROWS // b)
-        for start in range(0, t, k):
-            steps = slice(start, start + k)
-            gh = np.matmul(hs[steps], w_h)  # (k, b, 3h)
-            gh += b_h
-            g = gi[:, steps].transpose(1, 0, 2)  # (k, b, 3h), a view of gi
-            s = np.add(gh[:, :, : 2 * h], g[:, :, : 2 * h])
-            np.multiply(half, s, s)
-            np.tanh(s, s)
-            np.add(one, s, s)
-            np.multiply(half, s, g[:, :, : 2 * h])
-            ghn[steps] = gh[:, :, 2 * h :]
-            g[:, :, 2 * h :] += g[:, :, :h] * ghn[steps]
-            np.tanh(g[:, :, 2 * h :], g[:, :, 2 * h :])
-        return gi, ghn
+        g = gi.reshape(b, k, 3, h)
+        rz = np.ascontiguousarray(g[:, :, :2].transpose(1, 2, 0, 3))
+        n = np.ascontiguousarray(g[:, :, 2].transpose(1, 0, 2))
+        gh = np.matmul(hs, self.params["w_h"])  # (k, b, 3h)
+        gh += self.params["b_h"]
+        ghn = np.ascontiguousarray(gh[:, :, 2 * h :])
+        np.add(rz, gh[:, :, : 2 * h].reshape(k, b, 2, h).transpose(0, 2, 1, 3), rz)
+        np.multiply(half, rz, rz)
+        np.tanh(rz, rz)
+        np.add(one, rz, rz)
+        np.multiply(half, rz, rz)
+        n += rz[:, 0] * ghn
+        np.tanh(n, n)
+        return rz, n, ghn
 
     def backward(self, dy):
         x, y = self._take()
@@ -426,52 +422,64 @@ class Gru(Layer):
         del y  # hs holds all that backward reads of the output
         b, t, cin = x.shape
         h = self.hidden
-        # gi's columns become dgi's as the loop reaches each step, after
-        # it has read them; n's becomes 1 - n^2 once h - n is made from
-        # it, and ghn's becomes dgh's n column
-        dgi, dghn = self._rebuild(x, hs)
-        r, z, n = dgi[:, :, :h], dgi[:, :, h : 2 * h], dgi[:, :, 2 * h :]
-        hmn = hs - n.transpose(1, 0, 2)
-        one = np.array(1.0, hs.dtype)
-        np.multiply(n, n, n)
-        np.subtract(one, n, n)
+        dtype = hs.dtype
+        # the projection as the scan makes it; each chunk's columns are
+        # rebuilt from it and become dgi's when the chunk is done
+        dgi = x @ self.params["w_i"]
+        dgi += self.params["b_i"]
+        dgi4 = dgi.reshape(b, t, 3, h)
+        dghn = np.empty((t, b, h), dtype)  # dgh's n column, time-major
         if self.reverse:
             dy = dy[:, ::-1]
+        one = np.array(1.0, dtype)
         w_ht = self.params["w_h"].T
-        dh = np.zeros((b, h), hs.dtype)
-        dgh = np.empty((b, 3 * h), hs.dtype)
-        dgh_rz, dgh_n = dgh[:, : 2 * h], dgh[:, 2 * h :]
-        dgh_r, dgh_z = dgh[:, :h], dgh[:, h : 2 * h]
-        om = np.empty((b, 2 * h), hs.dtype)  # 1 - r, then 1 - z
-        omz = om[:, h:]
-        dh_omz, dh_w = np.empty((b, h), hs.dtype), np.empty((b, h), hs.dtype)
+        dh = np.zeros((b, h), dtype)
+        dgh = np.empty((b, 3 * h), dtype)
+        dgh_rz = dgh[:, : 2 * h].reshape(b, 2, h).transpose(1, 0, 2)  # (2, b, h)
+        dgh_n = dgh[:, 2 * h :]
+        drz = np.empty((2, b, h), dtype)  # dgh's r and z columns, gate-major
+        drz_r, drz_z = drz
+        om = np.empty((2, b, h), dtype)  # 1 - r, then 1 - z
+        omz = om[1]
+        dh_omz, dh_w = np.empty((b, h), dtype), np.empty((b, h), dtype)
         add, multiply, subtract, matmul = np.add, np.multiply, np.subtract, np.matmul
-        # each step, newest first, adds dy to dh and computes, every
-        # product from the left,
-        #     dn = dh (1 - z) (1 - n^2)
-        #     dgh = [dn ghn r (1 - r), dh (h - n) z (1 - z), dn r]
-        #     dgi = [dgh_r, dgh_z, dn],  dh' = dh z + dgh W_h^T
-        # into preallocated buffers, the r and z columns in one call each
-        per_step = [a.transpose(1, 0, 2)[::-1] for a in (dy, dgi, r, z, n)]
-        per_step += [dghn[::-1], hmn[::-1]]
-        for dy_t, dgi_t, r_t, z_t, n_t, dghn_t, hmn_t in zip(*per_step):
-            rz_t = dgi_t[:, : 2 * h]
-            add(dh, dy_t, dh)
-            subtract(one, rz_t, om)
-            multiply(dh, omz, dh_omz)
-            multiply(dh_omz, n_t, n_t)  # dn, in n's place in dgi
-            multiply(n_t, dghn_t, dgh_r)
-            multiply(dh, hmn_t, dgh_z)
-            multiply(dgh_rz, rz_t, dgh_rz)
-            multiply(dgh_rz, om, dgh_rz)
-            multiply(n_t, r_t, dgh_n)
-            multiply(dh, z_t, dh)  # the last read of this step's gates
-            rz_t[...] = dgh_rz
-            dghn_t[...] = dgh_n
-            matmul(dgh, w_ht, dh_w)
-            add(dh, dh_w, dh)
+        k = max(1, self.REBUILD_ROWS // b)
+        for start in range(((t - 1) // k) * k, -1, -k):  # newest chunk first
+            steps = slice(start, start + k)
+            rz, n, ghn = self._rebuild(dgi[:, steps], hs[steps])
+            hmn = hs[steps] - n
+            multiply(n, n, n)
+            subtract(one, n, n)  # 1 - n^2, which becomes dn
+            dyc = np.ascontiguousarray(dy[:, steps].transpose(1, 0, 2))
+            # each step, newest first, adds dy to dh and computes, every
+            # product from the left,
+            #     dn = dh (1 - z) (1 - n^2)
+            #     dgh = [dn ghn r (1 - r), dh (h - n) z (1 - z), dn r]
+            #     dgi = [dgh_r, dgh_z, dn],  dh' = dh z + dgh W_h^T
+            # on contiguous (b, h) rows of the chunk's buffers, the r and
+            # z gates in one call each, and gathers dgh for the matmul
+            per_step = (dyc, rz, n, ghn, hmn, dghn[steps])
+            for dy_t, rz_t, n_t, ghn_t, hmn_t, dghn_t in zip(*(a[::-1] for a in per_step)):
+                r_t, z_t = rz_t
+                add(dh, dy_t, dh)
+                subtract(one, rz_t, om)
+                multiply(dh, omz, dh_omz)
+                multiply(dh_omz, n_t, n_t)  # dn, in n's place
+                multiply(n_t, ghn_t, drz_r)
+                multiply(dh, hmn_t, drz_z)
+                multiply(drz, rz_t, drz)
+                multiply(drz, om, drz)
+                multiply(n_t, r_t, dghn_t)
+                multiply(dh, z_t, dh)  # the last read of this step's gates
+                rz_t[...] = drz
+                dgh_rz[...] = drz
+                dgh_n[...] = dghn_t
+                matmul(dgh, w_ht, dh_w)
+                add(dh, dh_w, dh)
+            dgi4[:, steps, :2] = rz.transpose(2, 0, 1, 3)
+            dgi4[:, steps, 2] = n.transpose(1, 0, 2)
         # each sum frees what no later one reads
-        del per_step, hmn, r, z, n, dgi_t, r_t, z_t, n_t, rz_t, dghn_t, hmn_t
+        del per_step, dghn_t  # views of dghn
         dghn_rows = dghn.reshape(-1, h)  # (t*b, h): dgh's n column, t-major
         self.grads["w_h"][:, 2 * h :] += hs.reshape(-1, h).T @ dghn_rows
         self.grads["b_h"][2 * h :] += dghn_rows.sum(axis=0)

@@ -653,17 +653,17 @@ class TestTraining:
         # combines the chunks' losses as the mean over all frames: within
         # 1e-12 relative of one pass over the whole set (the sums run in
         # another order), and a set of one batch is that one pass to the bit.
-        # Every chunk holds two windows or more: a pass over one window may
-        # differ from a wider one in the last float32 bit of a row, as BLAS
-        # takes another path for a single row
+        # A pass over one window may differ from a wider one in the last
+        # float32 bit of a row, as BLAS takes another path for a single
+        # row, so 7 windows at batch 3 are validated as 3 + 4, not 3 + 3 + 1
         rng = np.random.default_rng(8)
 
         def windows(n):
             return WindowSet(RepresentationKind.BODY_PLUS_ATTITUDE, rng.standard_normal((n, 8, 6)),
                              rng.standard_normal((n, 8, 3)), 0.3 * rng.standard_normal((n, 8, 3)))
 
-        train, val = windows(4), windows(8)
-        for batch_size in (3, 8):
+        train, val8, val7 = windows(4), windows(8), windows(7)
+        for val, batch_size in ((val8, 3), (val8, 8), (val7, 3)):
             model, history = train_motion_model(
                 train, val, TINY, train_cfg=TrainConfig(epochs=1, batch_size=batch_size, seed=0)
             )

@@ -547,18 +547,27 @@ class TestBiGruLockstep:
         np.matmul(hs, w, out)
         for k in range(d):
             assert np.array_equal(out[k], hs[k] @ w[k])
+        # a GRU backward rebuilds k steps at a time by the broadcast form
+        # (k, b, h) @ (h, 3h), for every k from one step to a whole chunk
+        chunk = max(1, Gru.REBUILD_ROWS // batch)
+        steps = rng.standard_normal((chunk, batch, 32)).astype(dtype)
+        for k in range(d):
+            per_step = np.stack([s @ w[k] for s in steps])
+            for n in range(1, chunk + 1):
+                assert np.array_equal(np.matmul(steps[:n], w[k]), per_step[:n]), n
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("batch", [1, 6, 16])
     def test_rebuilt_gates_equal_the_scans(self, batch, dtype):
-        # backward rebuilds r, z, n and the n column of h W_h + b_h from the
-        # input and the states the layer's output holds; for both
-        # directions they must be the bits of the scan's, in the float32 of
-        # the velocity network too. The scan keeps that n column one step
-        # only, so its reference is made here by the scan's own call per
-        # step: the stacked matmul of the step-start states by the stacked
-        # W_h, plus b_h's n part. At 200 steps the rebuild runs in several
-        # blocks of steps for batches 6 and 16, the last one partial
+        # backward rebuilds r, z, n and the n column of h W_h + b_h, one
+        # chunk of steps at a time, from the input projection and the
+        # states the layer's output holds; for both directions they must be
+        # the bits of the scan's, in the float32 of the velocity network
+        # too. The scan keeps that n column one step only, so its reference
+        # is made here by the scan's own call per step: the stacked matmul
+        # of the step-start states by the stacked W_h, plus b_h's n part.
+        # At 200 steps batches 6 and 16 take several chunks, the last one
+        # partial
         rng = np.random.default_rng(60 + batch)
         h, t = 32, 200
         big = self.make(rng, 5, h)
@@ -570,25 +579,32 @@ class TestBiGruLockstep:
         w_h = np.stack([gru.params["w_h"] for gru in grus])  # (2, h, 3h)
         b_n = np.stack([gru.params["b_h"][2 * h :] for gru in grus])[:, None]  # (2, 1, h)
         ghn = np.stack([np.matmul(hs[i], w_h)[:, :, 2 * h :] + b_n for i in range(t)])
-        for k, gru in enumerate(grus):
-            states = gru._step_states(y[:, :, k * h : (k + 1) * h])
-            assert np.array_equal(states, hs[:-1, k]), gru.reverse
-            gi, gh_n = gru._rebuild(gru._in_scan_order(x), states)
-            gi = gi.transpose(1, 0, 2)  # (t, b, 3h), as the scan's buffers
+        k = max(1, Gru.REBUILD_ROWS // batch)
+        for d, gru in enumerate(grus):
+            states = gru._step_states(y[:, :, d * h : (d + 1) * h])
+            assert np.array_equal(states, hs[:-1, d]), gru.reverse
+            gi = gru._in_scan_order(x) @ gru.params["w_i"]  # as backward makes it
+            gi += gru.params["b_i"]
+            chunks = [gru._rebuild(gi[:, i : i + k], states[i : i + k]) for i in range(0, t, k)]
             rebuilt = {
-                "r": (gi[:, :, :h], rz[:, 0, k]),
-                "z": (gi[:, :, h : 2 * h], rz[:, 1, k]),
-                "n": (gi[:, :, 2 * h :], ns[:, k]),
-                "n column": (gh_n, ghn[:, k]),
+                "rz": (np.concatenate([c[0] for c in chunks]), rz[:, :, d]),
+                "n": (np.concatenate([c[1] for c in chunks]), ns[:, d]),
+                "n column": (np.concatenate([c[2] for c in chunks]), ghn[:, d]),
             }
             for name, (got, scan) in rebuilt.items():
                 assert got.dtype == dtype, name
                 assert np.array_equal(got, scan), (name, gru.reverse)
 
-    @pytest.mark.parametrize("t", [30, 200])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("batch", [1, 6, 16])
-    def test_backward_equals_backward_from_kept_gates(self, batch, dtype, t):
+    @pytest.mark.parametrize("batch, t", [
+        *[(b, t) for b in (1, 6, 16) for t in (30, 200)],
+        # the chunk edges: one step, and a whole chunk of
+        # Gru.REBUILD_ROWS // b steps and one more; at batch 600 every
+        # chunk is one step
+        *[(b, t) for b in (1, 2, 16, 17, 600) for t in (1, max(1, Gru.REBUILD_ROWS // b) + 1)],
+        (600, 7),
+    ])
+    def test_backward_equals_backward_from_kept_gates(self, batch, t, dtype):
         # the rebuilt gates give the gradients and dx of a backward that
         # reads the gates and candidates the scan kept, to the bit: for
         # each direction alone and for both through BiGru
